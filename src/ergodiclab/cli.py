@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -91,6 +92,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigValidationError(
+                [f"config must be a JSON object, got {type(data).__name__}"]
+            )
         base = cls()
         kw = {}
         if "subject" in data:
@@ -154,8 +159,10 @@ class ExperimentConfig:
             for i, _v in self.vector:
                 if not 1 <= i <= self.N:
                     problems.append(f"vector index {i} outside 1..{self.N}")
-        if self.quadrature_tol <= 0 or self.convergence_tol <= 0:
-            problems.append("tolerances must be > 0")
+        for name in ("quadrature_tol", "convergence_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                problems.append(f"tolerances.{name} must be finite and > 0, got {value!r}")
         if self.mode not in _MODES:
             problems.append(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.mode == "opnorm" and self.subject != "M":
@@ -348,8 +355,6 @@ def _load_config(args) -> ExperimentConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise exc
         except json.JSONDecodeError as exc:
             raise ConfigValidationError([f"config file is not valid JSON: {exc}"])
         cfg = ExperimentConfig.from_dict(data)

@@ -63,14 +63,25 @@ def check_space_holder(ctx) -> CheckResult:
 
 
 def check_space_partial_sum_decomposition(ctx) -> CheckResult:
+    """P_h = sum_{j<=h} Q_j, checked through its telescoping step.
+
+    At every sampled h the check compares P_h x with P_{h-1} x + Q_h x
+    exactly, with P_0 x := 0 (so h = 1 checks P_1 = Q_1).  Summing the step
+    over h gives the partial-sum identity, and h = N in the sample adds
+    P_N x = x.  The cost is O(|index_sample| N); summing every block Q_j
+    would be O(N^2), so that exhaustive sum runs at small N in
+    ``tests/test_space.py::test_partial_sum_is_sum_of_blocks``.
+    """
     rng = ctx.rng("space_decomp")
     x = _random_vector(rng, ctx.N)
     worst = 0.0
     for h in ctx.index_sample:
-        total = np.zeros(ctx.N)
-        for j in range(1, h + 1):
-            total += space.project_Q(x, j).coords
-        worst = max(worst, float(np.abs(space.project_P(x, h).coords - total).max()))
+        partial = space.project_P(x, h).coords
+        below = space.project_P(x, h - 1).coords if h > 1 else 0.0
+        step = below + space.project_Q(x, h).coords
+        worst = max(worst, float(np.abs(partial - step).max()))
+        if h == ctx.N:
+            worst = max(worst, float(np.abs(partial - x.coords).max()))
     return _result("space.partial_sum_decomposition", worst, 0.0)
 
 
@@ -90,8 +101,9 @@ def check_space_projections(ctx) -> CheckResult:
 def check_space_expansion_uniqueness(ctx) -> CheckResult:
     rng = ctx.rng("space_unique")
     x = _random_vector(rng, ctx.N)
-    # a vector whose partial projections all vanish must be zero, and conversely
-    all_zero = all(norm_l1(space.project_P(x, h)) == 0.0 for h in range(1, ctx.N + 1))
+    # a vector whose partial projections all vanish must be zero, and conversely;
+    # P_N x = x, so the sampled h (N among them) decide "all P_h x vanish"
+    all_zero = all(norm_l1(space.project_P(x, h)) == 0.0 for h in ctx.index_sample)
     consistent = all_zero == (norm_l1(x) == 0.0)
     zero_ok = all(
         norm_l1(space.project_P(space.zero_vector(ctx.N), h)) == 0.0

@@ -253,6 +253,26 @@ def test_main_validation_exit_code(tmp_path):
     assert main(["verify", "--config", str(path)]) == EXIT_VALIDATION
 
 
+def test_main_rejects_non_object_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["quadrature_tol", "convergence_tol"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_main_rejects_non_finite_tolerance(tmp_path, capsys, field, value):
+    path = write_config(tmp_path, subject="M", N=4)
+    data = json.loads(path.read_text())
+    data["tolerances"][field] = float(value)
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path)]) == EXIT_VALIDATION
+    assert f"tolerances.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_io_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3
 
