@@ -1,22 +1,24 @@
 """Cesaro means C(r)x = (1/r) * integral of T(s)x over [0, r].
 
-Closed forms are the production path for the two concrete semigroups
-(the diagonal decay semigroup has diagonal means, the perturbed one
-reduces to the coefficient antiderivatives); an adaptive Simpson
-quadrature serves as the independent oracle for every closed form and
-as the only route for exponential semigroups of user matrices.
+Closed forms are the production path for all three semigroups: the
+diagonal decay semigroup has diagonal means, the perturbed one reduces
+to the coefficient antiderivatives, and the exponential semigroup of a
+power-bounded matrix integrates its uniformization series term by term
+into Poisson upper tails.  An adaptive Simpson quadrature serves only as
+the independent oracle for every closed form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .coeffs import integral_b_row
-from .exp_semigroup import PowerBoundedOperator, apply_S
+from .exp_semigroup import PowerBoundedOperator, poisson_window
 from .space import DualFunctional, TruncatedVector, norm_l1, pair
 
 __all__ = [
@@ -36,6 +38,7 @@ __all__ = [
 ]
 
 _F_ONES = DualFunctional.constant_one()
+_EPS = sys.float_info.epsilon
 
 
 class QuadratureError(RuntimeError):
@@ -209,17 +212,20 @@ def cesaro_S(
     x: TruncatedVector,
     T: PowerBoundedOperator,
     tol: float,
-    budget: int = 2**20,
 ) -> TruncatedVector:
-    """Mean of the exponential semigroup of T, by quadrature.
+    """Mean of the exponential semigroup of T: curve_cesaro_S on a one-point grid."""
+    return curve_cesaro_S([r], x, T, tol).vectors[0]
 
-    Series evaluations inside the integrand run at tol/10 so their error
-    stays an order below the quadrature target.
+
+def _mean_weights(r: float, scale: float, tol: float) -> tuple[np.ndarray, float]:
+    """u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, and the window's loss.
+
+    The upper tails are summed from the top of the Poisson window; u_R is 0.
     """
-    inner_tol = tol / 10.0
-    return cesaro_quadrature(
-        lambda s, v: apply_S(s, v, T, inner_tol), r, x, tol, budget=budget
-    )
+    _check_r(r)
+    L, p, lost = poisson_window(r, _EPS * tol * r / scale if scale else math.inf)
+    upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
+    return np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r, lost
 
 
 # --- sampled curves over r-grids ---
@@ -337,10 +343,45 @@ def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:
 
 
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
+    """Closed-form means C_S(r)x = (1/r) sum_j P(Poisson(r) >= j+1) T^j x.
+
+    Integrating S(s)x = sum_j P(Poisson(s) = j) T^j x over [0, r] term by
+    term gives these weights.  The powers T^j x are formed once for the
+    whole grid, up to the first J at which the largest r drops at most
+    ``tol``: power_bound * ||x||_1 * (1/r) * sum_{j>J} P(X >= j+1), plus
+    the Poisson window's loss.  That drop grows with r, so each row's own
+    bound, reported as its ``trunc_error``, is within ``tol`` too.
+    """
     r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or r_grid.size < 1:
+        raise ValueError("r_grid must be a nonempty 1-d array")
+    scale = T.power_bound * norm_l1(x)
+    rows = [_mean_weights(float(r), scale, tol) for r in r_grid]
+
+    def error_bounds(u, lost, r):
+        # l1 error of stopping at J = 0..R: the weight past J, plus the
+        # window's loss on each kept weight and on the tail
+        after = np.append(np.cumsum(u[::-1])[::-1][1:], 0.0)
+        return scale * (after + ((np.arange(u.size) + 2) / r + 1.0) * lost)
+
+    top = int(np.argmax(r_grid))
+    within = np.flatnonzero(error_bounds(*rows[top], r_grid[top]) <= tol)
+    if not within.size:
+        raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
+    J = int(within[0])
+    powers = np.empty((J + 1, x.dim))
+    powers[0] = x.coords
+    for j in range(1, J + 1):
+        powers[j] = T.matrix @ powers[j - 1]
+    weights = np.empty((r_grid.size, J + 1))
+    errors = np.empty(r_grid.size)
+    for i, ((u, lost), r) in enumerate(zip(rows, r_grid)):
+        u = np.pad(u, (0, max(0, J + 1 - u.size)))
+        weights[i] = u[: J + 1]
+        errors[i] = error_bounds(u, lost, r)[J]
     return CesaroCurve(
         r_grid=r_grid,
         kind="vector",
-        vectors=[cesaro_S(r, x, T, tol) for r in r_grid],
-        trunc_error=np.full(r_grid.size, tol * 1.1),
+        vectors=[TruncatedVector(row) for row in weights @ powers],
+        trunc_error=errors,
     )

@@ -47,6 +47,8 @@ _S_KINDS = ("identity", "timestep", "file")
 
 # dense exponential-series path; guards the S subject against runaway cost
 _S_DIM_CAP = 256
+# the series for S(t) runs about t + 40 sqrt(t) matrix-vector products
+_S_T_CAP = 1e4
 
 
 class ConfigValidationError(ValueError):
@@ -92,50 +94,85 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Config from parsed JSON; each malformed field is reported by name."""
         if not isinstance(data, dict):
             raise ConfigValidationError(
                 [f"config must be a JSON object, got {type(data).__name__}"]
             )
-        base = cls()
+        problems = []
         kw = {}
+
+        def convert(name, value, to, what):
+            try:
+                return to(value)
+            except (TypeError, ValueError, OverflowError):
+                problems.append(f"{name} must be {what}, got {value!r}")
+                return None
+
+        def section(name, required=()):
+            sub = data[name]
+            if not isinstance(sub, dict):
+                problems.append(f"{name} must be a JSON object, got {type(sub).__name__}")
+                return None
+            missing = [key for key in required if key not in sub]
+            if missing:
+                problems.append(f"{name} is missing {', '.join(missing)}")
+                return None
+            return sub
+
+        def grid(name, first, second):
+            g = section(name, (first, second, "count"))
+            if g is None:
+                return None
+            values = (
+                convert(f"{name}.{first}", g[first], float, "a number"),
+                convert(f"{name}.{second}", g[second], float, "a number"),
+                convert(f"{name}.count", g["count"], int, "an integer"),
+            )
+            return None if None in values else values
+
         if "subject" in data:
             kw["subject"] = str(data["subject"])
         if "N" in data:
-            kw["N"] = int(data["N"])
+            kw["N"] = convert("N", data["N"], int, "an integer")
         if "r_grid" in data:
-            g = data["r_grid"]
-            kw["r_grid"] = (float(g["start"]), float(g["factor"]), int(g["count"]))
+            kw["r_grid"] = grid("r_grid", "start", "factor")
         if "t_grid" in data:
-            g = data["t_grid"]
-            kw["t_grid"] = (float(g["start"]), float(g["stop"]), int(g["count"]))
+            kw["t_grid"] = grid("t_grid", "start", "stop")
         if "vector" in data:
-            kw["vector"] = tuple((int(i), float(v)) for i, v in data["vector"])
+            kw["vector"] = convert(
+                "vector",
+                data["vector"],
+                lambda entries: tuple((int(i), float(v)) for i, v in entries),
+                "a list of [index, value] pairs",
+            )
         if "tolerances" in data:
-            tol = data["tolerances"]
-            if "quadrature_tol" in tol:
-                kw["quadrature_tol"] = float(tol["quadrature_tol"])
-            if "convergence_tol" in tol:
-                kw["convergence_tol"] = float(tol["convergence_tol"])
+            tol = section("tolerances")
+            for key in ("quadrature_tol", "convergence_tol"):
+                if tol is not None and key in tol:
+                    kw[key] = convert(f"tolerances.{key}", tol[key], float, "a number")
         for key in ("out_dir", "mode"):
             if key in data:
                 kw[key] = str(data[key])
         for key in ("seed", "horizon"):
             if key in data:
-                kw[key] = int(data[key])
+                kw[key] = convert(key, data[key], int, "an integer")
         if "inject_corruption" in data:
             kw["inject_corruption"] = bool(data["inject_corruption"])
-        if "s_matrix" in data:
-            m = data["s_matrix"]
+        m = section("s_matrix") if "s_matrix" in data else None
+        if m is not None:
             kind = m.get("kind")
             if kind == "identity":
                 kw["s_matrix"] = ("identity",)
             elif kind == "timestep":
-                kw["s_matrix"] = ("timestep", float(m.get("t", 1.0)))
+                kw["s_matrix"] = ("timestep", convert("s_matrix.t", m.get("t", 1.0), float, "a number"))
             elif kind == "file":
                 kw["s_matrix"] = ("file", str(m.get("path", "")))
             else:
                 kw["s_matrix"] = (str(kind),)
-        return replace(base, **kw)
+        if problems:
+            raise ConfigValidationError(problems)
+        return replace(cls(), **kw)
 
     def validate(self) -> list[str]:
         problems = []
@@ -146,19 +183,30 @@ class ExperimentConfig:
         start, factor, count = self.r_grid
         if count < 1:
             problems.append("r_grid count must be >= 1")
-        if start <= 0 or factor <= 1:
+        if not (math.isfinite(start) and math.isfinite(factor)):
+            problems.append("r_grid start and factor must be finite")
+        elif start <= 0 or factor <= 1:
             problems.append("r_grid needs start > 0 and factor > 1")
         t0, t1, tcount = self.t_grid
         if tcount < 1:
             problems.append("t_grid count must be >= 1")
-        if t0 < 0 or t1 < t0:
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            problems.append("t_grid start and stop must be finite")
+        elif t0 < 0 or t1 < t0:
             problems.append("t_grid needs 0 <= start <= stop")
+        elif self.subject == "S" and t1 > _S_T_CAP:
+            problems.append(
+                f"t_grid.stop must be <= {_S_T_CAP:g} for subject S "
+                f"(its series needs about t terms), got {t1:g}"
+            )
         if not self.vector:
             problems.append("input vector must have at least one entry")
         else:
             for i, _v in self.vector:
                 if not 1 <= i <= self.N:
                     problems.append(f"vector index {i} outside 1..{self.N}")
+            if not math.isfinite(float(np.abs([v for _i, v in self.vector]).sum())):
+                problems.append("input vector entries and their l1 norm must be finite")
         for name in ("quadrature_tol", "convergence_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -171,17 +219,24 @@ class ExperimentConfig:
             problems.append("horizon must be >= 1")
         if self.s_matrix[0] not in _S_KINDS:
             problems.append(f"s_matrix kind must be one of {_S_KINDS}")
+        elif self.s_matrix[0] == "timestep" and not (
+            math.isfinite(self.s_matrix[1]) and self.s_matrix[1] >= 0
+        ):
+            problems.append(f"s_matrix.t must be finite and >= 0, got {self.s_matrix[1]!r}")
         if self.subject == "S" and self.N > _S_DIM_CAP:
             problems.append(
                 f"subject S runs dense exponential series; use N <= {_S_DIM_CAP}"
             )
-        if self.N >= 1 and count >= 1 and start > 0 and factor > 1:
-            r_max = start * factor ** (count - 1)
+        if self.N >= 1 and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
+            try:
+                r_max = start * factor ** (count - 1)
+            except OverflowError:
+                r_max = math.inf
             if r_max / (2.0 * self.N) > 0.5:
+                raise_N = f" or raise N to at least {int(r_max)}" if math.isfinite(r_max) else ""
                 problems.append(
-                    f"largest r = {r_max:g} gives a vacuous truncation certificate "
-                    f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); shrink the r_grid "
-                    f"or raise N to at least {int(r_max)}"
+                    f"r_grid: largest r = {r_max:g} gives a vacuous truncation certificate "
+                    f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); shrink the r_grid{raise_N}"
                 )
         return problems
 
@@ -212,10 +267,17 @@ class ExperimentConfig:
                 float(self.s_matrix[1]), self.N, horizon=self.horizon
             )
         text = Path(self.s_matrix[1]).read_text()
-        op = PowerBoundedOperator.from_triples(text, horizon=self.horizon)
+        try:
+            op = PowerBoundedOperator.from_triples(text, horizon=self.horizon)
+        except ValueError as exc:
+            raise ConfigValidationError([f"s_matrix.path: {exc}"]) from None
         if op.dim != self.N:
             raise ConfigValidationError(
                 [f"matrix file has dim {op.dim}, config says N = {self.N}"]
+            )
+        if not (np.isfinite(op.matrix).all() and math.isfinite(op.power_bound)):
+            raise ConfigValidationError(
+                ["s_matrix.path: matrix entries and the norms of its powers must be finite"]
             )
         return op
 

@@ -6,14 +6,18 @@ uniformly continuous semigroup: under the renorm
 |||S(t)||| <= exp(t(|||T||| - 1)) <= 1.  Fixed vectors of T are exactly
 the fixed vectors of every S(t).
 
-Series evaluation is matrix-free: e^{tT} x is accumulated with the
-running-term recurrence term_{j+1} = term_j * t/(j+1) applied to vectors,
-never forming the exponential densely.
+Series evaluation is matrix-free: S(t)x = sum_j P(Poisson(t) = j) T^j x
+is accumulated over the powers T^j x, never forming the exponential
+densely.  The Poisson weights come from ``poisson_window``, which starts in
+log space where e^{-t} would underflow and sums tails from the top (Fox &
+Glynn, "Computing Poisson probabilities", CACM 1988), so neither large t
+nor a tolerance near the rounding level stalls the series.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,18 +26,22 @@ import numpy as np
 from .semigroups import from_sparse_triples, matrix_T, opnorm_l1
 from .space import TruncatedVector, norm_l1
 
-__all__ = ["PowerBoundedOperator", "renorm", "apply_S", "semigroup_defect_S"]
+__all__ = ["PowerBoundedOperator", "renorm", "poisson_window", "apply_S", "semigroup_defect_S"]
 
 _MAX_SERIES_TERMS = 100_000
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # smallest normal double
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True, eq=False)
 class PowerBoundedOperator:
-    """Square matrix with an empirical bound on sup_n of its power norms.
+    """Square matrix with a bound on sup_n of its power norms.
 
     ``power_bound`` is the max of the l1 operator norms of T^n over
     n = 0..horizon (n = 0 included, so the bound is always >= 1 and the
-    renorm below dominates the original norm).
+    renorm below dominates the original norm).  When some power k has
+    ||T^k||_1 <= 1 the bound is proven for all n, not just up to horizon.
     """
 
     matrix: np.ndarray
@@ -56,13 +64,20 @@ class PowerBoundedOperator:
 
     @classmethod
     def from_matrix(cls, matrix, horizon: int = 256) -> "PowerBoundedOperator":
-        """Estimate the power bound by scanning ||T^n|| for n = 0..horizon."""
+        """Scan ||T^n|| for n = 0..horizon, stopping at the first k with ||T^k|| <= 1.
+
+        Past such a k, submultiplicativity gives ||T^n|| <= max_{j<k} ||T^j||
+        for every n, so the early stop returns what the full scan would.
+        """
         arr = np.asarray(matrix, dtype=float)
         bound = 1.0  # n = 0 term
         power = np.eye(arr.shape[0])
         for _ in range(horizon):
             power = arr @ power
-            bound = max(bound, opnorm_l1(power))
+            norm = opnorm_l1(power)
+            if norm <= 1.0:
+                break
+            bound = max(bound, norm)
         return cls(matrix=arr, power_bound=bound, horizon=horizon)
 
     @classmethod
@@ -107,12 +122,61 @@ def renorm(x: TruncatedVector, T: PowerBoundedOperator) -> float:
     return best
 
 
-def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> TruncatedVector:
-    """e^{-t} e^{tT} x by truncated Taylor series with a certified remainder.
+def poisson_window(t: float, rest_tol: float) -> tuple[int, np.ndarray, float]:
+    """Poisson(t) probabilities p_L..p_R and a bound on what they leave out.
 
-    The series stops once the dropped weight e^{-t} sum_{j>J} t^j/j!,
-    multiplied by power_bound * ||x||_1, falls below ``tol``; that weight
-    is tracked exactly as 1 minus the accumulated Poisson mass.
+    Returns ``(L, p, lost)`` with p[k] = P(X = L + k).  L = 0 while e^{-t}
+    is a normal double; beyond that, L is the first index whose
+    log-probability (from math.lgamma) clears the smallest normal double,
+    and the window is normalized to remove the error of that log-space
+    start.  Later entries follow from p_{j+1} = p_j t/(j+1) until, past the
+    mode, the geometric bound on sum_{i>R} i p_i is within ``rest_tol``.
+    ``lost`` bounds that right remainder plus the mass below L and the
+    shift the normalization makes, so it bounds both the missing
+    probability and the missing first moment sum_{i>R} i p_i.
+    """
+    if t == 0:
+        return 0, np.ones(1), 0.0
+    log_t = math.log(t)
+    L = 0
+    if -t < _LOG_TINY:
+        # the log-pmf increases up to the mode, where it is about -log(2 pi t)/2
+        lo, hi = 0, int(t)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid * log_t - t - math.lgamma(mid + 1) < _LOG_TINY:
+                lo = mid + 1
+            else:
+                hi = mid
+        L = lo
+    p = math.exp(L * log_t - t - math.lgamma(L + 1))
+    probs = [p]
+    j = L
+    while True:
+        q = t / (j + 1)
+        if q < 1.0:  # past the mode the terms shrink at least geometrically
+            rest = p * q * ((j + 1) / (1.0 - q) + q / (1.0 - q) ** 2)
+            if rest <= rest_tol:
+                break
+        j += 1
+        if j > _MAX_SERIES_TERMS:
+            raise ValueError(f"Poisson window at t = {t:g} needs more than {_MAX_SERIES_TERMS} terms")
+        p *= q
+        probs.append(p)
+    probs = np.array(probs)
+    if L == 0:
+        return 0, probs, rest
+    total = probs.sum()
+    left = L * _TINY
+    return L, probs / total, 2.0 * (left + rest / total)
+
+
+def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> TruncatedVector:
+    """e^{-t} e^{tT} x by truncated uniformization series with a certified remainder.
+
+    The series stops at the first J whose dropped weight P(Poisson(t) > J),
+    multiplied by power_bound * ||x||_1, is within ``tol``; that weight is
+    summed from the top of the Poisson window, so it has no rounding floor.
     """
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
@@ -121,20 +185,22 @@ def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -
     if x.dim != T.dim:
         raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
     scale = T.power_bound * norm_l1(x)
-    weight = math.exp(-t)          # e^{-t} t^j / j! at j = 0
-    cum = weight
-    v = x.coords.copy()
-    acc = weight * v
-    j = 0
-    while (1.0 - cum) * scale >= tol:
-        j += 1
-        if j > _MAX_SERIES_TERMS:
-            raise RuntimeError("exponential series failed to reach tolerance")
-        v = T.matrix @ v
-        weight *= t / j
-        acc = acc + weight * v
-        cum += weight
-    return TruncatedVector(acc)
+    L, p, lost = poisson_window(t, _EPS * tol / scale if scale else math.inf)
+    # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
+    after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
+    within = np.flatnonzero(after * scale <= tol)
+    if not within.size:
+        raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
+    J = 0 if within[0] == 0 else L + int(within[0]) - 1
+    v = x.coords
+    acc = None
+    for j in range(J + 1):
+        if j:
+            v = T.matrix @ v
+        if j >= L:
+            term = p[j - L] * v
+            acc = term if acc is None else acc + term
+    return TruncatedVector(np.zeros_like(v) if acc is None else acc)
 
 
 def semigroup_defect_S(

@@ -17,10 +17,12 @@ from ergodiclab.cesaro import (
     cesaro_T_certificate,
     curve_cesaro_M,
     curve_cesaro_M_opnorm,
+    curve_cesaro_S,
     curve_cesaro_T,
     geometric_grid,
 )
-from ergodiclab.exp_semigroup import PowerBoundedOperator
+from ergodiclab import cesaro
+from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S
 from ergodiclab.semigroups import apply_M, apply_T
 from ergodiclab.space import (
     DualFunctional,
@@ -196,6 +198,102 @@ def test_cesaro_S_f_conservation_from_timestep():
     result = cesaro_S(r, basis_vector(1, n), T, tol)
     deficit_bound = r / (2.0 * n)
     assert abs(pair(F, result) - 1.0) <= tol * 10 + deficit_bound
+
+
+# --- closed-form mean of the exponential semigroup ---
+
+def _fixed_vector_matrix():
+    mat = np.full((3, 3), 0.25)
+    np.fill_diagonal(mat, 0.5)
+    return mat
+
+
+def _substochastic(n, c=0.97, seed=11):
+    """Seeded nonnegative matrix whose columns all sum to c."""
+    rng = np.random.default_rng(seed)
+    mat = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.2) + 1e-3 * np.eye(n)
+    return mat * (c / mat.sum(axis=0))
+
+
+S_CASES = {
+    "identity": lambda: PowerBoundedOperator.identity(6),
+    "fixed_vector_3x3": lambda: PowerBoundedOperator.from_matrix(_fixed_vector_matrix(), horizon=64),
+    "timestep_64": lambda: PowerBoundedOperator.from_timestep(1.0, 64, horizon=64),
+    "substochastic_48": lambda: PowerBoundedOperator.from_matrix(_substochastic(48), horizon=64),
+}
+S_RADII = (0.5, 4.0, 32.0, 128.0)
+
+
+@pytest.mark.parametrize("case", sorted(S_CASES))
+def test_closed_form_S_matches_quadrature_oracle(case):
+    T = S_CASES[case]()
+    x = TruncatedVector(np.random.default_rng(3).uniform(0.0, 1.0, T.dim))
+    tol = 1e-10
+    curve = curve_cesaro_S(S_RADII, x, T, tol)
+    for r, closed in zip(S_RADII, curve.vectors):
+        oracle = cesaro_quadrature(lambda s, v: apply_S(s, v, T, tol / 10.0), r, x, tol)
+        assert norm_l1(closed - oracle) <= 1e-9
+
+
+def test_closed_form_S_uses_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form must not call the quadrature")
+
+    monkeypatch.setattr(cesaro, "adaptive_simpson", refuse)
+    T = S_CASES["timestep_64"]()
+    curve = curve_cesaro_S(geometric_grid(1.0, 2.0, 8), basis_vector(1, 64), T, 1e-10)
+    assert len(curve) == 8
+    assert cesaro_S(3.0, basis_vector(1, 64), T, 1e-10).dim == 64
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+@pytest.mark.parametrize("case", sorted(S_CASES))
+def test_closed_form_S_certificate_within_tol(case, tol):
+    T = S_CASES[case]()
+    x = TruncatedVector(np.random.default_rng(4).uniform(-1.0, 1.0, T.dim))
+    curve = curve_cesaro_S(geometric_grid(0.25, 2.0, 10), x, T, tol)
+    assert np.all(curve.trunc_error <= tol)
+    assert np.all(curve.trunc_error >= 0.0)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_closed_form_S_exact_f_value(n):
+    # columns of T(1) sum to c = exp(-1/n): f(C_S(r)e_1) = (1 - exp(-ra))/(ra), a = 1 - c
+    T = PowerBoundedOperator.from_timestep(1.0, n, horizon=64)
+    a = -math.expm1(-1.0 / n)
+    rs = geometric_grid(0.5, 2.0, 9)
+    curve = curve_cesaro_S(rs, basis_vector(1, n), T, 1e-10)
+    for r, fval, cert in zip(rs, curve.f_values(), curve.trunc_error):
+        assert abs(fval - -math.expm1(-r * a) / (r * a)) <= cert + 1e-15
+
+
+def test_closed_form_S_one_sweep_per_curve():
+    # the curve forms T^j x once, up to the J that the largest r needs
+    T = S_CASES["timestep_64"]()
+    calls = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            calls.append(1)
+            return np.asarray(self) @ other
+
+    object.__setattr__(T, "matrix", T.matrix.view(Counting))
+    x = basis_vector(1, 64)
+    cesaro_S(128.0, x, T, 1e-10)
+    single = len(calls)
+    calls.clear()
+    curve_cesaro_S(geometric_grid(1.0, 2.0, 8), x, T, 1e-10)
+    assert len(calls) == single
+    assert 128 < single <= 128 + 12 * math.sqrt(128)
+
+
+def test_closed_form_S_large_r_beyond_exp_underflow():
+    # r past 745 has e^{-r} = 0 in double precision; the weights start in log space
+    T = PowerBoundedOperator.from_matrix(_substochastic(8), horizon=64)
+    a = 0.03
+    for r in (760.0, 2000.0):
+        curve = curve_cesaro_S([r], basis_vector(1, 8), T, 1e-10)
+        assert curve.f_values()[0] == pytest.approx(-math.expm1(-r * a) / (r * a), abs=1e-10)
 
 
 # --- curves ---

@@ -273,6 +273,108 @@ def test_main_rejects_non_finite_tolerance(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+def _run_raw_config(tmp_path, text, command="simulate"):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"r_grid": {"start": 1}}', "r_grid"),
+        ('{"s_matrix": 5}', "s_matrix"),
+        ('{"N": "abc"}', "N"),
+        ('{"tolerances": [1e-3]}', "tolerances"),
+        ('{"r_grid": {"start": 1, "factor": 1e308, "count": 3}}', "r_grid"),
+    ],
+    ids=["r_grid_missing_keys", "s_matrix_not_object", "N_not_integer", "tolerances_not_object", "r_grid_overflow"],
+)
+def test_main_malformed_config_names_field(tmp_path, capsys, text, field):
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"config error: {field}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_malformed_config_lists_every_problem(tmp_path, capsys):
+    text = '{"N": "abc", "seed": [1], "vector": [1, 2], "t_grid": {"start": "x", "stop": 1, "count": 2}}'
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    for field in ("N", "seed", "vector", "t_grid.start"):
+        assert f"config error: {field} must be" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"vector": [[1, NaN]]}', '{"r_grid": {"start": NaN, "factor": 2, "count": 3}}', '{"N": 1e400}'],
+)
+def test_main_non_finite_config_values_rejected(tmp_path, text):
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+
+
+def _S_file_config(tmp_path, c=0.97, **overrides):
+    mat = np.random.default_rng(5).uniform(0.1, 1.0, (8, 8))
+    mat *= c / mat.sum(axis=0)
+    lines = [f"{i + 1} {j + 1} {mat[i, j]:.17e}" for j in range(8) for i in range(8)]
+    matrix_path = tmp_path / "W.txt"
+    matrix_path.write_text("\n".join(lines) + "\n")
+    data = {
+        "subject": "S", "N": 8, "vector": [[1, 0.25], [5, 0.75]],
+        "r_grid": {"start": 0.5, "factor": 2.0, "count": 4},
+        "s_matrix": {"kind": "file", "path": str(matrix_path)},
+        **overrides,
+    }
+    return json.dumps(data), float(mat.sum(axis=0).mean())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"t_grid": {"start": 0.0, "stop": 1000.0, "count": 5}},  # e^{-t} underflows past t = 745
+        {"t_grid": {"start": 0.0, "stop": 20.0, "count": 5}, "tolerances": {"quadrature_tol": 1e-17}},
+    ],
+    ids=["t_1000", "tol_1e-17"],
+)
+def test_simulate_S_large_t_and_tiny_tol(tmp_path, overrides):
+    text, c = _S_file_config(tmp_path, **overrides)
+    assert _run_raw_config(tmp_path, text) == EXIT_OK
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")
+    for line in lines[1:]:
+        t, fval = float(line.split(",")[0]), float(line.split(",")[2])
+        want = math.exp(-t * (1.0 - c))
+        assert abs(fval - want) <= 1e-10 + 1e-12 * want
+
+
+def test_simulate_S_rejects_t_beyond_cap(tmp_path, capsys):
+    text, _ = _S_file_config(tmp_path, t_grid={"start": 0.0, "stop": 1e6, "count": 2})
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert "t_grid.stop" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("triples", ["1 1 nan\n2 2 0.5\n", "1 1 1e300\n2 2 0.5\n", "1 1 abc\n"])
+def test_simulate_S_rejects_unusable_matrix_file(tmp_path, capsys, triples):
+    (tmp_path / "W.txt").write_text(triples)
+    text = json.dumps({
+        "subject": "S", "N": 2, "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
+        "s_matrix": {"kind": "file", "path": str(tmp_path / "W.txt")},
+    })
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert "config error: s_matrix.path" in capsys.readouterr().err
+
+
+def test_cesaro_S_curve_certificate_within_tol(tmp_path):
+    text, c = _S_file_config(tmp_path, tolerances={"quadrature_tol": 1e-9})
+    assert _run_raw_config(tmp_path, text, "cesaro") == EXIT_OK
+    a = 1.0 - c
+    for line in (tmp_path / "out" / "cesaro_curve.csv").read_text().strip().split("\n")[1:]:
+        r, _, cert, _, fval = (float(cell) for cell in line.split(","))
+        assert 0.0 <= cert <= 1e-9
+        assert abs(fval - -math.expm1(-r * a) / (r * a)) <= cert + 1e-14
+
+
 def test_main_io_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3
 

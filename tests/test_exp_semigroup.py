@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from ergodiclab import exp_semigroup
 from ergodiclab.exp_semigroup import (
     PowerBoundedOperator,
     apply_S,
+    poisson_window,
     renorm,
     semigroup_defect_S,
 )
@@ -22,6 +24,20 @@ def T1_64():
 
 def rand_vec(rng, n):
     return TruncatedVector(rng.uniform(-1, 1, n))
+
+
+def column_sum_matrix(n, c, seed=0):
+    """Seeded nonnegative matrix whose columns all sum to c, so f(Tx) = c f(x)."""
+    mat = np.random.default_rng(seed).uniform(0.1, 1.0, (n, n))
+    return mat * (c / mat.sum(axis=0))
+
+
+def full_scan_bound(mat, horizon):
+    bound, power = 1.0, np.eye(mat.shape[0])
+    for _ in range(horizon):
+        power = mat @ power
+        bound = max(bound, float(np.abs(power).sum(axis=0).max()))
+    return bound
 
 
 # --- power bound and renorm ---
@@ -42,6 +58,30 @@ def test_power_bound_nondecreasing_in_horizon():
     mat = rng.uniform(0, 0.4, (6, 6))
     bounds = [PowerBoundedOperator.from_matrix(mat, horizon=h).power_bound for h in (1, 4, 16, 64)]
     assert all(b2 >= b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize(
+    "mat, scanned",
+    [
+        (matrix_T(1.0, 64).entries, 1),
+        (matrix_T(1.0, 256).entries, 1),
+        (column_sum_matrix(32, 0.97), 1),
+        # ||T^n|| = (1 + 4n)/2^n: 2.5, 2.25, 1.625, 1.0625, then 21/32 <= 1
+        (np.array([[0.5, 2.0], [0.0, 0.5]]), 5),
+        (np.array([[1.01]]), 256),
+    ],
+)
+def test_power_bound_early_exit_matches_full_scan(monkeypatch, mat, scanned):
+    norms = []
+
+    def counting_opnorm(entries):
+        norms.append(float(np.abs(entries).sum(axis=0).max()))
+        return norms[-1]
+
+    monkeypatch.setattr(exp_semigroup, "opnorm_l1", counting_opnorm)
+    T = PowerBoundedOperator.from_matrix(mat, horizon=256)
+    assert len(norms) == scanned
+    assert T.power_bound == full_scan_bound(mat, 256)
 
 
 def test_renorm_identity_operator():
@@ -192,3 +232,62 @@ def test_from_triples_matches_matrix():
     lhs = apply_S(1.5, x, T, 1e-11)
     rhs = apply_S(1.5, x, direct, 1e-11)
     assert norm_l1(lhs - rhs) <= 1e-10
+
+
+# --- Poisson weights and large t ---
+
+@pytest.mark.parametrize("t", [0.3, 7.0, 100.0, 700.0, 760.0, 1000.0, 5000.0])
+def test_poisson_window_matches_log_pmf(t):
+    L, p, lost = poisson_window(t, 1e-30)
+    j = L + np.arange(p.size)
+    lgammas = np.array([math.lgamma(k + 1) for k in j])
+    log_pmf = j * math.log(t) - t - lgammas
+    # the reference itself is only good to about eps times its largest term
+    reference_error = 8 * np.finfo(float).eps * (t + j * math.log(t) + lgammas)
+    big = p > 1e-280
+    assert np.all(np.abs(p[big] / np.exp(log_pmf[big]) - 1.0) <= 1e-14 + reference_error[big])
+    assert abs(p.sum() - 1.0) <= 1e-13
+    assert 0.0 <= lost <= 1e-29
+    assert (L == 0) == (t < 708.0)
+
+
+@pytest.mark.parametrize("t", [100.0, 1000.0, 10000.0])
+def test_poisson_window_against_high_precision(t):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    L, p, _ = poisson_window(t, 1e-30)
+    for k in np.linspace(0, p.size - 1, 40).astype(int):
+        j = L + int(k)
+        ref = mpmath.exp(j * mpmath.log(t) - t - mpmath.loggamma(j + 1))
+        assert abs(float(p[k] / ref) - 1.0) <= 2e-14
+
+
+def test_poisson_window_starts_at_e_to_the_minus_t():
+    # below the underflow threshold the weights are the plain recurrence from e^{-t}
+    L, p, _ = poisson_window(30.0, 1e-20)
+    weight = math.exp(-30.0)
+    assert L == 0 and p[0] == weight
+    for j in range(1, p.size):
+        weight *= 30.0 / j
+        assert p[j] == weight
+
+
+@pytest.mark.parametrize("t", [760.0, 1000.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-17])
+def test_S_beyond_exp_underflow(t, tol):
+    # columns summing to c give f(S(t)x) = ||x||_1 exp(-t(1 - c)) for x >= 0
+    c = 0.97
+    T = PowerBoundedOperator.from_matrix(column_sum_matrix(16, c), horizon=64)
+    x = TruncatedVector(np.random.default_rng(10).uniform(0.0, 1.0, 16))
+    want = norm_l1(x) * math.exp(-t * (1.0 - c))
+    assert want > 0.0
+    y = apply_S(t, x, T, tol)
+    assert abs(norm_l1(y) - want) <= tol + 1e-11 * want
+
+
+def test_S_tolerance_below_rounding_level(T1_64):
+    # a stop rule built on 1 - (accumulated mass) has a floor near 1e-16
+    x = basis_vector(1, 64)
+    y = apply_S(5.0, x, T1_64, 1e-17)
+    predicted = math.exp(-5.0 * (1.0 - math.exp(-1.0 / 64.0)))
+    assert norm_l1(y) == pytest.approx(predicted, abs=1e-15)
