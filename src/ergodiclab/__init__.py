@@ -16,17 +16,17 @@ from .space import (  # noqa: F401
 )
 from .coeffs import b, integral_b, partial_sum_b, tail_sum_b  # noqa: F401
 from .semigroups import (  # noqa: F401
-    TruncatedOperator,
-    apply_A,
-    apply_A_inverse,
-    apply_B,
-    apply_B_adjoint,
+    StructuredOperator,
     apply_M,
-    apply_N,
-    apply_Ndot,
     apply_T,
     kernel_B,
+    matrix_A,
+    matrix_A_inverse,
     matrix_B,
+    matrix_M,
+    matrix_N,
+    matrix_Ndot,
+    matrix_T,
 )
 from .exp_semigroup import PowerBoundedOperator, apply_S, renorm, semigroup_defect_S  # noqa: F401
 from .cesaro import (  # noqa: F401

@@ -101,6 +101,7 @@ class ExperimentConfig:
             )
         problems = []
         kw = {}
+        emitted = cls().to_dict()  # every key it holds must round-trip
 
         def convert(name, value, to, what):
             try:
@@ -109,11 +110,15 @@ class ExperimentConfig:
                 problems.append(f"{name} must be {what}, got {value!r}")
                 return None
 
-        def section(name, required=()):
+        def unknown(prefix, given, known):
+            problems.extend(f"{prefix}{key} is not a known key" for key in given if key not in known)
+
+        def section(name, known, required=()):
             sub = data[name]
             if not isinstance(sub, dict):
                 problems.append(f"{name} must be a JSON object, got {type(sub).__name__}")
                 return None
+            unknown(f"{name}.", sub, known)
             missing = [key for key in required if key not in sub]
             if missing:
                 problems.append(f"{name} is missing {', '.join(missing)}")
@@ -121,7 +126,8 @@ class ExperimentConfig:
             return sub
 
         def grid(name, first, second):
-            g = section(name, (first, second, "count"))
+            keys = (first, second, "count")
+            g = section(name, keys, keys)
             if g is None:
                 return None
             values = (
@@ -131,6 +137,7 @@ class ExperimentConfig:
             )
             return None if None in values else values
 
+        unknown("", data, emitted)
         if "subject" in data:
             kw["subject"] = str(data["subject"])
         if "N" in data:
@@ -147,8 +154,8 @@ class ExperimentConfig:
                 "a list of [index, value] pairs",
             )
         if "tolerances" in data:
-            tol = section("tolerances")
-            for key in ("quadrature_tol", "convergence_tol"):
+            tol = section("tolerances", emitted["tolerances"])
+            for key in emitted["tolerances"]:
                 if tol is not None and key in tol:
                     kw[key] = convert(f"tolerances.{key}", tol[key], float, "a number")
         for key in ("out_dir", "mode"):
@@ -159,7 +166,7 @@ class ExperimentConfig:
                 kw[key] = convert(key, data[key], int, "an integer")
         if "inject_corruption" in data:
             kw["inject_corruption"] = bool(data["inject_corruption"])
-        m = section("s_matrix") if "s_matrix" in data else None
+        m = section("s_matrix", ("kind", "t", "path")) if "s_matrix" in data else None
         if m is not None:
             kind = m.get("kind")
             if kind == "identity":
@@ -275,9 +282,9 @@ class ExperimentConfig:
             raise ConfigValidationError(
                 [f"matrix file has dim {op.dim}, config says N = {self.N}"]
             )
-        if not (np.isfinite(op.matrix).all() and math.isfinite(op.power_bound)):
+        if not math.isfinite(op.power_bound):
             raise ConfigValidationError(
-                ["s_matrix.path: matrix entries and the norms of its powers must be finite"]
+                ["s_matrix.path: the norms of the matrix powers must be finite"]
             )
         return op
 
@@ -398,7 +405,9 @@ def cmd_matrix(cfg: ExperimentConfig) -> list[Path]:
     op = matrix_B(cfg.N)
     out = Path(cfg.out_dir)
     paths = [out / "matrix_B.txt", out / "metadata.json"]
-    _write(paths[0], to_sparse_triples(op))
+    out.mkdir(parents=True, exist_ok=True)
+    with paths[0].open("w") as fh:
+        to_sparse_triples(op, fh)
     note = None
     if cfg.N <= 64:
         dense_path = out / "matrix_B_dense.json"

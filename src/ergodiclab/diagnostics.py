@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .cesaro import CesaroCurve, cesaro_M_opnorm, curve_cesaro_T
 from .exp_semigroup import PowerBoundedOperator
+from .semigroups import StructuredOperator, matrix_A, matrix_A_inverse
 from .space import TruncatedVector, basis_vector
 
 __all__ = [
@@ -105,16 +105,7 @@ def _null_dim(matrix: np.ndarray) -> int:
     return int(np.sum(svals <= _RANK_RTOL * svals[0]))
 
 
-def _materialize(apply_fn: Callable[[TruncatedVector], TruncatedVector], N: int) -> np.ndarray:
-    cols = [apply_fn(basis_vector(k, N)).coords for k in range(1, N + 1)]
-    return np.column_stack(cols)
-
-
-def kernel_criterion(
-    generator_apply: Callable[[TruncatedVector], TruncatedVector],
-    adjoint_apply: Callable[[TruncatedVector], TruncatedVector],
-    N: int,
-) -> list[Evidence]:
+def kernel_criterion(op: StructuredOperator) -> list[Evidence]:
     """Null-space dimensions of a generator and its adjoint at truncation N.
 
     A trivial adjoint null space certifies mean ergodicity.  The evidence
@@ -123,17 +114,11 @@ def kernel_criterion(
     uniformly small but nonzero, the finite truncations are flagging an
     emergent fixed functional of the infinite-dimensional adjoint.
     """
-    if N < 1:
-        raise ValueError(f"truncation N must be >= 1, got {N}")
-    gen = _materialize(generator_apply, N)
-    adj = _materialize(adjoint_apply, N)
-    if gen.shape != adj.shape:
-        raise ValueError("generator and adjoint act on different dimensions")
-    ones = TruncatedVector(np.ones(N))
-    residual = adjoint_apply(ones).coords
+    gen = op.dense()
+    residual = op.apply_adjoint(TruncatedVector(np.ones(op.dim))).coords
     return [
         Evidence("generator_null_dim", _null_dim(gen), ref="adjoint-kernel criterion"),
-        Evidence("adjoint_null_dim", _null_dim(adj), ref="adjoint-kernel criterion"),
+        Evidence("adjoint_null_dim", _null_dim(gen.T), ref="adjoint-kernel criterion"),
         Evidence("adjoint_ones_residual_max", float(np.abs(residual).max())),
         Evidence("adjoint_ones_residual_min", float(np.abs(residual).min())),
         Evidence(
@@ -195,13 +180,10 @@ def uniform_criterion_M(N: int, r_grid) -> list[Evidence]:
     r <= N.  Any one of these degenerates at fixed N; together, across
     growing N, they witness the failure in the limit.
     """
-    if N < 1:
-        raise ValueError(f"truncation N must be >= 1, got {N}")
+    # both operators are diagonal: the l1 norm is the largest |entry|, the eigenvalues the entries
+    inv_norm = float(np.abs(matrix_A_inverse(N).diag).max())
+    min_eig = float(np.abs(matrix_A(N).diag).min())
     r_grid = np.asarray(r_grid, dtype=float)
-    h = np.arange(1, N + 1, dtype=float)
-    # the inverse generator is diagonal, so its l1 norm is the largest |entry|
-    inv_norm = float(np.abs(-h).max())
-    min_eig = float(np.abs(-1.0 / h).min())
     floor_rs = r_grid[r_grid <= N]
     floor_vals = np.array([cesaro_M_opnorm(r, N) for r in floor_rs])
     floor_ok = bool(floor_vals.size > 0 and np.all(floor_vals >= UNIFORM_FLOOR - 1e-12))

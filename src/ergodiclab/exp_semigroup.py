@@ -67,17 +67,24 @@ class PowerBoundedOperator:
         """Scan ||T^n|| for n = 0..horizon, stopping at the first k with ||T^k|| <= 1.
 
         Past such a k, submultiplicativity gives ||T^n|| <= max_{j<k} ||T^j||
-        for every n, so the early stop returns what the full scan would.
+        for every n, so the early stop returns what the full scan would.  A
+        power whose norm overflows ends the scan with an infinite bound.
         """
         arr = np.asarray(matrix, dtype=float)
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
         bound = 1.0  # n = 0 term
         power = np.eye(arr.shape[0])
-        for _ in range(horizon):
-            power = arr @ power
-            norm = opnorm_l1(power)
-            if norm <= 1.0:
-                break
-            bound = max(bound, norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(horizon):
+                power = arr @ power
+                norm = opnorm_l1(power)
+                if not math.isfinite(norm):
+                    bound = math.inf
+                    break
+                if norm <= 1.0:
+                    break
+                bound = max(bound, norm)
         return cls(matrix=arr, power_bound=bound, horizon=horizon)
 
     @classmethod
@@ -87,7 +94,7 @@ class PowerBoundedOperator:
     @classmethod
     def from_timestep(cls, t: float, dim: int, horizon: int = 256) -> "PowerBoundedOperator":
         """The perturbed-semigroup matrix T(t) at truncation ``dim`` as input."""
-        return cls.from_matrix(matrix_T(t, dim).entries, horizon=horizon)
+        return cls.from_matrix(matrix_T(t, dim).dense(), horizon=horizon)
 
     @classmethod
     def from_triples(cls, text: str, horizon: int = 256) -> "PowerBoundedOperator":

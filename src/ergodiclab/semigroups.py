@@ -1,12 +1,17 @@
-"""Concrete operators at truncation N, matrix-free where it matters.
+"""Concrete operators at truncation N, all in one structured form.
 
 Two uniformly continuous semigroups are implemented on the truncated
 space: the diagonal decay semigroup M(t) with generator A, and its
 rank-structured perturbation T(t) = M(t) + N_t with generator
-B = A + Ndot, built from the all-ones functional.  M is diagonal and
-therefore exact at every truncation; the perturbation drops coefficient
-mass beyond the truncation edge and carries the tail certificate
-tail_sum_b(N, t) <= t/N per unit input norm.
+B = A + Ndot, built from the all-ones functional.  Every one of these
+operators has the same shape: a diagonal plus, at row j, a weight times
+the prefix sum x_1 + ... + x_{j-1}.  ``StructuredOperator`` stores those
+two arrays, and the matrix-free action, the adjoint action, dense entries
+and the triple export all read them, so they cannot drift apart.
+
+M is diagonal and therefore exact at every truncation; the perturbation
+drops coefficient mass beyond the truncation edge and carries the tail
+certificate tail_sum_b(N, t) <= t/N per unit input norm.
 
 Convention: matrices act on column vectors; the image of basis vector
 e_k is column k.  The row-action display of the same operators is the
@@ -15,10 +20,10 @@ transpose of what is stored here.
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TextIO
 
 import numpy as np
 
@@ -26,16 +31,10 @@ from .coeffs import b_row, tail_sum_b
 from .space import TruncatedVector
 
 __all__ = [
-    "TruncatedOperator",
+    "StructuredOperator",
     "KernelResult",
     "apply_M",
-    "apply_A",
-    "apply_A_inverse",
-    "apply_N",
     "apply_T",
-    "apply_Ndot",
-    "apply_B",
-    "apply_B_adjoint",
     "matrix_M",
     "matrix_N",
     "matrix_T",
@@ -48,218 +47,134 @@ __all__ = [
     "opnorm_l1",
     "to_sparse_triples",
     "from_sparse_triples",
-    "dense_rows",
 ]
 
 
 @dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """N x N matrix in column-action convention plus a tail certificate.
+class StructuredOperator:
+    """Column k holds ``diag[k-1]`` on the diagonal and ``below[j-1]`` at every row j > k.
 
-    ``tail_bound(support_bound, t)`` bounds the l1 discrepancy against the
-    untruncated operator, per unit l1 norm of an input supported in the
-    first ``support_bound`` coordinates.
+    ``below`` is None for a diagonal operator.  ``tail`` bounds the l1
+    discrepancy against the untruncated operator, per unit l1 norm of the
+    input.
     """
 
-    entries: np.ndarray
-    tail_bound: Callable[[int, float], float]
+    diag: np.ndarray
+    below: np.ndarray | None = None
+    tail: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        if self.diag.ndim != 1 or self.diag.size < 1:
+            raise ValueError("diag must be a nonempty 1-d array")
+        if self.below is not None and self.below.shape != self.diag.shape:
+            raise ValueError("below must have the shape of diag")
 
     @property
     def dim(self) -> int:
-        return int(self.entries.shape[0])
+        return int(self.diag.size)
 
-    def apply(self, x: TruncatedVector) -> TruncatedVector:
+    def _check(self, x: TruncatedVector):
         if x.dim != self.dim:
             raise ValueError(f"dimension mismatch: operator {self.dim}, vector {x.dim}")
-        return TruncatedVector(self.entries @ x.coords)
+
+    def apply(self, x: TruncatedVector) -> TruncatedVector:
+        """O(N) action: diag_j x_j + below_j (x_1 + ... + x_{j-1})."""
+        self._check(x)
+        out = self.diag * x.coords
+        if self.below is not None:
+            out[1:] += np.cumsum(x.coords)[:-1] * self.below[1:]
+        return TruncatedVector(out)
+
+    def apply_adjoint(self, y: TruncatedVector) -> TruncatedVector:
+        """O(N) transpose action: diag_k y_k plus the suffix sum of below_j y_j over j > k."""
+        self._check(y)
+        out = self.diag * y.coords
+        if self.below is not None:
+            out[:-1] += np.cumsum((self.below[1:] * y.coords[1:])[::-1])[::-1]
+        return TruncatedVector(out)
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix.  It takes O(N^2) memory, so use it at small N only."""
+        n = self.dim
+        below = np.zeros(n) if self.below is None else self.below
+        out = np.tril(np.broadcast_to(below[:, None], (n, n)), -1)
+        out[np.diag_indices(n)] = self.diag
+        return out
 
 
-def _no_tail(_support: int, _t: float) -> float:
-    return 0.0
+def _h(N: int) -> np.ndarray:
+    """Indices 1..N as floats, after checking the truncation."""
+    if N < 1:
+        raise ValueError(f"truncation N must be >= 1, got {N}")
+    return np.arange(1, N + 1, dtype=float)
 
 
-def _check_time(t: float):
+def _ndot_row(N: int) -> np.ndarray:
+    """1/(j(j-1)) at row j >= 2; row 1 lies below no diagonal and holds 0."""
+    j = _h(N)[1:]
+    return np.concatenate(([0.0], 1.0 / (j * (j - 1))))
+
+
+# --- the seven operators ---
+
+def matrix_M(t: float, N: int) -> StructuredOperator:
+    """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h)."""
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
+    return StructuredOperator(np.exp(-t / _h(N)))
 
 
-# --- matrix-free applications, O(N) each ---
-
-def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
-    """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h).
-
-    Exact at every truncation (no off-diagonal coupling).
-    """
-    _check_time(t)
-    h = np.arange(1, x.dim + 1, dtype=float)
-    return TruncatedVector(np.exp(-t / h) * x.coords)
-
-
-def apply_A(x: TruncatedVector) -> TruncatedVector:
+def matrix_A(N: int) -> StructuredOperator:
     """Generator of the decay semigroup: coordinate h is scaled by -1/h."""
-    h = np.arange(1, x.dim + 1, dtype=float)
-    return TruncatedVector(-x.coords / h)
+    return StructuredOperator(-1.0 / _h(N))
 
 
-def apply_A_inverse(x: TruncatedVector) -> TruncatedVector:
+def matrix_A_inverse(N: int) -> StructuredOperator:
     """Inverse of the decay generator: coordinate h is scaled by -h.
 
     Its l1 operator norm at truncation N equals N, so the inverses blow up
     as the truncation grows: the finite shadow of an unbounded inverse.
     """
-    h = np.arange(1, x.dim + 1, dtype=float)
-    return TruncatedVector(-h * x.coords)
+    return StructuredOperator(-_h(N))
 
 
-def apply_N(t: float, x: TruncatedVector) -> TruncatedVector:
-    """Perturbation part: coordinate j >= 2 receives (sum of x_1..x_{j-1}) * b(j, t).
-
-    Terms that would land beyond the truncation edge are dropped; the l1
-    error against the untruncated operator is at most
-    norm_l1(x) * tail_sum_b(N, t).
-    """
-    _check_time(t)
-    out = np.zeros(x.dim)
-    if x.dim > 1:
-        prefix = np.cumsum(x.coords)[:-1]
-        out[1:] = prefix * b_row(t, x.dim)[1:]
-    return TruncatedVector(out)
+def matrix_N(t: float, N: int) -> StructuredOperator:
+    """Perturbation part: strictly lower, column k holds b(j, t) at rows j > k."""
+    return StructuredOperator(np.zeros_like(_h(N)), b_row(t, N), tail_sum_b(N, t))
 
 
-def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
+def matrix_T(t: float, N: int) -> StructuredOperator:
     """Perturbed semigroup T(t) = M(t) + N_t.
 
     Nonnegative matrix for t >= 0; every column of the truncated matrix
     sums to exp(-t/N), so the truncated operator has l1 norm exp(-t/N) <= 1
     and conserves the coordinate-sum functional up to that deficit.
     """
-    _check_time(t)
-    h = np.arange(1, x.dim + 1, dtype=float)
-    out = np.exp(-t / h) * x.coords
-    if x.dim > 1:
-        prefix = np.cumsum(x.coords)[:-1]
-        out[1:] += prefix * b_row(t, x.dim)[1:]
-    return TruncatedVector(out)
+    return StructuredOperator(np.exp(-t / _h(N)), b_row(t, N), tail_sum_b(N, t))
 
 
-def apply_Ndot(x: TruncatedVector) -> TruncatedVector:
-    """Derivative at t=0 of the perturbation: coordinate h+1 is prefix_h / (h^2+h)."""
-    out = np.zeros(x.dim)
-    if x.dim > 1:
-        h = np.arange(1, x.dim, dtype=float)
-        prefix = np.cumsum(x.coords)[:-1]
-        out[1:] = prefix / (h * h + h)
-    return TruncatedVector(out)
+def matrix_Ndot(N: int) -> StructuredOperator:
+    """Derivative at t=0 of the perturbation: column k holds 1/(j(j-1)) at rows j > k."""
+    return StructuredOperator(np.zeros_like(_h(N)), _ndot_row(N))
 
 
-def apply_B(x: TruncatedVector) -> TruncatedVector:
-    """Generator of the perturbed semigroup: B = A + Ndot."""
-    h = np.arange(1, x.dim + 1, dtype=float)
-    out = -x.coords / h
-    if x.dim > 1:
-        hh = h[:-1]
-        prefix = np.cumsum(x.coords)[:-1]
-        out[1:] += prefix / (hh * hh + hh)
-    return TruncatedVector(out)
-
-
-def apply_B_adjoint(y: TruncatedVector) -> TruncatedVector:
-    """Transpose action of the perturbed generator, matrix-free.
-
-    Coordinate k of the result is -y_k/k plus the suffix sum of
-    y_j/(j(j-1)) over j > k.
-    """
-    h = np.arange(1, y.dim + 1, dtype=float)
-    out = -y.coords / h
-    if y.dim > 1:
-        j = h[1:]
-        weighted = y.coords[1:] / (j * (j - 1.0))
-        out[:-1] += np.cumsum(weighted[::-1])[::-1]
-    return TruncatedVector(out)
-
-
-# --- dense materializations ---
-
-def matrix_M(t: float, N: int) -> TruncatedOperator:
-    _check_time(t)
-    _check_dim(N)
-    h = np.arange(1, N + 1, dtype=float)
-    return TruncatedOperator(np.diag(np.exp(-t / h)), _no_tail)
-
-
-def matrix_A(N: int) -> TruncatedOperator:
-    _check_dim(N)
-    h = np.arange(1, N + 1, dtype=float)
-    return TruncatedOperator(np.diag(-1.0 / h), _no_tail)
-
-
-def matrix_A_inverse(N: int) -> TruncatedOperator:
-    _check_dim(N)
-    h = np.arange(1, N + 1, dtype=float)
-    return TruncatedOperator(np.diag(-h), _no_tail)
-
-
-def matrix_N(t: float, N: int) -> TruncatedOperator:
-    """Strictly lower triangular: column k holds b(j, t) at rows j = k+1..N."""
-    _check_time(t)
-    _check_dim(N)
-    entries = np.zeros((N, N))
-    bv = b_row(t, N)
-    for k in range(N):
-        entries[k + 1 :, k] = bv[k + 1 :]
-
-    def tail(support: int, s: float, _N=N) -> float:
-        return tail_sum_b(_N, s) if support <= _N else math.inf
-
-    return TruncatedOperator(entries, tail)
-
-
-def matrix_T(t: float, N: int) -> TruncatedOperator:
-    _check_time(t)
-    _check_dim(N)
-    entries = matrix_N(t, N).entries + matrix_M(t, N).entries
-
-    def tail(support: int, s: float, _N=N) -> float:
-        return tail_sum_b(_N, s) if support <= _N else math.inf
-
-    return TruncatedOperator(entries, tail)
-
-
-def matrix_Ndot(N: int) -> TruncatedOperator:
-    _check_dim(N)
-    entries = np.zeros((N, N))
-    if N > 1:
-        j = np.arange(2, N + 1, dtype=float)
-        sub = 1.0 / (j * (j - 1))
-        for k in range(N - 1):
-            entries[k + 1 :, k] = sub[k:]
-    return TruncatedOperator(entries, _no_tail)
-
-
-def matrix_B(N: int) -> TruncatedOperator:
-    """Generator matrix: column k has -1/k at row k and 1/(j(j-1)) at rows j > k.
+def matrix_B(N: int) -> StructuredOperator:
+    """Generator B = A + Ndot: column k has -1/k at row k and 1/(j(j-1)) at rows j > k.
 
     Lower triangular in the column-action convention; the row-action
     display of the same operator is this matrix's transpose.
     """
-    _check_dim(N)
-    entries = matrix_Ndot(N).entries.copy()
-    h = np.arange(1, N + 1, dtype=float)
-    entries[np.diag_indices(N)] = -1.0 / h
-    return TruncatedOperator(entries, _no_tail)
+    return StructuredOperator(-1.0 / _h(N), _ndot_row(N))
 
 
-def _check_dim(N: int):
-    if N < 1:
-        raise ValueError(f"truncation N must be >= 1, got {N}")
+def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
+    """M(t)x; exact at every truncation (no off-diagonal coupling)."""
+    return matrix_M(t, x.dim).apply(x)
+
+
+def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
+    """T(t)x, less what lands beyond the truncation edge: at most tail_sum_b(N, t) ||x||_1."""
+    return matrix_T(t, x.dim).apply(x)
 
 
 # --- structural diagnostics ---
@@ -276,8 +191,7 @@ def kernel_B(N: int) -> KernelResult:
     Row 1 forces x_1 = 0; row j forces x_j = (x_1 + ... + x_{j-1})/(j-1),
     so every coordinate vanishes inductively.  Runs in O(N).
     """
-    _check_dim(N)
-    x = np.zeros(N)
+    x = np.zeros_like(_h(N))
     running = 0.0
     for j in range(2, N + 1):
         x[j - 1] = running / (j - 1)
@@ -294,8 +208,7 @@ def adjoint_residual_vector(N: int) -> np.ndarray:
     with Kahan compensation so the uniformity holds to ~1e-16 even at
     N = 65536, where a naive running sum would drift.
     """
-    _check_dim(N)
-    res = np.empty(N)
+    res = np.empty_like(_h(N))
     res[N - 1] = -1.0 / N
     s = 0.0
     c = 0.0
@@ -319,15 +232,27 @@ def opnorm_l1(entries: np.ndarray) -> float:
 
 # --- exchange formats ---
 
-def to_sparse_triples(op: TruncatedOperator, drop_tol: float = 0.0) -> str:
-    """Plain-text sparse triples ``row col value`` (1-based, 17 significant digits)."""
-    lines = [f"% sparse triples, column-action, dim {op.dim}"]
-    rows, cols = np.nonzero(np.abs(op.entries) > drop_tol)
-    order = np.lexsort((rows, cols))
-    for idx in order:
-        i, j = int(rows[idx]), int(cols[idx])
-        lines.append(f"{i + 1} {j + 1} {op.entries[i, j]:.16e}")
-    return "\n".join(lines) + "\n"
+def to_sparse_triples(op: StructuredOperator, out: TextIO):
+    """Stream ``row col value`` lines (1-based, 17 significant digits) into ``out``.
+
+    Only nonzero entries are written, column by column.  Memory stays O(N):
+    each below-diagonal row is formatted once, and a column is one join of
+    those pieces around its column index.
+    """
+    out.write(f"% sparse triples, column-action, dim {op.dim}\n")
+    below = np.zeros(op.dim) if op.below is None else op.below
+    rows = np.flatnonzero(below).tolist()  # 0-based
+    heads = [f"{j + 1} " for j in rows]
+    tails = [f" {v:.16e}\n" for v in below[rows].tolist()]
+    # consecutive lines of one column meet as tails[i] + heads[i + 1]
+    joints = [t + h for t, h in zip(tails, heads[1:])] + tails[-1:]
+    for k, d in enumerate(op.diag.tolist(), start=1):
+        col = str(k)
+        if d != 0.0:
+            out.write(f"{col} {col} {d:.16e}\n")
+        first = bisect.bisect_left(rows, k)  # first row below the diagonal
+        if first < len(rows):
+            out.write(heads[first] + col + col.join(joints[first:]))
 
 
 def from_sparse_triples(text: str) -> np.ndarray:
@@ -352,17 +277,12 @@ def from_sparse_triples(text: str) -> np.ndarray:
     return entries
 
 
-def dense_rows(op: TruncatedOperator) -> list[list[float]]:
-    """Row-major nested lists of the column-action matrix, for JSON export."""
-    return [[float(v) for v in row] for row in op.entries]
-
-
-def matrix_json(op: TruncatedOperator) -> str:
-    """Dense JSON of the stored matrix, flagging the display convention."""
+def matrix_json(op: StructuredOperator) -> str:
+    """Dense JSON of the matrix, flagging the display convention."""
     payload = {
         "dim": op.dim,
         "convention": "column-action",
         "display_transpose_of_row_action": True,
-        "entries": dense_rows(op),
+        "entries": op.dense().tolist(),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

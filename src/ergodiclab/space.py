@@ -8,7 +8,6 @@ and every vector is immutable once constructed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +22,6 @@ __all__ = [
     "project_P",
     "norm_l1",
     "pair",
-    "vector_to_json",
-    "vector_from_json",
-    "functional_to_json",
-    "functional_from_json",
 ]
 
 
@@ -184,31 +179,3 @@ def pair(f: DualFunctional, x: TruncatedVector) -> float:
         )
     return float((f.values[: x.dim] * x.coords).sum())
 
-
-# --- JSON wire formats ---
-
-def vector_to_json(x: TruncatedVector) -> str:
-    return json.dumps(list(x.coords))
-
-
-def vector_from_json(text: str) -> TruncatedVector:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("vector JSON must be an array of numbers")
-    return vector(data)
-
-
-def functional_to_json(f: DualFunctional) -> str:
-    if f.kind == "constant_one":
-        return json.dumps({"kind": "constant_one"})
-    return json.dumps({"kind": "sequence", "values": list(f.values)})
-
-
-def functional_from_json(text: str) -> DualFunctional:
-    data = json.loads(text)
-    kind = data.get("kind")
-    if kind == "constant_one":
-        return DualFunctional.constant_one()
-    if kind == "sequence":
-        return DualFunctional.sequence(data["values"])
-    raise ValueError(f"unknown functional kind {kind!r}")

@@ -198,7 +198,7 @@ def check_semigroup_law_T(ctx) -> CheckResult:
 def check_opnorm_M_minus_I(ctx) -> CheckResult:
     worst = 0.0
     for t in (0.01, 0.5, 1.0, 5.0):
-        entries = semigroups.matrix_M(t, ctx.small_N).entries - np.eye(ctx.small_N)
+        entries = semigroups.matrix_M(t, ctx.small_N).dense() - np.eye(ctx.small_N)
         measured = semigroups.opnorm_l1(entries)
         worst = max(worst, abs(measured - (1.0 - math.exp(-t))))
     return _result("semigroups.opnorm_M_minus_I_exact", worst, 1e-14)
@@ -207,7 +207,7 @@ def check_opnorm_M_minus_I(ctx) -> CheckResult:
 def check_opnorm_M_bounded(ctx) -> CheckResult:
     worst = 0.0
     for t in (0.0, 0.3, 2.0, 50.0):
-        measured = semigroups.opnorm_l1(semigroups.matrix_M(t, ctx.small_N).entries)
+        measured = semigroups.opnorm_l1(semigroups.matrix_M(t, ctx.small_N).dense())
         if measured > worst:
             worst = measured
     return _result("semigroups.opnorm_M_le_one", worst, 1.0 + 1e-15)
@@ -217,14 +217,14 @@ def check_nonnegativity(ctx) -> CheckResult:
     worst = 0.0
     for t in (0.0, 0.7, 3.0):
         for builder in (semigroups.matrix_M, semigroups.matrix_N, semigroups.matrix_T):
-            worst = max(worst, float(-builder(t, ctx.small_N).entries.min()))
+            worst = max(worst, float(-builder(t, ctx.small_N).dense().min()))
     return _result("semigroups.nonnegativity", worst, 0.0)
 
 
 def check_column_stochasticity(ctx) -> CheckResult:
     worst = 0.0
     for t in (0.5, 2.0):
-        sums = semigroups.matrix_T(t, ctx.small_N).entries.sum(axis=0)
+        sums = semigroups.matrix_T(t, ctx.small_N).dense().sum(axis=0)
         deficit = 1.0 - sums
         hi = coeffs.tail_sum_b(ctx.small_N, t)
         worst = max(worst, float((-deficit).max()), float((deficit - hi).max()))
@@ -255,24 +255,24 @@ def check_spectrum(ctx) -> CheckResult:
     expected = np.sort(-1.0 / np.arange(1, n + 1, dtype=float))
     worst = 0.0
     for builder in (semigroups.matrix_A, semigroups.matrix_B):
-        eigs = np.sort(np.linalg.eigvals(builder(n).entries).real)
+        eigs = np.sort(np.linalg.eigvals(builder(n).dense()).real)
         worst = max(worst, float(np.abs(eigs - expected).max()))
     # at the full truncation the triangular diagonals give min modulus 1/N directly
-    diag_min = float(np.abs(np.diag(semigroups.matrix_B(n).entries)).min())
+    diag_min = float(np.abs(np.diag(semigroups.matrix_B(n).dense())).min())
     worst = max(worst, abs(diag_min - 1.0 / n))
     return _result("semigroups.spectrum_diagonal", worst, 1e-12)
 
 
 def check_matrix_B_consistency(ctx) -> CheckResult:
     n = ctx.small_N
-    entries = semigroups.matrix_B(n).entries
+    op = semigroups.matrix_B(n)
+    entries = op.dense()
     if ctx.inject_corruption:
-        entries = entries.copy()
         entries[min(1, n - 1), 0] += 1e-3  # negative control: break one entry
     worst = 0.0
     for k in range(1, n + 1):
         col = entries[:, k - 1]
-        direct = semigroups.apply_B(basis_vector(k, n)).coords
+        direct = op.apply(basis_vector(k, n)).coords
         worst = max(worst, float(np.abs(col - direct).max()))
     return _result("semigroups.matrix_B_matches_apply", worst, 0.0)
 
@@ -450,7 +450,7 @@ def check_kernel_criterion_consistency(ctx) -> CheckResult:
     for n in (10, 100, 1000):
         res = semigroups.adjoint_residual_vector(n)
         worst = max(worst, float(np.abs(res + 1.0 / n).max()))
-        ev = diagnostics.kernel_criterion(semigroups.apply_B, semigroups.apply_B_adjoint, n)
+        ev = diagnostics.kernel_criterion(semigroups.matrix_B(n))
         by_name = {e.name: e.value for e in ev}
         dims_seen.add((by_name["generator_null_dim"], by_name["adjoint_null_dim"]))
     if dims_seen != {(0, 0)}:

@@ -71,7 +71,7 @@ def test_criterion_02_exact_norm_identity_M():
     for N in (1, 2, 17, 256):
         eye = np.eye(N)
         for t in (0.01, 0.5, 1.0, 5.0):
-            measured = opnorm_l1(matrix_M(t, N).entries - eye)
+            measured = opnorm_l1(matrix_M(t, N).dense() - eye)
             worst = max(worst, abs(measured - (1.0 - math.exp(-t))))
     elapsed = time.monotonic() - start
     _report(2, "l1 norm of M(t)-I equals 1-exp(-t)", worst <= 1e-14, elapsed, 1.0,
@@ -105,7 +105,7 @@ def test_criterion_04_column_stochasticity():
     norms = []
     slack = 1e-14 * n
     for t in (0.5, 2.0):
-        entries = matrix_T(t, n).entries
+        entries = matrix_T(t, n).dense()
         sums = entries.sum(axis=0)
         lo = 1.0 - tail_sum_b(n, t)
         ok = ok and bool(np.all(sums >= lo - slack) and np.all(sums <= 1.0 + slack))
@@ -143,7 +143,7 @@ def test_criterion_06_uniform_failure_M():
     vals = np.array([cesaro_M_opnorm(float(r), n) for r in grid])
     ok = bool(np.all(vals >= floor - 1e-12))
     for m in (10, 100, 1000):
-        ok = ok and opnorm_l1(matrix_A_inverse(m).entries) == float(m)
+        ok = ok and opnorm_l1(matrix_A_inverse(m).dense()) == float(m)
     elapsed = time.monotonic() - start
     _report(6, "opnorm floor 1-1/e on r in [1,N] and ||A_N^{-1}|| = N", ok, elapsed, 2.0,
             f"min opnorm {vals.min():.10f}")

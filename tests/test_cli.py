@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ergodiclab.cli import (
     cmd_verify,
     main,
 )
+from ergodiclab.semigroups import StructuredOperator
 
 
 def write_config(tmp_path, **overrides):
@@ -189,6 +191,16 @@ def test_matrix_large_N_skips_dense_with_note(tmp_path):
     assert len(triples) == 100 * 101 // 2
 
 
+def test_matrix_large_N_never_forms_dense(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense() called")
+
+    monkeypatch.setattr(StructuredOperator, "dense", refuse)
+    cmd_matrix(ExperimentConfig(N=65, r_grid=(0.5, 2.0, 7), out_dir=str(tmp_path)))
+    lines = (tmp_path / "matrix_B.txt").read_text().splitlines()
+    assert len(lines) == 1 + 65 * 66 // 2
+
+
 def test_matrix_caps_dimension(tmp_path):
     cfg = ExperimentConfig(N=20_000, r_grid=(0.5, 2.0, 7), out_dir=str(tmp_path))
     with pytest.raises(ConfigValidationError):
@@ -297,6 +309,32 @@ def test_main_malformed_config_names_field(tmp_path, capsys, text, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"dimension": 64}', "dimension"),
+        ('{"r_grid": {"start": 1, "factor": 2, "count": 3, "stop": 8}}', "r_grid.stop"),
+        ('{"t_grid": {"start": 0, "stop": 1, "count": 3, "step": 0.5}}', "t_grid.step"),
+        ('{"tolerances": {"quadrature_tol": 1e-9, "quad_tol": 1e-3}}', "tolerances.quad_tol"),
+        ('{"s_matrix": {"kind": "timestep", "time": 2.0}}', "s_matrix.time"),
+    ],
+    ids=["top_level", "r_grid", "t_grid", "tolerances", "s_matrix"],
+)
+def test_main_unknown_config_key_rejected(tmp_path, capsys, text, key):
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert f"config error: {key} is not a known key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("s_matrix", [("identity",), ("timestep", 2.5), ("file", "W.txt")])
+def test_every_emitted_key_round_trips(s_matrix):
+    cfg = ExperimentConfig(
+        subject="S", N=8, mode="vector", s_matrix=s_matrix, horizon=32,
+        inject_corruption=True, quadrature_tol=1e-9, convergence_tol=1e-3,
+    )
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_main_malformed_config_lists_every_problem(tmp_path, capsys):
     text = '{"N": "abc", "seed": [1], "vector": [1, 2], "t_grid": {"start": "x", "stop": 1, "count": 2}}'
     assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
@@ -352,8 +390,6 @@ def test_simulate_S_rejects_t_beyond_cap(tmp_path, capsys):
     assert "t_grid.stop" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("triples", ["1 1 nan\n2 2 0.5\n", "1 1 1e300\n2 2 0.5\n", "1 1 abc\n"])
 def test_simulate_S_rejects_unusable_matrix_file(tmp_path, capsys, triples):
     (tmp_path / "W.txt").write_text(triples)
@@ -361,7 +397,9 @@ def test_simulate_S_rejects_unusable_matrix_file(tmp_path, capsys, triples):
         "subject": "S", "N": 2, "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
         "s_matrix": {"kind": "file", "path": str(tmp_path / "W.txt")},
     })
-    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
     assert "config error: s_matrix.path" in capsys.readouterr().err
 
 
@@ -403,7 +441,8 @@ def test_simulate_S_from_triple_file(tmp_path):
     from ergodiclab.semigroups import matrix_T, to_sparse_triples
 
     matrix_path = tmp_path / "user_matrix.txt"
-    matrix_path.write_text(to_sparse_triples(matrix_T(1.0, 8)))
+    with matrix_path.open("w") as fh:
+        to_sparse_triples(matrix_T(1.0, 8), fh)
     cfg = ExperimentConfig(
         subject="S", N=8, s_matrix=("file", str(matrix_path)),
         r_grid=(0.5, 2.0, 3), out_dir=str(tmp_path / "out"),

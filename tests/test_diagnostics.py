@@ -25,7 +25,7 @@ from ergodiclab.diagnostics import (
     uniform_criterion_M,
 )
 from ergodiclab.exp_semigroup import PowerBoundedOperator
-from ergodiclab.semigroups import apply_A, apply_B, apply_B_adjoint
+from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B
 from ergodiclab.space import basis_vector, zero_vector
 
 
@@ -37,14 +37,14 @@ def evidence_map(evs):
 
 def test_kernel_criterion_for_decay_generator():
     # the decay generator is diagonal and self-adjoint at finite truncation
-    evs = evidence_map(kernel_criterion(apply_A, apply_A, 100))
+    evs = evidence_map(kernel_criterion(matrix_A(100)))
     assert evs["generator_null_dim"].value == 0
     assert evs["adjoint_null_dim"].value == 0
 
 
 def test_kernel_criterion_for_perturbed_generator():
     n = 100
-    evs = evidence_map(kernel_criterion(apply_B, apply_B_adjoint, n))
+    evs = evidence_map(kernel_criterion(matrix_B(n)))
     assert evs["generator_null_dim"].value == 0
     assert evs["adjoint_null_dim"].value == 0
     # the all-ones functional is nearly fixed: residual uniformly -1/N
@@ -55,14 +55,13 @@ def test_kernel_criterion_for_perturbed_generator():
 
 def test_kernel_criterion_residual_scales_as_inverse_N():
     for n in (10, 100, 1000):
-        evs = evidence_map(kernel_criterion(apply_B, apply_B_adjoint, n))
+        evs = evidence_map(kernel_criterion(matrix_B(n)))
         assert (evs["generator_null_dim"].value, evs["adjoint_null_dim"].value) == (0, 0)
         assert evs["adjoint_ones_residual_max"].value == pytest.approx(1.0 / n, abs=1e-14)
 
 
 def test_kernel_criterion_zero_generator():
-    zero = lambda x: zero_vector(x.dim)
-    evs = evidence_map(kernel_criterion(zero, zero, 7))
+    evs = evidence_map(kernel_criterion(StructuredOperator(np.zeros(7), np.zeros(7))))
     assert evs["generator_null_dim"].value == 7
     assert evs["adjoint_null_dim"].value == 7
 

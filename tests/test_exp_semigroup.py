@@ -1,6 +1,8 @@
 """Tests for the exponential semigroup built from power-bounded matrices."""
 
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,8 +65,8 @@ def test_power_bound_nondecreasing_in_horizon():
 @pytest.mark.parametrize(
     "mat, scanned",
     [
-        (matrix_T(1.0, 64).entries, 1),
-        (matrix_T(1.0, 256).entries, 1),
+        (matrix_T(1.0, 64).dense(), 1),
+        (matrix_T(1.0, 256).dense(), 1),
         (column_sum_matrix(32, 0.97), 1),
         # ||T^n|| = (1 + 4n)/2^n: 2.5, 2.25, 1.625, 1.0625, then 21/32 <= 1
         (np.array([[0.5, 2.0], [0.0, 0.5]]), 5),
@@ -82,6 +84,28 @@ def test_power_bound_early_exit_matches_full_scan(monkeypatch, mat, scanned):
     T = PowerBoundedOperator.from_matrix(mat, horizon=256)
     assert len(norms) == scanned
     assert T.power_bound == full_scan_bound(mat, 256)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_power_bound_rejects_non_finite_entries(bad):
+    # max(1.0, nan) is 1.0, so a NaN entry would otherwise read as a proven bound of 1
+    with pytest.raises(ValueError, match="finite"):
+        PowerBoundedOperator.from_matrix(np.array([[bad, 0.0], [0.0, 0.5]]))
+
+
+def test_power_bound_overflow_ends_scan_quietly(monkeypatch):
+    norms = []
+
+    def counting_opnorm(entries):
+        norms.append(float(np.abs(entries).sum(axis=0).max()))
+        return norms[-1]
+
+    monkeypatch.setattr(exp_semigroup, "opnorm_l1", counting_opnorm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T = PowerBoundedOperator.from_matrix(np.array([[1e300, 0.0], [0.0, 0.5]]))
+    assert T.power_bound == math.inf
+    assert len(norms) == 2  # T itself, then T^2 overflows
 
 
 def test_renorm_identity_operator():
@@ -224,11 +248,13 @@ def test_semigroup_defect_bound(T1_64):
 
 def test_from_triples_matches_matrix():
     op = matrix_T(1.0, 16)
-    T = PowerBoundedOperator.from_triples(to_sparse_triples(op), horizon=32)
-    assert np.allclose(T.matrix, op.entries, atol=1e-15)
+    buf = io.StringIO()
+    to_sparse_triples(op, buf)
+    T = PowerBoundedOperator.from_triples(buf.getvalue(), horizon=32)
+    assert np.allclose(T.matrix, op.dense(), atol=1e-15)
     rng = np.random.default_rng(9)
     x = rand_vec(rng, 16)
-    direct = PowerBoundedOperator.from_matrix(op.entries, horizon=32)
+    direct = PowerBoundedOperator.from_matrix(op.dense(), horizon=32)
     lhs = apply_S(1.5, x, T, 1e-11)
     rhs = apply_S(1.5, x, direct, 1e-11)
     assert norm_l1(lhs - rhs) <= 1e-10

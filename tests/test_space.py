@@ -1,7 +1,5 @@
 """Tests for the truncated sequence-space layer."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,15 +7,11 @@ from ergodiclab.space import (
     DualFunctional,
     TruncatedVector,
     basis_vector,
-    functional_from_json,
-    functional_to_json,
     norm_l1,
     pair,
     project_P,
     project_Q,
     vector,
-    vector_from_json,
-    vector_to_json,
     zero_vector,
 )
 
@@ -117,23 +111,6 @@ def test_zero_iff_all_partial_projections_vanish():
     rng = np.random.default_rng(3)
     x = TruncatedVector(rng.standard_normal(9))
     assert any(norm_l1(project_P(x, h)) != 0.0 for h in range(1, 10))
-
-
-def test_vector_json_round_trip():
-    x = vector([1.5, -2.0, 0.0])
-    assert vector_from_json(vector_to_json(x)) == x
-    assert json.loads(vector_to_json(x)) == [1.5, -2.0, 0.0]
-
-
-def test_functional_json_round_trip():
-    f = DualFunctional.constant_one()
-    assert json.loads(functional_to_json(f)) == {"kind": "constant_one"}
-    g = DualFunctional.sequence([1.0, 2.0])
-    g2 = functional_from_json(functional_to_json(g))
-    assert g2.kind == "sequence"
-    assert np.array_equal(g2.values, g.values)
-    back = functional_from_json(functional_to_json(f))
-    assert back.kind == "constant_one"
 
 
 def test_vector_arithmetic():
