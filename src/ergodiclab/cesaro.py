@@ -6,6 +6,11 @@ to the coefficient antiderivatives, and the exponential semigroup of a
 power-bounded matrix integrates its uniformization series term by term
 into Poisson upper tails.  An adaptive Simpson quadrature serves only as
 the independent oracle for every closed form.
+
+Each closed form is a grid kernel (``stream_cesaro_*``) that yields one
+mean per r from buffers allocated once per curve; the per-point
+functions are its one-point case, and a curve keeps per-sample
+summaries only, so curves take O(N) memory at any grid count.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .coeffs import integral_b_row
+from .coeffs import integral_b_from_expm1
 from .exp_semigroup import PowerBoundedOperator, poisson_window
-from .space import DualFunctional, TruncatedVector, norm_l1, pair
+from .space import TruncatedVector, norm_l1, row_stats
 
 __all__ = [
     "QuadratureError",
@@ -31,14 +36,19 @@ __all__ = [
     "cesaro_quadrature",
     "cesaro_S",
     "adaptive_simpson",
+    "stream_cesaro_M",
+    "stream_cesaro_T",
+    "stream_cesaro_S",
     "curve_cesaro_M",
     "curve_cesaro_T",
     "curve_cesaro_M_opnorm",
     "curve_cesaro_S",
 ]
 
-_F_ONES = DualFunctional.constant_one()
 _EPS = sys.float_info.epsilon
+
+# a streamed row is (C(r)x in a buffer the next step overwrites, its trunc_error)
+Rows = Iterator[tuple[np.ndarray, float]]
 
 
 class QuadratureError(RuntimeError):
@@ -58,14 +68,65 @@ def _check_r(r: float):
         raise ValueError(f"averaging length r must be > 0, got {r}")
 
 
-def cesaro_M(r: float, x: TruncatedVector) -> TruncatedVector:
-    """Mean of the decay semigroup: coordinate h is scaled by (h/r)(1 - exp(-r/h)).
+def _stream_decay_means(r_grid: Iterable[float], x: TruncatedVector, perturbed: bool) -> Rows:
+    """Means of the decay semigroup, or of the perturbed one if ``perturbed``.
+
+    Per r there is one expm1 pass e_h = expm1(-r/h).  The decay mean scales
+    coordinate h by (h/r)(-e_h); the perturbation adds the prefix sum
+    x_1 + ... + x_{h-1} times integral_b(h, r)/r, where
+    integral_b(h, r) = (h-1)e_{h-1} - h e_h.  The prefix sums and every
+    N-length buffer are set up once per curve.
+    """
+    h = np.arange(1, x.dim + 1, dtype=float)
+    e = np.empty_like(h)
+    row = np.empty_like(h)
+    coupled = perturbed and x.dim > 1
+    if coupled:
+        prefix = np.cumsum(x.coords)[:-1]
+        ib = np.empty_like(prefix)
+    scale = norm_l1(x) if perturbed else 0.0
+    for r in r_grid:
+        _check_r(r)
+        np.divide(-r, h, out=e)
+        np.expm1(e, out=e)
+        if coupled:
+            integral_b_from_expm1(h, e, ib, row)  # row is scratch until the diagonal fills it
+        np.negative(e, out=e)
+        np.divide(h, r, out=row)
+        row *= e
+        row *= x.coords
+        if coupled:
+            ib *= prefix
+            ib /= r
+            row[1:] += ib
+        yield row, (scale * cesaro_T_certificate(r, x.dim) if perturbed else 0.0)
+
+
+def stream_cesaro_M(r_grid: Iterable[float], x: TruncatedVector) -> Rows:
+    """(C_M(r)x, 0.0) per r: coordinate h is scaled by (h/r)(1 - exp(-r/h)).
 
     Exact (diagonal), no truncation error.
     """
-    _check_r(r)
-    h = np.arange(1, x.dim + 1, dtype=float)
-    return TruncatedVector((h / r) * -np.expm1(-r / h) * x.coords)
+    return _stream_decay_means(r_grid, x, perturbed=False)
+
+
+def stream_cesaro_T(r_grid: Iterable[float], x: TruncatedVector) -> Rows:
+    """(C_T(r)x, trunc_error) per r, via coefficient antiderivatives.
+
+    Truncation drops integrated coefficient mass beyond the edge; the
+    discrepancy is bounded by cesaro_T_certificate(r, N) * norm_l1(x).
+    """
+    return _stream_decay_means(r_grid, x, perturbed=True)
+
+
+def cesaro_M(r: float, x: TruncatedVector) -> TruncatedVector:
+    """Mean of the decay semigroup: stream_cesaro_M on a one-point grid."""
+    return TruncatedVector(next(stream_cesaro_M([r], x))[0])
+
+
+def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
+    """Mean of the perturbed semigroup: stream_cesaro_T on a one-point grid."""
+    return TruncatedVector(next(stream_cesaro_T([r], x))[0])
 
 
 def cesaro_M_opnorm(r: float, N: int) -> float:
@@ -76,25 +137,7 @@ def cesaro_M_opnorm(r: float, N: int) -> float:
     fixed N it decays like N/r as r grows: finite truncations are
     uniformly mean ergodic, but no norm decay happens uniformly in N.
     """
-    _check_r(r)
-    if N < 1:
-        raise ValueError(f"truncation N must be >= 1, got {N}")
-    h = np.arange(1, N + 1, dtype=float)
-    return float(((h / r) * -np.expm1(-r / h)).max())
-
-
-def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
-    """Mean of the perturbed semigroup, via coefficient antiderivatives.
-
-    Truncation drops integrated coefficient mass beyond the edge; the
-    discrepancy is bounded by cesaro_T_certificate(r, N) * norm_l1(x).
-    """
-    _check_r(r)
-    out = cesaro_M(r, x).coords.copy()
-    if x.dim > 1:
-        prefix = np.cumsum(x.coords)[:-1]
-        out[1:] += prefix * integral_b_row(r, x.dim)[1:] / r
-    return TruncatedVector(out)
+    return float(curve_cesaro_M_opnorm([r], N).values[0])
 
 
 def cesaro_T_certificate(r: float, N: int) -> float:
@@ -213,8 +256,8 @@ def cesaro_S(
     T: PowerBoundedOperator,
     tol: float,
 ) -> TruncatedVector:
-    """Mean of the exponential semigroup of T: curve_cesaro_S on a one-point grid."""
-    return curve_cesaro_S([r], x, T, tol).vectors[0]
+    """Mean of the exponential semigroup of T: stream_cesaro_S on a one-point grid."""
+    return TruncatedVector(next(stream_cesaro_S([r], x, T, tol))[0])
 
 
 def _mean_weights(r: float, scale: float, tol: float) -> tuple[np.ndarray, float]:
@@ -228,121 +271,7 @@ def _mean_weights(r: float, scale: float, tol: float) -> tuple[np.ndarray, float
     return np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r, lost
 
 
-# --- sampled curves over r-grids ---
-
-@dataclass
-class CesaroCurve:
-    """Samples of r -> C(r)x (vector mode) or r -> ||C(r)|| (norm mode).
-
-    ``trunc_error`` holds one per-sample certificate bounding the l1
-    discrepancy against the untruncated mean.
-    """
-
-    r_grid: np.ndarray
-    kind: str  # "vector" | "norm"
-    trunc_error: np.ndarray
-    vectors: list[TruncatedVector] | None = None
-    values: np.ndarray | None = None
-    caveats: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.r_grid = np.asarray(self.r_grid, dtype=float)
-        self.trunc_error = np.asarray(self.trunc_error, dtype=float)
-        if self.r_grid.ndim != 1 or self.r_grid.size < 1:
-            raise ValueError("r_grid must be a nonempty 1-d array")
-        if np.any(self.r_grid <= 0) or np.any(np.diff(self.r_grid) <= 0):
-            raise ValueError("r_grid must be strictly increasing and positive")
-        if not np.all(np.isfinite(self.trunc_error)) or np.any(self.trunc_error < 0):
-            raise ValueError("trunc_error entries must be finite and nonnegative")
-        if self.kind == "vector":
-            if self.vectors is None or len(self.vectors) != self.r_grid.size:
-                raise ValueError("vector curve needs one sample per grid point")
-        elif self.kind == "norm":
-            if self.values is None or len(self.values) != self.r_grid.size:
-                raise ValueError("norm curve needs one value per grid point")
-            self.values = np.asarray(self.values, dtype=float)
-        else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return int(self.r_grid.size)
-
-    def norms(self) -> np.ndarray:
-        if self.kind == "norm":
-            return self.values.copy()
-        return np.array([norm_l1(v) for v in self.vectors])
-
-    def max_coordinates(self) -> np.ndarray | None:
-        if self.kind != "vector":
-            return None
-        return np.array([float(np.abs(v.coords).max()) for v in self.vectors])
-
-    def max_indices(self) -> np.ndarray | None:
-        """1-based index of the largest absolute coordinate per sample."""
-        if self.kind != "vector":
-            return None
-        return np.array([int(np.abs(v.coords).argmax()) + 1 for v in self.vectors])
-
-    def f_values(self) -> np.ndarray | None:
-        if self.kind != "vector":
-            return None
-        return np.array([pair(_F_ONES, v) for v in self.vectors])
-
-    def to_csv(self) -> str:
-        """CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value."""
-        lines = ["r,value_or_norm,trunc_error,max_coordinate,f_value"]
-        norms = self.norms()
-        maxes = self.max_coordinates()
-        fvals = self.f_values()
-        for i in range(len(self)):
-            cells = [f"{self.r_grid[i]:.16e}", f"{norms[i]:.16e}", f"{self.trunc_error[i]:.16e}"]
-            if self.kind == "vector":
-                cells.append(f"{maxes[i]:.16e}")
-                cells.append(f"{fvals[i]:.16e}")
-            else:
-                cells.extend(["", ""])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
-    if start <= 0 or factor <= 1 or count < 1:
-        raise ValueError("need start > 0, factor > 1, count >= 1")
-    return start * factor ** np.arange(count, dtype=float)
-
-
-def curve_cesaro_M(r_grid, x: TruncatedVector) -> CesaroCurve:
-    r_grid = np.asarray(r_grid, dtype=float)
-    return CesaroCurve(
-        r_grid=r_grid,
-        kind="vector",
-        vectors=[cesaro_M(r, x) for r in r_grid],
-        trunc_error=np.zeros(r_grid.size),
-    )
-
-
-def curve_cesaro_T(r_grid, x: TruncatedVector) -> CesaroCurve:
-    r_grid = np.asarray(r_grid, dtype=float)
-    scale = norm_l1(x)
-    return CesaroCurve(
-        r_grid=r_grid,
-        kind="vector",
-        vectors=[cesaro_T(r, x) for r in r_grid],
-        trunc_error=np.array([scale * cesaro_T_certificate(r, x.dim) for r in r_grid]),
-    )
-
-
-def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:
-    r_grid = np.asarray(r_grid, dtype=float)
-    return CesaroCurve(
-        r_grid=r_grid,
-        kind="norm",
-        values=np.array([cesaro_M_opnorm(r, N) for r in r_grid]),
-        trunc_error=np.zeros(r_grid.size),
-    )
-
-
-def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
+def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Rows:
     """Closed-form means C_S(r)x = (1/r) sum_j P(Poisson(r) >= j+1) T^j x.
 
     Integrating S(s)x = sum_j P(Poisson(s) = j) T^j x over [0, r] term by
@@ -350,7 +279,7 @@ def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: flo
     whole grid, up to the first J at which the largest r drops at most
     ``tol``: power_bound * ||x||_1 * (1/r) * sum_{j>J} P(X >= j+1), plus
     the Poisson window's loss.  That drop grows with r, so each row's own
-    bound, reported as its ``trunc_error``, is within ``tol`` too.
+    bound, yielded as its trunc_error, is within ``tol`` too.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size < 1:
@@ -379,9 +308,147 @@ def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: flo
         u = np.pad(u, (0, max(0, J + 1 - u.size)))
         weights[i] = u[: J + 1]
         errors[i] = error_bounds(u, lost, r)[J]
+    yield from zip(weights @ powers, errors)
+
+
+# --- sampled curves over r-grids ---
+
+@dataclass
+class CesaroCurve:
+    """Samples of r -> C(r)x (vector mode) or r -> ||C(r)|| (norm mode).
+
+    A curve keeps per sample only what its readers need, never the means
+    themselves: ``values`` (||C(r)x||_1, or ||C(r)|| in norm mode) and
+    ``steps``, the l1 distance of each sample from the one before (in norm
+    mode |difference of values| unless given).  Vector mode adds the
+    largest |coordinate|, its 1-based index and the coordinate sum
+    f(C(r)x).  ``trunc_error`` holds one per-sample certificate bounding
+    the l1 discrepancy against the untruncated mean.
+    """
+
+    r_grid: np.ndarray
+    kind: str  # "vector" | "norm"
+    trunc_error: np.ndarray
+    values: np.ndarray
+    steps: np.ndarray | None = None
+    max_coordinate: np.ndarray | None = None
+    max_index: np.ndarray | None = None
+    f_value: np.ndarray | None = None
+    caveats: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.r_grid = np.asarray(self.r_grid, dtype=float)
+        self.trunc_error = np.asarray(self.trunc_error, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        n = self.r_grid.size
+        if self.r_grid.ndim != 1 or n < 1:
+            raise ValueError("r_grid must be a nonempty 1-d array")
+        if np.any(self.r_grid <= 0) or np.any(np.diff(self.r_grid) <= 0):
+            raise ValueError("r_grid must be strictly increasing and positive")
+        if not np.all(np.isfinite(self.trunc_error)) or np.any(self.trunc_error < 0):
+            raise ValueError("trunc_error entries must be finite and nonnegative")
+        if self.values.shape != (n,):
+            raise ValueError("a curve needs one value per grid point")
+        if self.kind == "norm" and self.steps is None:
+            self.steps = np.abs(np.diff(self.values))
+        per_sample = (self.max_coordinate, self.max_index, self.f_value)
+        if self.kind == "vector":
+            if any(a is None or len(a) != n for a in per_sample):
+                raise ValueError("vector curve needs max_coordinate, max_index and f_value per grid point")
+        elif self.kind != "norm":
+            raise ValueError(f"unknown curve kind {self.kind!r}")
+        if self.steps is None or len(self.steps) != n - 1:
+            raise ValueError("a curve needs one step per pair of neighbouring grid points")
+
+    def __len__(self) -> int:
+        return int(self.r_grid.size)
+
+    def norms(self) -> np.ndarray:
+        return self.values.copy()
+
+    def max_coordinates(self) -> np.ndarray | None:
+        return None if self.max_coordinate is None else self.max_coordinate.copy()
+
+    def max_indices(self) -> np.ndarray | None:
+        """1-based index of the largest absolute coordinate per sample."""
+        return None if self.max_index is None else self.max_index.copy()
+
+    def f_values(self) -> np.ndarray | None:
+        return None if self.f_value is None else self.f_value.copy()
+
+    def to_csv(self) -> str:
+        """CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value."""
+        lines = ["r,value_or_norm,trunc_error,max_coordinate,f_value"]
+        for i in range(len(self)):
+            cells = [f"{self.r_grid[i]:.16e}", f"{self.values[i]:.16e}", f"{self.trunc_error[i]:.16e}"]
+            if self.kind == "vector":
+                cells.append(f"{self.max_coordinate[i]:.16e}")
+                cells.append(f"{self.f_value[i]:.16e}")
+            else:
+                cells.extend(["", ""])
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
+
+
+def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
+    if start <= 0 or factor <= 1 or count < 1:
+        raise ValueError("need start > 0, factor > 1, count >= 1")
+    return start * factor ** np.arange(count, dtype=float)
+
+
+def _vector_curve(r_grid: np.ndarray, rows: Rows) -> CesaroCurve:
+    """Reduce streamed rows to a vector curve, with two N-length buffers of its own."""
+    n = r_grid.size
+    norms, maxes, fvals, errors = (np.empty(n) for _ in range(4))
+    index = np.empty(n, dtype=int)
+    steps = np.empty(max(n - 1, 0))
+    prev = scratch = None
+    for i, (row, err) in enumerate(rows):
+        if scratch is None:
+            prev, scratch = np.empty_like(row), np.empty_like(row)
+        norms[i], maxes[i], index[i], fvals[i] = row_stats(row, scratch)
+        errors[i] = err
+        if i:
+            np.subtract(row, prev, out=scratch)
+            steps[i - 1] = np.abs(scratch, out=scratch).sum()
+        np.copyto(prev, row)
     return CesaroCurve(
         r_grid=r_grid,
         kind="vector",
-        vectors=[TruncatedVector(row) for row in weights @ powers],
         trunc_error=errors,
+        values=norms,
+        steps=steps,
+        max_coordinate=maxes,
+        max_index=index,
+        f_value=fvals,
+    )
+
+
+def curve_cesaro_M(r_grid, x: TruncatedVector) -> CesaroCurve:
+    r_grid = np.asarray(r_grid, dtype=float)
+    return _vector_curve(r_grid, stream_cesaro_M(r_grid, x))
+
+
+def curve_cesaro_T(r_grid, x: TruncatedVector) -> CesaroCurve:
+    r_grid = np.asarray(r_grid, dtype=float)
+    return _vector_curve(r_grid, stream_cesaro_T(r_grid, x))
+
+
+def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
+    """The closed-form means of ``stream_cesaro_S``, reduced per sample."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    return _vector_curve(r_grid, stream_cesaro_S(r_grid, x, T, tol))
+
+
+def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:
+    """||C_M(r)|| per r: the largest diagonal entry, the mean of the all-ones vector at h = N."""
+    if N < 1:
+        raise ValueError(f"truncation N must be >= 1, got {N}")
+    r_grid = np.asarray(r_grid, dtype=float)
+    ones = TruncatedVector(np.ones(N))
+    return CesaroCurve(
+        r_grid=r_grid,
+        kind="norm",
+        values=np.array([float(row.max()) for row, _ in stream_cesaro_M(r_grid, ones)]),
+        trunc_error=np.zeros(r_grid.size),
     )

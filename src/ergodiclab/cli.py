@@ -30,16 +30,21 @@ from .cesaro import (
 )
 from .diagnostics import ConvergenceVerdict, cauchy_convergence_test
 from .exp_semigroup import PowerBoundedOperator, apply_S
-from .semigroups import apply_M, apply_T, matrix_B, matrix_json, to_sparse_triples
-from .space import DualFunctional, TruncatedVector, norm_l1, pair
+from .semigroups import (
+    from_sparse_triples,
+    matrix_B,
+    matrix_json,
+    to_sparse_triples,
+    trajectory_M,
+    trajectory_T,
+)
+from .space import TruncatedVector, row_stats
 from .verification import run_all
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-_F = DualFunctional.constant_one()
 
 _SUBJECTS = ("M", "T", "S")
 _MODES = ("vector", "opnorm")
@@ -273,15 +278,11 @@ class ExperimentConfig:
             return PowerBoundedOperator.from_timestep(
                 float(self.s_matrix[1]), self.N, horizon=self.horizon
             )
-        text = Path(self.s_matrix[1]).read_text()
         try:
-            op = PowerBoundedOperator.from_triples(text, horizon=self.horizon)
+            matrix = from_sparse_triples(Path(self.s_matrix[1]).read_text(), dim=self.N)
+            op = PowerBoundedOperator.from_matrix(matrix, horizon=self.horizon)
         except ValueError as exc:
             raise ConfigValidationError([f"s_matrix.path: {exc}"]) from None
-        if op.dim != self.N:
-            raise ConfigValidationError(
-                [f"matrix file has dim {op.dim}, config says N = {self.N}"]
-            )
         if not math.isfinite(op.power_bound):
             raise ConfigValidationError(
                 ["s_matrix.path: the norms of the matrix powers must be finite"]
@@ -308,27 +309,23 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory of t -> subject(t) x over the configured t-grid."""
     cfg.ensure_valid()
     x = cfg.input_vector()
+    ts = cfg.t_values()
     if cfg.subject == "S":
         T_op = cfg.power_operator()
-        evolve = lambda t, v: apply_S(t, v, T_op, cfg.quadrature_tol)
+        rows = (apply_S(float(t), x, T_op, cfg.quadrature_tol).coords for t in ts)
     elif cfg.subject == "T":
-        evolve = apply_T
+        rows = trajectory_T(ts.tolist(), x)
     else:
-        evolve = apply_M
+        rows = trajectory_M(ts.tolist(), x)
     track = min(cfg.N, 16)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
     lines = [",".join(header)]
-    for t in cfg.t_values():
-        y = evolve(float(t), x)
-        cells = [
-            _fmt(float(t)),
-            _fmt(norm_l1(y)),
-            _fmt(pair(_F, y)),
-            _fmt(float(np.abs(y.coords).max())),
-            str(int(np.abs(y.coords).argmax()) + 1),
-        ]
-        cells += [_fmt(float(v)) for v in y.coords[:track]]
+    scratch = np.empty(cfg.N)
+    for t, y in zip(ts, rows):
+        norm, top, top_index, fval = row_stats(y, scratch)
+        cells = [_fmt(float(t)), _fmt(norm), _fmt(fval), _fmt(top), str(top_index)]
+        cells += [_fmt(float(v)) for v in y[:track]]
         lines.append(",".join(cells))
     out = Path(cfg.out_dir)
     csv_path = out / "trajectory.csv"

@@ -14,7 +14,10 @@ import math
 
 import numpy as np
 
-__all__ = ["b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row"]
+__all__ = [
+    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row",
+    "b_from_decay", "integral_b_from_expm1",
+]
 
 
 def b(n: int, t: float) -> float:
@@ -90,7 +93,7 @@ def b_row(t: float, n_max: int) -> np.ndarray:
     out[0] = math.exp(-t)
     if n_max > 1:
         n = np.arange(2, n_max + 1, dtype=float)
-        out[1:] = np.exp(-t / n) * -np.expm1(-t / (n * (n - 1)))
+        b_from_decay(t, np.exp(-t / n), n * (n - 1), out[1:])
     return out
 
 
@@ -103,6 +106,33 @@ def integral_b_row(r: float, n_max: int) -> np.ndarray:
     out = np.empty(n_max)
     out[0] = -math.expm1(-r)
     if n_max > 1:
-        h = np.arange(2, n_max + 1, dtype=float)
-        out[1:] = (h - 1) * np.expm1(-r / (h - 1)) - h * np.expm1(-r / h)
+        h = np.arange(1, n_max + 1, dtype=float)
+        integral_b_from_expm1(h, np.expm1(-r / h), out[1:], np.empty(n_max))
+    return out
+
+
+# --- row kernels over caller-owned buffers, shared by the grid loops ---
+
+def b_from_decay(t: float, decay: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """b(n, t) for n = 2..N into ``out``, from decay = exp(-t/n) and pairs = n(n-1).
+
+    Same cancellation-free form as ``b``; a trajectory computes exp(-t/n)
+    once per t for its diagonal and reuses it here.
+    """
+    np.divide(-t, pairs, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    out *= decay
+    return out
+
+
+def integral_b_from_expm1(h: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """integral_b(h, r) for h = 2..N into ``out``, from h = 1..N and e = expm1(-r/h).
+
+    Uses integral_b(h, r) = (h-1) e_{h-1} - h e_h, so the mean of the
+    perturbed semigroup shares one expm1 pass per r with its diagonal.
+    ``scratch`` (length N) receives h e_h.
+    """
+    np.multiply(h, e, out=scratch)
+    np.subtract(scratch[:-1], scratch[1:], out=out)
     return out

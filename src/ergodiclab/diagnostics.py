@@ -272,16 +272,7 @@ def cauchy_convergence_test(
     if n < 2 * window:
         raise ValueError(f"need at least {2 * window} samples, got {n}")
 
-    if curve.kind == "norm":
-        series = curve.values
-        diffs = np.abs(np.diff(series))
-    else:
-        diffs = np.array(
-            [
-                float(np.abs(curve.vectors[i + 1].coords - curve.vectors[i].coords).sum())
-                for i in range(n - 1)
-            ]
-        )
+    diffs = curve.steps
     tail_diffs = diffs[-window:]
     scale = float(np.abs(curve.norms()).max())
     cauchy_ok = bool(np.all(tail_diffs < tol))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .semigroups import from_sparse_triples, matrix_T, opnorm_l1
+from .semigroups import matrix_T, opnorm_l1
 from .space import TruncatedVector, norm_l1
 
 __all__ = ["PowerBoundedOperator", "renorm", "poisson_window", "apply_S", "semigroup_defect_S"]
@@ -95,10 +95,6 @@ class PowerBoundedOperator:
     def from_timestep(cls, t: float, dim: int, horizon: int = 256) -> "PowerBoundedOperator":
         """The perturbed-semigroup matrix T(t) at truncation ``dim`` as input."""
         return cls.from_matrix(matrix_T(t, dim).dense(), horizon=horizon)
-
-    @classmethod
-    def from_triples(cls, text: str, horizon: int = 256) -> "PowerBoundedOperator":
-        return cls.from_matrix(from_sparse_triples(text), horizon=horizon)
 
 
 def renorm(x: TruncatedVector, T: PowerBoundedOperator) -> float:

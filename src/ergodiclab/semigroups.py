@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import bisect
 import json
+import re
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .coeffs import b_row, tail_sum_b
+from .coeffs import b_from_decay, b_row, tail_sum_b
 from .space import TruncatedVector
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
     "KernelResult",
     "apply_M",
     "apply_T",
+    "trajectory_M",
+    "trajectory_T",
     "matrix_M",
     "matrix_N",
     "matrix_T",
@@ -167,14 +170,55 @@ def matrix_B(N: int) -> StructuredOperator:
     return StructuredOperator(-1.0 / _h(N), _ndot_row(N))
 
 
+# --- trajectories over t-grids ---
+
+def _trajectory(t_grid: Iterable[float], x: TruncatedVector, perturbed: bool) -> Iterator[np.ndarray]:
+    """Yield M(t)x, or T(t)x if ``perturbed``, for each t of the grid.
+
+    Every N-length array is allocated once per trajectory: per t there is
+    one exp(-t/h) pass, which serves the diagonal and b(n, t) alike, and
+    n(n-1) and the prefix sums x_1 + ... + x_{j-1} do not depend on t.
+    The yielded array is overwritten at the next step.
+    """
+    h = _h(x.dim)
+    decay = np.empty_like(h)
+    row = np.empty_like(h)
+    coupled = perturbed and x.dim > 1
+    if coupled:
+        pairs = h[1:] * (h[1:] - 1)
+        prefix = np.cumsum(x.coords)[:-1]
+        b = np.empty_like(pairs)
+    for t in t_grid:
+        if t < 0:
+            raise ValueError(f"time t must be >= 0, got {t}")
+        np.divide(-t, h, out=decay)
+        np.exp(decay, out=decay)
+        np.multiply(decay, x.coords, out=row)
+        if coupled:
+            b_from_decay(t, decay[1:], pairs, b)
+            b *= prefix
+            row[1:] += b
+        yield row
+
+
+def trajectory_M(t_grid: Iterable[float], x: TruncatedVector) -> Iterator[np.ndarray]:
+    """M(t)x for each t, in one reused buffer (read each row before the next)."""
+    return _trajectory(t_grid, x, perturbed=False)
+
+
+def trajectory_T(t_grid: Iterable[float], x: TruncatedVector) -> Iterator[np.ndarray]:
+    """T(t)x for each t, in one reused buffer (read each row before the next)."""
+    return _trajectory(t_grid, x, perturbed=True)
+
+
 def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
     """M(t)x; exact at every truncation (no off-diagonal coupling)."""
-    return matrix_M(t, x.dim).apply(x)
+    return TruncatedVector(next(trajectory_M([t], x)))
 
 
 def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
     """T(t)x, less what lands beyond the truncation edge: at most tail_sum_b(N, t) ||x||_1."""
-    return matrix_T(t, x.dim).apply(x)
+    return TruncatedVector(next(trajectory_T([t], x)))
 
 
 # --- structural diagnostics ---
@@ -232,6 +276,9 @@ def opnorm_l1(entries: np.ndarray) -> float:
 
 # --- exchange formats ---
 
+_DIM_HEADER = re.compile(r"\bdim\s+(\d+)\b")
+
+
 def to_sparse_triples(op: StructuredOperator, out: TextIO):
     """Stream ``row col value`` lines (1-based, 17 significant digits) into ``out``.
 
@@ -255,24 +302,43 @@ def to_sparse_triples(op: StructuredOperator, out: TextIO):
             out.write(heads[first] + col + col.join(joints[first:]))
 
 
-def from_sparse_triples(text: str) -> np.ndarray:
-    """Parse the triple format back into a dense matrix (dim inferred)."""
+def from_sparse_triples(text: str, dim: int | None = None) -> np.ndarray:
+    """Parse the triple format back into a dense matrix.
+
+    The file's dimension is the ``dim N`` of the first comment line that
+    states one, as the writer's header does, so trailing zero rows and
+    columns survive; without such a line it is the largest index.  A file
+    of another dimension than an expected ``dim`` is refused before the
+    matrix is allocated, and so is an index outside 1..N.
+    """
     triples = []
+    found = None
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith(("%", "#")):
+        if line.startswith(("%", "#")):
+            stated = _DIM_HEADER.search(line)
+            if found is None and stated:
+                found = int(stated.group(1))
+            continue
+        if not line:
             continue
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"malformed triple line: {raw!r}")
         triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if not triples:
-        raise ValueError("no triples found")
-    dim = max(max(i, j) for i, j, _ in triples)
-    entries = np.zeros((dim, dim))
+    if found is None:
+        if not triples:
+            raise ValueError("no triples found")
+        found = max(max(i, j) for i, j, _ in triples)
+    if dim is not None and found != dim:
+        raise ValueError(f"matrix file has dim {found}, expected {dim}")
+    if found < 1:
+        raise ValueError(f"matrix dim must be at least 1, got {found}")
+    for i, j, _ in triples:
+        if not (1 <= i <= found and 1 <= j <= found):
+            raise ValueError(f"triple index ({i}, {j}) outside 1..{found}")
+    entries = np.zeros((found, found))
     for i, j, v in triples:
-        if i < 1 or j < 1:
-            raise ValueError("triple indices are 1-based and must be >= 1")
         entries[i - 1, j - 1] = v
     return entries
 

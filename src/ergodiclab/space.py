@@ -8,6 +8,7 @@ and every vector is immutable once constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "project_P",
     "norm_l1",
     "pair",
+    "row_stats",
 ]
 
 
@@ -117,6 +119,21 @@ def project_P(x: TruncatedVector, h: int) -> TruncatedVector:
 
 def norm_l1(x: TruncatedVector) -> float:
     return float(np.abs(x.coords).sum())
+
+
+def row_stats(coords: np.ndarray, scratch: np.ndarray) -> tuple[float, float, int, float]:
+    """l1 norm, largest |coordinate|, its 1-based index and coordinate sum of a row.
+
+    One |.| pass into ``scratch`` (same length) serves the first three, so
+    streamed rows need no vector object.  Rejects a NaN or inf coordinate
+    as ``TruncatedVector`` does: the max of |coords| is finite iff all are.
+    """
+    np.abs(coords, out=scratch)
+    k = int(scratch.argmax())
+    top = float(scratch[k])
+    if not math.isfinite(top):
+        raise ValueError("coords must be finite (no NaN/inf)")
+    return float(scratch.sum()), top, k + 1, float(coords.sum())
 
 
 @dataclass(frozen=True)

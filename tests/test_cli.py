@@ -390,17 +390,49 @@ def test_simulate_S_rejects_t_beyond_cap(tmp_path, capsys):
     assert "t_grid.stop" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("triples", ["1 1 nan\n2 2 0.5\n", "1 1 1e300\n2 2 0.5\n", "1 1 abc\n"])
-def test_simulate_S_rejects_unusable_matrix_file(tmp_path, capsys, triples):
+def _S_matrix_text_config(tmp_path, triples, N):
     (tmp_path / "W.txt").write_text(triples)
-    text = json.dumps({
-        "subject": "S", "N": 2, "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
+    return json.dumps({
+        "subject": "S", "N": N, "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
         "s_matrix": {"kind": "file", "path": str(tmp_path / "W.txt")},
     })
+
+
+@pytest.mark.parametrize("triples", ["1 1 nan\n2 2 0.5\n", "1 1 1e300\n2 2 0.5\n", "1 1 abc\n"])
+def test_simulate_S_rejects_unusable_matrix_file(tmp_path, capsys, triples):
+    text = _S_matrix_text_config(tmp_path, triples, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
     assert "config error: s_matrix.path" in capsys.readouterr().err
+
+
+def test_simulate_S_matrix_file_with_zero_last_column(tmp_path):
+    # diag(0.5, 0.25, 0): the header states N = 3, the largest index is 2
+    text = _S_matrix_text_config(tmp_path, "% sparse triples, column-action, dim 3\n1 1 0.5\n2 2 0.25\n", 3)
+    assert _run_raw_config(tmp_path, text) == EXIT_OK
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")
+    assert rows[0].endswith("coord_1,coord_2,coord_3")
+
+
+@pytest.mark.parametrize(
+    "triples, message",
+    [
+        ("% dim 1000000\n1 1 0.5\n", "matrix file has dim 1000000, expected 2"),
+        ("% dim 3\n1 1 0.5\n", "matrix file has dim 3, expected 2"),
+        ("1 1 0.5\n", "matrix file has dim 1, expected 2"),
+    ],
+)
+def test_simulate_S_rejects_matrix_file_of_other_dim(tmp_path, capsys, triples, message):
+    text = _S_matrix_text_config(tmp_path, triples, 2)
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert f"config error: s_matrix.path: {message}" in capsys.readouterr().err
+
+
+def test_simulate_S_rejects_index_outside_header_dim(tmp_path, capsys):
+    text = _S_matrix_text_config(tmp_path, "% dim 2\n1 1 0.5\n3 3 0.5\n", 2)
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert "config error: s_matrix.path: triple index (3, 3) outside 1..2" in capsys.readouterr().err
 
 
 def test_cesaro_S_curve_certificate_within_tol(tmp_path):

@@ -132,3 +132,14 @@ def test_vectorized_rows_match_scalars():
         for h in range(1, 51):
             assert row[h - 1] == pytest.approx(b(h, t), abs=1e-15)
             assert irow[h - 1] == pytest.approx(integral_b(h, t + 0.5), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 257, 65536])
+def test_row_kernels_keep_the_bits_of_the_direct_forms(n):
+    # integral_b(h, r) = (h-1)E_{h-1} - hE_h from one expm1 pass, and b(n, t)
+    # from a shared exp(-t/n), round exactly as the two-pass forms do
+    h = np.arange(2, n + 1, dtype=float)
+    for r in (0.5, 1.0, 37.25, 4096.0, 60000.0):
+        direct = (h - 1) * np.expm1(-r / (h - 1)) - h * np.expm1(-r / h)
+        assert np.array_equal(integral_b_row(r, n)[1:], direct)
+        assert np.array_equal(b_row(r, n)[1:], np.exp(-r / h) * -np.expm1(-r / (h * (h - 1))))

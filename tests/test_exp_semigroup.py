@@ -15,7 +15,7 @@ from ergodiclab.exp_semigroup import (
     renorm,
     semigroup_defect_S,
 )
-from ergodiclab.semigroups import matrix_T, to_sparse_triples
+from ergodiclab.semigroups import from_sparse_triples, matrix_T, to_sparse_triples
 from ergodiclab.space import TruncatedVector, basis_vector, norm_l1, vector
 
 
@@ -250,7 +250,7 @@ def test_from_triples_matches_matrix():
     op = matrix_T(1.0, 16)
     buf = io.StringIO()
     to_sparse_triples(op, buf)
-    T = PowerBoundedOperator.from_triples(buf.getvalue(), horizon=32)
+    T = PowerBoundedOperator.from_matrix(from_sparse_triples(buf.getvalue()), horizon=32)
     assert np.allclose(T.matrix, op.dense(), atol=1e-15)
     rng = np.random.default_rng(9)
     x = rand_vec(rng, 16)

@@ -417,9 +417,8 @@ def test_operator_forms_agree(name):
         for _ in range(5):
             y = rand_vec(rng, n)
             assert np.abs(op.apply_adjoint(y).coords - dense.T @ y.coords).max() <= 1e-14
-        # an all-zero matrix writes no triples, so there is nothing to read back
-        if dense.any():
-            assert np.array_equal(from_sparse_triples(triples_text(op)), dense)
+        # the header's dim restores trailing zero rows and columns, even of an all-zero matrix
+        assert np.array_equal(from_sparse_triples(triples_text(op)), dense)
 
 
 def test_operator_rejects_bad_shapes():
@@ -431,3 +430,37 @@ def test_operator_rejects_bad_shapes():
         matrix_B(3).apply(basis_vector(1, 4))
     with pytest.raises(ValueError):
         matrix_B(3).apply_adjoint(basis_vector(1, 2))
+
+
+def test_triples_dim_comes_from_header():
+    # a zero last row and column survive only through the header
+    text = "% sparse triples, column-action, dim 3\n1 1 0.5\n2 2 0.25\n"
+    assert np.array_equal(from_sparse_triples(text), np.diag([0.5, 0.25, 0.0]))
+    seeded = "% seeded substochastic matrix, dim 256, column sums 0.97\n3 1 0.97\n"
+    assert from_sparse_triples(seeded).shape == (256, 256)
+    # without a stated dim, the largest index sets it
+    assert from_sparse_triples("1 1 0.5\n2 2 0.25\n").shape == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "% dim 2\n3 1 0.5\n",
+        "% dim 2\n1 3 0.5\n",
+        "% dim 2\n0 1 0.5\n",
+        "% dim 0\n",
+        "% no dimension here\n",
+        "1 -1 0.5\n",
+    ],
+)
+def test_triples_reject_indices_outside_dim(text):
+    with pytest.raises(ValueError):
+        from_sparse_triples(text)
+
+
+@pytest.mark.parametrize("text", ["% dim 4097\n1 1 0.5\n", "1 1000000 0.5\n", "1 1 0.5\n"])
+def test_triples_reject_other_than_expected_dim(text):
+    # refused before a dense matrix of the file's own size is allocated
+    with pytest.raises(ValueError, match="expected 2"):
+        from_sparse_triples(text, dim=2)
+    assert from_sparse_triples("% dim 2\n1 1 0.5\n", dim=2).shape == (2, 2)
