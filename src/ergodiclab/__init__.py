@@ -25,7 +25,6 @@ from .semigroups import (  # noqa: F401
     matrix_B,
     matrix_M,
     matrix_N,
-    matrix_Ndot,
     matrix_T,
 )
 from .exp_semigroup import PowerBoundedOperator, apply_S, renorm, semigroup_defect_S  # noqa: F401
@@ -35,12 +34,10 @@ from .cesaro import (  # noqa: F401
     cesaro_M,
     cesaro_M_opnorm,
     cesaro_quadrature,
-    cesaro_S,
     cesaro_T,
 )
 from .diagnostics import (  # noqa: F401
     ConvergenceVerdict,
-    ErgodicityReport,
     Evidence,
     cauchy_convergence_test,
     kernel_criterion,

@@ -34,7 +34,6 @@ __all__ = [
     "cesaro_T",
     "cesaro_T_certificate",
     "cesaro_quadrature",
-    "cesaro_S",
     "adaptive_simpson",
     "stream_cesaro_M",
     "stream_cesaro_T",
@@ -250,16 +249,6 @@ def cesaro_quadrature(
     return TruncatedVector(total / r)
 
 
-def cesaro_S(
-    r: float,
-    x: TruncatedVector,
-    T: PowerBoundedOperator,
-    tol: float,
-) -> TruncatedVector:
-    """Mean of the exponential semigroup of T: stream_cesaro_S on a one-point grid."""
-    return TruncatedVector(next(stream_cesaro_S([r], x, T, tol))[0])
-
-
 def _mean_weights(r: float, scale: float, tol: float) -> tuple[np.ndarray, float]:
     """u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, and the window's loss.
 
@@ -362,19 +351,6 @@ class CesaroCurve:
 
     def __len__(self) -> int:
         return int(self.r_grid.size)
-
-    def norms(self) -> np.ndarray:
-        return self.values.copy()
-
-    def max_coordinates(self) -> np.ndarray | None:
-        return None if self.max_coordinate is None else self.max_coordinate.copy()
-
-    def max_indices(self) -> np.ndarray | None:
-        """1-based index of the largest absolute coordinate per sample."""
-        return None if self.max_index is None else self.max_index.copy()
-
-    def f_values(self) -> np.ndarray | None:
-        return None if self.f_value is None else self.f_value.copy()
 
     def to_csv(self) -> str:
         """CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value."""

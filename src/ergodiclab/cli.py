@@ -50,6 +50,11 @@ _SUBJECTS = ("M", "T", "S")
 _MODES = ("vector", "opnorm")
 _S_KINDS = ("identity", "timestep", "file")
 
+# size budget, fixed so that what runs does not depend on the machine: the
+# M/T kernels hold about ten N-vectors (about 0.3 GB at the cap), and every
+# grid point keeps its summaries and one CSV line until the file is written
+_N_CAP = 2**22
+_GRID_COUNT_CAP = 100_000
 # dense exponential-series path; guards the S subject against runaway cost
 _S_DIM_CAP = 256
 # the series for S(t) runs about t + 40 sqrt(t) matrix-vector products
@@ -192,9 +197,13 @@ class ExperimentConfig:
             problems.append(f"subject must be one of {_SUBJECTS}, got {self.subject!r}")
         if self.N < 1:
             problems.append(f"N must be >= 1, got {self.N}")
+        elif self.N > _N_CAP:
+            problems.append(f"N must be <= {_N_CAP} (the size budget), got {self.N}")
         start, factor, count = self.r_grid
         if count < 1:
             problems.append("r_grid count must be >= 1")
+        elif count > _GRID_COUNT_CAP:
+            problems.append(f"r_grid.count must be <= {_GRID_COUNT_CAP} (the size budget), got {count}")
         if not (math.isfinite(start) and math.isfinite(factor)):
             problems.append("r_grid start and factor must be finite")
         elif start <= 0 or factor <= 1:
@@ -202,6 +211,8 @@ class ExperimentConfig:
         t0, t1, tcount = self.t_grid
         if tcount < 1:
             problems.append("t_grid count must be >= 1")
+        elif tcount > _GRID_COUNT_CAP:
+            problems.append(f"t_grid.count must be <= {_GRID_COUNT_CAP} (the size budget), got {tcount}")
         if not (math.isfinite(t0) and math.isfinite(t1)):
             problems.append("t_grid start and stop must be finite")
         elif t0 < 0 or t1 < t0:

@@ -18,12 +18,11 @@ import numpy as np
 
 from .cesaro import CesaroCurve, cesaro_M_opnorm, curve_cesaro_T
 from .exp_semigroup import PowerBoundedOperator
-from .semigroups import StructuredOperator, matrix_A, matrix_A_inverse
+from .semigroups import RANK_RTOL, StructuredOperator, matrix_A, matrix_A_inverse, nullity
 from .space import TruncatedVector, basis_vector
 
 __all__ = [
     "Evidence",
-    "ErgodicityReport",
     "ConvergenceVerdict",
     "kernel_criterion",
     "sine_criterion",
@@ -33,9 +32,6 @@ __all__ = [
 ]
 
 UNIFORM_FLOOR = 1.0 - 1.0 / math.e
-
-# singular values below this fraction of the largest count as zero
-_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,58 +48,6 @@ class Evidence:
     bound: float | None = None
     ref: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound, "paper_ref": self.ref}
-
-
-_VERDICTS = ("converges", "diverges", "inconclusive")
-
-
-@dataclass(frozen=True)
-class ErgodicityReport:
-    """Structured verdict with the numerical evidence that justifies it."""
-
-    subject: str
-    truncation: int
-    mean_verdict: str
-    uniform_verdict: str
-    evidence: tuple[Evidence, ...]
-    caveats: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.mean_verdict not in _VERDICTS or self.uniform_verdict not in _VERDICTS:
-            raise ValueError(f"verdicts must be one of {_VERDICTS}")
-        if not self.evidence:
-            raise ValueError("every verdict needs at least one evidence entry")
-        if "diverges" in (self.mean_verdict, self.uniform_verdict):
-            witnesses = [e for e in self.evidence if e.bound is not None]
-            if not witnesses:
-                raise ValueError("diverges verdicts need a quantitative lower-bound witness")
-
-    def to_json(self) -> str:
-        payload = {
-            "subject": self.subject,
-            "truncation": self.truncation,
-            "verdicts": {"mean": self.mean_verdict, "uniform": self.uniform_verdict},
-            "evidence": [e.to_dict() for e in self.evidence],
-            "caveats": list(self.caveats),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _null_dim(matrix: np.ndarray) -> int:
-    """Nullity of a square matrix; triangular fast path reads the diagonal."""
-    n = matrix.shape[0]
-    diag_scale = float(np.abs(matrix).max())
-    if diag_scale == 0.0:
-        return n
-    lower = np.allclose(matrix, np.tril(matrix), atol=0.0)
-    upper = np.allclose(matrix, np.triu(matrix), atol=0.0)
-    if lower or upper:
-        return int(np.sum(np.abs(np.diag(matrix)) <= _RANK_RTOL * diag_scale))
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals <= _RANK_RTOL * svals[0]))
-
 
 def kernel_criterion(op: StructuredOperator) -> list[Evidence]:
     """Null-space dimensions of a generator and its adjoint at truncation N.
@@ -114,11 +58,11 @@ def kernel_criterion(op: StructuredOperator) -> list[Evidence]:
     uniformly small but nonzero, the finite truncations are flagging an
     emergent fixed functional of the infinite-dimensional adjoint.
     """
-    gen = op.dense()
+    null_dim = nullity(op)  # a square matrix and its transpose share their rank
     residual = op.apply_adjoint(TruncatedVector(np.ones(op.dim))).coords
     return [
-        Evidence("generator_null_dim", _null_dim(gen), ref="adjoint-kernel criterion"),
-        Evidence("adjoint_null_dim", _null_dim(gen.T), ref="adjoint-kernel criterion"),
+        Evidence("generator_null_dim", null_dim, ref="adjoint-kernel criterion"),
+        Evidence("adjoint_null_dim", null_dim, ref="adjoint-kernel criterion"),
         Evidence("adjoint_ones_residual_max", float(np.abs(residual).max())),
         Evidence("adjoint_ones_residual_min", float(np.abs(residual).min())),
         Evidence(
@@ -133,7 +77,7 @@ def _null_basis(matrix: np.ndarray) -> np.ndarray:
     u, svals, vt = np.linalg.svd(matrix)
     if svals.size == 0 or svals[0] == 0.0:
         return np.eye(matrix.shape[0])
-    rank = int(np.sum(svals > _RANK_RTOL * svals[0]))
+    rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     return vt[rank:].T
 
 
@@ -157,7 +101,7 @@ def sine_criterion(T: PowerBoundedOperator) -> list[Evidence]:
     else:
         gram = fix_T.T @ fix_Tp  # rows: fixed vectors, cols: fixed functionals
         svals = np.linalg.svd(gram, compute_uv=False)
-        rank = int(np.sum(svals > _RANK_RTOL * max(svals[0], 1e-300)))
+        rank = int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-300)))
         separated = rank == dim_fix_adj
     evidence = [
         Evidence("fixed_space_dim", dim_fix, ref="fixed-space separation"),
@@ -220,6 +164,9 @@ def mass_escape_profile(r_grid, N: int) -> CesaroCurve:
     return curve
 
 
+_VERDICTS = ("converges", "diverges", "inconclusive")
+
+
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     verdict: str  # "converges" | "diverges" | "inconclusive"
@@ -274,7 +221,7 @@ def cauchy_convergence_test(
 
     diffs = curve.steps
     tail_diffs = diffs[-window:]
-    scale = float(np.abs(curve.norms()).max())
+    scale = float(np.abs(curve.values).max())
     cauchy_ok = bool(np.all(tail_diffs < tol))
     decay_ok = _power_decay_dominates(curve.r_grid[1:], diffs, scale)
     detail = {
@@ -286,8 +233,7 @@ def cauchy_convergence_test(
     if cauchy_ok and decay_ok:
         return ConvergenceVerdict("converges", detail=detail)
 
-    norms = curve.norms()
-    window_min = float(norms[-window:].min())
+    window_min = float(curve.values[-window:].min())
     if curve.kind == "norm":
         if window_min >= floor - 1e-12:
             detail["norm_window_min"] = window_min
@@ -295,7 +241,7 @@ def cauchy_convergence_test(
                 "diverges", witness=window_min, threshold=floor - 1e-12, detail=detail
             )
     else:
-        maxes = curve.max_coordinates()
+        maxes = curve.max_coordinate
         mass_escaping = maxes[-1] <= 0.5 * maxes[0]
         if window_min >= floor - 1e-12 and mass_escaping:
             detail["norm_window_min"] = window_min

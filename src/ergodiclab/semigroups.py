@@ -33,7 +33,7 @@ from .space import TruncatedVector
 
 __all__ = [
     "StructuredOperator",
-    "KernelResult",
+    "nullity",
     "apply_M",
     "apply_T",
     "trajectory_M",
@@ -43,7 +43,6 @@ __all__ = [
     "matrix_T",
     "matrix_A",
     "matrix_A_inverse",
-    "matrix_Ndot",
     "matrix_B",
     "kernel_B",
     "adjoint_residual_vector",
@@ -105,6 +104,29 @@ class StructuredOperator:
         return out
 
 
+# diagonal entries or singular values at or below this fraction of the largest count as zero
+RANK_RTOL = 1e-10
+
+
+def nullity(op: StructuredOperator) -> int:
+    """Null-space dimension of ``op``, which is also that of its adjoint.
+
+    Every structured operator is lower triangular, so when each diagonal
+    entry clears RANK_RTOL times the largest |entry| both null spaces are
+    trivial, read off in O(N).  Otherwise the singular values of
+    ``dense()`` decide, an O(N^3) fallback for small N.
+    """
+    scale = np.abs(op.diag).max()
+    if op.below is not None and op.dim > 1:
+        scale = max(scale, np.abs(op.below[1:]).max())
+    if scale > 0.0 and np.abs(op.diag).min() > RANK_RTOL * scale:
+        return 0
+    svals = np.linalg.svd(op.dense(), compute_uv=False)
+    if svals[0] == 0.0:
+        return op.dim
+    return int(np.sum(svals <= RANK_RTOL * svals[0]))
+
+
 def _h(N: int) -> np.ndarray:
     """Indices 1..N as floats, after checking the truncation."""
     if N < 1:
@@ -112,13 +134,7 @@ def _h(N: int) -> np.ndarray:
     return np.arange(1, N + 1, dtype=float)
 
 
-def _ndot_row(N: int) -> np.ndarray:
-    """1/(j(j-1)) at row j >= 2; row 1 lies below no diagonal and holds 0."""
-    j = _h(N)[1:]
-    return np.concatenate(([0.0], 1.0 / (j * (j - 1))))
-
-
-# --- the seven operators ---
+# --- the operators ---
 
 def matrix_M(t: float, N: int) -> StructuredOperator:
     """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h)."""
@@ -156,18 +172,16 @@ def matrix_T(t: float, N: int) -> StructuredOperator:
     return StructuredOperator(np.exp(-t / _h(N)), b_row(t, N), tail_sum_b(N, t))
 
 
-def matrix_Ndot(N: int) -> StructuredOperator:
-    """Derivative at t=0 of the perturbation: column k holds 1/(j(j-1)) at rows j > k."""
-    return StructuredOperator(np.zeros_like(_h(N)), _ndot_row(N))
-
-
 def matrix_B(N: int) -> StructuredOperator:
     """Generator B = A + Ndot: column k has -1/k at row k and 1/(j(j-1)) at rows j > k.
 
+    Ndot, the derivative of matrix_N at t = 0, is the strictly lower part.
     Lower triangular in the column-action convention; the row-action
     display of the same operator is this matrix's transpose.
     """
-    return StructuredOperator(-1.0 / _h(N), _ndot_row(N))
+    h = _h(N)
+    j = h[1:]  # row 1 lies below no diagonal and holds 0
+    return StructuredOperator(-1.0 / h, np.concatenate(([0.0], 1.0 / (j * (j - 1)))))
 
 
 # --- trajectories over t-grids ---
@@ -223,26 +237,13 @@ def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
 
 # --- structural diagnostics ---
 
-@dataclass(frozen=True)
-class KernelResult:
-    is_trivial: bool
-    witness: TruncatedVector | None
+def kernel_B(N: int) -> bool:
+    """True when the generator B has a trivial kernel at truncation N.
 
-
-def kernel_B(N: int) -> KernelResult:
-    """Solve Bx = 0 by forward substitution along the triangular structure.
-
-    Row 1 forces x_1 = 0; row j forces x_j = (x_1 + ... + x_{j-1})/(j-1),
-    so every coordinate vanishes inductively.  Runs in O(N).
+    Its diagonal -1/h clears the rank threshold for N < 1e10, so the
+    structure decides in O(N).
     """
-    x = np.zeros_like(_h(N))
-    running = 0.0
-    for j in range(2, N + 1):
-        x[j - 1] = running / (j - 1)
-        running += x[j - 1]
-    if np.any(x != 0.0):
-        return KernelResult(is_trivial=False, witness=TruncatedVector(x))
-    return KernelResult(is_trivial=True, witness=None)
+    return nullity(matrix_B(N)) == 0
 
 
 def adjoint_residual_vector(N: int) -> np.ndarray:

@@ -47,12 +47,6 @@ class TruncatedVector:
     def dim(self) -> int:
         return int(self.coords.size)
 
-    def coord(self, k: int) -> float:
-        """1-based coordinate access."""
-        if not 1 <= k <= self.dim:
-            raise IndexError(f"coordinate index {k} out of range 1..{self.dim}")
-        return float(self.coords[k - 1])
-
     def __add__(self, other: "TruncatedVector") -> "TruncatedVector":
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")

@@ -12,7 +12,6 @@ from ergodiclab.cesaro import (
     cesaro_M,
     cesaro_M_opnorm,
     cesaro_quadrature,
-    cesaro_S,
     cesaro_T,
     cesaro_T_certificate,
     curve_cesaro_M,
@@ -175,11 +174,16 @@ def test_quadrature_of_constant_semigroup():
     assert norm_l1(result - x) <= 1e-13
 
 
+def mean_S(r, x, T, tol):
+    """C_S(r)x, the one row of stream_cesaro_S on a one-point grid."""
+    return TruncatedVector(next(stream_cesaro_S([r], x, T, tol))[0])
+
+
 def test_cesaro_S_identity():
     T = PowerBoundedOperator.identity(6)
     rng = np.random.default_rng(1)
     x = TruncatedVector(rng.uniform(-1, 1, 6))
-    result = cesaro_S(2.0, x, T, 1e-10)
+    result = mean_S(2.0, x, T, 1e-10)
     assert norm_l1(result - x) <= 1e-9
 
 
@@ -188,7 +192,7 @@ def test_cesaro_S_fixed_vector():
     np.fill_diagonal(mat, 0.5)
     T = PowerBoundedOperator.from_matrix(mat, horizon=64)
     fixed = vector([1 / 3, 1 / 3, 1 / 3])
-    result = cesaro_S(5.0, fixed, T, 1e-10)
+    result = mean_S(5.0, fixed, T, 1e-10)
     assert norm_l1(result - fixed) <= 1e-9
 
 
@@ -196,7 +200,7 @@ def test_cesaro_S_f_conservation_from_timestep():
     n, r = 64, 20.0
     T = PowerBoundedOperator.from_timestep(1.0, n, horizon=64)
     tol = 1e-8
-    result = cesaro_S(r, basis_vector(1, n), T, tol)
+    result = mean_S(r, basis_vector(1, n), T, tol)
     deficit_bound = r / (2.0 * n)
     assert abs(pair(F, result) - 1.0) <= tol * 10 + deficit_bound
 
@@ -244,7 +248,7 @@ def test_closed_form_S_uses_no_quadrature(monkeypatch):
     T = S_CASES["timestep_64"]()
     curve = curve_cesaro_S(geometric_grid(1.0, 2.0, 8), basis_vector(1, 64), T, 1e-10)
     assert len(curve) == 8
-    assert cesaro_S(3.0, basis_vector(1, 64), T, 1e-10).dim == 64
+    assert mean_S(3.0, basis_vector(1, 64), T, 1e-10).dim == 64
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
@@ -264,7 +268,7 @@ def test_closed_form_S_exact_f_value(n):
     a = -math.expm1(-1.0 / n)
     rs = geometric_grid(0.5, 2.0, 9)
     curve = curve_cesaro_S(rs, basis_vector(1, n), T, 1e-10)
-    for r, fval, cert in zip(rs, curve.f_values(), curve.trunc_error):
+    for r, fval, cert in zip(rs, curve.f_value, curve.trunc_error):
         assert abs(fval - -math.expm1(-r * a) / (r * a)) <= cert + 1e-15
 
 
@@ -280,7 +284,7 @@ def test_closed_form_S_one_sweep_per_curve():
 
     object.__setattr__(T, "matrix", T.matrix.view(Counting))
     x = basis_vector(1, 64)
-    cesaro_S(128.0, x, T, 1e-10)
+    curve_cesaro_S([128.0], x, T, 1e-10)
     single = len(calls)
     calls.clear()
     curve_cesaro_S(geometric_grid(1.0, 2.0, 8), x, T, 1e-10)
@@ -294,7 +298,7 @@ def test_closed_form_S_large_r_beyond_exp_underflow():
     a = 0.03
     for r in (760.0, 2000.0):
         curve = curve_cesaro_S([r], basis_vector(1, 8), T, 1e-10)
-        assert curve.f_values()[0] == pytest.approx(-math.expm1(-r * a) / (r * a), abs=1e-10)
+        assert curve.f_value[0] == pytest.approx(-math.expm1(-r * a) / (r * a), abs=1e-10)
 
 
 # --- curves ---
@@ -335,8 +339,6 @@ def test_curve_grid_validation():
 
 def test_curve_statistics():
     curve = curve_cesaro_M(geometric_grid(1.0, 4.0, 3), basis_vector(1, 8))
-    norms = curve.norms()
-    assert norms[0] == pytest.approx(1 - math.exp(-1), abs=1e-15)
-    assert list(curve.max_indices()) == [1, 1, 1]
-    fv = curve.f_values()
-    assert fv[0] == pytest.approx(norms[0], abs=1e-15)
+    assert curve.values[0] == pytest.approx(1 - math.exp(-1), abs=1e-15)
+    assert list(curve.max_index) == [1, 1, 1]
+    assert curve.f_value[0] == pytest.approx(curve.values[0], abs=1e-15)

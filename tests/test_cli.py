@@ -292,18 +292,26 @@ def _run_raw_config(tmp_path, text, command="simulate"):
 
 
 @pytest.mark.parametrize(
-    "text, field",
+    "text, field, command",
     [
-        ('{"r_grid": {"start": 1}}', "r_grid"),
-        ('{"s_matrix": 5}', "s_matrix"),
-        ('{"N": "abc"}', "N"),
-        ('{"tolerances": [1e-3]}', "tolerances"),
-        ('{"r_grid": {"start": 1, "factor": 1e308, "count": 3}}', "r_grid"),
+        ('{"r_grid": {"start": 1}}', "r_grid", "simulate"),
+        ('{"s_matrix": 5}', "s_matrix", "simulate"),
+        ('{"N": "abc"}', "N", "simulate"),
+        ('{"tolerances": [1e-3]}', "tolerances", "simulate"),
+        ('{"r_grid": {"start": 1, "factor": 1e308, "count": 3}}', "r_grid", "simulate"),
+        # beyond the size budget: refused before any N-vector or grid is allocated
+        ('{"N": 10000000000000}', "N", "cesaro"),
+        ('{"t_grid": {"start": 0, "stop": 1, "count": 1000000000000}}', "t_grid.count", "simulate"),
+        ('{"r_grid": {"start": 1e-300, "factor": 1.000000000000001, "count": 1000000000000}}',
+         "r_grid.count", "cesaro"),
     ],
-    ids=["r_grid_missing_keys", "s_matrix_not_object", "N_not_integer", "tolerances_not_object", "r_grid_overflow"],
+    ids=[
+        "r_grid_missing_keys", "s_matrix_not_object", "N_not_integer", "tolerances_not_object",
+        "r_grid_overflow", "N_over_budget", "t_grid_count_over_budget", "r_grid_count_over_budget",
+    ],
 )
-def test_main_malformed_config_names_field(tmp_path, capsys, text, field):
-    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+def test_main_malformed_config_names_field(tmp_path, capsys, text, field, command):
+    assert _run_raw_config(tmp_path, text, command) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert f"config error: {field}" in err
     assert not (tmp_path / "out").exists()

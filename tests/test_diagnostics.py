@@ -16,8 +16,6 @@ from ergodiclab.cesaro import (
 from ergodiclab.diagnostics import (
     UNIFORM_FLOOR,
     ConvergenceVerdict,
-    ErgodicityReport,
-    Evidence,
     cauchy_convergence_test,
     kernel_criterion,
     mass_escape_profile,
@@ -25,7 +23,7 @@ from ergodiclab.diagnostics import (
     uniform_criterion_M,
 )
 from ergodiclab.exp_semigroup import PowerBoundedOperator
-from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B
+from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B, matrix_N
 from ergodiclab.space import basis_vector, zero_vector
 
 
@@ -64,6 +62,30 @@ def test_kernel_criterion_zero_generator():
     evs = evidence_map(kernel_criterion(StructuredOperator(np.zeros(7), np.zeros(7))))
     assert evs["generator_null_dim"].value == 7
     assert evs["adjoint_null_dim"].value == 7
+
+
+@pytest.mark.parametrize(
+    "op",
+    [matrix_N(1.0, 5), StructuredOperator(np.zeros(6), np.ones(6))],
+    ids=["matrix_N", "strictly_lower_ones"],
+)
+def test_kernel_criterion_strictly_lower_has_nullity_one(op):
+    # a zero diagonal does not make every column null: only the last column vanishes
+    assert np.linalg.matrix_rank(op.dense()) == op.dim - 1
+    evs = evidence_map(kernel_criterion(op))
+    assert evs["generator_null_dim"].value == 1
+    assert evs["adjoint_null_dim"].value == 1
+
+
+@pytest.mark.parametrize("n", [1000, 65536])
+def test_kernel_criterion_reads_the_structure(monkeypatch, n):
+    def refuse(self):
+        raise AssertionError("a nonzero diagonal decides without the dense matrix")
+
+    monkeypatch.setattr(StructuredOperator, "dense", refuse)
+    for op in (matrix_A(n), matrix_B(n)):
+        evs = evidence_map(kernel_criterion(op))
+        assert (evs["generator_null_dim"].value, evs["adjoint_null_dim"].value) == (0, 0)
 
 
 # --- fixed-space separation ---
@@ -133,8 +155,7 @@ def test_uniform_criterion_M_single_dim():
 def test_mass_escape_profile_conservation():
     n = 1024
     profile = mass_escape_profile(geometric_grid(1.0, 2.0, 5), n)
-    fvals = profile.f_values()
-    for r, fval in zip(profile.r_grid, fvals):
+    for r, fval in zip(profile.r_grid, profile.f_value):
         assert 1.0 - r / (2.0 * n) <= fval <= 1.0 + 1e-13
     assert profile.caveats == []
 
@@ -142,12 +163,10 @@ def test_mass_escape_profile_conservation():
 def test_mass_escape_profile_trends():
     n = 4096
     profile = mass_escape_profile(geometric_grid(1.0, 4.0, 5), n)
-    maxes = profile.max_coordinates()
-    assert np.all(np.diff(maxes) <= 1e-15)          # nonincreasing max coordinate
-    assert np.all(np.diff(profile.max_indices()) >= 0)  # max index never moves down
-    norms = profile.norms()
-    assert np.all(norms <= 1.0 + 1e-13)
-    assert np.all(norms + profile.trunc_error >= 1.0 - 1e-13)
+    assert np.all(np.diff(profile.max_coordinate) <= 1e-15)  # nonincreasing max coordinate
+    assert np.all(np.diff(profile.max_index) >= 0)  # max index never moves down
+    assert np.all(profile.values <= 1.0 + 1e-13)
+    assert np.all(profile.values + profile.trunc_error >= 1.0 - 1e-13)
 
 
 def test_mass_escape_profile_caveat_for_large_r():
@@ -157,7 +176,7 @@ def test_mass_escape_profile_caveat_for_large_r():
 
 def test_zero_vector_curve_is_all_zero():
     curve = curve_cesaro_T(geometric_grid(1.0, 2.0, 4), zero_vector(32))
-    assert np.all(curve.norms() == 0.0)
+    assert np.all(curve.values == 0.0)
 
 
 # --- convergence verdicts ---
@@ -216,48 +235,3 @@ def test_verdict_soundness_enforced():
         ConvergenceVerdict("diverges", witness=0.1, threshold=0.5)
     v = ConvergenceVerdict("diverges", witness=0.7, threshold=0.5)
     assert json.loads(v.to_json())["verdict"] == "diverges"
-
-
-# --- reports ---
-
-def test_report_requires_evidence():
-    with pytest.raises(ValueError):
-        ErgodicityReport(
-            subject="M",
-            truncation=16,
-            mean_verdict="converges",
-            uniform_verdict="diverges",
-            evidence=(),
-        )
-
-
-def test_report_diverges_needs_witness():
-    ev = (Evidence("some_fact", 1.0),)
-    with pytest.raises(ValueError):
-        ErgodicityReport(
-            subject="T",
-            truncation=16,
-            mean_verdict="diverges",
-            uniform_verdict="inconclusive",
-            evidence=ev,
-        )
-
-
-def test_report_json_schema():
-    ev = (
-        Evidence("opnorm_floor", 0.8, bound=UNIFORM_FLOOR, ref="operator-norm floor"),
-        Evidence("kernel_dim", 0),
-    )
-    report = ErgodicityReport(
-        subject="M",
-        truncation=256,
-        mean_verdict="converges",
-        uniform_verdict="diverges",
-        evidence=ev,
-        caveats=("finite truncation only",),
-    )
-    data = json.loads(report.to_json())
-    assert set(data.keys()) == {"subject", "truncation", "verdicts", "evidence", "caveats"}
-    assert data["verdicts"] == {"mean": "converges", "uniform": "diverges"}
-    assert set(data["evidence"][0].keys()) == {"name", "value", "bound", "paper_ref"}
-    assert data["caveats"] == ["finite truncation only"]

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from ergodiclab import semigroups
 from ergodiclab.coeffs import b, tail_sum_b
 from ergodiclab.semigroups import (
     StructuredOperator,
@@ -20,7 +21,6 @@ from ergodiclab.semigroups import (
     matrix_B,
     matrix_M,
     matrix_N,
-    matrix_Ndot,
     matrix_T,
     opnorm_l1,
     to_sparse_triples,
@@ -223,6 +223,11 @@ def test_f_conserved_by_T_up_to_deficit():
 
 # --- derivative Ndot and generator B ---
 
+def matrix_Ndot(n):
+    """Derivative at t = 0 of matrix_N: the strictly lower part of B = A + Ndot."""
+    return StructuredOperator(np.zeros(n), matrix_B(n).below)
+
+
 def test_Ndot_on_first_basis_vector():
     n = 10
     Ndot = matrix_Ndot(n)
@@ -333,8 +338,8 @@ def test_sparse_triples_round_trip():
 
 
 def test_kernel_B_trivial_small_and_large():
-    assert kernel_B(1).is_trivial
-    assert kernel_B(100).is_trivial
+    assert kernel_B(1) is True
+    assert kernel_B(100) is True
     # cross-check: the matrix is far from singular
     svals = np.linalg.svd(matrix_B(100).dense(), compute_uv=False)
     assert svals[-1] > 0.0
@@ -342,8 +347,29 @@ def test_kernel_B_trivial_small_and_large():
 
 def test_kernel_B_large_is_fast():
     start = time.monotonic()
-    assert kernel_B(5000).is_trivial
+    assert kernel_B(5000) is True
     assert time.monotonic() - start < 1.0
+
+
+def test_kernel_B_reads_B(monkeypatch):
+    # negative control: a zero on the diagonal of B leaves the last column null
+    def broken(N):
+        op = matrix_B(N)
+        diag = op.diag.copy()
+        diag[-1] = 0.0
+        return StructuredOperator(diag, op.below)
+
+    monkeypatch.setattr(semigroups, "matrix_B", broken)
+    assert kernel_B(8) is False
+
+
+@pytest.mark.parametrize("n", [1000, 65536])
+def test_kernel_B_never_forms_the_dense_matrix(monkeypatch, n):
+    def refuse(self):
+        raise AssertionError("a nonzero diagonal decides without the dense matrix")
+
+    monkeypatch.setattr(StructuredOperator, "dense", refuse)
+    assert kernel_B(n) is True
 
 
 def test_triangular_spectrum_accumulates_at_zero():

@@ -46,10 +46,10 @@ def test_curve_equals_per_point_means(subject, n):
     curve = curve_of(rs, x)
     means = [mean(float(r), x) for r in rs]
     stats = np.array([reduce(v) for v in means])
-    assert np.array_equal(curve.norms(), stats[:, 0])
-    assert np.array_equal(curve.max_coordinates(), stats[:, 1])
-    assert np.array_equal(curve.max_indices(), stats[:, 2].astype(int))
-    assert np.array_equal(curve.f_values(), stats[:, 3])
+    assert np.array_equal(curve.values, stats[:, 0])
+    assert np.array_equal(curve.max_coordinate, stats[:, 1])
+    assert np.array_equal(curve.max_index, stats[:, 2].astype(int))
+    assert np.array_equal(curve.f_value, stats[:, 3])
     assert np.array_equal(curve.steps, [norm_l1(b - a) for a, b in zip(means, means[1:])])
     lines = curve.to_csv().strip().split("\n")[1:]
     for line, r, (norm, top, _, fval), err in zip(lines, rs, stats, curve.trunc_error, strict=True):

@@ -1,5 +1,9 @@
 """Tests for the space checks of the invariant suite: results, controls, cost."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,3 +83,41 @@ def test_expansion_uniqueness_bounded_for_any_x(monkeypatch, leading_zeros):
     assert res.passed
     assert len(p_calls) <= 2 * len(ctx.index_sample)
 
+
+
+# --- the whole registry at small and odd N ---
+
+@pytest.fixture(scope="module", params=[2, 257], ids=lambda n: f"N{n}")
+def suite(request):
+    """One run of every check per N; 257 lies past the 256 and 128 sub-caps inside the checks."""
+    return verification.run_all(request.param, 7)
+
+
+@pytest.mark.parametrize("index", range(len(verification.CHECKS)),
+                         ids=[check.__name__ for check in verification.CHECKS])
+def test_invariant_holds(suite, index):
+    result = suite[index]
+    assert result.passed, f"{result.name}: measured {result.measured:.3e} vs bound {result.bound:.3e}"
+
+
+# --- the benchmark tracer's catalogue stays in step with the program ---
+
+def _tracing_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    # a renamed or deleted layer fails here instead of showing up as a missing target
+    tracing = _tracing_module()
+    for name, (modname, path) in {**tracing.SPLIT, **tracing.TOTAL}.items():
+        owner = importlib.import_module(modname)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr, None)), name
+        assert attr in vars(owner), f"{name}: the tracer wraps only attributes defined on {owner.__name__}"
+    assert tracing.CHECK_NAMES == [check.__name__ for check in verification.CHECKS]
