@@ -59,6 +59,8 @@ _GRID_COUNT_CAP = 100_000
 _S_DIM_CAP = 256
 # the series for S(t) runs about t + 40 sqrt(t) matrix-vector products
 _S_T_CAP = 1e4
+# the power-bound scan forms up to horizon dense N x N products
+_HORIZON_CAP = 4096
 
 
 class ConfigValidationError(ValueError):
@@ -240,6 +242,8 @@ class ExperimentConfig:
             problems.append("opnorm mode is only available for subject M")
         if self.horizon < 1:
             problems.append("horizon must be >= 1")
+        elif self.horizon > _HORIZON_CAP:
+            problems.append(f"horizon must be <= {_HORIZON_CAP} (the size budget), got {self.horizon}")
         if self.s_matrix[0] not in _S_KINDS:
             problems.append(f"s_matrix kind must be one of {_S_KINDS}")
         elif self.s_matrix[0] == "timestep" and not (
@@ -295,9 +299,10 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigValidationError([f"s_matrix.path: {exc}"]) from None
         if not math.isfinite(op.power_bound):
-            raise ConfigValidationError(
-                ["s_matrix.path: the norms of the matrix powers must be finite"]
-            )
+            raise ConfigValidationError([
+                f"s_matrix.path: no power T^k with ||T^k||_1 <= 1 up to horizon {self.horizon}, "
+                "so no power bound is certified"
+            ])
         return op
 
 

@@ -38,10 +38,10 @@ _LOG_TINY = math.log(_TINY)
 class PowerBoundedOperator:
     """Square matrix with a bound on sup_n of its power norms.
 
-    ``power_bound`` is the max of the l1 operator norms of T^n over
-    n = 0..horizon (n = 0 included, so the bound is always >= 1 and the
-    renorm below dominates the original norm).  When some power k has
-    ||T^k||_1 <= 1 the bound is proven for all n, not just up to horizon.
+    ``power_bound`` bounds the l1 operator norms of T^n over all n >= 0
+    (n = 0 included, so the bound is always >= 1 and the renorm below
+    dominates the original norm).  ``from_matrix`` certifies it by a power
+    k <= horizon with ||T^k||_1 <= 1, and reports inf when there is none.
     """
 
     matrix: np.ndarray
@@ -67,8 +67,10 @@ class PowerBoundedOperator:
         """Scan ||T^n|| for n = 0..horizon, stopping at the first k with ||T^k|| <= 1.
 
         Past such a k, submultiplicativity gives ||T^n|| <= max_{j<k} ||T^j||
-        for every n, so the early stop returns what the full scan would.  A
-        power whose norm overflows ends the scan with an infinite bound.
+        for every n, so the early stop returns what the full scan would.
+        Without such a k the norms seen up to horizon bound nothing beyond
+        it (the Jordan block [[1, 1], [0, 1]] has ||T^n|| = n + 1), so the
+        bound is inf, as it is when a power's norm overflows.
         """
         arr = np.asarray(matrix, dtype=float)
         if not np.isfinite(arr).all():
@@ -80,12 +82,11 @@ class PowerBoundedOperator:
                 power = arr @ power
                 norm = opnorm_l1(power)
                 if not math.isfinite(norm):
-                    bound = math.inf
                     break
                 if norm <= 1.0:
-                    break
+                    return cls(matrix=arr, power_bound=bound, horizon=horizon)
                 bound = max(bound, norm)
-        return cls(matrix=arr, power_bound=bound, horizon=horizon)
+        return cls(matrix=arr, power_bound=math.inf, horizon=horizon)
 
     @classmethod
     def identity(cls, dim: int, horizon: int = 256) -> "PowerBoundedOperator":

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from ergodiclab import verification
 from ergodiclab.cesaro import (
     adaptive_simpson,
     cesaro_M,
@@ -19,7 +20,7 @@ from ergodiclab.cesaro import (
     geometric_grid,
 )
 from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_matrix, cmd_verify
-from ergodiclab.coeffs import b, b_row, integral_b, tail_sum_b
+from ergodiclab.coeffs import b, integral_b, tail_sum_b
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, renorm, semigroup_defect_S
 from ergodiclab.semigroups import (
     adjoint_residual_vector,
@@ -49,17 +50,9 @@ def _report(num: int, title: str, passed: bool, elapsed: float, limit: float, de
 
 def test_criterion_01_coefficient_identities():
     start = time.monotonic()
-    n_max = 1000
-    worst = 0.0
-    for t in (0.0, 0.1, 1.0, 10.0, 100.0):
-        cum = np.cumsum(b_row(t, n_max))
-        n = np.arange(1, n_max + 1, dtype=float)
-        expn = np.exp(-t / n)
-        diff = cum[None, :] - cum[:, None]
-        closed = expn[None, :] - expn[:, None]
-        err = np.abs(diff - closed) / n[None, :]
-        err[np.tril_indices(n_max)] = 0.0
-        worst = max(worst, float(err.max()))
+    # the verify check runs the whole grid 1 <= m < n <= 1000 at any N
+    ctx = verification._Context(1000, 0, 1e-10, 1e-2, False)
+    worst = verification.check_coeffs_sum_identities(ctx).measured
     elapsed = time.monotonic() - start
     _report(1, "coefficient sum identities on 1<=m<n<=1000", worst <= 1e-13, elapsed, 5.0,
             f"worst {worst:.2e}")

@@ -304,10 +304,13 @@ def _run_raw_config(tmp_path, text, command="simulate"):
         ('{"t_grid": {"start": 0, "stop": 1, "count": 1000000000000}}', "t_grid.count", "simulate"),
         ('{"r_grid": {"start": 1e-300, "factor": 1.000000000000001, "count": 1000000000000}}',
          "r_grid.count", "cesaro"),
+        # the power-bound scan costs horizon dense products
+        ('{"horizon": 4097}', "horizon", "simulate"),
     ],
     ids=[
         "r_grid_missing_keys", "s_matrix_not_object", "N_not_integer", "tolerances_not_object",
         "r_grid_overflow", "N_over_budget", "t_grid_count_over_budget", "r_grid_count_over_budget",
+        "horizon_over_budget",
     ],
 )
 def test_main_malformed_config_names_field(tmp_path, capsys, text, field, command):
@@ -413,6 +416,17 @@ def test_simulate_S_rejects_unusable_matrix_file(tmp_path, capsys, triples):
         warnings.simplefilter("error", RuntimeWarning)
         assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
     assert "config error: s_matrix.path" in capsys.readouterr().err
+
+
+def test_simulate_S_rejects_matrix_without_certified_power_bound(tmp_path, capsys):
+    # the Jordan block [[1, 1], [0, 1]] has ||J^n||_1 = n + 1, so no horizon certifies a bound
+    text = _S_matrix_text_config(tmp_path, "% dim 2\n1 1 1\n1 2 1\n2 2 1\n", 2)
+    text = json.dumps({**json.loads(text), "horizon": 1000})
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert ("config error: s_matrix.path: no power T^k with ||T^k||_1 <= 1 up to horizon 1000, "
+            "so no power bound is certified") in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_S_matrix_file_with_zero_last_column(tmp_path):

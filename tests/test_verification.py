@@ -1,4 +1,4 @@
-"""Tests for the space checks of the invariant suite: results, controls, cost."""
+"""Tests for the invariant suite: the registry at every N, its controls and its cost."""
 
 import importlib
 import importlib.util
@@ -85,19 +85,49 @@ def test_expansion_uniqueness_bounded_for_any_x(monkeypatch, leading_zeros):
 
 
 
-# --- the whole registry at small and odd N ---
+# --- the whole registry: every invariant and its bound are written once, in CHECKS ---
 
-@pytest.fixture(scope="module", params=[2, 257], ids=lambda n: f"N{n}")
+REGISTRY_N = [1, 2, 257, 1024]
+
+
+@pytest.fixture(scope="module", params=REGISTRY_N, ids=lambda n: f"N{n}")
 def suite(request):
-    """One run of every check per N; 257 lies past the 256 and 128 sub-caps inside the checks."""
-    return verification.run_all(request.param, 7)
+    """One run of every check per N.
+
+    N = 1 and 2 are the degenerate truncations, 257 lies past the 256 and
+    128 sub-caps inside the checks, and 1024 is the cap of ``small_N``, the
+    largest size of the dense checks.
+    """
+    return request.param, verification.run_all(request.param, 7)
 
 
 @pytest.mark.parametrize("index", range(len(verification.CHECKS)),
                          ids=[check.__name__ for check in verification.CHECKS])
 def test_invariant_holds(suite, index):
-    result = suite[index]
+    _N, results = suite
+    result = results[index]
     assert result.passed, f"{result.name}: measured {result.measured:.3e} vs bound {result.bound:.3e}"
+
+
+def test_check_order_cannot_matter(suite):
+    # every check draws from its own seeded stream, so running them backwards changes nothing
+    N, results = suite
+    ctx = verification._Context(N, 7, 1e-10, 1e-2, False)
+    backwards = [check(ctx) for check in reversed(verification.CHECKS)]
+    assert backwards[::-1] == results
+
+
+def test_check_names_are_unique_report_keys(suite):
+    _N, results = suite
+    names = [result.name for result in results]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("N", REGISTRY_N)
+def test_injected_corruption_fails_exactly_its_check(N):
+    # the negative control breaks one entry of dense(B); every other check must stay green
+    failed = [result.name for result in verification.run_all(N, 7, inject_corruption=True) if not result.passed]
+    assert failed == ["semigroups.matrix_B_matches_apply"]
 
 
 # --- the benchmark tracer's catalogue stays in step with the program ---
