@@ -88,6 +88,12 @@ def test_cesaro_M_basis_closed_form():
         cesaro_M(0.0, basis_vector(1, 4))
 
 
+def test_cesaro_M_decay_bound():
+    for h in (1, 3, 10, 100):
+        x = basis_vector(h, 128)
+        for r in (1.0, 10.0, 1e4):
+            assert norm_l1(cesaro_M(r, x)) <= h / r
+
 
 def test_cesaro_M_against_oracle():
     for r in (0.5, 3.0, 20.0):
@@ -105,6 +111,11 @@ def test_cesaro_M_opnorm_values():
     assert v == pytest.approx((100.0 / 10.0) * (1 - math.exp(-0.1)), abs=1e-14)
     assert cesaro_M_opnorm(1e6, 10) <= 10.0 / 1e6
 
+
+def test_cesaro_M_opnorm_floor_inside_r_le_N():
+    for n in (4, 64, 1024):
+        for r in np.linspace(1.0, float(n), 7):
+            assert cesaro_M_opnorm(float(r), n) >= FLOOR - 1e-12
 
 
 # --- means of the perturbed semigroup ---
@@ -136,6 +147,16 @@ def test_cesaro_T_against_oracle():
     oracle = cesaro_quadrature(apply_T, 5.0, x, 1e-10)
     assert norm_l1(closed - oracle) <= 1e-9
 
+
+def test_cesaro_T_linearity():
+    rng = np.random.default_rng(0)
+    n = 64
+    x = TruncatedVector(rng.uniform(-1, 1, n))
+    y = TruncatedVector(rng.uniform(-1, 1, n))
+    for r in (0.5, 7.0):
+        lhs = cesaro_T(r, 1.25 * x + -0.5 * y)
+        rhs = 1.25 * cesaro_T(r, x) + -0.5 * cesaro_T(r, y)
+        assert norm_l1(lhs - rhs) <= 1e-12
 
 
 def test_certificate_bounded_by_r_over_2N():

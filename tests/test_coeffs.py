@@ -1,9 +1,8 @@
 """Tests for the coefficient family and its closed-form identities.
 
 Expected decimals were frozen from direct evaluation of the defining
-exponentials.  The sum, tail and integral identities over their sample
-grids are ``verify`` checks (``coeffs.*`` in ``verification.CHECKS``),
-which ``tests/test_verification.py`` runs.
+exponentials; the integral values are cross-checked against the adaptive
+quadrature oracle.
 """
 
 import math
@@ -11,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ergodiclab.cesaro import adaptive_simpson
 from ergodiclab.coeffs import b, b_row, integral_b, integral_b_row, partial_sum_b, tail_sum_b
 
 
@@ -79,6 +79,12 @@ def test_tail_sum_bounded_by_t_over_m():
             assert 0.0 <= tail_sum_b(m, t) <= t / m + 1e-16
 
 
+def test_tail_consistency():
+    for t in (0.0, 0.1, 1.0, 10.0, 100.0):
+        for m, n in ((1, 2), (1, 10), (4, 5), (17, 1000)):
+            lhs = partial_sum_b(m, n, t) + tail_sum_b(n, t)
+            assert lhs == pytest.approx(tail_sum_b(m, t), abs=1e-14)
+
 
 def test_integral_frozen_values():
     assert integral_b(1, 1.0) == pytest.approx(0.6321205588285577, abs=1e-16)
@@ -86,7 +92,35 @@ def test_integral_frozen_values():
     assert integral_b(3, 0.0) == 0.0
 
 
+def test_integral_derivative_matches_b():
+    step = 1e-5
+    for h in (1, 2, 3, 11, 64):
+        for r in (0.2, 1.0, 5.0, 30.0):
+            fd = (integral_b(h, r + step) - integral_b(h, r - step)) / (2 * step)
+            assert fd == pytest.approx(b(h, r), abs=1e-8)
 
+
+def test_integral_vs_quadrature_oracle():
+    for h in (1, 2, 7, 33, 100):
+        for r in (0.5, 2.0, 25.0, 100.0):
+            closed = integral_b(h, r)
+            tol = max(1e-11 * abs(closed), 1e-16)
+            oracle = adaptive_simpson(lambda s, _h=h: np.array([b(_h, s)]), 0.0, r, tol)[0]
+            assert closed == pytest.approx(oracle, rel=1e-10)
+
+
+def test_exactness_grid_small_scale():
+    # the acceptance suite runs the full 1 <= m < n <= 1000 grid; this keeps
+    # a quick version in the unit tests
+    for t in (0.0, 0.1, 1.0, 10.0, 100.0):
+        row = b_row(t, 200)
+        cum = np.cumsum(row)
+        for m in (1, 2, 50, 150):
+            for n in (m + 1, m + 7, 200):
+                if n > 200:
+                    continue
+                direct = cum[n - 1] - cum[m - 1]
+                assert abs(direct - partial_sum_b(m, n, t)) <= 1e-13 * n
 
 
 def test_vectorized_rows_match_scalars():

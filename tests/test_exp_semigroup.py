@@ -139,6 +139,13 @@ def test_renorm_sandwich(T1_64):
         assert norm_l1(x) - 1e-12 <= v <= T1_64.power_bound * norm_l1(x) + 1e-12
 
 
+def test_renorm_contractivity(T1_64):
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = rand_vec(rng, 64)
+        image = TruncatedVector(T1_64.matrix @ x.coords)
+        assert renorm(image, T1_64) <= renorm(x, T1_64) + 1e-12
+
 
 def test_renorm_warns_when_horizon_not_stabilized():
     # norms grow all the way to the horizon for an expanding 1x1 matrix
@@ -154,6 +161,15 @@ def test_renorm_no_warning_when_stabilized(T1_64):
         _warnings.simplefilter("error")
         renorm(basis_vector(1, 64), T1_64)
 
+
+def test_renorm_is_a_norm(T1_64):
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        x = rand_vec(rng, 64)
+        y = rand_vec(rng, 64)
+        a = float(rng.uniform(-3, 3))
+        assert renorm(a * x, T1_64) == pytest.approx(abs(a) * renorm(x, T1_64), abs=1e-12)
+        assert renorm(x + y, T1_64) <= renorm(x, T1_64) + renorm(y, T1_64) + 1e-12
 
 
 # --- the semigroup itself ---
@@ -188,6 +204,15 @@ def test_S_tolerance_validation(T1_64):
         apply_S(-0.5, basis_vector(1, 64), T1_64, 1e-10)
 
 
+def test_S_renorm_contractive(T1_64):
+    rng = np.random.default_rng(7)
+    tol = 1e-10
+    for t in (0.1, 1.0, 10.0, 100.0):
+        for _ in range(5):
+            x = rand_vec(rng, 64)
+            val = renorm(apply_S(t, x, T1_64, tol), T1_64)
+            assert val <= renorm(x, T1_64) * (1.0 + 10.0 * tol) + 10.0 * tol
+
 
 def test_fixed_vectors_are_fixed_by_S():
     # doubly stochastic symmetric matrix: the uniform vector is fixed
@@ -216,6 +241,14 @@ def test_semigroup_defect_identity_matrix():
     x = vector([1.0, 2.0, -1.0, 0.0, 0.5])
     assert semigroup_defect_S(1.0, 2.0, x, T, 1e-14) <= 1e-13
 
+
+def test_semigroup_defect_bound(T1_64):
+    rng = np.random.default_rng(8)
+    tol = 1e-10
+    for t, s in ((1.0, 1.0), (0.5, 2.5)):
+        x = rand_vec(rng, 64)
+        defect = semigroup_defect_S(t, s, x, T1_64, tol)
+        assert defect <= 4.0 * tol * T1_64.power_bound
 
 
 def test_from_triples_matches_matrix():

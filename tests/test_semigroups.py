@@ -116,7 +116,27 @@ def test_A_inverse_inverts_A():
     assert norm_l1(A_inv.apply(A.apply(x)) - x) <= 1e-14 * norm_l1(x) * 40
 
 
+def test_semigroup_law_M_exact():
+    rng = np.random.default_rng(5)
+    for t, s in ((0.0, 1.0), (0.5, 0.5), (2.0, 7.0)):
+        x = rand_vec(rng, 33)
+        lhs = apply_M(t + s, x)
+        rhs = apply_M(t, apply_M(s, x))
+        assert norm_l1(lhs - rhs) <= 1e-14 * norm_l1(x)
 
+
+def test_opnorm_M_minus_I_is_exactly_one_minus_exp():
+    for n in (1, 7, 64):
+        for t in (0.01, 0.5, 1.0, 5.0):
+            entries = matrix_M(t, n).dense() - np.eye(n)
+            assert opnorm_l1(entries) == pytest.approx(1 - math.exp(-t), abs=1e-14)
+
+
+def test_opnorm_M_below_both_bounds():
+    for t in (0.0, 0.1, 3.0):
+        v = opnorm_l1(matrix_M(t, 20).dense())
+        assert v <= 1.0 + 1e-15
+        assert v <= 2.0  # the generic bound, never tight here
 
 
 # --- perturbation N_t and full semigroup T ---
@@ -184,6 +204,11 @@ def test_T_semigroup_defect_small_for_interior_support():
     assert defect <= 1e-12  # regression pin: measured 9.4e-17 on first verified run
 
 
+def test_T_nonnegative_entries():
+    for t in (0.0, 0.7, 3.0):
+        for builder in (matrix_M, matrix_N, matrix_T):
+            assert builder(t, 24).dense().min() >= 0.0
+
 
 def test_f_conserved_by_T_up_to_deficit():
     rng = np.random.default_rng(9)
@@ -249,7 +274,6 @@ def test_pair_f_with_B_columns_is_minus_one_over_N():
             assert val == pytest.approx(-1.0 / n, abs=1e-13)
 
 
-
 def test_adjoint_residual_matches_per_column_fsum():
     # oracle: exact-rounding sums of the actual operator columns
     n = 100
@@ -272,7 +296,6 @@ def test_matrix_B_explicit_3x3():
         ]
     )
     assert np.array_equal(entries, expected)
-
 
 
 def test_B_adjoint_matches_transpose():

@@ -95,6 +95,22 @@ def test_partial_sum_is_sum_of_blocks():
         assert np.array_equal(project_P(x, h).coords, total)
 
 
+def test_projections_idempotent_and_contractive():
+    rng = np.random.default_rng(11)
+    x = TruncatedVector(rng.standard_normal(17))
+    for h in range(1, 18):
+        for proj in (project_P, project_Q):
+            once = proj(x, h)
+            assert np.array_equal(proj(once, h).coords, once.coords)
+            assert norm_l1(once) <= norm_l1(x)
+
+
+def test_zero_iff_all_partial_projections_vanish():
+    z = zero_vector(9)
+    assert all(norm_l1(project_P(z, h)) == 0.0 for h in range(1, 10))
+    rng = np.random.default_rng(3)
+    x = TruncatedVector(rng.standard_normal(9))
+    assert any(norm_l1(project_P(x, h)) != 0.0 for h in range(1, 10))
 
 
 def test_vector_arithmetic():
