@@ -7,10 +7,10 @@ power-bounded matrix integrates its uniformization series term by term
 into Poisson upper tails.  An adaptive Simpson quadrature serves only as
 the independent oracle for every closed form.
 
-Each closed form is a grid kernel (``stream_cesaro_*``) that yields one
-mean per r from buffers allocated once per curve; the per-point
-functions are its one-point case, and a curve keeps per-sample
-summaries only, so curves take O(N) memory at any grid count.
+Each closed form is a grid kernel (``means_kernel``, ``stream_cesaro_S``)
+that yields one mean per r from buffers allocated once per call; the
+per-point functions are its one-point case, and a curve keeps per-sample
+summaries only, so curves take O(N) memory per thread at any grid count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 
 from .coeffs import integral_b_from_expm1
 from .exp_semigroup import PowerBoundedOperator, poisson_window
-from .space import TruncatedVector, norm_l1, row_stats
+from .semigroups import SUPPORT_SKIP
+from .space import TruncatedVector, norm_l1, row_stats, run_split
 
 __all__ = [
     "QuadratureError",
@@ -35,8 +36,7 @@ __all__ = [
     "cesaro_T_certificate",
     "cesaro_quadrature",
     "adaptive_simpson",
-    "stream_cesaro_M",
-    "stream_cesaro_T",
+    "means_kernel",
     "stream_cesaro_S",
     "curve_cesaro_M",
     "curve_cesaro_T",
@@ -67,65 +67,54 @@ def _check_r(r: float):
         raise ValueError(f"averaging length r must be > 0, got {r}")
 
 
-def _stream_decay_means(r_grid: Iterable[float], x: TruncatedVector, perturbed: bool) -> Rows:
-    """Means of the decay semigroup, or of the perturbed one if ``perturbed``.
+def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Rows]:
+    """Grid kernel of (C_M(r)x, 0.0), or of (C_T(r)x, trunc_error) if ``perturbed``, per r.
 
-    Per r there is one expm1 pass e_h = expm1(-r/h).  The decay mean scales
-    coordinate h by (h/r)(-e_h); the perturbation adds the prefix sum
-    x_1 + ... + x_{h-1} times integral_b(h, r)/r, where
-    integral_b(h, r) = (h-1)e_{h-1} - h e_h.  The prefix sums and every
-    N-length buffer are set up once per curve.
+    C_M(r) scales coordinate h by (h/r)(-e_h), e_h = expm1(-r/h), on the
+    support of x only: off it the signed zero x_h stays as scaling leaves it.
+    C_T(r) adds x_1 + ... + x_{h-1} times integral_b(h, r)/r, from an expm1
+    pass over every h, and errs by cesaro_T_certificate(r, N) * norm_l1(x)
+    at most.  Each call owns its buffers: up to two N-vectors for M, four for T.
     """
     h = np.arange(1, x.dim + 1, dtype=float)
-    e = np.empty_like(h)
-    row = np.empty_like(h)
+    on = np.flatnonzero(x.coords) if x.dim - np.count_nonzero(x.coords) >= SUPPORT_SKIP else slice(None)
+    h_on, x_on = h[on], x.coords[on]
     coupled = perturbed and x.dim > 1
-    if coupled:
-        prefix = np.cumsum(x.coords)[:-1]
-        ib = np.empty_like(prefix)
+    h_e, e_on = (h, on) if coupled else (h_on, slice(None))
+    prefix = np.cumsum(x.coords)[:-1] if coupled else None
     scale = norm_l1(x) if perturbed else 0.0
-    for r in r_grid:
-        _check_r(r)
-        np.divide(-r, h, out=e)
-        np.expm1(e, out=e)
-        if coupled:
-            integral_b_from_expm1(h, e, ib, row)  # row is scratch until the diagonal fills it
-        np.negative(e, out=e)
-        np.divide(h, r, out=row)
-        row *= e
-        row *= x.coords
-        if coupled:
-            ib *= prefix
-            ib /= r
-            row[1:] += ib
-        yield row, (scale * cesaro_T_certificate(r, x.dim) if perturbed else 0.0)
 
+    def rows(r_grid: Iterable[float]) -> Rows:
+        base = x.coords.copy()
+        diag = base[on]  # a view on a full support, else a buffer scattered into base
+        scratch = np.empty_like(diag)
+        e, row = (np.empty_like(h), np.empty_like(h)) if coupled else (diag, base)
+        for r in r_grid:
+            _check_r(r)
+            np.expm1(np.divide(-r, h_e, out=e), out=e)
+            np.negative(e[e_on], out=diag)
+            diag *= np.divide(h_on, r, out=scratch)
+            diag *= x_on
+            base[on] = diag  # a no-op on a full support
+            if coupled:
+                integral_b_from_expm1(h, e, row[1:])
+                row[1:] *= prefix
+                row[1:] /= r
+                row[1:] += base[1:]
+                row[0] = base[0]
+            yield row, (scale * cesaro_T_certificate(r, x.dim) if perturbed else 0.0)
 
-def stream_cesaro_M(r_grid: Iterable[float], x: TruncatedVector) -> Rows:
-    """(C_M(r)x, 0.0) per r: coordinate h is scaled by (h/r)(1 - exp(-r/h)).
-
-    Exact (diagonal), no truncation error.
-    """
-    return _stream_decay_means(r_grid, x, perturbed=False)
-
-
-def stream_cesaro_T(r_grid: Iterable[float], x: TruncatedVector) -> Rows:
-    """(C_T(r)x, trunc_error) per r, via coefficient antiderivatives.
-
-    Truncation drops integrated coefficient mass beyond the edge; the
-    discrepancy is bounded by cesaro_T_certificate(r, N) * norm_l1(x).
-    """
-    return _stream_decay_means(r_grid, x, perturbed=True)
+    return rows
 
 
 def cesaro_M(r: float, x: TruncatedVector) -> TruncatedVector:
-    """Mean of the decay semigroup: stream_cesaro_M on a one-point grid."""
-    return TruncatedVector(next(stream_cesaro_M([r], x))[0])
+    """Mean of the decay semigroup: means_kernel on a one-point grid."""
+    return TruncatedVector(next(means_kernel(x, perturbed=False)([r]))[0])
 
 
 def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
-    """Mean of the perturbed semigroup: stream_cesaro_T on a one-point grid."""
-    return TruncatedVector(next(stream_cesaro_T([r], x))[0])
+    """Mean of the perturbed semigroup: means_kernel on a one-point grid."""
+    return TruncatedVector(next(means_kernel(x, perturbed=True)([r]))[0])
 
 
 def cesaro_M_opnorm(r: float, N: int) -> float:
@@ -372,22 +361,25 @@ def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
     return start * factor ** np.arange(count, dtype=float)
 
 
-def _vector_curve(r_grid: np.ndarray, rows: Rows) -> CesaroCurve:
-    """Reduce streamed rows to a vector curve, with two N-length buffers of its own."""
+def _vector_curve(r_grid: np.ndarray, kernel, dim: int, split: bool = True) -> CesaroCurve:
+    """Reduce the kernel's rows to a vector curve; each run_split piece first recomputes the row before it."""
     n = r_grid.size
     norms, maxes, fvals, errors = (np.empty(n) for _ in range(4))
     index = np.empty(n, dtype=int)
     steps = np.empty(max(n - 1, 0))
-    prev = scratch = None
-    for i, (row, err) in enumerate(rows):
-        if scratch is None:
-            prev, scratch = np.empty_like(row), np.empty_like(row)
-        norms[i], maxes[i], index[i], fvals[i] = row_stats(row, scratch)
-        errors[i] = err
-        if i:
-            np.subtract(row, prev, out=scratch)
-            steps[i - 1] = np.abs(scratch, out=scratch).sum()
-        np.copyto(prev, row)
+
+    def piece(lo: int, hi: int):
+        prev, scratch = np.empty(dim), np.empty(dim)
+        for i, (row, err) in enumerate(kernel(r_grid[max(lo - 1, 0) : hi]), start=max(lo - 1, 0)):
+            if i >= lo:
+                norms[i], maxes[i], index[i], fvals[i] = row_stats(row, scratch)
+                errors[i] = err
+                if i:
+                    np.subtract(row, prev, out=scratch)
+                    steps[i - 1] = np.abs(scratch, out=scratch).sum()
+            np.copyto(prev, row)
+
+    run_split(n, dim, piece, split)
     return CesaroCurve(
         r_grid=r_grid,
         kind="vector",
@@ -402,18 +394,18 @@ def _vector_curve(r_grid: np.ndarray, rows: Rows) -> CesaroCurve:
 
 def curve_cesaro_M(r_grid, x: TruncatedVector) -> CesaroCurve:
     r_grid = np.asarray(r_grid, dtype=float)
-    return _vector_curve(r_grid, stream_cesaro_M(r_grid, x))
+    return _vector_curve(r_grid, means_kernel(x, perturbed=False), x.dim)
 
 
 def curve_cesaro_T(r_grid, x: TruncatedVector) -> CesaroCurve:
     r_grid = np.asarray(r_grid, dtype=float)
-    return _vector_curve(r_grid, stream_cesaro_T(r_grid, x))
+    return _vector_curve(r_grid, means_kernel(x, perturbed=True), x.dim)
 
 
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
-    """The closed-form means of ``stream_cesaro_S``, reduced per sample."""
+    """The closed-form means of ``stream_cesaro_S`` per sample, on one piece: its powers span the grid."""
     r_grid = np.asarray(r_grid, dtype=float)
-    return _vector_curve(r_grid, stream_cesaro_S(r_grid, x, T, tol))
+    return _vector_curve(r_grid, lambda grid: stream_cesaro_S(grid, x, T, tol), x.dim, split=False)
 
 
 def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:
@@ -425,6 +417,6 @@ def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:
     return CesaroCurve(
         r_grid=r_grid,
         kind="norm",
-        values=np.array([float(row.max()) for row, _ in stream_cesaro_M(r_grid, ones)]),
+        values=np.array([float(row.max()) for row, _ in means_kernel(ones, perturbed=False)(r_grid)]),
         trunc_error=np.zeros(r_grid.size),
     )

@@ -35,10 +35,9 @@ from .semigroups import (
     matrix_B,
     matrix_json,
     to_sparse_triples,
-    trajectory_M,
-    trajectory_T,
+    trajectory_kernel,
 )
-from .space import TruncatedVector, row_stats
+from .space import TruncatedVector, row_stats, run_split
 from .verification import run_all
 
 EXIT_OK = 0
@@ -50,9 +49,9 @@ _SUBJECTS = ("M", "T", "S")
 _MODES = ("vector", "opnorm")
 _S_KINDS = ("identity", "timestep", "file")
 
-# size budget, fixed so that what runs does not depend on the machine: the
-# M/T kernels hold about ten N-vectors (about 0.3 GB at the cap), and every
-# grid point keeps its summaries and one CSV line until the file is written
+# size budget, fixed so that what runs does not depend on the machine: the M/T
+# kernels hold two N-vectors plus five per thread, at most 12 (0.4 GB) at the cap,
+# and every grid point keeps its summaries and one CSV line until the file is written
 _N_CAP = 2**22
 _GRID_COUNT_CAP = 100_000
 # dense exponential-series path; guards the S subject against runaway cost
@@ -230,6 +229,8 @@ class ExperimentConfig:
             for i, _v in self.vector:
                 if not 1 <= i <= self.N:
                     problems.append(f"vector index {i} outside 1..{self.N}")
+            if len({i for i, _v in self.vector}) < len(self.vector):
+                problems.append("vector lists an index more than once")
             if not math.isfinite(float(np.abs([v for _i, v in self.vector]).sum())):
                 problems.append("input vector entries and their l1 norm must be finite")
         for name in ("quadrature_tol", "convergence_tol"):
@@ -328,21 +329,25 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     ts = cfg.t_values()
     if cfg.subject == "S":
         T_op = cfg.power_operator()
-        rows = (apply_S(float(t), x, T_op, cfg.quadrature_tol).coords for t in ts)
-    elif cfg.subject == "T":
-        rows = trajectory_T(ts.tolist(), x)
+
+        def kernel(grid):
+            return (apply_S(t, x, T_op, cfg.quadrature_tol).coords for t in grid)
     else:
-        rows = trajectory_M(ts.tolist(), x)
+        kernel = trajectory_kernel(x, perturbed=cfg.subject == "T")
     track = min(cfg.N, 16)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
-    lines = [",".join(header)]
-    scratch = np.empty(cfg.N)
-    for t, y in zip(ts, rows):
-        norm, top, top_index, fval = row_stats(y, scratch)
-        cells = [_fmt(float(t)), _fmt(norm), _fmt(fval), _fmt(top), str(top_index)]
-        cells += [_fmt(float(v)) for v in y[:track]]
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [""] * ts.size
+
+    def piece(lo: int, hi: int):
+        scratch = np.empty(cfg.N)
+        for i, y in enumerate(kernel(ts[lo:hi].tolist()), start=lo):
+            norm, top, top_index, fval = row_stats(y, scratch)
+            cells = [_fmt(float(ts[i])), _fmt(norm), _fmt(fval), _fmt(top), str(top_index)]
+            cells += [_fmt(float(v)) for v in y[:track]]
+            lines[i + 1] = ",".join(cells)
+
+    run_split(ts.size, cfg.N, piece)  # S (N <= 256) never reaches SPLIT_DIM
     out = Path(cfg.out_dir)
     csv_path = out / "trajectory.csv"
     meta_path = out / "metadata.json"

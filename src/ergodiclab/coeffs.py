@@ -107,7 +107,7 @@ def integral_b_row(r: float, n_max: int) -> np.ndarray:
     out[0] = -math.expm1(-r)
     if n_max > 1:
         h = np.arange(1, n_max + 1, dtype=float)
-        integral_b_from_expm1(h, np.expm1(-r / h), out[1:], np.empty(n_max))
+        integral_b_from_expm1(h, np.expm1(-r / h), out[1:])
     return out
 
 
@@ -126,13 +126,13 @@ def b_from_decay(t: float, decay: np.ndarray, pairs: np.ndarray, out: np.ndarray
     return out
 
 
-def integral_b_from_expm1(h: np.ndarray, e: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def integral_b_from_expm1(h: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
     """integral_b(h, r) for h = 2..N into ``out``, from h = 1..N and e = expm1(-r/h).
 
     Uses integral_b(h, r) = (h-1) e_{h-1} - h e_h, so the mean of the
     perturbed semigroup shares one expm1 pass per r with its diagonal.
-    ``scratch`` (length N) receives h e_h.
+    ``e`` is overwritten with h e_h.
     """
-    np.multiply(h, e, out=scratch)
-    np.subtract(scratch[:-1], scratch[1:], out=out)
+    e *= h
+    np.subtract(e[:-1], e[1:], out=out)
     return out

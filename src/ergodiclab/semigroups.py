@@ -24,7 +24,7 @@ import bisect
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = [
     "nullity",
     "apply_M",
     "apply_T",
-    "trajectory_M",
-    "trajectory_T",
+    "trajectory_kernel",
     "matrix_M",
     "matrix_N",
     "matrix_T",
@@ -186,53 +185,55 @@ def matrix_B(N: int) -> StructuredOperator:
 
 # --- trajectories over t-grids ---
 
-def _trajectory(t_grid: Iterable[float], x: TruncatedVector, perturbed: bool) -> Iterator[np.ndarray]:
-    """Yield M(t)x, or T(t)x if ``perturbed``, for each t of the grid.
+# The M/T kernels gather the support of x only when that skips 2**10 coordinates or more:
+# 100-point grids ran 1.0-1.8x faster gathered at N = 1024 (15x at 65536), one-point calls slower.
+SUPPORT_SKIP = 2**10
 
-    Every N-length array is allocated once per trajectory: per t there is
-    one exp(-t/h) pass, which serves the diagonal and b(n, t) alike, and
-    n(n-1) and the prefix sums x_1 + ... + x_{j-1} do not depend on t.
-    The yielded array is overwritten at the next step.
+
+def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Iterator[np.ndarray]]:
+    """Grid kernel of M(t)x, or of T(t)x if ``perturbed``, per t.
+
+    M(t) scales coordinate h by exp(-t/h), on the support of x only: off it
+    the signed zero x_h stays as scaling leaves it.  T(t) adds b(h, t) times
+    x_1 + ... + x_{h-1}, from an exp pass over every h that serves the
+    diagonal too.  Each kernel call owns its buffers (one N-vector for M,
+    three for T) and may run on its own thread; a row lives one step.
     """
     h = _h(x.dim)
-    decay = np.empty_like(h)
-    row = np.empty_like(h)
+    on = np.flatnonzero(x.coords) if x.dim - np.count_nonzero(x.coords) >= SUPPORT_SKIP else slice(None)
+    h_on, x_on = h[on], x.coords[on]
     coupled = perturbed and x.dim > 1
-    if coupled:
-        pairs = h[1:] * (h[1:] - 1)
-        prefix = np.cumsum(x.coords)[:-1]
-        b = np.empty_like(pairs)
-    for t in t_grid:
-        if t < 0:
-            raise ValueError(f"time t must be >= 0, got {t}")
-        np.divide(-t, h, out=decay)
-        np.exp(decay, out=decay)
-        np.multiply(decay, x.coords, out=row)
-        if coupled:
-            b_from_decay(t, decay[1:], pairs, b)
-            b *= prefix
-            row[1:] += b
-        yield row
+    h_d, d_on = (h, on) if coupled else (h_on, slice(None))
+    pairs, prefix = (h[1:] * (h[1:] - 1), np.cumsum(x.coords)[:-1]) if coupled else (None, None)
 
+    def rows(t_grid: Iterable[float]) -> Iterator[np.ndarray]:
+        base = x.coords.copy()
+        diag = base[on]  # a view on a full support, else a buffer scattered into base
+        decay, row = (np.empty_like(h), np.empty_like(h)) if coupled else (diag, base)
+        for t in t_grid:
+            if t < 0:
+                raise ValueError(f"time t must be >= 0, got {t}")
+            np.exp(np.divide(-t, h_d, out=decay), out=decay)
+            np.multiply(decay[d_on], x_on, out=diag)
+            base[on] = diag  # a no-op on a full support
+            if coupled:
+                b_from_decay(t, decay[1:], pairs, row[1:])
+                row[1:] *= prefix
+                row[1:] += base[1:]
+                row[0] = base[0]
+            yield row
 
-def trajectory_M(t_grid: Iterable[float], x: TruncatedVector) -> Iterator[np.ndarray]:
-    """M(t)x for each t, in one reused buffer (read each row before the next)."""
-    return _trajectory(t_grid, x, perturbed=False)
-
-
-def trajectory_T(t_grid: Iterable[float], x: TruncatedVector) -> Iterator[np.ndarray]:
-    """T(t)x for each t, in one reused buffer (read each row before the next)."""
-    return _trajectory(t_grid, x, perturbed=True)
+    return rows
 
 
 def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
     """M(t)x; exact at every truncation (no off-diagonal coupling)."""
-    return TruncatedVector(next(trajectory_M([t], x)))
+    return TruncatedVector(next(trajectory_kernel(x, perturbed=False)([t])))
 
 
 def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
     """T(t)x, less what lands beyond the truncation edge: at most tail_sum_b(N, t) ||x||_1."""
-    return TruncatedVector(next(trajectory_T([t], x)))
+    return TruncatedVector(next(trajectory_kernel(x, perturbed=True)([t])))
 
 
 # --- structural diagnostics ---

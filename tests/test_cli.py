@@ -306,11 +306,14 @@ def _run_raw_config(tmp_path, text, command="simulate"):
          "r_grid.count", "cesaro"),
         # the power-bound scan costs horizon dense products
         ('{"horizon": 4097}', "horizon", "simulate"),
+        # one index twice: the vector would keep the last value while validation summed both
+        ('{"N": 8, "vector": [[1, 0.5], [1, 0.5]], "r_grid": {"start": 0.5, "factor": 2, "count": 3}}',
+         "vector", "cesaro"),
     ],
     ids=[
         "r_grid_missing_keys", "s_matrix_not_object", "N_not_integer", "tolerances_not_object",
         "r_grid_overflow", "N_over_budget", "t_grid_count_over_budget", "r_grid_count_over_budget",
-        "horizon_over_budget",
+        "horizon_over_budget", "vector_index_twice",
     ],
 )
 def test_main_malformed_config_names_field(tmp_path, capsys, text, field, command):

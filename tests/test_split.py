@@ -1,0 +1,227 @@
+"""Support-aware M/T kernels and grids split across threads: the same bits for any CPU count."""
+
+import json
+import os
+import threading
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ergodiclab import cesaro, cli, semigroups, space
+from ergodiclab.cesaro import (
+    cesaro_M,
+    cesaro_T,
+    curve_cesaro_M,
+    curve_cesaro_M_opnorm,
+    curve_cesaro_T,
+    geometric_grid,
+)
+from ergodiclab.cli import EXIT_OK, main
+from ergodiclab.diagnostics import cauchy_convergence_test
+from ergodiclab.semigroups import apply_M, apply_T
+from ergodiclab.space import TruncatedVector
+
+CURVES = {"M": curve_cesaro_M, "T": curve_cesaro_T}
+FIELDS = ("r_grid", "trunc_error", "values", "steps", "max_coordinate", "max_index", "f_value")
+
+
+def sparse_vector(n, seed=17):
+    rng = np.random.default_rng(seed)
+    coords = np.zeros(n)
+    k = max(1, n // 8)
+    coords[rng.choice(n, k, replace=False)] = rng.uniform(-1.0, 1.0, k)
+    return TruncatedVector(coords)
+
+
+def gather_from(monkeypatch, skip):
+    """Make the M/T kernels gather the support of x once it skips ``skip`` coordinates."""
+    monkeypatch.setattr(semigroups, "SUPPORT_SKIP", skip)
+    monkeypatch.setattr(cesaro, "SUPPORT_SKIP", skip)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the process may use, and split every grid that has a row per piece.
+
+    The kernels gather every support that is not full, as they do on long rows.
+    """
+    monkeypatch.setattr(space, "SPLIT_DIM", 1)
+    monkeypatch.setattr(space, "SPLIT_ROWS", 1)
+    gather_from(monkeypatch, 1)
+
+    def use(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+    return use
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def simulate_csv(tmp_path, subject, x, ts):
+    config = {
+        "subject": subject,
+        "N": x.dim,
+        "vector": [[k + 1, v] for k, v in enumerate(x.coords.tolist()) if v],
+        "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
+        "t_grid": {"start": 0.0, "stop": 40.0, "count": ts},
+    }
+    tmp_path.mkdir()
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == EXIT_OK
+    return (tmp_path / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 13])
+@pytest.mark.parametrize("n", [1, 2, 257])
+@pytest.mark.parametrize("subject", sorted(CURVES))
+def test_curves_and_trajectories_keep_their_bytes_for_any_cpu_count(tmp_path, cpus, subject, n, count):
+    # count 2 and 5 are below 7 pieces; count 1 is one piece whatever the CPUs
+    x = sparse_vector(n)
+    rs = geometric_grid(0.5, 1.7, count)
+    results = {}
+    for k in (1, 2, 3, 7):
+        cpus(k)
+        curve = CURVES[subject](rs, x)
+        verdict = cauchy_convergence_test(curve, 1, 1e-2).to_json() if count >= 2 else None
+        results[k] = curve, curve.to_csv(), verdict, simulate_csv(tmp_path / str(k), subject, x, count)
+    serial, csv, verdict, trajectory = results[1]
+    for k in (2, 3, 7):
+        curve = results[k][0]
+        for name in FIELDS:
+            assert same_bits(getattr(curve, name), getattr(serial, name)), (k, name)
+        assert results[k][1:] == (csv, verdict, trajectory)
+
+
+def direct_M(r, x):
+    # the parent formula, in its operation order: ((h/r) * -expm1(-r/h)) * x
+    h = np.arange(1, x.dim + 1, dtype=float)
+    return (h / r) * -np.expm1(-r / h) * x.coords
+
+
+def direct_T(r, x):
+    h = np.arange(1, x.dim + 1, dtype=float)
+    row = direct_M(r, x)
+    if x.dim > 1:
+        he = h * np.expm1(-r / h)
+        row[1:] += (he[:-1] - he[1:]) * np.cumsum(x.coords)[:-1] / r
+    return row
+
+
+def direct_trajectory(t, x, perturbed):
+    h = np.arange(1, x.dim + 1, dtype=float)
+    decay = np.exp(-t / h)
+    row = decay * x.coords
+    if perturbed and x.dim > 1:
+        pairs = h[1:] * (h[1:] - 1)
+        row[1:] += -np.expm1(-t / pairs) * decay[1:] * np.cumsum(x.coords)[:-1]
+    return row
+
+
+EDGE_VECTORS = {
+    # explicit +0.0 and -0.0 entries after a negative prefix sum: at t = 0 the
+    # coupling there is -0.0, and the diagonal's +0.0 must win as before
+    "explicit_zeros": [-1.0, 0.0, -0.0, 0.25, 0.0, -0.0, 0.0, 0.0],
+    "minus_zero_N1": [-0.0],
+    "support_after_zeros": [-0.0, 0.0, 0.75, 0.0, -0.5, 0.0],
+    "zero_vector": [0.0] * 9,
+    "dense": np.random.default_rng(3).uniform(-1.0, 1.0, 300).tolist(),
+}
+
+
+@pytest.mark.parametrize("skip", [1, 2**62], ids=["gathered", "sliced"])
+@pytest.mark.parametrize("name", sorted(EDGE_VECTORS))
+def test_support_aware_rows_equal_the_direct_formulas(monkeypatch, name, skip):
+    gather_from(monkeypatch, skip)
+    x = TruncatedVector(np.array(EDGE_VECTORS[name]))
+    for r in geometric_grid(1e-3, 3.0, 8):
+        assert same_bits(cesaro_M(r, x).coords, direct_M(r, x))
+        assert same_bits(cesaro_T(r, x).coords, direct_T(r, x))
+    for t in np.linspace(0.0, 40.0, 6).tolist():
+        assert same_bits(apply_M(t, x).coords, direct_trajectory(t, x, perturbed=False))
+        assert same_bits(apply_T(t, x).coords, direct_trajectory(t, x, perturbed=True))
+
+
+def test_full_support_opnorm_equals_the_direct_formula():
+    rs = geometric_grid(0.5, 2.0, 12)
+    ones = TruncatedVector(np.ones(1024))
+    want = [direct_M(r, ones).max() for r in rs]
+    assert same_bits(curve_cesaro_M_opnorm(rs, 1024).values, want)
+
+
+def serial_and_split(cpus, run):
+    """The exception ``run`` raises on one CPU, then on seven; no thread may outlive the call."""
+    raised = []
+    before = threading.active_count()
+    for k in (1, 7):
+        cpus(k)
+        with pytest.raises(Exception) as info:
+            run()
+        raised.append((type(info.value), str(info.value)))
+        assert threading.active_count() == before
+    return raised
+
+
+@pytest.mark.parametrize("subject", sorted(CURVES))
+def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(cpus, subject):
+    rs = geometric_grid(0.5, 1.5, 20)
+    rs[9], rs[15] = -2.0, -1.0  # in the fourth and sixth of seven pieces; a serial run meets -2.0
+    first, split = serial_and_split(cpus, lambda: CURVES[subject](rs, sparse_vector(64)))
+    assert first == split == (ValueError, "averaging length r must be > 0, got -2.0")
+
+
+def poison(monkeypatch, module, first):
+    """Make ``module.row_stats`` see NaN in the row whose first coordinate is ``first``.
+
+    It sees it late, so that the first piece is done long before.
+    """
+    real = space.row_stats
+
+    def row_stats(row, scratch):
+        if row[0] == first:
+            time.sleep(0.2)
+            row = np.full_like(row, np.nan)
+        return real(row, scratch)
+
+    monkeypatch.setattr(module, "row_stats", row_stats)
+
+
+def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(cpus, monkeypatch, tmp_path):
+    x = TruncatedVector(np.eye(1, 32).ravel())
+    rs = geometric_grid(0.5, 1.1, 20)
+    poison(monkeypatch, cesaro, cesaro_M(rs[15], x).coords[0])
+    first, split = serial_and_split(cpus, lambda: curve_cesaro_M(rs, x))
+    assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
+
+    cfg = cli.ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
+    poison(monkeypatch, cli, apply_T(15.0, x).coords[0])
+    first, split = serial_and_split(cpus, lambda: cli.cmd_simulate(cfg))
+    assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+N_MEM = 4096
+
+
+def test_split_curve_memory_is_shared_plus_per_piece_buffers(cpus, monkeypatch):
+    # shared: h and the prefix sums; per piece: the T kernel's base, e and row
+    # and the reducer's prev and scratch (measured: 7.5, 17.8 and 38.5
+    # N-vectors for 1, 3 and 7 pieces).  The slack is 8 KiB per piece for its
+    # thread, frames and 8 support entries, the per-row summaries and a page.
+    x = TruncatedVector(np.where(np.arange(N_MEM) % 512 == 3, 0.5, 0.0))
+    rs = geometric_grid(1.0, 1.01, 200)
+    vector = N_MEM * 8
+    for k, span, pieces in ((1, N_MEM, 1), (3, 2**23, 3), (7, 2**23, 7), (7, 3 * N_MEM, 3)):
+        cpus(k)
+        monkeypatch.setattr(space, "SPLIT_SPAN", span)  # at most span // N pieces, whatever the CPUs
+        tracemalloc.start()
+        try:
+            curve_cesaro_T(rs, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 + 5 * pieces) * vector + pieces * 8192 + 6 * 200 * 8 + 4096, pieces

@@ -15,7 +15,7 @@ from ergodiclab.cesaro import (
 )
 from ergodiclab.cli import EXIT_OK, main
 from ergodiclab.coeffs import integral_b_row
-from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T, trajectory_T
+from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T, trajectory_kernel
 from ergodiclab.space import DualFunctional, TruncatedVector, norm_l1, pair, row_stats
 
 F = DualFunctional.constant_one()
@@ -107,7 +107,7 @@ def memory_peaks(count):
         _, curve_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         scratch = np.empty(N_MEM)
-        for y in trajectory_T(ts, x):
+        for y in trajectory_kernel(x, perturbed=True)(ts):
             row_stats(y, scratch)
         _, trajectory_peak = tracemalloc.get_traced_memory()
     finally:
