@@ -7,10 +7,10 @@ power-bounded matrix integrates its uniformization series term by term
 into Poisson upper tails.  An adaptive Simpson quadrature serves only as
 the independent oracle for every closed form.
 
-Each closed form is a grid kernel (``means_kernel``, ``stream_cesaro_S``)
-that yields one mean per r from buffers allocated once per call; the
-per-point functions are its one-point case, and a curve keeps per-sample
-summaries only, so curves take O(N) memory per thread at any grid count.
+Each mean is a grid kernel (``means_kernel``, ``stream_cesaro_S``) that
+yields one mean per r from buffers allocated once per call; the per-point
+functions are its one-point case, and ||C_M(r)|| is a formula in r and N
+alone.  Curves keep per-sample summaries: O(N) memory per thread at any grid count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeffs import integral_b_from_expm1
 from .exp_semigroup import PowerBoundedOperator, poisson_window
-from .semigroups import SUPPORT_SKIP
+from .semigroups import kernel_support
 from .space import TruncatedVector, norm_l1, row_stats, run_split
 
 __all__ = [
@@ -77,7 +77,7 @@ def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[floa
     at most.  Each call owns its buffers: up to two N-vectors for M, four for T.
     """
     h = np.arange(1, x.dim + 1, dtype=float)
-    on = np.flatnonzero(x.coords) if x.dim - np.count_nonzero(x.coords) >= SUPPORT_SKIP else slice(None)
+    on = kernel_support(x.coords)
     h_on, x_on = h[on], x.coords[on]
     coupled = perturbed and x.dim > 1
     h_e, e_on = (h, on) if coupled else (h_on, slice(None))
@@ -117,6 +117,15 @@ def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
     return TruncatedVector(next(means_kernel(x, perturbed=True)([r]))[0])
 
 
+def _M_opnorm(r: np.ndarray, N: int) -> np.ndarray:
+    """(N/r)(1 - exp(-r/N)) over an array of r, by numpy's expm1 like the h = N entry of means_kernel."""
+    if N < 1:
+        raise ValueError(f"truncation N must be >= 1, got {N}")
+    if np.any(r <= 0):
+        _check_r(float(r.min()))
+    return (N / r) * -np.expm1(-r / N)
+
+
 def cesaro_M_opnorm(r: float, N: int) -> float:
     """Exact l1 operator norm of the decay-semigroup mean at truncation N.
 
@@ -125,7 +134,7 @@ def cesaro_M_opnorm(r: float, N: int) -> float:
     fixed N it decays like N/r as r grows: finite truncations are
     uniformly mean ergodic, but no norm decay happens uniformly in N.
     """
-    return float(curve_cesaro_M_opnorm([r], N).values[0])
+    return float(_M_opnorm(np.array([r], dtype=float), N)[0])
 
 
 def cesaro_T_certificate(r: float, N: int) -> float:
@@ -409,14 +418,6 @@ def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: flo
 
 
 def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:
-    """||C_M(r)|| per r: the largest diagonal entry, the mean of the all-ones vector at h = N."""
-    if N < 1:
-        raise ValueError(f"truncation N must be >= 1, got {N}")
+    """||C_M(r)|| per r: the closed form of cesaro_M_opnorm, O(1) per r at any N."""
     r_grid = np.asarray(r_grid, dtype=float)
-    ones = TruncatedVector(np.ones(N))
-    return CesaroCurve(
-        r_grid=r_grid,
-        kind="norm",
-        values=np.array([float(row.max()) for row, _ in means_kernel(ones, perturbed=False)(r_grid)]),
-        trunc_error=np.zeros(r_grid.size),
-    )
+    return CesaroCurve(r_grid=r_grid, kind="norm", values=_M_opnorm(r_grid, N), trunc_error=np.zeros(r_grid.size))

@@ -209,6 +209,8 @@ class ExperimentConfig:
             problems.append("r_grid start and factor must be finite")
         elif start <= 0 or factor <= 1:
             problems.append("r_grid needs start > 0 and factor > 1")
+        elif self.N <= _N_CAP and not math.isfinite(self.N / start):  # the kernels scale coordinate h by h/r
+            problems.append(f"r_grid.start must be above N / DBL_MAX = {self.N / sys.float_info.max:.3g}, got {start!r}")
         t0, t1, tcount = self.t_grid
         if tcount < 1:
             problems.append("t_grid count must be >= 1")
@@ -255,7 +257,7 @@ class ExperimentConfig:
             problems.append(
                 f"subject S runs dense exponential series; use N <= {_S_DIM_CAP}"
             )
-        if self.N >= 1 and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
+        if 1 <= self.N <= _N_CAP and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
             try:
                 r_max = start * factor ** (count - 1)
             except OverflowError:
@@ -289,7 +291,7 @@ class ExperimentConfig:
     def power_operator(self) -> PowerBoundedOperator:
         kind = self.s_matrix[0]
         if kind == "identity":
-            return PowerBoundedOperator.identity(self.N, horizon=self.horizon)
+            return PowerBoundedOperator.identity(self.N)
         if kind == "timestep":
             return PowerBoundedOperator.from_timestep(
                 float(self.s_matrix[1]), self.N, horizon=self.horizon

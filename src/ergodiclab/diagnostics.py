@@ -18,7 +18,7 @@ import numpy as np
 
 from .cesaro import CesaroCurve, cesaro_M_opnorm, curve_cesaro_T
 from .exp_semigroup import PowerBoundedOperator
-from .semigroups import RANK_RTOL, StructuredOperator, matrix_A, matrix_A_inverse, nullity
+from .semigroups import StructuredOperator, matrix_A, matrix_A_inverse, nullity, numerical_rank
 from .space import TruncatedVector, basis_vector
 
 __all__ = [
@@ -74,11 +74,9 @@ def kernel_criterion(op: StructuredOperator) -> list[Evidence]:
 
 def _null_basis(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space (columns); may have zero columns."""
-    u, svals, vt = np.linalg.svd(matrix)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.eye(matrix.shape[0])
-    rank = int(np.sum(svals > RANK_RTOL * svals[0]))
-    return vt[rank:].T
+    _, svals, vt = np.linalg.svd(matrix)
+    rank = numerical_rank(svals)
+    return vt[rank:].T if rank else np.eye(matrix.shape[0])
 
 
 def sine_criterion(T: PowerBoundedOperator) -> list[Evidence]:
@@ -100,9 +98,7 @@ def sine_criterion(T: PowerBoundedOperator) -> list[Evidence]:
         separated = False
     else:
         gram = fix_T.T @ fix_Tp  # rows: fixed vectors, cols: fixed functionals
-        svals = np.linalg.svd(gram, compute_uv=False)
-        rank = int(np.sum(svals > RANK_RTOL * max(svals[0], 1e-300)))
-        separated = rank == dim_fix_adj
+        separated = numerical_rank(np.linalg.svd(gram, compute_uv=False)) == dim_fix_adj
     evidence = [
         Evidence("fixed_space_dim", dim_fix, ref="fixed-space separation"),
         Evidence("adjoint_fixed_space_dim", dim_fix_adj, ref="fixed-space separation"),

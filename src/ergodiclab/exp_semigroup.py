@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +39,23 @@ class PowerBoundedOperator:
 
     ``power_bound`` bounds the l1 operator norms of T^n over all n >= 0
     (n = 0 included, so the bound is always >= 1 and the renorm below
-    dominates the original norm).  ``from_matrix`` certifies it by a power
-    k <= horizon with ||T^k||_1 <= 1, and reports inf when there is none.
+    dominates the original norm).  Its certificate is ``certified_power``,
+    a k >= 1 with ||T^k||_1 <= 1, past which no power norm exceeds
+    max_{n<k} ||T^n||_1; an operator without one has power_bound inf.
     """
 
     matrix: np.ndarray
     power_bound: float
-    horizon: int
+    certified_power: int | None
 
     def __post_init__(self):
         arr = np.asarray(self.matrix, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if (self.certified_power is None) != (self.power_bound == math.inf):
+            raise ValueError("a finite power_bound needs a certified_power and an infinite one has none")
+        if self.certified_power is not None and self.certified_power < 1:
+            raise ValueError("certified_power must be >= 1")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -78,19 +80,19 @@ class PowerBoundedOperator:
         bound = 1.0  # n = 0 term
         power = np.eye(arr.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(horizon):
+            for k in range(1, horizon + 1):
                 power = arr @ power
                 norm = opnorm_l1(power)
                 if not math.isfinite(norm):
                     break
                 if norm <= 1.0:
-                    return cls(matrix=arr, power_bound=bound, horizon=horizon)
+                    return cls(matrix=arr, power_bound=bound, certified_power=k)
                 bound = max(bound, norm)
-        return cls(matrix=arr, power_bound=math.inf, horizon=horizon)
+        return cls(matrix=arr, power_bound=math.inf, certified_power=None)
 
     @classmethod
-    def identity(cls, dim: int, horizon: int = 256) -> "PowerBoundedOperator":
-        return cls(matrix=np.eye(dim), power_bound=1.0, horizon=horizon)
+    def identity(cls, dim: int) -> "PowerBoundedOperator":
+        return cls(matrix=np.eye(dim), power_bound=1.0, certified_power=1)
 
     @classmethod
     def from_timestep(cls, t: float, dim: int, horizon: int = 256) -> "PowerBoundedOperator":
@@ -99,30 +101,21 @@ class PowerBoundedOperator:
 
 
 def renorm(x: TruncatedVector, T: PowerBoundedOperator) -> float:
-    """Renorm |||x||| = max_{0 <= n <= horizon} ||T^n x||_1.
+    """Renorm |||x||| = sup_{n >= 0} ||T^n x||_1, exactly max_{0 <= m < k} ||T^m x||_1.
 
-    Includes n = 0, so ||x||_1 <= |||x||| <= power_bound * ||x||_1.  The
-    finite horizon stands in for a sup over all powers; if the max is
-    attained only in the last 10% of powers the horizon has not
-    stabilized and a warning is emitted.
+    With k the certified power, n = qk + m gives ||T^n x|| <= ||T^k||^q ||T^m x||
+    <= ||T^m x||, so the sup is reached below k.  Includes m = 0, so
+    ||x||_1 <= |||x||| <= power_bound * ||x||_1.
     """
     if x.dim != T.dim:
         raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
-    v = x.coords.copy()
+    if T.certified_power is None:
+        raise ValueError("renorm needs a certified power bound, and this operator has none")
+    v = x.coords
     best = float(np.abs(v).sum())
-    best_at = 0
-    for n in range(1, T.horizon + 1):
+    for _ in range(1, T.certified_power):
         v = T.matrix @ v
-        norm = float(np.abs(v).sum())
-        if norm > best:
-            best = norm
-            best_at = n
-    if best_at > 0.9 * T.horizon:
-        warnings.warn(
-            f"renorm max attained at power {best_at} of {T.horizon}: "
-            "horizon too short to have stabilized",
-            stacklevel=2,
-        )
+        best = max(best, float(np.abs(v).sum()))
     return best
 
 

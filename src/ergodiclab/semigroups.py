@@ -107,6 +107,11 @@ class StructuredOperator:
 RANK_RTOL = 1e-10
 
 
+def numerical_rank(svals: np.ndarray) -> int:
+    """How many of the descending singular values ``svals`` exceed RANK_RTOL times the largest (0 if all vanish)."""
+    return int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
+
+
 def nullity(op: StructuredOperator) -> int:
     """Null-space dimension of ``op``, which is also that of its adjoint.
 
@@ -120,10 +125,7 @@ def nullity(op: StructuredOperator) -> int:
         scale = max(scale, np.abs(op.below[1:]).max())
     if scale > 0.0 and np.abs(op.diag).min() > RANK_RTOL * scale:
         return 0
-    svals = np.linalg.svd(op.dense(), compute_uv=False)
-    if svals[0] == 0.0:
-        return op.dim
-    return int(np.sum(svals <= RANK_RTOL * svals[0]))
+    return op.dim - numerical_rank(np.linalg.svd(op.dense(), compute_uv=False))
 
 
 def _h(N: int) -> np.ndarray:
@@ -190,6 +192,11 @@ def matrix_B(N: int) -> StructuredOperator:
 SUPPORT_SKIP = 2**10
 
 
+def kernel_support(coords: np.ndarray) -> np.ndarray | slice:
+    """Where the M/T kernels scale x: its nonzeros, or a full slice when that skips fewer than SUPPORT_SKIP."""
+    return np.flatnonzero(coords) if coords.size - np.count_nonzero(coords) >= SUPPORT_SKIP else slice(None)
+
+
 def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Iterator[np.ndarray]]:
     """Grid kernel of M(t)x, or of T(t)x if ``perturbed``, per t.
 
@@ -200,7 +207,7 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
     three for T) and may run on its own thread; a row lives one step.
     """
     h = _h(x.dim)
-    on = np.flatnonzero(x.coords) if x.dim - np.count_nonzero(x.coords) >= SUPPORT_SKIP else slice(None)
+    on = kernel_support(x.coords)
     h_on, x_on = h[on], x.coords[on]
     coupled = perturbed and x.dim > 1
     h_d, d_on = (h, on) if coupled else (h_on, slice(None))

@@ -112,6 +112,25 @@ def test_cesaro_M_opnorm_values():
     assert cesaro_M_opnorm(1e6, 10) <= 10.0 / 1e6
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_opnorm_is_the_max_of_the_dense_mean_diagonal(n):
+    rs = geometric_grid(1e-3, 3.0, 12)
+    want = []
+    for r in rs:
+        dense = np.column_stack([cesaro_M(r, basis_vector(k, n)).coords for k in range(1, n + 1)])
+        want.append(float(np.diag(dense).max()))
+    assert curve_cesaro_M_opnorm(rs, n).values.tolist() == want
+    assert [cesaro_M_opnorm(r, n) for r in rs] == want
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_opnorm_refuses_a_nonpositive_r(bad):
+    with pytest.raises(ValueError, match="averaging length"):
+        cesaro_M_opnorm(bad, 8)
+    with pytest.raises(ValueError, match="averaging length"):
+        curve_cesaro_M_opnorm([bad, 1.0], 8)
+
+
 def test_cesaro_M_opnorm_floor_inside_r_le_N():
     for n in (4, 64, 1024):
         for r in np.linspace(1.0, float(n), 7):

@@ -291,6 +291,12 @@ def _run_raw_config(tmp_path, text, command="simulate"):
     return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
 
 
+def _tiny_start(subject, start):
+    cfg = {"N": 65536, "vector": [[1, 1.0]], "r_grid": {"start": start, "factor": 2.0, "count": 40}}
+    cfg.update({"subject": "M", "mode": "opnorm"} if subject == "opnorm" else {"subject": subject})
+    return json.dumps(cfg)
+
+
 @pytest.mark.parametrize(
     "text, field, command",
     [
@@ -301,6 +307,8 @@ def _run_raw_config(tmp_path, text, command="simulate"):
         ('{"r_grid": {"start": 1, "factor": 1e308, "count": 3}}', "r_grid", "simulate"),
         # beyond the size budget: refused before any N-vector or grid is allocated
         ('{"N": 10000000000000}', "N", "cesaro"),
+        # an N no float holds: the checks that divide by N skip it
+        ('{"N": 1' + "0" * 400 + '}', "N", "cesaro"),
         ('{"t_grid": {"start": 0, "stop": 1, "count": 1000000000000}}', "t_grid.count", "simulate"),
         ('{"r_grid": {"start": 1e-300, "factor": 1.000000000000001, "count": 1000000000000}}',
          "r_grid.count", "cesaro"),
@@ -309,11 +317,17 @@ def _run_raw_config(tmp_path, text, command="simulate"):
         # one index twice: the vector would keep the last value while validation summed both
         ('{"N": 8, "vector": [[1, 0.5], [1, 0.5]], "r_grid": {"start": 0.5, "factor": 2, "count": 3}}',
          "vector", "cesaro"),
+        # N / start overflows, below N / DBL_MAX = 3.65e-304 at N = 65536
+        (_tiny_start("T", 3.5e-304), "r_grid.start", "cesaro"),
+        (_tiny_start("T", 1e-320), "r_grid.start", "cesaro"),
+        (_tiny_start("opnorm", 3.5e-304), "r_grid.start", "cesaro"),
+        (_tiny_start("opnorm", 1e-305), "r_grid.start", "cesaro"),
     ],
     ids=[
         "r_grid_missing_keys", "s_matrix_not_object", "N_not_integer", "tolerances_not_object",
-        "r_grid_overflow", "N_over_budget", "t_grid_count_over_budget", "r_grid_count_over_budget",
+        "r_grid_overflow", "N_over_budget", "N_beyond_float", "t_grid_count_over_budget", "r_grid_count_over_budget",
         "horizon_over_budget", "vector_index_twice",
+        "T_start_3.5e-304", "T_start_subnormal", "opnorm_start_3.5e-304", "opnorm_start_1e-305",
     ],
 )
 def test_main_malformed_config_names_field(tmp_path, capsys, text, field, command):
@@ -321,6 +335,16 @@ def test_main_malformed_config_names_field(tmp_path, capsys, text, field, comman
     err = capsys.readouterr().err
     assert f"config error: {field}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subject", ["M", "T", "opnorm"])
+def test_start_just_inside_the_overflow_bound_runs_finite(tmp_path, subject):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run_raw_config(tmp_path, _tiny_start(subject, 4e-304), "cesaro") == EXIT_OK
+    lines = (tmp_path / "out" / "cesaro_curve.csv").read_text().splitlines()[1:]
+    cells = [float(c) for line in lines for c in line.split(",") if c]
+    assert len(lines) == 40 and all(math.isfinite(c) for c in cells)
 
 
 @pytest.mark.parametrize(

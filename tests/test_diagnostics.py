@@ -120,7 +120,7 @@ def test_sine_criterion_diagonal():
 def test_sine_criterion_detects_failed_separation():
     # Jordan block at eigenvalue 1: fix(T) = span(e_1), fix(T') = span(e_2),
     # and <e_1, e_2> = 0, so separation fails (the operator is not mean ergodic)
-    T = PowerBoundedOperator(matrix=np.array([[1.0, 1.0], [0.0, 1.0]]), power_bound=1.0, horizon=4)
+    T = PowerBoundedOperator.from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]), horizon=4)
     evs = evidence_map(sine_criterion(T))
     assert evs["fixed_space_dim"].value == 1
     assert evs["adjoint_fixed_space_dim"].value == 1

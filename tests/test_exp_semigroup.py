@@ -147,11 +147,47 @@ def test_renorm_contractivity(T1_64):
         assert renorm(image, T1_64) <= renorm(x, T1_64) + 1e-12
 
 
-def test_renorm_warns_when_horizon_not_stabilized():
-    # norms grow all the way to the horizon for an expanding 1x1 matrix
-    T = PowerBoundedOperator(matrix=np.array([[1.01]]), power_bound=1.01**20, horizon=20)
-    with pytest.warns(UserWarning, match="horizon too short"):
-        renorm(vector([1.0]), T)
+def walked_renorm(x, T, powers=4096):
+    """max ||T^n x||_1 over n <= powers, the sup that renorm reads off its certified power."""
+    v, best = x.coords, norm_l1(x)
+    for _ in range(powers):
+        v = T.matrix @ v
+        best = max(best, float(np.abs(v).sum()))
+    return best
+
+
+@pytest.mark.parametrize(
+    "T, k, bound",
+    [
+        (PowerBoundedOperator.identity(5), 1, 1.0),
+        (PowerBoundedOperator.from_matrix(np.zeros((5, 5))), 1, 1.0),
+        (PowerBoundedOperator.from_timestep(1.0, 64), 1, 1.0),
+        # ||T^n||_1 = 2, 1.75, 1.25, then 0.8125 <= 1 at n = 4
+        (PowerBoundedOperator.from_matrix(np.array([[0.5, 1.5], [0.0, 0.5]])), 4, 2.0),
+    ],
+    ids=["identity", "zero", "timestep_64", "certified_at_4"],
+)
+def test_renorm_equals_the_walk_over_4096_powers(T, k, bound):
+    assert (T.certified_power, T.power_bound) == (k, bound)
+    rng = np.random.default_rng(5)
+    for x in [basis_vector(j, T.dim) for j in (1, T.dim)] + [rand_vec(rng, T.dim) for _ in range(5)]:
+        assert renorm(x, T) == walked_renorm(x, T)
+
+
+def test_renorm_refuses_an_operator_without_a_certified_bound():
+    T = PowerBoundedOperator.from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]), horizon=64)
+    assert T.power_bound == math.inf and T.certified_power is None
+    with pytest.raises(ValueError, match="certified"):
+        renorm(vector([1.0, 1.0]), T)
+
+
+def test_power_bound_and_certified_power_agree():
+    with pytest.raises(ValueError, match="certified_power"):
+        PowerBoundedOperator(matrix=np.eye(2), power_bound=1.0, certified_power=None)
+    with pytest.raises(ValueError, match="certified_power"):
+        PowerBoundedOperator(matrix=np.eye(2), power_bound=math.inf, certified_power=3)
+    with pytest.raises(ValueError, match="certified_power"):
+        PowerBoundedOperator(matrix=np.eye(2), power_bound=1.0, certified_power=0)
 
 
 def test_renorm_no_warning_when_stabilized(T1_64):

@@ -1,0 +1,45 @@
+"""Every subcommand runs its default config in a fresh interpreter with numpy's warnings as errors.
+
+A numpy overflow or invalid value raises a RuntimeWarning; under
+``-W error::RuntimeWarning`` it becomes a traceback on stderr, so a run
+passes only with exit 0 and nothing written to stderr.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+SMALL_R = {"start": 0.5, "factor": 2.0, "count": 6}
+RUNS = {
+    "simulate_M": ("simulate", ["--subject", "M"], None),
+    "simulate_T": ("simulate", ["--subject", "T"], None),
+    "simulate_S": ("simulate", [], {"subject": "S", "N": 64, "r_grid": SMALL_R}),
+    "cesaro_M": ("cesaro", ["--subject", "M"], None),
+    "cesaro_T": ("cesaro", ["--subject", "T"], None),
+    "cesaro_opnorm": ("cesaro", [], {"subject": "M", "mode": "opnorm"}),
+    "cesaro_S": ("cesaro", [], {"subject": "S", "N": 64, "r_grid": SMALL_R}),
+    "verify": ("verify", [], None),
+    "matrix": ("matrix", [], None),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_default_run_is_warning_free(tmp_path, name):
+    command, flags, config = RUNS[name]
+    argv = [command, "--out", str(tmp_path / "out"), *flags]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ergodiclab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")

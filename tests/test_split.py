@@ -38,7 +38,6 @@ def sparse_vector(n, seed=17):
 def gather_from(monkeypatch, skip):
     """Make the M/T kernels gather the support of x once it skips ``skip`` coordinates."""
     monkeypatch.setattr(semigroups, "SUPPORT_SKIP", skip)
-    monkeypatch.setattr(cesaro, "SUPPORT_SKIP", skip)
 
 
 @pytest.fixture
