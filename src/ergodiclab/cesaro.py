@@ -4,8 +4,9 @@ Closed forms are the production path for all three semigroups: the
 diagonal decay semigroup has diagonal means, the perturbed one reduces
 to the coefficient antiderivatives, and the exponential semigroup of a
 power-bounded matrix integrates its uniformization series term by term
-into Poisson upper tails.  An adaptive Simpson quadrature serves only as
-the independent oracle for every closed form.
+into Poisson upper tails.  An adaptive Simpson quadrature over grid
+integrands, one call per refinement level, serves only as the independent
+oracle for every closed form.
 
 Each mean is a grid kernel (``means_kernel``, ``stream_cesaro_S``) that
 yields one mean per r from buffers allocated once per call; the per-point
@@ -48,6 +49,8 @@ _EPS = sys.float_info.epsilon
 
 # a streamed row is (C(r)x in a buffer the next step overwrites, its trunc_error)
 Rows = Iterator[tuple[np.ndarray, float]]
+# a grid integrand yields one row per node, possibly in a buffer the next step overwrites
+Integrand = Callable[[np.ndarray], Iterable[np.ndarray]]
 
 
 class QuadratureError(RuntimeError):
@@ -149,19 +152,16 @@ def cesaro_T_certificate(r: float, N: int) -> float:
     return 1.0 - (N / r) * -math.expm1(-r / N)
 
 
-def adaptive_simpson(
-    f: Callable[[float], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
-    budget: int = 2**20,
-) -> np.ndarray:
-    """Adaptive composite Simpson rule for array-valued integrands.
+def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int = 2**20) -> np.ndarray:
+    """Adaptive composite Simpson rule for a grid integrand ``f(nodes) -> rows``.
 
-    Bisection is keyed to the l1 norm of the local Richardson defect;
-    an interval is accepted when that defect is within 15x its share of
-    the tolerance.  Raises QuadratureError with the best estimate and the
-    achieved error bound if ``budget`` evaluations are not enough.
+    ``f`` yields one 1-d row per node; as in the grid kernels (``semigroups.trajectory_kernel``) a row
+    may be a buffer that the next step overwrites, so each is copied.  One call of ``f`` evaluates the
+    new midpoints of every interval of a refinement level.  Bisection is keyed to the l1 norm of the
+    local Richardson defect; an interval is accepted when that defect is within 15x its share of the
+    tolerance.  Accepted intervals are summed by descending left end, the order of a depth-first
+    refinement that takes right halves first.  Raises QuadratureError with the best estimate and the
+    achieved error bound if ``budget`` nodes are not enough.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -169,81 +169,73 @@ def adaptive_simpson(
         raise ValueError(f"need b > a, got [{a}, {b}]")
     if budget < 8:
         raise ValueError(f"budget too small to form any estimate, got {budget}")
-    evals = [0]
-
-    def ev(s: float) -> np.ndarray:
-        evals[0] += 1
-        if evals[0] > budget:
-            raise _BudgetExhausted()
-        return np.asarray(f(s), dtype=float)
-
-    def simpson(lo, f_lo, hi, f_hi):
-        mid = 0.5 * (lo + hi)
-        f_mid = ev(mid)
-        return mid, f_mid, (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-
-    fa = ev(a)
-    fb = ev(b)
-    m0, fm0, whole0 = simpson(a, fa, b, fb)
-    acc = np.zeros_like(fa)
-    acc_err = 0.0
-    min_width = (b - a) * 1e-13
-    # stack entries: (lo, f_lo, mid, f_mid, hi, f_hi, whole, local_tol)
-    stack = [(a, fa, m0, fm0, b, fb, whole0, tol)]
-    in_flight = None  # whole of the interval being refined when budget dies
-    try:
-        while stack:
-            lo, f_lo, mid, f_mid, hi, f_hi, whole, ltol = stack.pop()
-            in_flight = whole
-            lm, f_lm, left = simpson(lo, f_lo, mid, f_mid)
-            rm, f_rm, right = simpson(mid, f_mid, hi, f_hi)
-            in_flight = None
-            delta = left + right - whole
-            err = float(np.abs(delta).sum()) / 15.0
-            if err <= ltol or (hi - lo) < min_width:
-                acc = acc + left + right + delta / 15.0
-                acc_err += err
-            else:
-                stack.append((lo, f_lo, lm, f_lm, mid, f_mid, left, 0.5 * ltol))
-                stack.append((mid, f_mid, rm, f_rm, hi, f_hi, right, 0.5 * ltol))
-    except _BudgetExhausted:
-        pending = [entry[6] for entry in stack]
-        if in_flight is not None:
-            pending.append(in_flight)
-        best = acc + sum(pending, np.zeros_like(acc))
-        # unrefined intervals carry no defect estimate; their whole l1 mass
-        # is a safe overestimate of what the result may still move by
-        achieved = acc_err + sum(float(np.abs(p).sum()) for p in pending)
-        raise QuadratureError(
-            f"quadrature budget {budget} exhausted before reaching tol {tol}",
-            best_estimate=best,
-            achieved_error=achieved,
-        ) from None
-    return acc
+    # the pending intervals: ends and midpoints, the integrand there, Simpson estimates
+    lo, mid, hi = np.array([a]), np.array([0.5 * (a + b)]), np.array([b])
+    f_lo, f_mid, f_hi = _rows(f, np.concatenate([lo, mid, hi]))[:, None]
+    whole = _simpson(hi - lo, f_lo, f_mid, f_hi)
+    evals, ltol, min_width = 3, tol, (b - a) * 1e-13
+    accepted = []  # per level: the accepted intervals' left ends, (left, right, defect / 15) terms, errors
+    while lo.size:
+        k = lo.size
+        if evals + 2 * k > budget:
+            # unrefined intervals carry no defect estimate; their l1 mass safely bounds what they may still move
+            raise QuadratureError(
+                f"quadrature budget {budget} exhausted before reaching tol {tol}",
+                best_estimate=_sum_accepted(accepted) + whole.sum(axis=0),
+                achieved_error=sum(float(e.sum()) for *_, e in accepted) + float(np.abs(whole).sum()),
+            )
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        fresh = _rows(f, np.concatenate([lm, rm]))
+        evals += 2 * k
+        left = _simpson(mid - lo, f_lo, fresh[:k], f_mid)
+        right = _simpson(hi - mid, f_mid, fresh[k:], f_hi)
+        delta = left + right - whole
+        err = np.abs(delta).sum(axis=1) / 15.0
+        ok = (err <= ltol) | ((hi - lo) < min_width)
+        accepted.append((lo[ok], np.stack([left[ok], right[ok], delta[ok] / 15.0], axis=1), err[ok]))
+        # the next level: the left halves of the refined intervals, then their right halves
+        go = ~ok
+        lo, mid, hi, f_lo, f_hi, whole = (
+            np.concatenate([first[go], second[go]])
+            for first, second in ((lo, mid), (lm, rm), (mid, hi), (f_lo, f_mid), (f_mid, f_hi), (left, right))
+        )
+        f_mid = fresh[np.concatenate([go, go])]
+        ltol = 0.5 * ltol
+    return _sum_accepted(accepted)
 
 
-class _BudgetExhausted(Exception):
-    pass
+def _rows(f, nodes: np.ndarray) -> np.ndarray:
+    """The integrand's rows at ``nodes`` as a (nodes, n) array, each copied before the next step."""
+    out, count = None, 0
+    for count, row in enumerate(f(nodes), start=1):
+        if out is None:
+            out = np.empty((nodes.size, np.size(row)))
+        out[count - 1] = row
+    if count != nodes.size:
+        raise ValueError(f"the integrand yielded {count} rows for {nodes.size} nodes")
+    return out
 
 
-def cesaro_quadrature(
-    semigroup_apply: Callable[[float, TruncatedVector], TruncatedVector],
-    r: float,
-    x: TruncatedVector,
-    tol: float,
-    budget: int = 2**20,
-) -> TruncatedVector:
-    """Quadrature oracle for the mean of an arbitrary semigroup.
+def _simpson(width: np.ndarray, f_lo: np.ndarray, f_mid: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    """Simpson's rule on a stack of intervals, one row per interval."""
+    return (width / 6.0)[:, None] * (f_lo + 4.0 * f_mid + f_hi)
 
-    Approximates (1/r) * integral of semigroup_apply(s, x) over [0, r]
-    with l1 error below ``tol``.
+
+def _sum_accepted(accepted) -> np.ndarray:
+    """The sum by descending left end, each interval adding left, right and defect / 15 in turn, bit for bit."""
+    ends = np.concatenate([e for e, _, _ in accepted])
+    terms = np.concatenate([t for _, t, _ in accepted])[np.argsort(ends)[::-1]]
+    n = terms.shape[2]
+    return np.cumsum(np.concatenate([np.zeros((1, n)), terms.reshape(-1, n)]), axis=0)[-1]
+
+
+def cesaro_quadrature(kernel: Integrand, r: float, tol: float, budget: int = 2**20) -> TruncatedVector:
+    """Quadrature oracle for the mean (1/r) * integral over [0, r] of an orbit, within ``tol`` in l1.
+
+    ``kernel(nodes)`` yields the orbit at each node, as ``semigroups.trajectory_kernel(x, perturbed)`` does.
     """
     _check_r(r)
-
-    def integrand(s: float) -> np.ndarray:
-        return semigroup_apply(s, x).coords
-
-    total = adaptive_simpson(integrand, 0.0, r, tol * r, budget=budget)
+    total = adaptive_simpson(kernel, 0.0, r, tol * r, budget=budget)
     return TruncatedVector(total / r)
 
 

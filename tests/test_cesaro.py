@@ -21,9 +21,10 @@ from ergodiclab.cesaro import (
     geometric_grid,
     stream_cesaro_S,
 )
-from ergodiclab import cesaro
+from ergodiclab import cesaro, verification
+from ergodiclab.coeffs import b, integral_b
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S
-from ergodiclab.semigroups import apply_M, apply_T
+from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
 from ergodiclab.space import (
     DualFunctional,
     TruncatedVector,
@@ -42,39 +43,184 @@ FLOOR = 1.0 - 1.0 / math.e
 
 def test_simpson_exact_on_cubics():
     # Simpson integrates cubics exactly; the adaptive layer must not spoil that
-    result = adaptive_simpson(lambda s: np.array([s**3 - 2 * s + 1]), 0.0, 2.0, 1e-12)
+    result = adaptive_simpson(lambda nodes: [[s**3 - 2 * s + 1] for s in nodes], 0.0, 2.0, 1e-12)
     assert result[0] == pytest.approx(4.0 - 4.0 + 2.0, abs=1e-13)
 
 
 def test_simpson_on_exponential():
-    result = adaptive_simpson(lambda s: np.array([math.exp(-s)]), 0.0, 3.0, 1e-12)
+    result = adaptive_simpson(lambda nodes: [[math.exp(-s)] for s in nodes], 0.0, 3.0, 1e-12)
     assert result[0] == pytest.approx(1.0 - math.exp(-3.0), abs=1e-11)
 
 
 def test_simpson_vector_valued():
     result = adaptive_simpson(
-        lambda s: np.array([math.sin(s), math.cos(s)]), 0.0, math.pi / 2, 1e-12
+        lambda nodes: [[math.sin(s), math.cos(s)] for s in nodes], 0.0, math.pi / 2, 1e-12
     )
     assert result == pytest.approx([1.0, 1.0], abs=1e-11)
 
 
 def test_simpson_budget_exhaustion_carries_payload():
-    # an oscillatory integrand at an impossible tolerance must fail loudly
+    # an oscillatory integrand at an impossible tolerance must fail loudly,
+    # having evaluated no more nodes than the budget allows
+    seen = []
+
+    def f(nodes):
+        seen.extend(nodes.tolist())
+        return ([math.sin(1000.0 * s)] for s in nodes)
+
     with pytest.raises(QuadratureError) as info:
-        adaptive_simpson(
-            lambda s: np.array([math.sin(1000.0 * s)]), 0.0, 10.0, 1e-18, budget=64
-        )
+        adaptive_simpson(f, 0.0, 10.0, 1e-18, budget=64)
     err = info.value
     assert err.best_estimate.shape == (1,)
+    assert np.isfinite(err.best_estimate).all()
     assert err.achieved_error >= 0.0
+    assert len(seen) <= 64
 
 
 def test_simpson_rejects_bad_arguments():
-    f = lambda s: np.array([1.0])
+    f = lambda nodes: [[1.0] for _ in nodes]
     with pytest.raises(ValueError):
         adaptive_simpson(f, 0.0, 1.0, -1e-9)
     with pytest.raises(ValueError):
         adaptive_simpson(f, 1.0, 1.0, 1e-9)
+
+
+# --- the level-synchronous rule against the depth-first rule it replaced ---
+
+class _Exhausted(Exception):
+    pass
+
+
+def depth_first_simpson(f, a, b, tol, budget=2**20):
+    """The depth-first adaptive Simpson rule, one node per call of ``f(s)``; kept as the reference."""
+    evals = [0]
+
+    def ev(s):
+        evals[0] += 1
+        if evals[0] > budget:
+            raise _Exhausted()
+        return np.asarray(f(s), dtype=float)
+
+    def simpson(lo, f_lo, hi, f_hi):
+        mid = 0.5 * (lo + hi)
+        f_mid = ev(mid)
+        return mid, f_mid, (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
+
+    fa = ev(a)
+    fb = ev(b)
+    m0, fm0, whole0 = simpson(a, fa, b, fb)
+    acc = np.zeros_like(fa)
+    min_width = (b - a) * 1e-13
+    stack = [(a, fa, m0, fm0, b, fb, whole0, tol)]
+    try:
+        while stack:
+            lo, f_lo, mid, f_mid, hi, f_hi, whole, ltol = stack.pop()
+            lm, f_lm, left = simpson(lo, f_lo, mid, f_mid)
+            rm, f_rm, right = simpson(mid, f_mid, hi, f_hi)
+            delta = left + right - whole
+            err = float(np.abs(delta).sum()) / 15.0
+            if err <= ltol or (hi - lo) < min_width:
+                acc = acc + left + right + delta / 15.0
+            else:
+                stack.append((lo, f_lo, lm, f_lm, mid, f_mid, left, 0.5 * ltol))
+                stack.append((mid, f_mid, rm, f_rm, hi, f_hi, right, 0.5 * ltol))
+    except _Exhausted:
+        raise QuadratureError("budget exhausted", best_estimate=acc, achieved_error=math.inf) from None
+    return acc
+
+
+def _on_grid(point):
+    """The grid integrand that evaluates ``point`` at each node."""
+    return lambda nodes: (point(s) for s in nodes)
+
+
+def _oracle_pair(n, r, k, perturbed):
+    """The one-point integrand the oracle took before grid integrands, and the grid kernel it takes now."""
+    x = basis_vector(k, n)
+    apply = apply_T if perturbed else apply_M
+    return (lambda s: apply(s, x).coords), trajectory_kernel(x, perturbed), 1e-11 * r
+
+
+SIMPSON_CASES = {
+    "cubic": lambda: (lambda s: np.array([s**3 - 2 * s + 1]), 0.0, 2.0, 1e-12),
+    "exponential": lambda: (lambda s: np.array([math.exp(-s)]), 0.0, 3.0, 1e-12),
+    "sin_cos": lambda: (lambda s: np.array([math.sin(s), math.cos(s)]), 0.0, math.pi / 2, 1e-12),
+    **{
+        f"b_h{h}_r{r:g}": (lambda h=h, r=r: (lambda s: np.array([b(h, s)]), 0.0, r, 1e-11 * integral_b(h, r)))
+        for h in (1, 2, 31, 100)
+        for r in (0.5, 4.0, 100.0)
+    },
+}
+
+
+def _recording(f, seen):
+    """``f``, noting in ``seen`` the node, or every node of the grid, it is called at."""
+
+    def recorded(nodes):
+        seen.extend(np.atleast_1d(nodes).tolist())
+        return f(nodes)
+
+    return recorded
+
+
+@pytest.mark.parametrize("case", sorted(SIMPSON_CASES))
+def test_level_synchronous_simpson_keeps_the_depth_first_bits(case):
+    point, a, b_end, tol = SIMPSON_CASES[case]()
+    old_nodes, new_nodes = [], []
+    want = depth_first_simpson(_recording(point, old_nodes), a, b_end, tol)
+    got = adaptive_simpson(_recording(_on_grid(point), new_nodes), a, b_end, tol)
+    assert got.tobytes() == want.tobytes()
+    assert sorted(new_nodes) == sorted(old_nodes)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["M", "T"])
+@pytest.mark.parametrize("n", [100, 256])
+def test_grid_kernel_oracle_keeps_the_depth_first_bits(n, perturbed):
+    for r in (0.5, 5.0, 20.0, 100.0):
+        for k in (1, 17, n):
+            point, kernel, tol = _oracle_pair(n, r, k, perturbed)
+            old_nodes, new_nodes = [], []
+            want = depth_first_simpson(_recording(point, old_nodes), 0.0, r, tol)
+            got = adaptive_simpson(_recording(kernel, new_nodes), 0.0, r, tol)
+            assert got.tobytes() == want.tobytes(), (r, k)
+            assert sorted(new_nodes) == sorted(old_nodes), (r, k)
+
+
+def test_budget_boundary_is_the_depth_first_node_count():
+    point = lambda s: np.array([math.exp(-s) * math.sin(5.0 * s)])
+    seen = []
+    want = depth_first_simpson(_recording(point, seen), 0.0, 3.0, 1e-12)
+    assert adaptive_simpson(_on_grid(point), 0.0, 3.0, 1e-12, budget=len(seen)).tobytes() == want.tobytes()
+    with pytest.raises(QuadratureError):
+        depth_first_simpson(point, 0.0, 3.0, 1e-12, budget=len(seen) - 1)
+    with pytest.raises(QuadratureError):
+        adaptive_simpson(_on_grid(point), 0.0, 3.0, 1e-12, budget=len(seen) - 1)
+
+
+def _one_node_per_call(f, a, b, tol, budget=2**20):
+    """adaptive_simpson's signature over the depth-first rule, feeding f one node at a time."""
+    return depth_first_simpson(lambda s: np.array(next(iter(f(np.array([s])))), dtype=float), a, b, tol, budget)
+
+
+@pytest.mark.parametrize("N", [1, 2, 257, 1024])
+def test_registry_results_equal_under_the_depth_first_rule(monkeypatch, N):
+    want = verification.run_all(N, 7)
+    monkeypatch.setattr(cesaro, "adaptive_simpson", _one_node_per_call)
+    assert verification.run_all(N, 7) == want
+
+
+def test_oracle_calls_its_kernel_once_per_level_not_per_node():
+    kernel = trajectory_kernel(basis_vector(1, 100), perturbed=False)
+    calls, nodes = [], []
+
+    def counted(grid):
+        calls.append(grid.size)
+        nodes.extend(grid.tolist())
+        return kernel(grid)
+
+    cesaro_quadrature(counted, 100.0, 1e-11)
+    # 14 levels evaluate 869 nodes here; one call per node would make these equal
+    assert 20 * len(calls) < len(nodes)
 
 
 # --- means of the diagonal semigroup ---
@@ -100,7 +246,7 @@ def test_cesaro_M_against_oracle():
         for k in (1, 2, 5):
             x = basis_vector(k, 8)
             closed = cesaro_M(r, x)
-            oracle = cesaro_quadrature(apply_M, r, x, 1e-12)
+            oracle = cesaro_quadrature(trajectory_kernel(x, perturbed=False), r, 1e-12)
             assert norm_l1(closed - oracle) <= 1e-10
 
 
@@ -163,19 +309,8 @@ def test_cesaro_T_against_oracle():
     n = 1024
     x = basis_vector(1, n)
     closed = cesaro_T(5.0, x)
-    oracle = cesaro_quadrature(apply_T, 5.0, x, 1e-10)
+    oracle = cesaro_quadrature(trajectory_kernel(x, perturbed=True), 5.0, 1e-10)
     assert norm_l1(closed - oracle) <= 1e-9
-
-
-def test_cesaro_T_linearity():
-    rng = np.random.default_rng(0)
-    n = 64
-    x = TruncatedVector(rng.uniform(-1, 1, n))
-    y = TruncatedVector(rng.uniform(-1, 1, n))
-    for r in (0.5, 7.0):
-        lhs = cesaro_T(r, 1.25 * x + -0.5 * y)
-        rhs = 1.25 * cesaro_T(r, x) + -0.5 * cesaro_T(r, y)
-        assert norm_l1(lhs - rhs) <= 1e-12
 
 
 def test_certificate_bounded_by_r_over_2N():
@@ -189,7 +324,7 @@ def test_certificate_bounded_by_r_over_2N():
 
 def test_quadrature_of_constant_semigroup():
     x = vector([2.0, -1.0, 0.5])
-    result = cesaro_quadrature(lambda s, v: v, 3.0, x, 1e-12)
+    result = cesaro_quadrature(lambda nodes: (x.coords for _ in nodes), 3.0, 1e-12)
     assert norm_l1(result - x) <= 1e-13
 
 
@@ -255,7 +390,7 @@ def test_closed_form_S_matches_quadrature_oracle(case):
     tol = 1e-10
     # the rows curve_cesaro_S reduces, one per radius
     for r, (closed, _err) in zip(S_RADII, stream_cesaro_S(S_RADII, x, T, tol), strict=True):
-        oracle = cesaro_quadrature(lambda s, v: apply_S(s, v, T, tol / 10.0), r, x, tol)
+        oracle = cesaro_quadrature(lambda nodes: (apply_S(s, x, T, tol / 10.0).coords for s in nodes), r, tol)
         assert norm_l1(TruncatedVector(closed) - oracle) <= 1e-9
 
 
