@@ -16,6 +16,7 @@ alone.  Curves keep per-sample summaries: O(N) memory per thread at any grid cou
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -140,16 +141,28 @@ def cesaro_M_opnorm(r: float, N: int) -> float:
     return float(_M_opnorm(np.array([r], dtype=float), N)[0])
 
 
+# (-1)^k / (k+3)! for k = 16 down to 0: (u/2 - u phi_2(-u)) / u^2 in Horner order, next term < eps/40 for u < 1
+_PHI2_TAIL = tuple((-1) ** k / math.factorial(k + 3) for k in range(16, -1, -1))
+
+
 def cesaro_T_certificate(r: float, N: int) -> float:
     """Per-unit-norm truncation bound for cesaro_T at truncation N.
 
     Exact value of (1/r) * integral of (1 - exp(-s/N)) over [0, r],
-    which is 1 - (N/r)(1 - exp(-r/N)) <= r/(2N).
+    which is 1 - (N/r)(1 - exp(-r/N)) = u phi_2(-u) <= r/(2N) for u = r/N, phi_2(z) = (e^z - 1 - z)/z^2.
+    Below u = 1, where subtracting from 1 cancels, the series u/2 - u^2/6 + u^3/24 - ... is within 2 eps;
+    above, 1 + expm1(-u)/u is within 4 eps.  Either is raised past its bound, so it never understates.
     """
     _check_r(r)
     if N < 1:
         raise ValueError(f"truncation N must be >= 1, got {N}")
-    return 1.0 - (N / r) * -math.expm1(-r / N)
+    u = r / N
+    if u < 1.0:
+        value, slack = u / 2.0 - u * u * functools.reduce(lambda t, c: t * u + c, _PHI2_TAIL, 0.0), 2.5
+    else:
+        value, slack = 1.0 + math.expm1(-u) / u, 4.5
+    # below the normal range rounding errs by whole subnormal steps, not by eps * value
+    return value + max(slack * _EPS * value, 2 * math.ulp(0.0))
 
 
 def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int = 2**20) -> np.ndarray:

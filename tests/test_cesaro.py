@@ -1,6 +1,8 @@
 """Tests for Cesaro means: closed forms against the quadrature oracle."""
 
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +320,44 @@ def test_certificate_bounded_by_r_over_2N():
         for r in (0.5, 4.0, float(n) // 2 or 0.5):
             cert = cesaro_T_certificate(r, n)
             assert 0.0 <= cert <= r / (2.0 * n) + 1e-16
+
+
+def _exact_certificate(r, N):
+    """1 - (N/r)(1 - exp(-r/N)) in 60-digit decimals, summed as its series below r/N = 1."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        u = decimal.Decimal(r) / N
+        if u >= 1:
+            return 1 - (1 - (-u).exp()) / u
+        term, total = u / 2, decimal.Decimal(0)
+        for k in range(1, 60):  # u^k / (k+1)! with alternating signs
+            total += term
+            term *= -u / (k + 2)
+        return total
+
+
+@pytest.mark.parametrize("N", [1024, 65536, 2**22])
+def test_T_certificate_never_understates_at_small_r_over_N(N):
+    # here the subtraction 1 - (N/r)(1 - exp(-r/N)) would lose up to 13 of 16 digits
+    for r in np.geomspace(1e-6, 1.0, 60):
+        cert = cesaro_T_certificate(float(r), N)
+        exact = _exact_certificate(float(r), N)
+        assert decimal.Decimal(cert) >= exact
+        assert (decimal.Decimal(cert) - exact) / exact <= decimal.Decimal("1e-15")
+
+
+def test_T_certificate_never_understates_at_any_r_over_N():
+    rng = np.random.default_rng(17)
+    normal = np.exp(rng.uniform(math.log(1e-300), math.log(1e6), 400)).tolist()
+    subnormal = np.exp(rng.uniform(math.log(1e-322), math.log(1e-307), 50)).tolist()
+    for u in normal + subnormal + [0.5, 1.0, 2.0]:
+        N = int(rng.integers(1, 2**22 + 1))
+        r = u * N
+        cert = cesaro_T_certificate(r, N)
+        exact = _exact_certificate(r, N)
+        assert decimal.Decimal(cert) >= exact, (r, N)
+        if cert >= sys.float_info.min:
+            assert (decimal.Decimal(cert) - exact) / exact <= decimal.Decimal("2e-15"), (r, N)
 
 
 # --- quadrature of generic semigroups ---
