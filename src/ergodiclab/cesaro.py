@@ -11,7 +11,8 @@ oracle for every closed form.
 Each mean is a grid kernel (``means_kernel``, ``stream_cesaro_S``) that
 yields one mean per r from buffers allocated once per call; the per-point
 functions are its one-point case, and ||C_M(r)|| is a formula in r and N
-alone.  Curves keep per-sample summaries: O(N) memory per thread at any grid count.
+alone.  M and T curves and trajectories never form a row: ``support_summaries``
+reads each row's summaries off the support of x in O(nnz) per grid point.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .coeffs import integral_b_from_expm1
 from .exp_semigroup import PowerBoundedOperator, poisson_window
 from .semigroups import kernel_support
-from .space import TruncatedVector, norm_l1, row_stats, run_split
+from .space import TruncatedVector, norm_l1, row_stats
 
 __all__ = [
     "QuadratureError",
@@ -39,6 +40,7 @@ __all__ = [
     "cesaro_quadrature",
     "adaptive_simpson",
     "means_kernel",
+    "support_summaries",
     "stream_cesaro_S",
     "curve_cesaro_M",
     "curve_cesaro_T",
@@ -48,7 +50,7 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 
-# a streamed row is (C(r)x in a buffer the next step overwrites, its trunc_error)
+# a streamed mean is (C(r)x, its trunc_error)
 Rows = Iterator[tuple[np.ndarray, float]]
 # a grid integrand yields one row per node, possibly in a buffer the next step overwrites
 Integrand = Callable[[np.ndarray], Iterable[np.ndarray]]
@@ -71,14 +73,14 @@ def _check_r(r: float):
         raise ValueError(f"averaging length r must be > 0, got {r}")
 
 
-def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Rows]:
-    """Grid kernel of (C_M(r)x, 0.0), or of (C_T(r)x, trunc_error) if ``perturbed``, per r.
+def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Iterator[np.ndarray]]:
+    """Grid kernel of C_M(r)x, or of C_T(r)x if ``perturbed``, per r.
 
     C_M(r) scales coordinate h by (h/r)(-e_h), e_h = expm1(-r/h), on the
     support of x only: off it the signed zero x_h stays as scaling leaves it.
     C_T(r) adds x_1 + ... + x_{h-1} times integral_b(h, r)/r, from an expm1
-    pass over every h, and errs by cesaro_T_certificate(r, N) * norm_l1(x)
-    at most.  Each call owns its buffers: up to two N-vectors for M, four for T.
+    pass over every h.  Each call owns its buffers: up to two N-vectors for M,
+    four for T; a row lives one step.
     """
     h = np.arange(1, x.dim + 1, dtype=float)
     on = kernel_support(x.coords)
@@ -86,9 +88,8 @@ def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[floa
     coupled = perturbed and x.dim > 1
     h_e, e_on = (h, on) if coupled else (h_on, slice(None))
     prefix = np.cumsum(x.coords)[:-1] if coupled else None
-    scale = norm_l1(x) if perturbed else 0.0
 
-    def rows(r_grid: Iterable[float]) -> Rows:
+    def rows(r_grid: Iterable[float]) -> Iterator[np.ndarray]:
         base = x.coords.copy()
         diag = base[on]  # a view on a full support, else a buffer scattered into base
         scratch = np.empty_like(diag)
@@ -106,19 +107,19 @@ def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[floa
                 row[1:] /= r
                 row[1:] += base[1:]
                 row[0] = base[0]
-            yield row, (scale * cesaro_T_certificate(r, x.dim) if perturbed else 0.0)
+            yield row
 
     return rows
 
 
 def cesaro_M(r: float, x: TruncatedVector) -> TruncatedVector:
     """Mean of the decay semigroup: means_kernel on a one-point grid."""
-    return TruncatedVector(next(means_kernel(x, perturbed=False)([r]))[0])
+    return TruncatedVector(next(means_kernel(x, perturbed=False)([r])))
 
 
 def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
     """Mean of the perturbed semigroup: means_kernel on a one-point grid."""
-    return TruncatedVector(next(means_kernel(x, perturbed=True)([r]))[0])
+    return TruncatedVector(next(means_kernel(x, perturbed=True)([r])))
 
 
 def _M_opnorm(r: np.ndarray, N: int) -> np.ndarray:
@@ -303,6 +304,132 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
     yield from zip(weights @ powers, errors)
 
 
+# --- M and T rows summarised from the support of x ---
+
+# one row's l1 norm, largest |coordinate|, its 1-based index, coordinate sum f, and l1 step from the row before
+Summary = tuple[float, float, int, float, float]
+_NONE = np.empty(0)
+# 1/(n+2)! for n = 17 down to 0: phi_2(u) = (e^u - 1 - u)/u^2 in Horner order, next term < eps/4 for u < 1
+_PHI2 = [1.0 / math.factorial(n + 2) for n in range(17, -1, -1)]
+
+
+def support_summaries(x: TruncatedVector, grid, perturbed: bool, mean: bool) -> Iterator[Summary]:
+    """Summaries of M(t)x, or T(t)x if ``perturbed``, per t; of C_M(r)x or C_T(r)x per r if ``mean``.
+
+    Coordinate h is x_h W(h) + P_{h-1} (W(h) - W(h-1)), with W(h) = e^{-t/h}, or F(h, r) =
+    (h/r)(1 - e^{-r/h}) for a mean, and no P term for M.  The prefix sum P is constant on each
+    gap [a, c] between support indices, so a gap's l1 mass telescopes to |P| (W(c) - W(a-1)).
+    By lemmas (a)-(c) of the README its largest coordinate sits at floor((t + 1)/2) + {0, 1, 2}
+    clamped into the gap, or at a for a mean, and its step is |P| (D(a-1) + D(c) - 2 min D) over
+    the gap for D = F(., r_i) - F(., r_{i-1}).  O(nnz) work per grid point, and no N-vector.
+    Support coordinates and gap maxima keep the bits of the full-row kernels; norms, f values
+    and steps are summed in another order.  The step is nan at the first point and for trajectories.
+    """
+    at = np.flatnonzero(x.coords)
+    s, xs = at + 1.0, x.coords[at]
+    prefix = np.cumsum(xs)
+    before = np.concatenate(([0.0], prefix))[:-1]  # x_1 + ... + x_{s-1}
+    ends = np.append(s[1:] - 1.0, float(x.dim))
+    gap = (s < ends) & perturbed
+    a, c, P = s[gap] + 1.0, ends[gap], prefix[gap]
+    grid = np.asarray(grid, float).tolist()
+    rows = (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed)
+    add, size, prev = np.add.reduce, np.abs(P), None
+    for y, sums, tops, where, variation in rows:
+        magnitude = np.abs(y)
+        norm = float(add(magnitude) + size @ sums)
+        if not math.isfinite(norm):
+            raise ValueError("coords must be finite (no NaN/inf)")
+        top, index = 0.0, 1  # an all-zero row, as argmax reads it
+        for values, places in ((magnitude, s), (np.abs(tops), where)):
+            k = values.argmax() if values.size else 0  # candidates run by index: the first of equal maxima wins
+            if values.size and (values[k] > top or (values[k] == top > 0.0 and places[k] < index)):
+                top, index = float(values[k]), int(places[k])
+        step = float(add(np.abs(y - prev)) + size @ variation) if mean and prev is not None else math.nan
+        prev = y
+        yield norm, top, index, float(add(y) + P @ sums), step
+
+
+def _trajectory_rows(s, xs, before, a, c, P, t_grid, perturbed):
+    """Per t: support coordinates, gap masses per unit |P|, gap peak coordinates and their indices."""
+    n, g = s.size, c.size
+    # one exp pass at s, c and the peak candidates h, one expm1 pass at s(s-1), (a-1)c/(c-a+1) and h(h-1);
+    # h = 1 has prefix sum 0, so any positive pair count serves there
+    decay_at = np.concatenate((s, c, np.empty(3 * g)))
+    cut_at = np.concatenate((np.maximum(s * (s - 1.0), 1.0), (a - 1.0) * c / (c - a + 1.0), np.empty(3 * g)))
+    lo, hi, P3, peak = a[:, None], c[:, None], np.repeat(P, 3), np.arange(3.0)
+    for t in t_grid:
+        if t < 0:
+            raise ValueError(f"time t must be >= 0, got {t}")
+        if not perturbed:
+            yield np.exp(-t / s) * xs, _NONE, _NONE, _NONE, _NONE
+            continue
+        h = np.minimum(np.maximum(math.floor((t + 1.0) / 2.0) + peak, lo), hi).ravel()
+        decay_at[n + g :], cut_at[n + g :] = h, h * (h - 1.0)
+        decay, cut = np.exp(-t / decay_at), -np.expm1(-t / cut_at)  # b(h, t) = e^{-t/h} cut(h)
+        y = cut[:n] * decay[:n] * before + decay[:n] * xs
+        yield y, decay[n : n + g] * cut[n : n + g], cut[n + g :] * decay[n + g :] * P3, h, _NONE
+
+
+def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed):
+    """Per r: support coordinates, gap masses per unit |P|, gap maxima at a, and gap variations of D."""
+    if not perturbed:
+        for r in r_grid:
+            _check_r(r)
+            yield -np.expm1(-r / s) * (s / r) * xs, _NONE, _NONE, _NONE, _NONE
+        return
+    # E(h) = h expm1(-r/h), so that F(h, r) = -E(h)/r, from one expm1 pass at every index a row reads; E(0) = 0
+    Q = np.unique(np.concatenate(([0.0], s - 1.0, s, a, c)))
+    i_s, i_b, i_g, i_a = (_positions(Q, h) for h in (s, s - 1.0, a - 1.0, a))
+    ends, g, E = np.searchsorted(Q, np.concatenate((a - 1.0, c))), c.size, np.zeros(Q.size)
+    minima = _D_minima(np.array(r_grid), c[-1]) if g and len(r_grid) > 1 else None
+    for i, r in enumerate(r_grid):
+        _check_r(r)
+        e = np.expm1(-r / Q[1:])
+        np.multiply(e, Q[1:], out=E[1:])
+        y = (E[i_b] - E[i_s]) * before / r + -e[i_b] * (s / r) * xs  # Q[1:] holds s where Q holds s - 1
+        G = E[ends] / r  # -F at a - 1, then at c
+        variation = _NONE
+        if minima is not None and i:
+            D = G_prev - G
+            low = np.minimum(D[:g], D[g:])
+            at = minima[0][i - 1]
+            np.minimum(low, minima[1][i - 1], out=low, where=(a - 1.0 <= at) & (at <= c))
+            variation = (D[:g] - low) + (D[g:] - low)
+        yield y, G[:g] - G[g:], (E[i_g] - E[i_a]) * P / r, a, variation
+        G_prev = G
+
+
+def _positions(Q: np.ndarray, h: np.ndarray) -> np.ndarray | slice:
+    """Where the sorted ``Q`` holds each of ``h``, as a slice when they are consecutive."""
+    at = np.searchsorted(Q, h)
+    return slice(at[0], at[-1] + 1) if at.size and at[-1] - at[0] == at.size - 1 else at
+
+
+def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair of neighbouring r, the integer h in 1..N where D is least, and D there.
+
+    D falls in h while k(r_i/h) < k(r_{i-1}/h) and rises after, k(u) = (1 - (1 + u) e^{-u})/u
+    (lemma (c)); bisection finds the least integer where it rises, and the minimum is there or
+    just before.
+    """
+
+    def k(u):  # as u e^{-u} phi_2(u) below u = 1, where the direct form cancels
+        out = (-np.expm1(-u) - u * np.exp(-u)) / u
+        out[u < 1.0] = (u * np.exp(-u) * np.polyval(_PHI2, np.minimum(u, 1.0)))[u < 1.0]
+        return out
+
+    r0, r1 = r_grid[:-1], r_grid[1:]
+    lo, hi = np.zeros(r0.size), np.full(r0.size, N + 1.0)  # D falls at lo, rises at hi
+    while np.any(hi - lo > 1.0):
+        mid = np.maximum(np.floor((lo + hi) / 2.0), 1.0)
+        up = k(r1 / mid) >= k(r0 / mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+    h = np.stack((np.maximum(hi - 1.0, 1.0), np.minimum(hi, N)))
+    D = np.expm1(-r0 / h) * h / r0 - np.expm1(-r1 / h) * h / r1  # as support_summaries forms it
+    return h[D.argmin(axis=0), np.arange(r0.size)], D.min(axis=0)
+
+
 # --- sampled curves over r-grids ---
 
 @dataclass
@@ -375,51 +502,45 @@ def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
     return start * factor ** np.arange(count, dtype=float)
 
 
-def _vector_curve(r_grid: np.ndarray, kernel, dim: int, split: bool = True) -> CesaroCurve:
-    """Reduce the kernel's rows to a vector curve; each run_split piece first recomputes the row before it."""
-    n = r_grid.size
-    norms, maxes, fvals, errors = (np.empty(n) for _ in range(4))
-    index = np.empty(n, dtype=int)
-    steps = np.empty(max(n - 1, 0))
-
-    def piece(lo: int, hi: int):
-        prev, scratch = np.empty(dim), np.empty(dim)
-        for i, (row, err) in enumerate(kernel(r_grid[max(lo - 1, 0) : hi]), start=max(lo - 1, 0)):
-            if i >= lo:
-                norms[i], maxes[i], index[i], fvals[i] = row_stats(row, scratch)
-                errors[i] = err
-                if i:
-                    np.subtract(row, prev, out=scratch)
-                    steps[i - 1] = np.abs(scratch, out=scratch).sum()
-            np.copyto(prev, row)
-
-    run_split(n, dim, piece, split)
+def _vector_curve(r_grid: np.ndarray, summaries: Iterable[Summary], trunc_error) -> CesaroCurve:
+    """A vector curve from one ``Summary`` per grid point."""
+    table = np.fromiter(summaries, np.dtype((float, 5)), count=r_grid.size)
     return CesaroCurve(
         r_grid=r_grid,
         kind="vector",
-        trunc_error=errors,
-        values=norms,
-        steps=steps,
-        max_coordinate=maxes,
-        max_index=index,
-        f_value=fvals,
+        trunc_error=trunc_error,
+        values=table[:, 0],
+        steps=table[1:, 4],
+        max_coordinate=table[:, 1],
+        max_index=table[:, 2].astype(int),
+        f_value=table[:, 3],
     )
 
 
 def curve_cesaro_M(r_grid, x: TruncatedVector) -> CesaroCurve:
     r_grid = np.asarray(r_grid, dtype=float)
-    return _vector_curve(r_grid, means_kernel(x, perturbed=False), x.dim)
+    return _vector_curve(r_grid, support_summaries(x, r_grid, perturbed=False, mean=True), np.zeros(r_grid.size))
 
 
 def curve_cesaro_T(r_grid, x: TruncatedVector) -> CesaroCurve:
+    """Summaries of C_T(r)x; each errs by cesaro_T_certificate(r, N) * norm_l1(x) at most."""
     r_grid = np.asarray(r_grid, dtype=float)
-    return _vector_curve(r_grid, means_kernel(x, perturbed=True), x.dim)
+    summaries = support_summaries(x, r_grid, perturbed=True, mean=True)
+    scale = norm_l1(x)
+    return _vector_curve(r_grid, summaries, [scale * cesaro_T_certificate(r, x.dim) for r in r_grid])
 
 
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
-    """The closed-form means of ``stream_cesaro_S`` per sample, on one piece: its powers span the grid."""
+    """The closed-form means of ``stream_cesaro_S``, summarised row by row."""
     r_grid = np.asarray(r_grid, dtype=float)
-    return _vector_curve(r_grid, lambda grid: stream_cesaro_S(grid, x, T, tol), x.dim, split=False)
+    summaries, errors = [], []
+    scratch, prev = np.empty(x.dim), None
+    for row, err in stream_cesaro_S(r_grid, x, T, tol):
+        step = math.nan if prev is None else float(np.abs(row - prev).sum())
+        summaries.append((*row_stats(row, scratch), step))
+        errors.append(err)
+        prev = row
+    return _vector_curve(r_grid, summaries, errors)
 
 
 def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:

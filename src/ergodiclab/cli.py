@@ -27,6 +27,7 @@ from .cesaro import (
     curve_cesaro_S,
     curve_cesaro_T,
     geometric_grid,
+    support_summaries,
 )
 from .diagnostics import ConvergenceVerdict, cauchy_convergence_test
 from .exp_semigroup import PowerBoundedOperator, apply_S
@@ -37,7 +38,7 @@ from .semigroups import (
     to_sparse_triples,
     trajectory_kernel,
 )
-from .space import TruncatedVector, row_stats, run_split
+from .space import TruncatedVector, row_stats
 from .verification import run_all
 
 EXIT_OK = 0
@@ -49,9 +50,9 @@ _SUBJECTS = ("M", "T", "S")
 _MODES = ("vector", "opnorm")
 _S_KINDS = ("identity", "timestep", "file")
 
-# size budget, fixed so that what runs does not depend on the machine: the M/T
-# kernels hold two N-vectors plus five per thread, at most 12 (0.4 GB) at the cap,
-# and every grid point keeps its summaries and one CSV line until the file is written
+# size budget, fixed so that what runs does not depend on the machine: the input
+# vector is dense, the M/T summaries hold a few arrays the size of its support, and
+# every grid point keeps its summaries and one CSV line until the file is written
 _N_CAP = 2**22
 _GRID_COUNT_CAP = 100_000
 # dense exponential-series path; guards the S subject against runaway cost
@@ -192,7 +193,8 @@ class ExperimentConfig:
             raise ConfigValidationError(problems)
         return replace(cls(), **kw)
 
-    def validate(self) -> list[str]:
+    def validate(self, command: str | None = None) -> list[str]:
+        """The rules this config breaks for ``command``; with None, only those every command shares."""
         problems = []
         if self.subject not in _SUBJECTS:
             problems.append(f"subject must be one of {_SUBJECTS}, got {self.subject!r}")
@@ -257,7 +259,8 @@ class ExperimentConfig:
             problems.append(
                 f"subject S runs dense exponential series; use N <= {_S_DIM_CAP}"
             )
-        if 1 <= self.N <= _N_CAP and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
+        # the r_grid is read by cesaro alone, and bounds T's truncation there
+        if command == "cesaro" and 1 <= self.N <= _N_CAP and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
             try:
                 r_max = start * factor ** (count - 1)
             except OverflowError:
@@ -270,8 +273,8 @@ class ExperimentConfig:
                 )
         return problems
 
-    def ensure_valid(self):
-        problems = self.validate()
+    def ensure_valid(self, command: str | None = None):
+        problems = self.validate(command)
         if problems:
             raise ConfigValidationError(problems)
 
@@ -328,28 +331,26 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory of t -> subject(t) x over the configured t-grid."""
     cfg.ensure_valid()
     x = cfg.input_vector()
-    ts = cfg.t_values()
+    ts = cfg.t_values().tolist()
+    track = min(cfg.N, 16)
     if cfg.subject == "S":
         T_op = cfg.power_operator()
-
-        def kernel(grid):
-            return (apply_S(t, x, T_op, cfg.quadrature_tol).coords for t in grid)
+        scratch = np.empty(cfg.N)
+        rows = (
+            (row_stats(y, scratch), y[:track])
+            for y in (apply_S(t, x, T_op, cfg.quadrature_tol).coords for t in ts)
+        )
     else:
-        kernel = trajectory_kernel(x, perturbed=cfg.subject == "T")
-    track = min(cfg.N, 16)
+        # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
+        perturbed = cfg.subject == "T"
+        head = trajectory_kernel(TruncatedVector(x.coords[:track]), perturbed)(ts)
+        rows = zip(support_summaries(x, ts, perturbed, mean=False), head)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
-    lines = [",".join(header)] + [""] * ts.size
-
-    def piece(lo: int, hi: int):
-        scratch = np.empty(cfg.N)
-        for i, y in enumerate(kernel(ts[lo:hi].tolist()), start=lo):
-            norm, top, top_index, fval = row_stats(y, scratch)
-            cells = [_fmt(float(ts[i])), _fmt(norm), _fmt(fval), _fmt(top), str(top_index)]
-            cells += [_fmt(float(v)) for v in y[:track]]
-            lines[i + 1] = ",".join(cells)
-
-    run_split(ts.size, cfg.N, piece)  # S (N <= 256) never reaches SPLIT_DIM
+    lines = [",".join(header)]
+    for t, ((norm, top, top_index, fval, *_), coords) in zip(ts, rows):
+        cells = [_fmt(t), _fmt(norm), _fmt(fval), _fmt(top), str(top_index)]
+        lines.append(",".join(cells + [_fmt(v) for v in coords.tolist()]))
     out = Path(cfg.out_dir)
     csv_path = out / "trajectory.csv"
     meta_path = out / "metadata.json"
@@ -372,7 +373,7 @@ def _build_curve(cfg: ExperimentConfig) -> CesaroCurve:
 
 def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
     """Cesaro-mean curve over the configured r-grid plus a convergence verdict."""
-    cfg.ensure_valid()
+    cfg.ensure_valid("cesaro")
     curve = _build_curve(cfg)
     if len(curve) >= 4:
         window = max(2, len(curve) // 4)
@@ -462,7 +463,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if overrides:
         cfg = replace(cfg, **overrides)
-    problems = cfg.validate()
+    problems = cfg.validate(args.command)
     if problems:
         raise ConfigValidationError(problems)
     return cfg

@@ -204,7 +204,7 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
     the signed zero x_h stays as scaling leaves it.  T(t) adds b(h, t) times
     x_1 + ... + x_{h-1}, from an exp pass over every h that serves the
     diagonal too.  Each kernel call owns its buffers (one N-vector for M,
-    three for T) and may run on its own thread; a row lives one step.
+    three for T); a row lives one step.
     """
     h = _h(x.dim)
     on = kernel_support(x.coords)

@@ -9,10 +9,7 @@ and every vector is immutable once constructed.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +24,6 @@ __all__ = [
     "norm_l1",
     "pair",
     "row_stats",
-    "run_split",
 ]
 
 
@@ -132,44 +128,6 @@ def row_stats(coords: np.ndarray, scratch: np.ndarray) -> tuple[float, float, in
     if not math.isfinite(top):
         raise ValueError("coords must be finite (no NaN/inf)")
     return float(scratch.sum()), top, k + 1, float(coords.sum())
-
-
-# Measured on a 2-CPU VM: two threads took 0.97-3.9x the one-thread time of the M/T kernels
-# on rows shorter than 2**15 (each numpy call hands the GIL over), 0.56-1.12x on longer
-# rows.  A piece pays for its thread and one more row; it owns its buffers, so N * pieces <= SPLIT_SPAN.
-SPLIT_DIM = 2**15
-SPLIT_ROWS = 4
-SPLIT_SPAN = 2**23
-
-
-def run_split(count: int, dim: int, piece: Callable[[int, int], None], split: bool = True):
-    """Run piece(lo, hi) on contiguous pieces of range(count), one per CPU this process may use.
-
-    Short rows (SPLIT_DIM), short pieces (SPLIT_ROWS) or ``split`` false
-    make one piece, and at most SPLIT_SPAN // dim run.  The first runs here,
-    the others on threads, each writing only its own outputs; once all are
-    joined, the error of the first failing piece (a serial run's) is raised.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    k = max(1, min(cpus if split and dim >= SPLIT_DIM else 1, count // SPLIT_ROWS, SPLIT_SPAN // dim))
-    errors: list[Exception | None] = [None] * k
-
-    def run(j: int):
-        try:
-            piece(count * j // k, count * (j + 1) // k)
-        except Exception as exc:
-            errors[j] = exc
-
-    threads = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
-    for thread in threads:
-        thread.start()
-    try:
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in filter(None, errors):
-        raise exc
 
 
 @dataclass(frozen=True)

@@ -432,6 +432,36 @@ def check_linearity(ctx) -> CheckResult:
     return _result("cesaro.linearity", worst, 1e-12)
 
 
+def check_summaries_match_rows(ctx) -> CheckResult:
+    """M/T curve and trajectory summaries read off the support of x against the full rows.
+
+    x is signed, with x_1 != 0 and a gap where the prefix sum is 0.  Norms and maxima are
+    compared relative to the row's, f values and steps to ||x||_1, and the row must hold the
+    reported maximum at the reported index.  The negative control moves the rows' x_N.
+    """
+    n, rng = ctx.small_N, ctx.rng("summaries")
+    on = np.unique(np.append(rng.choice(n, min(n, 8), replace=False), 0))
+    coords = np.zeros(n)
+    coords[on] = rng.uniform(0.5, 1.0, on.size) * rng.choice([-1.0, 1.0], on.size)
+    for j in on[1:][np.diff(np.append(on, n))[1:] > 1][:1]:  # a support index after x_1 with a gap after it
+        coords[j] = -np.cumsum(coords)[j - 1]
+    x, scale, scratch = TruncatedVector(coords), float(np.abs(coords).sum()), np.empty(n)
+    seen = TruncatedVector(coords + np.eye(1, n, n - 1).ravel() * 1e-9 * scale) if ctx.inject_corruption else x
+    worst = 0.0
+    for mean, grid in ((True, cesaro.geometric_grid(0.25, 2.0, 12)), (False, np.linspace(0.0, 2.0 * n, 12))):
+        for perturbed in (False, True):
+            rows = (cesaro.means_kernel if mean else semigroups.trajectory_kernel)(seen, perturbed)(grid)
+            prev = None
+            for row, (norm, top, index, fval, step) in zip(rows, cesaro.support_summaries(x, grid, perturbed, mean)):
+                want_norm, want_top, _, want_f = space.row_stats(row, scratch)
+                worst = max(worst, abs(norm - want_norm) / (want_norm or 1.0), abs(fval - want_f) / scale,
+                            max(abs(top - want_top), abs(abs(row[index - 1]) - want_top)) / (want_top or 1.0))
+                if mean and prev is not None:
+                    worst = max(worst, abs(step - float(np.abs(row - prev).sum())) / scale)
+                prev = row.copy()
+    return _result("cesaro.summaries_match_rows", worst, 1e-13)
+
+
 # --- diagnostics ---
 
 def check_verdict_soundness(ctx) -> CheckResult:
@@ -515,6 +545,7 @@ CHECKS = [
     check_uniform_floor,
     check_mass_escape_T,
     check_linearity,
+    check_summaries_match_rows,
     check_verdict_soundness,
     check_kernel_criterion_consistency,
     check_opnorm_crossing,

@@ -54,11 +54,19 @@ def test_config_validation_collects_problems():
     assert len(problems) >= 3
 
 
-def test_config_rejects_vacuous_certificate():
-    # r_max/(2N) > 0.5 makes every truncation certificate useless
-    cfg = ExperimentConfig(N=16, r_grid=(1.0, 2.0, 8))  # r_max = 128 > 16
-    problems = cfg.validate()
-    assert any("vacuous" in p for p in problems)
+def test_config_rejects_vacuous_certificate(tmp_path, capsys):
+    # r_max/(2N) > 0.5 makes every truncation certificate useless; cesaro alone reads the r_grid
+    path = write_config(tmp_path, N=16, r_grid={"start": 1.0, "factor": 2.0, "count": 8})  # r_max = 128 > 16
+    assert main(["cesaro", "--config", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "config error: r_grid" in err and "vacuous" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["matrix"], ["simulate", "--subject", "T"]])
+def test_commands_that_never_read_the_r_grid_run_below_it(tmp_path, command):
+    # the default r_grid reaches r = 512, past r/(2N) = 0.5 at N = 64
+    assert main([*command, "--dim", "64", "--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_config_rejects_out_of_range_vector_index():
@@ -304,7 +312,8 @@ def _tiny_start(subject, start):
         ('{"s_matrix": 5}', "s_matrix", "simulate"),
         ('{"N": "abc"}', "N", "simulate"),
         ('{"tolerances": [1e-3]}', "tolerances", "simulate"),
-        ('{"r_grid": {"start": 1, "factor": 1e308, "count": 3}}', "r_grid", "simulate"),
+        # cesaro alone reads the r_grid, and its largest r overflows
+        ('{"r_grid": {"start": 1, "factor": 1e308, "count": 3}}', "r_grid", "cesaro"),
         # beyond the size budget: refused before any N-vector or grid is allocated
         ('{"N": 10000000000000}', "N", "cesaro"),
         # an N no float holds: the checks that divide by N skip it

@@ -1,4 +1,4 @@
-"""Every subcommand runs its default config in a fresh interpreter with numpy's warnings as errors.
+"""Every subcommand runs its default config, and M/T at the N cap, in a fresh interpreter with numpy's warnings as errors.
 
 A numpy overflow or invalid value raises a RuntimeWarning; under
 ``-W error::RuntimeWarning`` it becomes a traceback on stderr, so a run
@@ -16,6 +16,11 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SMALL_R = {"start": 0.5, "factor": 2.0, "count": 6}
+# at the N cap: a signed sparse x, four entries per dyadic block, r up to N and t up to 1e6
+CAP = 2**22
+CAP_X = [[k + j, (-1.0) ** j / (k + j)] for k in (2**e for e in range(22)) for j in range(min(k, 4))]
+CAP_RUN = {"N": CAP, "vector": CAP_X, "r_grid": {"start": 1.0, "factor": 2.0, "count": 23},
+           "t_grid": {"start": 0.0, "stop": 1e6, "count": 101}}
 RUNS = {
     "simulate_M": ("simulate", ["--subject", "M"], None),
     "simulate_T": ("simulate", ["--subject", "T"], None),
@@ -26,6 +31,14 @@ RUNS = {
     "cesaro_S": ("cesaro", [], {"subject": "S", "N": 64, "r_grid": SMALL_R}),
     "verify": ("verify", [], None),
     "matrix": ("matrix", [], None),
+    # the default r_grid is too long for N = 64, and none of these reads it
+    "verify_dim64": ("verify", ["--dim", "64"], None),
+    "matrix_dim64": ("matrix", ["--dim", "64"], None),
+    "simulate_T_dim64": ("simulate", ["--subject", "T", "--dim", "64"], None),
+    "cesaro_M_cap": ("cesaro", [], {**CAP_RUN, "subject": "M"}),
+    "cesaro_T_cap": ("cesaro", [], {**CAP_RUN, "subject": "T"}),
+    "simulate_M_cap": ("simulate", [], {**CAP_RUN, "subject": "M"}),
+    "simulate_T_cap": ("simulate", [], {**CAP_RUN, "subject": "T"}),
 }
 
 

