@@ -1,15 +1,19 @@
-"""Support-aware M/T kernels and grids split across threads: the same bits for any CPU count."""
+"""Support-aware M/T kernels, and curves and trajectories that keep their bits for any CPU count.
+
+No code path reads the CPU count: these tests pin that a curve, its CSV, its Cauchy
+verdict and the ``simulate`` CSV keep their bytes whatever ``os.sched_getaffinity``
+reports, and that an error late in a grid raises what a one-CPU run raises, on the
+calling thread.
+"""
 
 import json
 import os
 import threading
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from ergodiclab import cesaro, cli, semigroups, space
+from ergodiclab import cesaro, semigroups
 from ergodiclab.cesaro import (
     cesaro_M,
     cesaro_T,
@@ -18,7 +22,7 @@ from ergodiclab.cesaro import (
     curve_cesaro_T,
     geometric_grid,
 )
-from ergodiclab.cli import EXIT_OK, main
+from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_simulate, main
 from ergodiclab.diagnostics import cauchy_convergence_test
 from ergodiclab.semigroups import apply_M, apply_T
 from ergodiclab.space import TruncatedVector
@@ -42,12 +46,7 @@ def gather_from(monkeypatch, skip):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set how many CPUs the process may use, and split every grid that has a row per piece.
-
-    The kernels gather every support that is not full, as they do on long rows.
-    """
-    monkeypatch.setattr(space, "SPLIT_DIM", 1)
-    monkeypatch.setattr(space, "SPLIT_ROWS", 1)
+    """Set how many CPUs the process may use; the kernels gather every support that is not full."""
     gather_from(monkeypatch, 1)
 
     def use(k):
@@ -79,7 +78,6 @@ def simulate_csv(tmp_path, subject, x, ts):
 @pytest.mark.parametrize("n", [1, 2, 257])
 @pytest.mark.parametrize("subject", sorted(CURVES))
 def test_curves_and_trajectories_keep_their_bytes_for_any_cpu_count(tmp_path, cpus, subject, n, count):
-    # count 2 and 5 are below 7 pieces; count 1 is one piece whatever the CPUs
     x = sparse_vector(n)
     rs = geometric_grid(0.5, 1.7, count)
     results = {}
@@ -168,59 +166,31 @@ def serial_and_split(cpus, run):
 @pytest.mark.parametrize("subject", sorted(CURVES))
 def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(cpus, subject):
     rs = geometric_grid(0.5, 1.5, 20)
-    rs[9], rs[15] = -2.0, -1.0  # in the fourth and sixth of seven pieces; a serial run meets -2.0
+    rs[9], rs[15] = -2.0, -1.0  # two bad points past the start of the grid; a serial run meets -2.0
     first, split = serial_and_split(cpus, lambda: CURVES[subject](rs, sparse_vector(64)))
     assert first == split == (ValueError, "averaging length r must be > 0, got -2.0")
 
 
-def poison(monkeypatch, module, first):
-    """Make ``module.row_stats`` see NaN in the row whose first coordinate is ``first``.
+def poison(monkeypatch, name, at):
+    """Make the support rows of ``cesaro.<name>`` NaN from the grid point ``at`` on."""
+    real = getattr(cesaro, name)
 
-    It sees it late, so that the first piece is done long before.
-    """
-    real = space.row_stats
+    def rows(*args):
+        for i, (y, *rest) in enumerate(real(*args)):
+            yield (np.full_like(y, np.nan) if i >= at else y), *rest
 
-    def row_stats(row, scratch):
-        if row[0] == first:
-            time.sleep(0.2)
-            row = np.full_like(row, np.nan)
-        return real(row, scratch)
-
-    monkeypatch.setattr(module, "row_stats", row_stats)
+    monkeypatch.setattr(cesaro, name, rows)
 
 
 def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(cpus, monkeypatch, tmp_path):
     x = TruncatedVector(np.eye(1, 32).ravel())
     rs = geometric_grid(0.5, 1.1, 20)
-    poison(monkeypatch, cesaro, cesaro_M(rs[15], x).coords[0])
+    poison(monkeypatch, "_mean_rows", 15)
     first, split = serial_and_split(cpus, lambda: curve_cesaro_M(rs, x))
     assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
 
-    cfg = cli.ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
-    poison(monkeypatch, cli, apply_T(15.0, x).coords[0])
-    first, split = serial_and_split(cpus, lambda: cli.cmd_simulate(cfg))
+    cfg = ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
+    poison(monkeypatch, "_trajectory_rows", 15)
+    first, split = serial_and_split(cpus, lambda: cmd_simulate(cfg))
     assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
     assert not (tmp_path / "trajectory.csv").exists()
-
-
-N_MEM = 4096
-
-
-def test_split_curve_memory_is_shared_plus_per_piece_buffers(cpus, monkeypatch):
-    # shared: h and the prefix sums; per piece: the T kernel's base, e and row
-    # and the reducer's prev and scratch (measured: 7.5, 17.8 and 38.5
-    # N-vectors for 1, 3 and 7 pieces).  The slack is 8 KiB per piece for its
-    # thread, frames and 8 support entries, the per-row summaries and a page.
-    x = TruncatedVector(np.where(np.arange(N_MEM) % 512 == 3, 0.5, 0.0))
-    rs = geometric_grid(1.0, 1.01, 200)
-    vector = N_MEM * 8
-    for k, span, pieces in ((1, N_MEM, 1), (3, 2**23, 3), (7, 2**23, 7), (7, 3 * N_MEM, 3)):
-        cpus(k)
-        monkeypatch.setattr(space, "SPLIT_SPAN", span)  # at most span // N pieces, whatever the CPUs
-        tracemalloc.start()
-        try:
-            curve_cesaro_T(rs, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= (2 + 5 * pieces) * vector + pieces * 8192 + 6 * 200 * 8 + 4096, pieces

@@ -7,12 +7,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from ergodiclab import semigroups
 from ergodiclab.cesaro import (
     cesaro_M,
     cesaro_T,
     curve_cesaro_M,
-    curve_cesaro_M_opnorm,
     curve_cesaro_T,
     geometric_grid,
     support_summaries,
@@ -107,70 +105,6 @@ def test_simulate_rows_equal_per_point_evaluation(tmp_path, subject, n):
         assert cells[0] == f"{t:.16e}" and cells[3:5] == [f"{top:.16e}", str(index)]
         assert cells[5:] == [f"{v:.16e}" for v in y.coords[:16]]
         assert close(float(cells[1]), norm, norm) and close(float(cells[2]), fval, norm_l1(x))
-
-
-# --- support-aware kernels against the direct formulas ---
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def direct_M(r, x):
-    # the parent formula, in its operation order: ((h/r) * -expm1(-r/h)) * x
-    h = np.arange(1, x.dim + 1, dtype=float)
-    return (h / r) * -np.expm1(-r / h) * x.coords
-
-
-def direct_T(r, x):
-    h = np.arange(1, x.dim + 1, dtype=float)
-    row = direct_M(r, x)
-    if x.dim > 1:
-        he = h * np.expm1(-r / h)
-        row[1:] += (he[:-1] - he[1:]) * np.cumsum(x.coords)[:-1] / r
-    return row
-
-
-def direct_trajectory(t, x, perturbed):
-    h = np.arange(1, x.dim + 1, dtype=float)
-    decay = np.exp(-t / h)
-    row = decay * x.coords
-    if perturbed and x.dim > 1:
-        pairs = h[1:] * (h[1:] - 1)
-        row[1:] += -np.expm1(-t / pairs) * decay[1:] * np.cumsum(x.coords)[:-1]
-    return row
-
-
-EDGE_VECTORS = {
-    # explicit +0.0 and -0.0 entries after a negative prefix sum: at t = 0 the
-    # coupling there is -0.0, and the diagonal's +0.0 must win as before
-    "explicit_zeros": [-1.0, 0.0, -0.0, 0.25, 0.0, -0.0, 0.0, 0.0],
-    "minus_zero_N1": [-0.0],
-    "support_after_zeros": [-0.0, 0.0, 0.75, 0.0, -0.5, 0.0],
-    "zero_vector": [0.0] * 9,
-    "dense": np.random.default_rng(3).uniform(-1.0, 1.0, 300).tolist(),
-}
-
-
-@pytest.mark.parametrize("skip", [1, 2**62], ids=["gathered", "sliced"])
-@pytest.mark.parametrize("name", sorted(EDGE_VECTORS))
-def test_support_aware_rows_equal_the_direct_formulas(monkeypatch, name, skip):
-    # the kernels gather the support of x once it skips ``skip`` coordinates
-    monkeypatch.setattr(semigroups, "SUPPORT_SKIP", skip)
-    x = TruncatedVector(np.array(EDGE_VECTORS[name]))
-    for r in geometric_grid(1e-3, 3.0, 8):
-        assert same_bits(cesaro_M(r, x).coords, direct_M(r, x))
-        assert same_bits(cesaro_T(r, x).coords, direct_T(r, x))
-    for t in np.linspace(0.0, 40.0, 6).tolist():
-        assert same_bits(apply_M(t, x).coords, direct_trajectory(t, x, perturbed=False))
-        assert same_bits(apply_T(t, x).coords, direct_trajectory(t, x, perturbed=True))
-
-
-def test_full_support_opnorm_equals_the_direct_formula():
-    rs = geometric_grid(0.5, 2.0, 12)
-    ones = TruncatedVector(np.ones(1024))
-    want = [direct_M(r, ones).max() for r in rs]
-    assert same_bits(curve_cesaro_M_opnorm(rs, 1024).values, want)
 
 
 N_MEM = 65536
