@@ -8,10 +8,10 @@ into Poisson upper tails.  An adaptive Simpson quadrature over grid
 integrands, one call per refinement level, serves only as the independent
 oracle for every closed form.
 
-Each mean is a grid kernel (``means_kernel``, ``stream_cesaro_S``) that
-yields one mean per r from buffers allocated once per call; the per-point
-functions are its one-point case, and ||C_M(r)|| is a formula in r and N
-alone.  M and T curves and trajectories never form a row: ``support_summaries``
+Each mean is a grid kernel: ``means_kernel`` returns the means at every r
+as one (r, N) array, ``stream_cesaro_S`` yields them one r at a time; the
+per-point functions are the one-point case, and ||C_M(r)|| is a formula in
+r and N alone.  M and T curves and trajectories never form a row: ``support_summaries``
 reads each row's summaries off the support of x in O(nnz) per grid point.
 """
 
@@ -52,8 +52,8 @@ _EPS = sys.float_info.epsilon
 
 # a streamed mean is (C(r)x, its trunc_error)
 Rows = Iterator[tuple[np.ndarray, float]]
-# a grid integrand yields one row per node, possibly in a buffer the next step overwrites
-Integrand = Callable[[np.ndarray], Iterable[np.ndarray]]
+# a grid integrand returns one row per node, as a (nodes, n) array
+Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 class QuadratureError(RuntimeError):
@@ -73,14 +73,14 @@ def _check_r(r: float):
         raise ValueError(f"averaging length r must be > 0, got {r}")
 
 
-def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Iterator[np.ndarray]]:
-    """Grid kernel of C_M(r)x, or of C_T(r)x if ``perturbed``, per r.
+def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
+    """Grid kernel of C_M(r)x, or of C_T(r)x if ``perturbed``: row i of ``kernel(r_grid)`` is the mean at r_grid[i].
 
     C_M(r) scales coordinate h by (h/r)(-e_h), e_h = expm1(-r/h), on the
     support of x only: off it the signed zero x_h stays as scaling leaves it.
     C_T(r) adds x_1 + ... + x_{h-1} times integral_b(h, r)/r, from an expm1
-    pass over every h.  Each call owns its buffers: up to two N-vectors for M,
-    four for T; a row lives one step.
+    pass over every h.  One numpy pass per call forms the whole (r, N) array,
+    in the operation order of a one-point call, so each row keeps its bits.
     """
     h = np.arange(1, x.dim + 1, dtype=float)
     on = kernel_support(x.coords)
@@ -89,37 +89,28 @@ def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[floa
     h_e, e_on = (h, on) if coupled else (h_on, slice(None))
     prefix = np.cumsum(x.coords)[:-1] if coupled else None
 
-    def rows(r_grid: Iterable[float]) -> Iterator[np.ndarray]:
-        base = x.coords.copy()
-        diag = base[on]  # a view on a full support, else a buffer scattered into base
-        scratch = np.empty_like(diag)
-        e, row = (np.empty_like(h), np.empty_like(h)) if coupled else (diag, base)
-        for r in r_grid:
-            _check_r(r)
-            np.expm1(np.divide(-r, h_e, out=e), out=e)
-            np.negative(e[e_on], out=diag)
-            diag *= np.divide(h_on, r, out=scratch)
-            diag *= x_on
-            base[on] = diag  # a no-op on a full support
-            if coupled:
-                integral_b_from_expm1(h, e, row[1:])
-                row[1:] *= prefix
-                row[1:] /= r
-                row[1:] += base[1:]
-                row[0] = base[0]
-            yield row
+    def rows(r_grid: Iterable[float]) -> np.ndarray:
+        r = np.array(r_grid, dtype=float, ndmin=1)[:, None]
+        if np.any(r <= 0):
+            _check_r(r[r <= 0][0])
+        out = np.tile(x.coords, (r.size, 1))
+        e = np.expm1(-r / h_e)
+        out[:, on] = -e[:, e_on] * (h_on / r) * x_on
+        if coupled:
+            out[:, 1:] += integral_b_from_expm1(h, e, np.empty((r.size, x.dim - 1))) * prefix / r
+        return out
 
     return rows
 
 
 def cesaro_M(r: float, x: TruncatedVector) -> TruncatedVector:
     """Mean of the decay semigroup: means_kernel on a one-point grid."""
-    return TruncatedVector(next(means_kernel(x, perturbed=False)([r])))
+    return TruncatedVector(means_kernel(x, perturbed=False)([r])[0])
 
 
 def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
     """Mean of the perturbed semigroup: means_kernel on a one-point grid."""
-    return TruncatedVector(next(means_kernel(x, perturbed=True)([r])))
+    return TruncatedVector(means_kernel(x, perturbed=True)([r])[0])
 
 
 def _M_opnorm(r: np.ndarray, N: int) -> np.ndarray:
@@ -169,8 +160,8 @@ def cesaro_T_certificate(r: float, N: int) -> float:
 def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int = 2**20) -> np.ndarray:
     """Adaptive composite Simpson rule for a grid integrand ``f(nodes) -> rows``.
 
-    ``f`` yields one 1-d row per node; as in the grid kernels (``semigroups.trajectory_kernel``) a row
-    may be a buffer that the next step overwrites, so each is copied.  One call of ``f`` evaluates the
+    ``f`` returns a (nodes, n) array, row i at nodes[i], as the grid kernels do
+    (``semigroups.trajectory_kernel``).  One call of ``f`` evaluates the
     new midpoints of every interval of a refinement level.  Bisection is keyed to the l1 norm of the
     local Richardson defect; an interval is accepted when that defect is within 15x its share of the
     tolerance.  Accepted intervals are summed by descending left end, the order of a depth-first
@@ -218,15 +209,11 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
     return _sum_accepted(accepted)
 
 
-def _rows(f, nodes: np.ndarray) -> np.ndarray:
-    """The integrand's rows at ``nodes`` as a (nodes, n) array, each copied before the next step."""
-    out, count = None, 0
-    for count, row in enumerate(f(nodes), start=1):
-        if out is None:
-            out = np.empty((nodes.size, np.size(row)))
-        out[count - 1] = row
-    if count != nodes.size:
-        raise ValueError(f"the integrand yielded {count} rows for {nodes.size} nodes")
+def _rows(f: Integrand, nodes: np.ndarray) -> np.ndarray:
+    """The integrand at ``nodes`` as a (nodes, n) array, C-ordered so that every reduction keeps one order."""
+    out = np.ascontiguousarray(f(nodes), dtype=float)
+    if out.ndim != 2 or out.shape[0] != nodes.size:
+        raise ValueError(f"the integrand returned an array of shape {out.shape} for {nodes.size} nodes")
     return out
 
 
@@ -246,7 +233,8 @@ def _sum_accepted(accepted) -> np.ndarray:
 def cesaro_quadrature(kernel: Integrand, r: float, tol: float, budget: int = 2**20) -> TruncatedVector:
     """Quadrature oracle for the mean (1/r) * integral over [0, r] of an orbit, within ``tol`` in l1.
 
-    ``kernel(nodes)`` yields the orbit at each node, as ``semigroups.trajectory_kernel(x, perturbed)`` does.
+    ``kernel(nodes)`` returns the orbit at each node as a (nodes, N) array, as
+    ``semigroups.trajectory_kernel(x, perturbed)`` does.
     """
     _check_r(r)
     total = adaptive_simpson(kernel, 0.0, r, tol * r, budget=budget)

@@ -202,17 +202,8 @@ class ExperimentConfig:
             problems.append(f"N must be >= 1, got {self.N}")
         elif self.N > _N_CAP:
             problems.append(f"N must be <= {_N_CAP} (the size budget), got {self.N}")
-        start, factor, count = self.r_grid
-        if count < 1:
-            problems.append("r_grid count must be >= 1")
-        elif count > _GRID_COUNT_CAP:
-            problems.append(f"r_grid.count must be <= {_GRID_COUNT_CAP} (the size budget), got {count}")
-        if not (math.isfinite(start) and math.isfinite(factor)):
-            problems.append("r_grid start and factor must be finite")
-        elif start <= 0 or factor <= 1:
-            problems.append("r_grid needs start > 0 and factor > 1")
-        elif self.N <= _N_CAP and not math.isfinite(self.N / start):  # the kernels scale coordinate h by h/r
-            problems.append(f"r_grid.start must be above N / DBL_MAX = {self.N / sys.float_info.max:.3g}, got {start!r}")
+        if command == "cesaro":  # the r_grid and the mode are read by cesaro alone
+            problems += self._cesaro_problems()
         t0, t1, tcount = self.t_grid
         if tcount < 1:
             problems.append("t_grid count must be >= 1")
@@ -241,10 +232,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 problems.append(f"tolerances.{name} must be finite and > 0, got {value!r}")
-        if self.mode not in _MODES:
-            problems.append(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "opnorm" and self.subject != "M":
-            problems.append("opnorm mode is only available for subject M")
         if self.horizon < 1:
             problems.append("horizon must be >= 1")
         elif self.horizon > _HORIZON_CAP:
@@ -259,8 +246,23 @@ class ExperimentConfig:
             problems.append(
                 f"subject S runs dense exponential series; use N <= {_S_DIM_CAP}"
             )
-        # the r_grid is read by cesaro alone, and bounds T's truncation there
-        if command == "cesaro" and 1 <= self.N <= _N_CAP and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
+        return problems
+
+    def _cesaro_problems(self) -> list[str]:
+        """The rules on the r_grid and the mode; the largest r also bounds T's truncation certificate."""
+        problems = []
+        start, factor, count = self.r_grid
+        if count < 1:
+            problems.append("r_grid count must be >= 1")
+        elif count > _GRID_COUNT_CAP:
+            problems.append(f"r_grid.count must be <= {_GRID_COUNT_CAP} (the size budget), got {count}")
+        if not (math.isfinite(start) and math.isfinite(factor)):
+            problems.append("r_grid start and factor must be finite")
+        elif start <= 0 or factor <= 1:
+            problems.append("r_grid needs start > 0 and factor > 1")
+        elif self.N <= _N_CAP and not math.isfinite(self.N / start):  # the kernels scale coordinate h by h/r
+            problems.append(f"r_grid.start must be above N / DBL_MAX = {self.N / sys.float_info.max:.3g}, got {start!r}")
+        if 1 <= self.N <= _N_CAP and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
             try:
                 r_max = start * factor ** (count - 1)
             except OverflowError:
@@ -271,6 +273,10 @@ class ExperimentConfig:
                     f"r_grid: largest r = {r_max:g} gives a vacuous truncation certificate "
                     f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); shrink the r_grid{raise_N}"
                 )
+        if self.mode not in _MODES:
+            problems.append(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode == "opnorm" and self.subject != "M":
+            problems.append("opnorm mode is only available for subject M")
         return problems
 
     def ensure_valid(self, command: str | None = None):

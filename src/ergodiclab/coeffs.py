@@ -130,9 +130,9 @@ def integral_b_from_expm1(h: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.n
     """integral_b(h, r) for h = 2..N into ``out``, from h = 1..N and e = expm1(-r/h).
 
     Uses integral_b(h, r) = (h-1) e_{h-1} - h e_h, so the mean of the
-    perturbed semigroup shares one expm1 pass per r with its diagonal.
-    ``e`` is overwritten with h e_h.
+    perturbed semigroup shares one expm1 pass per r with its diagonal;
+    a (k, N) block of e gives k rows.  ``e`` is overwritten with h e_h.
     """
     e *= h
-    np.subtract(e[:-1], e[1:], out=out)
+    np.subtract(e[..., :-1], e[..., 1:], out=out)
     return out

@@ -24,7 +24,7 @@ import bisect
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -81,10 +81,21 @@ class StructuredOperator:
     def apply(self, x: TruncatedVector) -> TruncatedVector:
         """O(N) action: diag_j x_j + below_j (x_1 + ... + x_{j-1})."""
         self._check(x)
-        out = self.diag * x.coords
+        return TruncatedVector(self.apply_block(x.coords))
+
+    def apply_block(self, coords: np.ndarray) -> np.ndarray:
+        """The action of ``apply`` on the last axis: one N-vector, or a (k, N) block of k vectors."""
+        out = self.diag * coords
         if self.below is not None:
-            out[1:] += np.cumsum(x.coords)[:-1] * self.below[1:]
-        return TruncatedVector(out)
+            out[..., 1:] += np.cumsum(coords, axis=-1)[..., :-1] * self.below[1:]
+        return out
+
+    def min_entry(self) -> float:
+        """The smallest entry of ``dense()``, read off diag, below[1:] and the zeros off the band."""
+        low = float(self.diag.min())
+        if self.dim > 1:
+            low = min(low, 0.0, 0.0 if self.below is None else float(self.below[1:].min()))
+        return low
 
     def apply_adjoint(self, y: TruncatedVector) -> TruncatedVector:
         """O(N) transpose action: diag_k y_k plus the suffix sum of below_j y_j over j > k."""
@@ -197,14 +208,14 @@ def kernel_support(coords: np.ndarray) -> np.ndarray | slice:
     return np.flatnonzero(coords) if coords.size - np.count_nonzero(coords) >= SUPPORT_SKIP else slice(None)
 
 
-def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], Iterator[np.ndarray]]:
-    """Grid kernel of M(t)x, or of T(t)x if ``perturbed``, per t.
+def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
+    """Grid kernel of M(t)x, or of T(t)x if ``perturbed``: row i of ``kernel(t_grid)`` is the orbit at t_grid[i].
 
     M(t) scales coordinate h by exp(-t/h), on the support of x only: off it
     the signed zero x_h stays as scaling leaves it.  T(t) adds b(h, t) times
     x_1 + ... + x_{h-1}, from an exp pass over every h that serves the
-    diagonal too.  Each kernel call owns its buffers (one N-vector for M,
-    three for T); a row lives one step.
+    diagonal too.  One numpy pass per call forms the whole (t, N) array, in
+    the operation order of a one-point call, so each row keeps its bits.
     """
     h = _h(x.dim)
     on = kernel_support(x.coords)
@@ -213,34 +224,28 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
     h_d, d_on = (h, on) if coupled else (h_on, slice(None))
     pairs, prefix = (h[1:] * (h[1:] - 1), np.cumsum(x.coords)[:-1]) if coupled else (None, None)
 
-    def rows(t_grid: Iterable[float]) -> Iterator[np.ndarray]:
-        base = x.coords.copy()
-        diag = base[on]  # a view on a full support, else a buffer scattered into base
-        decay, row = (np.empty_like(h), np.empty_like(h)) if coupled else (diag, base)
-        for t in t_grid:
-            if t < 0:
-                raise ValueError(f"time t must be >= 0, got {t}")
-            np.exp(np.divide(-t, h_d, out=decay), out=decay)
-            np.multiply(decay[d_on], x_on, out=diag)
-            base[on] = diag  # a no-op on a full support
-            if coupled:
-                b_from_decay(t, decay[1:], pairs, row[1:])
-                row[1:] *= prefix
-                row[1:] += base[1:]
-                row[0] = base[0]
-            yield row
+    def rows(t_grid: Iterable[float]) -> np.ndarray:
+        t = np.array(t_grid, dtype=float, ndmin=1)[:, None]
+        if np.any(t < 0):
+            raise ValueError(f"time t must be >= 0, got {t[t < 0][0]}")
+        out = np.tile(x.coords, (t.size, 1))
+        decay = np.exp(-t / h_d)
+        out[:, on] = decay[:, d_on] * x_on
+        if coupled:
+            out[:, 1:] += b_from_decay(t, decay[:, 1:], pairs, np.empty((t.size, x.dim - 1))) * prefix
+        return out
 
     return rows
 
 
 def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
     """M(t)x; exact at every truncation (no off-diagonal coupling)."""
-    return TruncatedVector(next(trajectory_kernel(x, perturbed=False)([t])))
+    return TruncatedVector(trajectory_kernel(x, perturbed=False)([t])[0])
 
 
 def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
     """T(t)x, less what lands beyond the truncation edge: at most tail_sum_b(N, t) ||x||_1."""
-    return TruncatedVector(next(trajectory_kernel(x, perturbed=True)([t])))
+    return TruncatedVector(trajectory_kernel(x, perturbed=True)([t])[0])
 
 
 # --- structural diagnostics ---

@@ -68,7 +68,7 @@ def test_simpson_budget_exhaustion_carries_payload():
 
     def f(nodes):
         seen.extend(nodes.tolist())
-        return ([math.sin(1000.0 * s)] for s in nodes)
+        return np.sin(1000.0 * nodes)[:, None]
 
     with pytest.raises(QuadratureError) as info:
         adaptive_simpson(f, 0.0, 10.0, 1e-18, budget=64)
@@ -133,7 +133,7 @@ def depth_first_simpson(f, a, b, tol, budget=2**20):
 
 def _on_grid(point):
     """The grid integrand that evaluates ``point`` at each node."""
-    return lambda nodes: (point(s) for s in nodes)
+    return lambda nodes: np.array([point(s) for s in nodes])
 
 
 def _oracle_pair(n, r, k, perturbed):
@@ -364,7 +364,7 @@ def test_T_certificate_never_understates_at_any_r_over_N():
 
 def test_quadrature_of_constant_semigroup():
     x = vector([2.0, -1.0, 0.5])
-    result = cesaro_quadrature(lambda nodes: (x.coords for _ in nodes), 3.0, 1e-12)
+    result = cesaro_quadrature(lambda nodes: np.tile(x.coords, (nodes.size, 1)), 3.0, 1e-12)
     assert norm_l1(result - x) <= 1e-13
 
 
@@ -430,7 +430,7 @@ def test_closed_form_S_matches_quadrature_oracle(case):
     tol = 1e-10
     # the rows curve_cesaro_S reduces, one per radius
     for r, (closed, _err) in zip(S_RADII, stream_cesaro_S(S_RADII, x, T, tol), strict=True):
-        oracle = cesaro_quadrature(lambda nodes: (apply_S(s, x, T, tol / 10.0).coords for s in nodes), r, tol)
+        oracle = cesaro_quadrature(lambda nodes: np.array([apply_S(s, x, T, tol / 10.0).coords for s in nodes]), r, tol)
         assert norm_l1(TruncatedVector(closed) - oracle) <= 1e-9
 
 

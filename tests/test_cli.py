@@ -76,7 +76,7 @@ def test_config_rejects_out_of_range_vector_index():
 
 def test_config_opnorm_only_for_M():
     cfg = ExperimentConfig(subject="T", mode="opnorm")
-    assert any("opnorm" in p for p in cfg.validate())
+    assert any("opnorm" in p for p in cfg.validate("cesaro"))
 
 
 # --- simulate ---
@@ -346,6 +346,26 @@ def test_main_malformed_config_names_field(tmp_path, capsys, text, field, comman
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (_tiny_start("T", 1e-320), "r_grid.start"),
+        ('{"subject": "T", "N": 64, "mode": "opnorm", "r_grid": {"start": 0.5, "factor": 2.0, "count": 3}}', "opnorm mode"),
+    ],
+    ids=["r_grid_start_subnormal", "opnorm_mode_on_T"],
+)
+def test_cesaro_rules_bind_cesaro_alone(tmp_path, capsys, text, field):
+    assert _run_raw_config(tmp_path, text, "cesaro") == EXIT_VALIDATION
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # simulate reads neither the r_grid nor the mode, so it runs and records them as given
+    assert _run_raw_config(tmp_path, text, "simulate") == EXIT_OK
+    assert (tmp_path / "out" / "trajectory.csv").exists()
+    emitted = json.loads((tmp_path / "out" / "metadata.json").read_text())["config"]
+    given = json.loads(text)
+    assert emitted["r_grid"] == given["r_grid"] and emitted["mode"] == given.get("mode", "vector")
+
+
 @pytest.mark.parametrize("subject", ["M", "T", "opnorm"])
 def test_start_just_inside_the_overflow_bound_runs_finite(tmp_path, subject):
     with warnings.catch_warnings():
@@ -395,7 +415,7 @@ def test_main_malformed_config_lists_every_problem(tmp_path, capsys):
     ['{"vector": [[1, NaN]]}', '{"r_grid": {"start": NaN, "factor": 2, "count": 3}}', '{"N": 1e400}'],
 )
 def test_main_non_finite_config_values_rejected(tmp_path, text):
-    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert _run_raw_config(tmp_path, text, "cesaro") == EXIT_VALIDATION
 
 
 def _S_file_config(tmp_path, c=0.97, **overrides):
