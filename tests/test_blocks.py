@@ -119,12 +119,14 @@ def dense_measurements(ctx):
     minus_I = max(0.0, *(abs(opnorm_l1(matrix_M(t, n).dense() - np.eye(n)) - (1.0 - math.exp(-t)))
                          for t in (0.01, 0.5, 1.0, 5.0)))
     bounded = max(0.0, *(opnorm_l1(matrix_M(t, n).dense()) for t in (0.0, 0.3, 2.0, 50.0)))
-    negative = max(0.0, *(float(-b(t, n).dense().min()) for t in (0.0, 0.7, 3.0) for b in (matrix_M, matrix_N, matrix_T)))
+    negative = max(0.0, *(float(-builder(t, n).dense().min())
+                          for t in (0.0, 0.7, 3.0) for builder in (matrix_M, matrix_N, matrix_T)))
     op = matrix_B(n)
     entries = op.dense()
     if ctx.inject_corruption:
         entries[min(1, n - 1), 0] += 1e-3
-    apart = max(0.0, *(float(np.abs(entries[:, k - 1] - op.apply(basis_vector(k, n)).coords).max()) for k in range(1, n + 1)))
+    apart = max(0.0, *(float(np.abs(entries[:, k - 1] - op.apply(basis_vector(k, n)).coords).max())
+                       for k in range(1, n + 1)))
     return [minus_I, bounded, negative, apart]
 
 

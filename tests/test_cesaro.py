@@ -430,7 +430,8 @@ def test_closed_form_S_matches_quadrature_oracle(case):
     tol = 1e-10
     # the rows curve_cesaro_S reduces, one per radius
     for r, (closed, _err) in zip(S_RADII, stream_cesaro_S(S_RADII, x, T, tol), strict=True):
-        oracle = cesaro_quadrature(lambda nodes: np.array([apply_S(s, x, T, tol / 10.0).coords for s in nodes]), r, tol)
+        orbit = lambda nodes: np.array([apply_S(s, x, T, tol / 10.0).coords for s in nodes])
+        oracle = cesaro_quadrature(orbit, r, tol)
         assert norm_l1(TruncatedVector(closed) - oracle) <= 1e-9
 
 

@@ -350,7 +350,8 @@ def test_main_malformed_config_names_field(tmp_path, capsys, text, field, comman
     "text, field",
     [
         (_tiny_start("T", 1e-320), "r_grid.start"),
-        ('{"subject": "T", "N": 64, "mode": "opnorm", "r_grid": {"start": 0.5, "factor": 2.0, "count": 3}}', "opnorm mode"),
+        ('{"subject": "T", "N": 64, "mode": "opnorm", "r_grid": {"start": 0.5, "factor": 2.0, "count": 3}}',
+         "opnorm mode"),
     ],
     ids=["r_grid_start_subnormal", "opnorm_mode_on_T"],
 )
