@@ -27,7 +27,6 @@ import numpy as np
 
 from .coeffs import integral_b_from_expm1
 from .exp_semigroup import PowerBoundedOperator, poisson_window
-from .semigroups import kernel_support
 from .space import TruncatedVector, norm_l1, row_stats
 
 __all__ = [
@@ -76,26 +75,22 @@ def _check_r(r: float):
 def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
     """Grid kernel of C_M(r)x, or of C_T(r)x if ``perturbed``: row i of ``kernel(r_grid)`` is the mean at r_grid[i].
 
-    C_M(r) scales coordinate h by (h/r)(-e_h), e_h = expm1(-r/h), on the
-    support of x only: off it the signed zero x_h stays as scaling leaves it.
-    C_T(r) adds x_1 + ... + x_{h-1} times integral_b(h, r)/r, from an expm1
-    pass over every h.  One numpy pass per call forms the whole (r, N) array,
-    in the operation order of a one-point call, so each row keeps its bits.
+    C_M(r) scales coordinate h by (h/r)(-e_h), e_h = expm1(-r/h), so a
+    signed zero x_h keeps its sign.  C_T(r) adds x_1 + ... + x_{h-1} times
+    integral_b(h, r)/r, from the same expm1 pass.  One numpy pass per call
+    forms the whole (r, N) array, in the operation order of a one-point
+    call, so each row keeps its bits.
     """
     h = np.arange(1, x.dim + 1, dtype=float)
-    on = kernel_support(x.coords)
-    h_on, x_on = h[on], x.coords[on]
     coupled = perturbed and x.dim > 1
-    h_e, e_on = (h, on) if coupled else (h_on, slice(None))
     prefix = np.cumsum(x.coords)[:-1] if coupled else None
 
     def rows(r_grid: Iterable[float]) -> np.ndarray:
         r = np.array(r_grid, dtype=float, ndmin=1)[:, None]
         if np.any(r <= 0):
             _check_r(r[r <= 0][0])
-        out = np.tile(x.coords, (r.size, 1))
-        e = np.expm1(-r / h_e)
-        out[:, on] = -e[:, e_on] * (h_on / r) * x_on
+        e = np.expm1(-r / h)
+        out = -e * (h / r) * x.coords
         if coupled:
             out[:, 1:] += integral_b_from_expm1(h, e, np.empty((r.size, x.dim - 1))) * prefix / r
         return out

@@ -14,8 +14,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,25 +49,110 @@ EXIT_IO = 3
 
 _SUBJECTS = ("M", "T", "S")
 _MODES = ("vector", "opnorm")
-_S_KINDS = ("identity", "timestep", "file")
+# each s_matrix kind, with the key of its parameter and that key's default
+_S_KINDS = {"identity": None, "timestep": ("s_matrix.t", 1.0), "file": ("s_matrix.path", "")}
 
 # size budget, fixed so that what runs does not depend on the machine: the input
 # vector is dense, the M/T summaries hold a few arrays the size of its support, and
 # every grid point keeps its summaries and one CSV line until the file is written
 _N_CAP = 2**22
 _GRID_COUNT_CAP = 100_000
+# the matrix export writes N(N+1)/2 triples
+_MATRIX_N_CAP = 10_000
 # dense exponential-series path; guards the S subject against runaway cost
 _S_DIM_CAP = 256
 # the series for S(t) runs about t + 40 sqrt(t) matrix-vector products
 _S_T_CAP = 1e4
 # the power-bound scan forms up to horizon dense N x N products
 _HORIZON_CAP = 4096
+# verify's S checks bound rounding errors near 1e-14 by a few times quadrature_tol
+_VERIFY_QUADRATURE_TOL_MIN = 1e-13
+
+COMMANDS = ("simulate", "cesaro", "verify", "matrix")
+# the readers of a key: each command that reads it, with None or the (field, value) it reads it under
+_EVERY = dict.fromkeys(COMMANDS)
+_ON_S = dict.fromkeys(("simulate", "cesaro"), ("subject", "S"))
+_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "a list of [index, value] pairs",
+}
 
 
 class ConfigValidationError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+class _Key(NamedTuple):
+    """One JSON key of a config: its path, its JSON type, its place in a tuple field, and its readers."""
+
+    path: str
+    type: type  # bool, int, float, str, or list for the vector's [index, value] pairs
+    slot: int | None  # in the tuple field named by the key's section
+    readers: dict
+
+    @property
+    def field(self) -> str:
+        """The ExperimentConfig field that holds this key."""
+        return self.path.split(".")[0] if self.slot is not None else self.path.rpartition(".")[2]
+
+    def read_by(self, command: str, cfg: "ExperimentConfig") -> bool:
+        """Whether ``command`` reads this key of ``cfg``."""
+        if command not in self.readers:
+            return False
+        when = self.readers[command]
+        return when is None or getattr(cfg, when[0]) == when[1]
+
+    def held_by(self, kind: str | None) -> bool:
+        """Whether a config whose s_matrix has ``kind`` holds this key; with None, whatever its kind.
+
+        s_matrix holds its kind, then the parameter of that kind alone.
+        """
+        param = _S_KINDS.get(kind)
+        return self.field != "s_matrix" or self.slot == 0 or bool(param) and self.path == param[0]
+
+
+_SCHEMA = (
+    _Key("subject", str, None, dict.fromkeys(("simulate", "cesaro"))),
+    _Key("N", int, None, _EVERY),
+    _Key("r_grid.start", float, 0, {"cesaro": None}),
+    _Key("r_grid.factor", float, 1, {"cesaro": None}),
+    _Key("r_grid.count", int, 2, {"cesaro": None}),
+    _Key("t_grid.start", float, 0, {"simulate": None}),
+    _Key("t_grid.stop", float, 1, {"simulate": None}),
+    _Key("t_grid.count", int, 2, {"simulate": None}),
+    _Key("vector", list, None, {"simulate": None, "cesaro": ("mode", "vector")}),
+    _Key("tolerances.quadrature_tol", float, None, {"verify": None, **_ON_S}),
+    _Key("tolerances.convergence_tol", float, None, {"cesaro": None, "verify": None}),
+    _Key("out_dir", str, None, _EVERY),
+    _Key("seed", int, None, {"verify": None}),
+    _Key("mode", str, None, {"cesaro": None}),
+    _Key("s_matrix.kind", str, 0, _ON_S),
+    _Key("s_matrix.t", float, 1, _ON_S),
+    _Key("s_matrix.path", str, 1, _ON_S),
+    _Key("horizon", int, None, _ON_S),
+    _Key("inject_corruption", bool, None, {"verify": None}),
+)
+_KEYS = {key.path: key for key in _SCHEMA}
+_SECTIONS = {key.path.rpartition(".")[0] for key in _SCHEMA} - {""}
+
+
+def _parse(kind: type, value):
+    """``value`` as JSON type ``kind``, or None: no boolean is a number, and no fraction an integer."""
+    accepted = (int, float) if kind in (int, float) else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        return None
+    if kind is list:
+        pairs = [(_parse(int, p[0]), _parse(float, p[1])) if isinstance(p, list) and len(p) == 2 else (None,)
+                 for p in value]
+        return None if any(None in pair for pair in pairs) else tuple(pairs)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        return None
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond every float
+        return None
 
 
 @dataclass(frozen=True)
@@ -86,200 +172,144 @@ class ExperimentConfig:
     inject_corruption: bool = False
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["r_grid"] = {"start": self.r_grid[0], "factor": self.r_grid[1], "count": self.r_grid[2]}
-        d["t_grid"] = {"start": self.t_grid[0], "stop": self.t_grid[1], "count": self.t_grid[2]}
-        d["vector"] = [[int(i), float(v)] for i, v in self.vector]
-        d["tolerances"] = {
-            "quadrature_tol": self.quadrature_tol,
-            "convergence_tol": self.convergence_tol,
-        }
-        del d["quadrature_tol"], d["convergence_tol"]
-        kind = self.s_matrix[0]
-        if kind == "identity":
-            d["s_matrix"] = {"kind": "identity"}
-        elif kind == "timestep":
-            d["s_matrix"] = {"kind": "timestep", "t": float(self.s_matrix[1])}
-        else:
-            d["s_matrix"] = {"kind": "file", "path": str(self.s_matrix[1])}
+        """The config as JSON: every key of the schema that it holds."""
+        d = {}
+        for key in _SCHEMA:
+            if key.held_by(self.s_matrix[0]):
+                value = getattr(self, key.field) if key.slot is None else getattr(self, key.field)[key.slot]
+                section, _, name = key.path.rpartition(".")
+                (d.setdefault(section, {}) if section else d)[name] = (
+                    [[int(i), float(v)] for i, v in value] if key.type is list else key.type(value)
+                )
         return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Config from parsed JSON; each malformed field is reported by name."""
+        """Config from parsed JSON; every unknown or missing key and value of another type is named."""
         if not isinstance(data, dict):
             raise ConfigValidationError(
                 [f"config must be a JSON object, got {type(data).__name__}"]
             )
-        problems = []
-        kw = {}
-        emitted = cls().to_dict()  # every key it holds must round-trip
-
-        def convert(name, value, to, what):
-            try:
-                return to(value)
-            except (TypeError, ValueError, OverflowError):
-                problems.append(f"{name} must be {what}, got {value!r}")
-                return None
-
-        def unknown(prefix, given, known):
-            problems.extend(f"{prefix}{key} is not a known key" for key in given if key not in known)
-
-        def section(name, known, required=()):
-            sub = data[name]
-            if not isinstance(sub, dict):
-                problems.append(f"{name} must be a JSON object, got {type(sub).__name__}")
-                return None
-            unknown(f"{name}.", sub, known)
-            missing = [key for key in required if key not in sub]
-            if missing:
-                problems.append(f"{name} is missing {', '.join(missing)}")
-                return None
-            return sub
-
-        def grid(name, first, second):
-            keys = (first, second, "count")
-            g = section(name, keys, keys)
-            if g is None:
-                return None
-            values = (
-                convert(f"{name}.{first}", g[first], float, "a number"),
-                convert(f"{name}.{second}", g[second], float, "a number"),
-                convert(f"{name}.count", g["count"], int, "an integer"),
-            )
-            return None if None in values else values
-
-        unknown("", data, emitted)
-        if "subject" in data:
-            kw["subject"] = str(data["subject"])
-        if "N" in data:
-            kw["N"] = convert("N", data["N"], int, "an integer")
-        if "r_grid" in data:
-            kw["r_grid"] = grid("r_grid", "start", "factor")
-        if "t_grid" in data:
-            kw["t_grid"] = grid("t_grid", "start", "stop")
-        if "vector" in data:
-            kw["vector"] = convert(
-                "vector",
-                data["vector"],
-                lambda entries: tuple((int(i), float(v)) for i, v in entries),
-                "a list of [index, value] pairs",
-            )
-        if "tolerances" in data:
-            tol = section("tolerances", emitted["tolerances"])
-            for key in emitted["tolerances"]:
-                if tol is not None and key in tol:
-                    kw[key] = convert(f"tolerances.{key}", tol[key], float, "a number")
-        for key in ("out_dir", "mode"):
-            if key in data:
-                kw[key] = str(data[key])
-        for key in ("seed", "horizon"):
-            if key in data:
-                kw[key] = convert(key, data[key], int, "an integer")
-        if "inject_corruption" in data:
-            kw["inject_corruption"] = bool(data["inject_corruption"])
-        m = section("s_matrix", ("kind", "t", "path")) if "s_matrix" in data else None
-        if m is not None:
-            kind = m.get("kind")
-            if kind == "identity":
-                kw["s_matrix"] = ("identity",)
-            elif kind == "timestep":
-                kw["s_matrix"] = ("timestep", convert("s_matrix.t", m.get("t", 1.0), float, "a number"))
-            elif kind == "file":
-                kw["s_matrix"] = ("file", str(m.get("path", "")))
+        flat, problems, given, missing = {}, [], {}, {}
+        for name, value in data.items():
+            if name not in _SECTIONS:
+                flat[name] = value
+            elif isinstance(value, dict):
+                flat.update((f"{name}.{key}", v) for key, v in value.items())
             else:
-                kw["s_matrix"] = (str(kind),)
+                problems.append(f"{name} must be a JSON object, got {type(value).__name__}")
+        # a dotted name at the top level is no key
+        unknown = [path for path in flat if path not in _KEYS or "." in path and path in data]
+        problems += [f"{path} is not a known key" for path in unknown]
+        for key in _SCHEMA:
+            section, _, name = key.path.rpartition(".")
+            if key.path in flat:
+                given[key.path] = _parse(key.type, flat[key.path])
+                if given[key.path] is None:
+                    problems.append(f"{key.path} must be {_TYPE_NAMES[key.type]}, got {flat[key.path]!r}")
+            elif isinstance(data.get(section), dict) and key.slot is not None and key.held_by(None):
+                missing.setdefault(section, []).append(name)  # a tuple needs every part
+        problems += [f"{section} is missing {', '.join(names)}" for section, names in missing.items()]
         if problems:
             raise ConfigValidationError(problems)
+        kind = given.get("s_matrix.kind")
+        if _S_KINDS.get(kind):
+            given.setdefault(*_S_KINDS[kind])
+        kw = {}
+        for key in _SCHEMA:
+            if key.path in given and key.held_by(kind):
+                value = given[key.path]
+                kw[key.field] = value if key.slot is None else kw.get(key.field, ()) + (value,)
         return replace(cls(), **kw)
 
-    def validate(self, command: str | None = None) -> list[str]:
-        """The rules this config breaks for ``command``; with None, only those every command shares."""
-        problems = []
-        if self.subject not in _SUBJECTS:
-            problems.append(f"subject must be one of {_SUBJECTS}, got {self.subject!r}")
-        if self.N < 1:
-            problems.append(f"N must be >= 1, got {self.N}")
-        elif self.N > _N_CAP:
-            problems.append(f"N must be <= {_N_CAP} (the size budget), got {self.N}")
-        if command == "cesaro":  # the r_grid and the mode are read by cesaro alone
-            problems += self._cesaro_problems()
-        t0, t1, tcount = self.t_grid
-        if tcount < 1:
-            problems.append("t_grid count must be >= 1")
-        elif tcount > _GRID_COUNT_CAP:
-            problems.append(f"t_grid.count must be <= {_GRID_COUNT_CAP} (the size budget), got {tcount}")
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            problems.append("t_grid start and stop must be finite")
-        elif t0 < 0 or t1 < t0:
-            problems.append("t_grid needs 0 <= start <= stop")
-        elif self.subject == "S" and t1 > _S_T_CAP:
-            problems.append(
-                f"t_grid.stop must be <= {_S_T_CAP:g} for subject S "
-                f"(its series needs about t terms), got {t1:g}"
-            )
-        if not self.vector:
-            problems.append("input vector must have at least one entry")
-        else:
-            for i, _v in self.vector:
-                if not 1 <= i <= self.N:
-                    problems.append(f"vector index {i} outside 1..{self.N}")
-            if len({i for i, _v in self.vector}) < len(self.vector):
-                problems.append("vector lists an index more than once")
-            if not math.isfinite(float(np.abs([v for _i, v in self.vector]).sum())):
-                problems.append("input vector entries and their l1 norm must be finite")
-        for name in ("quadrature_tol", "convergence_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                problems.append(f"tolerances.{name} must be finite and > 0, got {value!r}")
-        if self.horizon < 1:
-            problems.append("horizon must be >= 1")
-        elif self.horizon > _HORIZON_CAP:
-            problems.append(f"horizon must be <= {_HORIZON_CAP} (the size budget), got {self.horizon}")
-        if self.s_matrix[0] not in _S_KINDS:
-            problems.append(f"s_matrix kind must be one of {_S_KINDS}")
-        elif self.s_matrix[0] == "timestep" and not (
-            math.isfinite(self.s_matrix[1]) and self.s_matrix[1] >= 0
-        ):
-            problems.append(f"s_matrix.t must be finite and >= 0, got {self.s_matrix[1]!r}")
-        if self.subject == "S" and self.N > _S_DIM_CAP:
-            problems.append(
-                f"subject S runs dense exponential series; use N <= {_S_DIM_CAP}"
-            )
-        return problems
+    def validate(self, command: str) -> list[str]:
+        """The rules this config breaks for ``command``; each binds only where its key is read."""
+        return [message for path, message in self._broken(command) if _KEYS[path].read_by(command, self)]
 
-    def _cesaro_problems(self) -> list[str]:
-        """The rules on the r_grid and the mode; the largest r also bounds T's truncation certificate."""
-        problems = []
+    def _broken(self, command: str):
+        """(key path, message) for each broken rule, whoever reads the key; ``command`` adds its own budget."""
+        if self.subject not in _SUBJECTS:
+            yield "subject", f"subject must be one of {_SUBJECTS}, got {self.subject!r}"
+        elif self.subject == "S" and self.N > _S_DIM_CAP:
+            yield "subject", f"subject S runs dense exponential series; use N <= {_S_DIM_CAP}"
+        if self.N < 1:
+            yield "N", f"N must be >= 1, got {self.N}"
+        elif self.N > _N_CAP:
+            yield "N", f"N must be <= {_N_CAP} (the size budget), got {self.N}"
+        elif command == "matrix" and self.N > _MATRIX_N_CAP:
+            yield "N", f"matrix export capped at N = {_MATRIX_N_CAP}, got {self.N}"
+        for grid, ends in (("r_grid", "start and factor"), ("t_grid", "start and stop")):
+            first, second, count = getattr(self, grid)
+            if count < 1:
+                yield f"{grid}.count", f"{grid} count must be >= 1"
+            elif count > _GRID_COUNT_CAP:
+                yield f"{grid}.count", (
+                    f"{grid}.count must be <= {_GRID_COUNT_CAP} (the size budget), got {count}"
+                )
+            if not (math.isfinite(first) and math.isfinite(second)):
+                yield f"{grid}.start", f"{grid} {ends} must be finite"
         start, factor, count = self.r_grid
-        if count < 1:
-            problems.append("r_grid count must be >= 1")
-        elif count > _GRID_COUNT_CAP:
-            problems.append(f"r_grid.count must be <= {_GRID_COUNT_CAP} (the size budget), got {count}")
-        if not (math.isfinite(start) and math.isfinite(factor)):
-            problems.append("r_grid start and factor must be finite")
-        elif start <= 0 or factor <= 1:
-            problems.append("r_grid needs start > 0 and factor > 1")
-        elif self.N <= _N_CAP and not math.isfinite(self.N / start):  # the kernels scale coordinate h by h/r
-            problems.append(f"r_grid.start must be above N / DBL_MAX = {self.N / sys.float_info.max:.3g}, got {start!r}")
-        if 1 <= self.N <= _N_CAP and count >= 1 and 0 < start < math.inf and 1 < factor < math.inf:
+        ordered = 0 < start < math.inf and 1 < factor < math.inf
+        if math.isfinite(start) and math.isfinite(factor) and not ordered:
+            yield "r_grid.start", "r_grid needs start > 0 and factor > 1"
+        elif ordered and self.N <= _N_CAP and not math.isfinite(self.N / start):  # kernels scale h by h/r
+            limit = self.N / sys.float_info.max
+            yield "r_grid.start", f"r_grid.start must be above N / DBL_MAX = {limit:.3g}, got {start!r}"
+        # the largest r bounds T's truncation certificate
+        if ordered and 1 <= self.N <= _N_CAP and count >= 1:
             try:
                 r_max = start * factor ** (count - 1)
             except OverflowError:
                 r_max = math.inf
             if r_max / (2.0 * self.N) > 0.5:
                 raise_N = f" or raise N to at least {int(r_max)}" if math.isfinite(r_max) else ""
-                problems.append(
+                yield "r_grid.count", (
                     f"r_grid: largest r = {r_max:g} gives a vacuous truncation certificate "
                     f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); shrink the r_grid{raise_N}"
                 )
+        t0, t1, _count = self.t_grid
+        if math.isfinite(t0) and math.isfinite(t1) and not 0 <= t0 <= t1:
+            yield "t_grid.start", "t_grid needs 0 <= start <= stop"
+        if self.subject == "S" and 0 <= t0 <= t1 and _S_T_CAP < t1 < math.inf:
+            yield "t_grid.stop", (
+                f"t_grid.stop must be <= {_S_T_CAP:g} for subject S "
+                f"(its series needs about t terms), got {t1:g}"
+            )
+        if not self.vector:
+            yield "vector", "input vector must have at least one entry"
+        for i, _v in self.vector:
+            if not 1 <= i <= self.N:
+                yield "vector", f"vector index {i} outside 1..{self.N}"
+        if len({i for i, _v in self.vector}) < len(self.vector):
+            yield "vector", "vector lists an index more than once"
+        # summed in Python floats, an overflow is inf and no numpy warning
+        if not math.isfinite(sum(abs(v) for _i, v in self.vector)):
+            yield "vector", "input vector entries and their l1 norm must be finite"
+        for name in ("quadrature_tol", "convergence_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                yield f"tolerances.{name}", f"tolerances.{name} must be finite and > 0, got {value!r}"
+        if command == "verify" and 0 < self.quadrature_tol < _VERIFY_QUADRATURE_TOL_MIN:
+            yield "tolerances.quadrature_tol", (
+                f"tolerances.quadrature_tol must be >= {_VERIFY_QUADRATURE_TOL_MIN:g} for verify"
+            )
+        if self.seed < 0:
+            yield "seed", f"seed must be >= 0, got {self.seed}"
         if self.mode not in _MODES:
-            problems.append(f"mode must be one of {_MODES}, got {self.mode!r}")
+            yield "mode", f"mode must be one of {_MODES}, got {self.mode!r}"
         if self.mode == "opnorm" and self.subject != "M":
-            problems.append("opnorm mode is only available for subject M")
-        return problems
+            yield "mode", "opnorm mode is only available for subject M"
+        kind = self.s_matrix[0]
+        if kind not in _S_KINDS:
+            yield "s_matrix.kind", f"s_matrix kind must be one of {tuple(_S_KINDS)}"
+        elif kind == "timestep" and not (math.isfinite(self.s_matrix[1]) and self.s_matrix[1] >= 0):
+            yield "s_matrix.t", f"s_matrix.t must be finite and >= 0, got {self.s_matrix[1]!r}"
+        if self.horizon < 1:
+            yield "horizon", "horizon must be >= 1"
+        elif self.horizon > _HORIZON_CAP:
+            yield "horizon", f"horizon must be <= {_HORIZON_CAP} (the size budget), got {self.horizon}"
 
-    def ensure_valid(self, command: str | None = None):
+    def ensure_valid(self, command: str):
         problems = self.validate(command)
         if problems:
             raise ConfigValidationError(problems)
@@ -322,10 +352,8 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _metadata(cfg: ExperimentConfig) -> str:
-    return json.dumps(
-        {"config": cfg.to_dict(), "version": __version__}, indent=2, sort_keys=True
-    )
+def _metadata(cfg: ExperimentConfig, **extra) -> str:
+    return json.dumps({"config": cfg.to_dict(), "version": __version__, **extra}, indent=2, sort_keys=True)
 
 
 def _write(path: Path, text: str):
@@ -335,7 +363,7 @@ def _write(path: Path, text: str):
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory of t -> subject(t) x over the configured t-grid."""
-    cfg.ensure_valid()
+    cfg.ensure_valid("simulate")
     x = cfg.input_vector()
     ts = cfg.t_values().tolist()
     track = min(cfg.N, 16)
@@ -398,7 +426,7 @@ def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_verify(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     """Full invariant suite at the configured truncation; exit 0 iff all pass."""
-    cfg.ensure_valid()
+    cfg.ensure_valid("verify")
     results = run_all(
         cfg.N,
         cfg.seed,
@@ -407,15 +435,8 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
         inject_corruption=cfg.inject_corruption,
     )
     all_passed = all(r.passed for r in results)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": [r.to_dict() for r in results],
-        "all_passed": all_passed,
-    }
-    out = Path(cfg.out_dir)
-    path = out / "verify_report.json"
-    _write(path, json.dumps(report, indent=2, sort_keys=True))
+    path = Path(cfg.out_dir) / "verify_report.json"
+    _write(path, _metadata(cfg, checks=[r.to_dict() for r in results], all_passed=all_passed))
     for r in results:
         status = "ok  " if r.passed else "FAIL"
         print(f"{status} {r.name}: measured {r.measured:.3e} vs bound {r.bound:.3e}")
@@ -424,28 +445,21 @@ def cmd_verify(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
 
 def cmd_matrix(cfg: ExperimentConfig) -> list[Path]:
     """Export the perturbed-generator matrix in sparse triples and dense JSON."""
-    cfg.ensure_valid()
-    if cfg.N > 10_000:
-        raise ConfigValidationError(
-            [f"matrix export capped at N = 10000, got {cfg.N}"]
-        )
+    cfg.ensure_valid("matrix")
     op = matrix_B(cfg.N)
     out = Path(cfg.out_dir)
     paths = [out / "matrix_B.txt", out / "metadata.json"]
     out.mkdir(parents=True, exist_ok=True)
     with paths[0].open("w") as fh:
         to_sparse_triples(op, fh)
-    note = None
+    extra = {}
     if cfg.N <= 64:
         dense_path = out / "matrix_B_dense.json"
         _write(dense_path, matrix_json(op))
         paths.insert(1, dense_path)
     else:
-        note = f"dense JSON skipped: N = {cfg.N} > 64 (sparse triples only)"
-    meta = {"config": cfg.to_dict(), "version": __version__}
-    if note:
-        meta["note"] = note
-    _write(paths[-1], json.dumps(meta, indent=2, sort_keys=True))
+        extra["note"] = f"dense JSON skipped: N = {cfg.N} > 64 (sparse triples only)"
+    _write(paths[-1], _metadata(cfg, **extra))
     return paths
 
 
@@ -458,21 +472,8 @@ def _load_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_dict(data)
     else:
         cfg = ExperimentConfig()
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.subject is not None:
-        overrides["subject"] = args.subject
-    if args.dim is not None:
-        overrides["N"] = args.dim
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    problems = cfg.validate(args.command)
-    if problems:
-        raise ConfigValidationError(problems)
-    return cfg
+    overrides = {"out_dir": args.out, "subject": args.subject, "N": args.dim, "seed": args.seed}
+    return replace(cfg, **{field: value for field, value in overrides.items() if value is not None})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,15 +501,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "cesaro":
-            cmd_cesaro(cfg)
-        elif args.command == "matrix":
-            cmd_matrix(cfg)
-        else:
-            code, _ = cmd_verify(cfg)
-            return code
+        if args.command == "verify":
+            return cmd_verify(cfg)[0]
+        {"simulate": cmd_simulate, "cesaro": cmd_cesaro, "matrix": cmd_matrix}[args.command](cfg)
     except ConfigValidationError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

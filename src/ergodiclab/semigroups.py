@@ -198,39 +198,24 @@ def matrix_B(N: int) -> StructuredOperator:
 
 # --- trajectories over t-grids ---
 
-# The M/T kernels gather the support of x only when that skips 2**10 coordinates or more:
-# 100-point grids ran 1.0-1.8x faster gathered at N = 1024 (15x at 65536), one-point calls slower.
-SUPPORT_SKIP = 2**10
-
-
-def kernel_support(coords: np.ndarray) -> np.ndarray | slice:
-    """Where the M/T kernels scale x: its nonzeros, or a full slice when that skips fewer than SUPPORT_SKIP."""
-    return np.flatnonzero(coords) if coords.size - np.count_nonzero(coords) >= SUPPORT_SKIP else slice(None)
-
-
 def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
     """Grid kernel of M(t)x, or of T(t)x if ``perturbed``: row i of ``kernel(t_grid)`` is the orbit at t_grid[i].
 
-    M(t) scales coordinate h by exp(-t/h), on the support of x only: off it
-    the signed zero x_h stays as scaling leaves it.  T(t) adds b(h, t) times
-    x_1 + ... + x_{h-1}, from an exp pass over every h that serves the
-    diagonal too.  One numpy pass per call forms the whole (t, N) array, in
-    the operation order of a one-point call, so each row keeps its bits.
+    M(t) scales coordinate h by exp(-t/h), so a signed zero x_h keeps its
+    sign.  T(t) adds b(h, t) times x_1 + ... + x_{h-1}, from the same exp
+    pass.  One numpy pass per call forms the whole (t, N) array, in the
+    operation order of a one-point call, so each row keeps its bits.
     """
     h = _h(x.dim)
-    on = kernel_support(x.coords)
-    h_on, x_on = h[on], x.coords[on]
     coupled = perturbed and x.dim > 1
-    h_d, d_on = (h, on) if coupled else (h_on, slice(None))
     pairs, prefix = (h[1:] * (h[1:] - 1), np.cumsum(x.coords)[:-1]) if coupled else (None, None)
 
     def rows(t_grid: Iterable[float]) -> np.ndarray:
         t = np.array(t_grid, dtype=float, ndmin=1)[:, None]
         if np.any(t < 0):
             raise ValueError(f"time t must be >= 0, got {t[t < 0][0]}")
-        out = np.tile(x.coords, (t.size, 1))
-        decay = np.exp(-t / h_d)
-        out[:, on] = decay[:, d_on] * x_on
+        decay = np.exp(-t / h)
+        out = decay * x.coords
         if coupled:
             out[:, 1:] += b_from_decay(t, decay[:, 1:], pairs, np.empty((t.size, x.dim - 1))) * prefix
         return out

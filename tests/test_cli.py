@@ -49,8 +49,9 @@ def test_config_round_trip_through_json():
 
 
 def test_config_validation_collects_problems():
-    cfg = ExperimentConfig(subject="X", N=0, quadrature_tol=-1.0)
-    problems = cfg.validate()
+    # cesaro reads the subject, N and the convergence tolerance
+    cfg = ExperimentConfig(subject="X", N=0, convergence_tol=-1.0)
+    problems = cfg.validate("cesaro")
     assert len(problems) >= 3
 
 
@@ -71,7 +72,7 @@ def test_commands_that_never_read_the_r_grid_run_below_it(tmp_path, command):
 
 def test_config_rejects_out_of_range_vector_index():
     cfg = ExperimentConfig(N=4, vector=((7, 1.0),))
-    assert any("vector index" in p for p in cfg.validate())
+    assert any("vector index" in p for p in cfg.validate("simulate"))
 
 
 def test_config_opnorm_only_for_M():
@@ -288,7 +289,8 @@ def test_main_rejects_non_finite_tolerance(tmp_path, capsys, field, value):
     data = json.loads(path.read_text())
     data["tolerances"][field] = float(value)
     path.write_text(json.dumps(data))
-    assert main(["simulate", "--config", str(path)]) == EXIT_VALIDATION
+    # verify reads both tolerances
+    assert main(["verify", "--config", str(path)]) == EXIT_VALIDATION
     assert f"tolerances.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -321,8 +323,8 @@ def _tiny_start(subject, start):
         ('{"t_grid": {"start": 0, "stop": 1, "count": 1000000000000}}', "t_grid.count", "simulate"),
         ('{"r_grid": {"start": 1e-300, "factor": 1.000000000000001, "count": 1000000000000}}',
          "r_grid.count", "cesaro"),
-        # the power-bound scan costs horizon dense products
-        ('{"horizon": 4097}', "horizon", "simulate"),
+        # the power-bound scan of subject S costs horizon dense products
+        ('{"subject": "S", "N": 8, "horizon": 4097}', "horizon", "simulate"),
         # one index twice: the vector would keep the last value while validation summed both
         ('{"N": 8, "vector": [[1, 0.5], [1, 0.5]], "r_grid": {"start": 0.5, "factor": 2, "count": 3}}',
          "vector", "cesaro"),
@@ -417,6 +419,42 @@ def test_main_malformed_config_lists_every_problem(tmp_path, capsys):
 )
 def test_main_non_finite_config_values_rejected(tmp_path, text):
     assert _run_raw_config(tmp_path, text, "cesaro") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        # bool("false") is True: verify would inject the corruption and exit 1
+        ('{"inject_corruption": "false"}', "inject_corruption must be a boolean"),
+        ('{"N": 64.9}', "N must be an integer"),
+        ('{"N": true}', "N must be an integer"),
+        ('{"out_dir": null}', "out_dir must be a string"),
+    ],
+    ids=["bool_as_string", "fractional_integer", "bool_as_integer", "null_string"],
+)
+def test_main_rejects_values_of_another_json_type(tmp_path, capsys, text, field):
+    assert _run_raw_config(tmp_path, text, "verify") == EXIT_VALIDATION
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_runs_as_its_integer(tmp_path):
+    emitted = []
+    for n in ("64", "64.0"):
+        text = '{"N": %s, "r_grid": {"start": 0.5, "factor": 2, "count": 3}}' % n
+        assert _run_raw_config(tmp_path, text, "cesaro") == EXIT_OK
+        emitted.append((tmp_path / "out" / "metadata.json").read_bytes())
+    assert emitted[0] == emitted[1]
+    assert json.loads(emitted[1])["config"]["N"] == 64
+
+
+@pytest.mark.parametrize("config, flags", [('{"seed": -1}', []), ("{}", ["--seed", "-1"])], ids=["config", "flag"])
+def test_verify_rejects_negative_seed(tmp_path, capsys, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out"), "--dim", "8", *flags]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _S_file_config(tmp_path, c=0.97, **overrides):

@@ -50,9 +50,22 @@ def test_default_run_is_warning_free(tmp_path, name):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv += ["--config", str(path)]
+    done = run_warning_free(argv)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def run_warning_free(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "ergodiclab.cli", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_overflowing_l1_norm_is_a_config_error(tmp_path):
+    # each entry is finite; their l1 norm overflows, and summing it must not warn
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"N": 2, "vector": [[1, 1e308], [2, 1e308]]}))
+    done = run_warning_free(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert done.returncode == 2
+    assert done.stderr == "config error: input vector entries and their l1 norm must be finite\n"

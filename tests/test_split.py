@@ -1,4 +1,4 @@
-"""Support-aware M/T kernels, and curves and trajectories that keep their bits for any CPU count.
+"""M/T kernels against the direct formulas, and curves and trajectories that keep their bits for any CPU count.
 
 No code path reads the CPU count: these tests pin that a curve, its CSV, its Cauchy
 verdict and the ``simulate`` CSV keep their bytes whatever ``os.sched_getaffinity``
@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from ergodiclab import cesaro, semigroups
+from ergodiclab import cesaro
 from ergodiclab.cesaro import (
     cesaro_M,
     cesaro_T,
@@ -21,10 +21,11 @@ from ergodiclab.cesaro import (
     curve_cesaro_M_opnorm,
     curve_cesaro_T,
     geometric_grid,
+    means_kernel,
 )
 from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_simulate, main
 from ergodiclab.diagnostics import cauchy_convergence_test
-from ergodiclab.semigroups import apply_M, apply_T
+from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
 from ergodiclab.space import TruncatedVector
 
 CURVES = {"M": curve_cesaro_M, "T": curve_cesaro_T}
@@ -39,16 +40,9 @@ def sparse_vector(n, seed=17):
     return TruncatedVector(coords)
 
 
-def gather_from(monkeypatch, skip):
-    """Make the M/T kernels gather the support of x once it skips ``skip`` coordinates."""
-    monkeypatch.setattr(semigroups, "SUPPORT_SKIP", skip)
-
-
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set how many CPUs the process may use; the kernels gather every support that is not full."""
-    gather_from(monkeypatch, 1)
-
+    """Set how many CPUs the process may use."""
     def use(k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
 
@@ -130,17 +124,25 @@ EDGE_VECTORS = {
 }
 
 
-@pytest.mark.parametrize("skip", [1, 2**62], ids=["gathered", "sliced"])
+@pytest.mark.parametrize("calls", ["gathered", "sliced"])
 @pytest.mark.parametrize("name", sorted(EDGE_VECTORS))
-def test_support_aware_rows_equal_the_direct_formulas(monkeypatch, name, skip):
-    gather_from(monkeypatch, skip)
+def test_support_aware_rows_equal_the_direct_formulas(name, calls):
+    # gathered: every grid point in one kernel call; sliced: the one-point calls
     x = TruncatedVector(np.array(EDGE_VECTORS[name]))
-    for r in geometric_grid(1e-3, 3.0, 8):
-        assert same_bits(cesaro_M(r, x).coords, direct_M(r, x))
-        assert same_bits(cesaro_T(r, x).coords, direct_T(r, x))
-    for t in np.linspace(0.0, 40.0, 6).tolist():
-        assert same_bits(apply_M(t, x).coords, direct_trajectory(t, x, perturbed=False))
-        assert same_bits(apply_T(t, x).coords, direct_trajectory(t, x, perturbed=True))
+    rs = geometric_grid(1e-3, 3.0, 8)
+    ts = np.linspace(0.0, 40.0, 6).tolist()
+    if calls == "gathered":
+        means = zip(means_kernel(x, False)(rs), means_kernel(x, True)(rs))
+        orbits = zip(trajectory_kernel(x, False)(ts), trajectory_kernel(x, True)(ts))
+    else:
+        means = ((cesaro_M(r, x).coords, cesaro_T(r, x).coords) for r in rs)
+        orbits = ((apply_M(t, x).coords, apply_T(t, x).coords) for t in ts)
+    for r, (mean_M, mean_T) in zip(rs, means, strict=True):
+        assert same_bits(mean_M, direct_M(r, x))
+        assert same_bits(mean_T, direct_T(r, x))
+    for t, (orbit_M, orbit_T) in zip(ts, orbits, strict=True):
+        assert same_bits(orbit_M, direct_trajectory(t, x, perturbed=False))
+        assert same_bits(orbit_T, direct_trajectory(t, x, perturbed=True))
 
 
 def test_full_support_opnorm_equals_the_direct_formula():
