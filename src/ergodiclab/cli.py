@@ -291,7 +291,8 @@ class ExperimentConfig:
                 yield f"tolerances.{name}", f"tolerances.{name} must be finite and > 0, got {value!r}"
         if command == "verify" and 0 < self.quadrature_tol < _VERIFY_QUADRATURE_TOL_MIN:
             yield "tolerances.quadrature_tol", (
-                f"tolerances.quadrature_tol must be >= {_VERIFY_QUADRATURE_TOL_MIN:g} for verify"
+                f"tolerances.quadrature_tol must be >= {_VERIFY_QUADRATURE_TOL_MIN:g} for verify, "
+                f"got {self.quadrature_tol!r}"
             )
         if self.seed < 0:
             yield "seed", f"seed must be >= 0, got {self.seed}"
