@@ -291,7 +291,10 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
 
 # one row's l1 norm, largest |coordinate|, its 1-based index, coordinate sum f, and l1 step from the row before
 Summary = tuple[float, float, int, float, float]
-_NONE = np.empty(0)
+# a block of grid points has at most this many points, and its (block, width) arrays at most this many elements
+_BLOCK_ROWS = 32
+_BLOCK_ELEMENTS = 4096
+_NONE = np.empty((1, 0))
 # 1/(n+2)! for n = 17 down to 0: phi_2(u) = (e^u - 1 - u)/u^2 in Horner order, next term < eps/4 for u < 1
 _PHI2 = [1.0 / math.factorial(n + 2) for n in range(17, -1, -1)]
 
@@ -305,8 +308,10 @@ def support_summaries(x: TruncatedVector, grid, perturbed: bool, mean: bool) -> 
     By lemmas (a)-(c) of the README its largest coordinate sits at floor((t + 1)/2) + {0, 1, 2}
     clamped into the gap, or at a for a mean, and its step is |P| (D(a-1) + D(c) - 2 min D) over
     the gap for D = F(., r_i) - F(., r_{i-1}).  O(nnz) work per grid point, and no N-vector.
-    Support coordinates and gap maxima keep the bits of the full-row kernels; norms, f values
-    and steps are summed in another order.  The step is nan at the first point and for trajectories.
+    A block of grid points is one numpy pass over (block, width) arrays, C-ordered and reduced
+    row by row, so every row keeps the bits of a one-point block.  Support coordinates and gap
+    maxima keep the bits of the full-row kernels; norms, f values and steps are summed in
+    another order.  The step is nan at the first point and for trajectories.
     """
     at = np.flatnonzero(x.coords)
     s, xs = at + 1.0, x.coords[at]
@@ -315,78 +320,109 @@ def support_summaries(x: TruncatedVector, grid, perturbed: bool, mean: bool) -> 
     ends = np.append(s[1:] - 1.0, float(x.dim))
     gap = (s < ends) & perturbed
     a, c, P = s[gap] + 1.0, ends[gap], prefix[gap]
-    grid = np.asarray(grid, float).tolist()
-    rows = (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed)
-    add, size, prev = np.add.reduce, np.abs(P), None
-    for y, sums, tops, where, variation in rows:
+    grid, size, prev = np.asarray(grid, dtype=float), np.abs(P), None
+    stop = int(np.argmax(np.append(grid <= 0 if mean else grid < 0, True)))  # the first bad point, or the end
+
+    def blocks(width: int) -> Iterator[np.ndarray]:
+        """The grid up to its first bad point, in columns of _BLOCK_ROWS points or _BLOCK_ELEMENTS / width."""
+        rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(width, 1)))
+        return (grid[i : min(i + rows, stop), None] for i in range(0, stop, rows))
+
+    def summaries(y, sums, tops, where, variation):
+        nonlocal prev
+        rows = np.arange(len(y))
         magnitude = np.abs(y)
-        norm = float(add(magnitude) + size @ sums)
-        if not math.isfinite(norm):
-            raise ValueError("coords must be finite (no NaN/inf)")
-        top, index = 0.0, 1  # an all-zero row, as argmax reads it
+        norm = np.add.reduce(magnitude, axis=1) + _dots(size, sums)
+        f = np.add.reduce(y, axis=1) + _dots(P, sums)
+        top, index = np.zeros(rows.size), np.ones(rows.size)  # an all-zero row, as argmax reads it
         for values, places in ((magnitude, s), (np.abs(tops), where)):
-            k = values.argmax() if values.size else 0  # candidates run by index: the first of equal maxima wins
-            if values.size and (values[k] > top or (values[k] == top > 0.0 and places[k] < index)):
-                top, index = float(values[k]), int(places[k])
-        step = float(add(np.abs(y - prev)) + size @ variation) if mean and prev is not None else math.nan
-        prev = y
-        yield norm, top, index, float(add(y) + P @ sums), step
+            if values.shape[1]:  # candidates run by index: the first of equal maxima wins
+                k = values.argmax(axis=1)
+                v, p = values[rows, k], places[k] if places.ndim == 1 else places[rows, k]
+                take = (v > top) | ((v == top) & (top > 0.0) & (p < index))
+                top, index = np.where(take, v, top), np.where(take, p, index)
+        step = np.full(rows.size, math.nan)
+        if mean:
+            change = y - np.concatenate((y[:1] if prev is None else prev, y[:-1]))
+            step = np.add.reduce(np.abs(change, out=change), axis=1) + _dots(size, variation)
+            step[0], prev = math.nan if prev is None else step[0], y[-1:]
+        for summary in zip(norm.tolist(), top.tolist(), index.astype(int).tolist(), f.tolist(), step.tolist()):
+            if not math.isfinite(summary[0]):
+                raise ValueError("coords must be finite (no NaN/inf)")
+            yield summary
+
+    # a block stays alive while the next forms: freed first, a wide block's pages went back and faulted in again
+    for block in (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed, blocks):
+        yield from summaries(*block)
+    if stop < grid.size:  # the first bad point raises as a one-point call does
+        point = float(grid[stop])
+        if mean:
+            _check_r(point)
+        raise ValueError(f"time t must be >= 0, got {point}")
 
 
-def _trajectory_rows(s, xs, before, a, c, P, t_grid, perturbed):
-    """Per t: support coordinates, gap masses per unit |P|, gap peak coordinates and their indices."""
+def _dots(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """v @ row for each row, each as the 1-d dot of that row alone; a gemv would sum in another order."""
+    return np.matmul(v, rows[:, :, None])[:, 0]
+
+
+def _trajectory_rows(s, xs, before, a, c, P, t_grid, perturbed, blocks):
+    """Per block of t: support coordinates, gap masses per unit |P|, gap peak coordinates and their indices."""
     n, g = s.size, c.size
-    # one exp pass at s, c and the peak candidates h, one expm1 pass at s(s-1), (a-1)c/(c-a+1) and h(h-1);
-    # h = 1 has prefix sum 0, so any positive pair count serves there
-    decay_at = np.concatenate((s, c, np.empty(3 * g)))
-    cut_at = np.concatenate((np.maximum(s * (s - 1.0), 1.0), (a - 1.0) * c / (c - a + 1.0), np.empty(3 * g)))
-    lo, hi, P3, peak = a[:, None], c[:, None], np.repeat(P, 3), np.arange(3.0)
-    for t in t_grid:
-        if t < 0:
-            raise ValueError(f"time t must be >= 0, got {t}")
-        if not perturbed:
-            yield np.exp(-t / s) * xs, _NONE, _NONE, _NONE, _NONE
-            continue
-        h = np.minimum(np.maximum(math.floor((t + 1.0) / 2.0) + peak, lo), hi).ravel()
-        decay_at[n + g :], cut_at[n + g :] = h, h * (h - 1.0)
-        decay, cut = np.exp(-t / decay_at), -np.expm1(-t / cut_at)  # b(h, t) = e^{-t/h} cut(h)
-        y = cut[:n] * decay[:n] * before + decay[:n] * xs
-        yield y, decay[n : n + g] * cut[n : n + g], cut[n + g :] * decay[n + g :] * P3, h, _NONE
-
-
-def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed):
-    """Per r: support coordinates, gap masses per unit |P|, gap maxima at a, and gap variations of D."""
     if not perturbed:
-        for r in r_grid:
-            _check_r(r)
+        for t in blocks(n):
+            yield np.exp(-t / s) * xs, _NONE, _NONE, _NONE, _NONE
+        return
+    # one exp pass at s and c, one expm1 pass at s(s-1) and (a-1)c/(c-a+1), then both at the peak candidates
+    # h and h(h-1); h = 1 has prefix sum 0, so any positive pair count serves there
+    decay_at = np.concatenate((s, c))
+    cut_at = np.concatenate((np.maximum(s * (s - 1.0), 1.0), (a - 1.0) * c / (c - a + 1.0)))
+    lo, hi, P3, peak = a[:, None], c[:, None], np.repeat(P, 3), np.arange(3.0)
+    for t in blocks(n + 4 * g):
+        h = np.minimum(np.maximum(np.floor((t + 1.0) / 2.0)[:, :, None] + peak, lo), hi).reshape(len(t), 3 * g)
+        decay, cut = np.exp(-t / decay_at), -np.expm1(-t / cut_at)  # b(h, t) = e^{-t/h} cut(h)
+        y = cut[:, :n] * decay[:, :n] * before + decay[:, :n] * xs
+        yield y, decay[:, n:] * cut[:, n:], -np.expm1(-t / (h * (h - 1.0))) * np.exp(-t / h) * P3, h, _NONE
+
+
+def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed, blocks):
+    """Per block of r: support coordinates, gap masses per unit |P|, gap maxima at a, and gap variations of D."""
+    if not perturbed:
+        for r in blocks(s.size):
             yield -np.expm1(-r / s) * (s / r) * xs, _NONE, _NONE, _NONE, _NONE
         return
     # E(h) = h expm1(-r/h), so that F(h, r) = -E(h)/r, from one expm1 pass at every index a row reads; E(0) = 0
-    Q = np.unique(np.concatenate(([0.0], s - 1.0, s, a, c)))
+    Q = np.sort(np.concatenate(([0.0], s - 1.0, s, a, c)))
+    Q = Q[np.append(True, Q[1:] != Q[:-1])]  # np.unique, which imports numpy.ma
     i_s, i_b, i_g, i_a = (_positions(Q, h) for h in (s, s - 1.0, a - 1.0, a))
-    ends, g, E = np.searchsorted(Q, np.concatenate((a - 1.0, c))), c.size, np.zeros(Q.size)
-    minima = _D_minima(np.array(r_grid), c[-1]) if g and len(r_grid) > 1 else None
-    for i, r in enumerate(r_grid):
-        _check_r(r)
-        e = np.expm1(-r / Q[1:])
-        np.multiply(e, Q[1:], out=E[1:])
-        y = (E[i_b] - E[i_s]) * before / r + -e[i_b] * (s / r) * xs  # Q[1:] holds s where Q holds s - 1
-        G = E[ends] / r  # -F at a - 1, then at c
+    ends, g, G_prev, i = np.searchsorted(Q, np.concatenate((a - 1.0, c))), c.size, None, 0
+    if g:  # per r after the first, D's least integer point against the r before, and D there
+        at, least = (np.concatenate(([0.0], m))[:, None] for m in _D_minima(r_grid, c[-1]))
+    for r in blocks(Q.size):
+        e, E = np.expm1(-r / Q[1:]), np.zeros((len(r), Q.size))
+        np.multiply(e, Q[1:], out=E[:, 1:])
+        # Q[1:] holds s where Q holds s - 1
+        y = (_columns(E, i_b) - _columns(E, i_s)) * before / r + -_columns(e, i_b) * (s / r) * xs
+        G = E.take(ends, 1) / r  # -F at a - 1, then at c
         variation = _NONE
-        if minima is not None and i:
-            D = G_prev - G
-            low = np.minimum(D[:g], D[g:])
-            at = minima[0][i - 1]
-            np.minimum(low, minima[1][i - 1], out=low, where=(a - 1.0 <= at) & (at <= c))
-            variation = (D[:g] - low) + (D[g:] - low)
-        yield y, G[:g] - G[g:], (E[i_g] - E[i_a]) * P / r, a, variation
-        G_prev = G
+        if g:
+            D = np.concatenate((G[:1] if G_prev is None else G_prev, G[:-1])) - G
+            low, block = np.minimum(D[:, :g], D[:, g:]), slice(i, i + len(r))
+            np.minimum(low, least[block], out=low, where=(a - 1.0 <= at[block]) & (at[block] <= c))
+            variation = (D[:, :g] - low) + (D[:, g:] - low)
+        yield y, G[:, :g] - G[:, g:], (_columns(E, i_g) - _columns(E, i_a)) * P / r, a, variation
+        G_prev, i = G[-1:], i + len(r)
 
 
 def _positions(Q: np.ndarray, h: np.ndarray) -> np.ndarray | slice:
     """Where the sorted ``Q`` holds each of ``h``, as a slice when they are consecutive."""
     at = np.searchsorted(Q, h)
     return slice(at[0], at[-1] + 1) if at.size and at[-1] - at[0] == at.size - 1 else at
+
+
+def _columns(A: np.ndarray, at: np.ndarray | slice) -> np.ndarray:
+    """Columns ``at`` of ``A`` in C order; A[:, indices] comes out F-ordered, and its rows sum in another order."""
+    return A[:, at] if isinstance(at, slice) else A.take(at, 1)
 
 
 def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
@@ -466,17 +502,13 @@ class CesaroCurve:
         return int(self.r_grid.size)
 
     def to_csv(self) -> str:
-        """CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value."""
-        lines = ["r,value_or_norm,trunc_error,max_coordinate,f_value"]
-        for i in range(len(self)):
-            cells = [f"{self.r_grid[i]:.16e}", f"{self.values[i]:.16e}", f"{self.trunc_error[i]:.16e}"]
-            if self.kind == "vector":
-                cells.append(f"{self.max_coordinate[i]:.16e}")
-                cells.append(f"{self.f_value[i]:.16e}")
-            else:
-                cells.extend(["", ""])
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        """CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value, each row one %-format."""
+        columns = [self.r_grid, self.values, self.trunc_error]
+        if self.kind == "vector":
+            columns += [self.max_coordinate, self.f_value]
+        row = ",".join(["%.16e"] * len(columns) + [""] * (5 - len(columns)))
+        lines = [row % cells for cells in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+        return "\n".join(["r,value_or_norm,trunc_error,max_coordinate,f_value", *lines]) + "\n"
 
 
 def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
@@ -488,16 +520,8 @@ def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
 def _vector_curve(r_grid: np.ndarray, summaries: Iterable[Summary], trunc_error) -> CesaroCurve:
     """A vector curve from one ``Summary`` per grid point."""
     table = np.fromiter(summaries, np.dtype((float, 5)), count=r_grid.size)
-    return CesaroCurve(
-        r_grid=r_grid,
-        kind="vector",
-        trunc_error=trunc_error,
-        values=table[:, 0],
-        steps=table[1:, 4],
-        max_coordinate=table[:, 1],
-        max_index=table[:, 2].astype(int),
-        f_value=table[:, 3],
-    )
+    return CesaroCurve(r_grid, "vector", trunc_error, table[:, 0], steps=table[1:, 4], max_coordinate=table[:, 1],
+                       max_index=table[:, 2].astype(int), f_value=table[:, 3])
 
 
 def curve_cesaro_M(r_grid, x: TruncatedVector) -> CesaroCurve:

@@ -305,6 +305,8 @@ class ExperimentConfig:
             yield "s_matrix.kind", f"s_matrix kind must be one of {tuple(_S_KINDS)}"
         elif kind == "timestep" and not (math.isfinite(self.s_matrix[1]) and self.s_matrix[1] >= 0):
             yield "s_matrix.t", f"s_matrix.t must be finite and >= 0, got {self.s_matrix[1]!r}"
+        elif kind == "file" and not self.s_matrix[1]:
+            yield "s_matrix.path", "s_matrix.path must name a matrix file"
         if self.horizon < 1:
             yield "horizon", "horizon must be >= 1"
         elif self.horizon > _HORIZON_CAP:
@@ -333,9 +335,7 @@ class ExperimentConfig:
         if kind == "identity":
             return PowerBoundedOperator.identity(self.N)
         if kind == "timestep":
-            return PowerBoundedOperator.from_timestep(
-                float(self.s_matrix[1]), self.N, horizon=self.horizon
-            )
+            return PowerBoundedOperator.from_timestep(float(self.s_matrix[1]), self.N, horizon=self.horizon)
         try:
             matrix = from_sparse_triples(Path(self.s_matrix[1]).read_text(), dim=self.N)
             op = PowerBoundedOperator.from_matrix(matrix, horizon=self.horizon)
@@ -347,10 +347,6 @@ class ExperimentConfig:
                 "so no power bound is certified"
             ])
         return op
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
 
 
 def _metadata(cfg: ExperimentConfig, **extra) -> str:
@@ -369,12 +365,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     ts = cfg.t_values().tolist()
     track = min(cfg.N, 16)
     if cfg.subject == "S":
-        T_op = cfg.power_operator()
-        scratch = np.empty(cfg.N)
-        rows = (
-            (row_stats(y, scratch), y[:track])
-            for y in (apply_S(t, x, T_op, cfg.quadrature_tol).coords for t in ts)
-        )
+        T_op, scratch = cfg.power_operator(), np.empty(cfg.N)
+        sampled = (apply_S(t, x, T_op, cfg.quadrature_tol).coords for t in ts)
+        rows = ((row_stats(y, scratch), y[:track]) for y in sampled)
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
@@ -382,16 +375,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
         rows = zip(support_summaries(x, ts, perturbed, mean=False), head)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
+    line = ",".join(["%.16e"] * 4 + ["%d"] + ["%.16e"] * track)
     lines = [",".join(header)]
     for t, ((norm, top, top_index, fval, *_), coords) in zip(ts, rows):
-        cells = [_fmt(t), _fmt(norm), _fmt(fval), _fmt(top), str(top_index)]
-        lines.append(",".join(cells + [_fmt(v) for v in coords.tolist()]))
-    out = Path(cfg.out_dir)
-    csv_path = out / "trajectory.csv"
-    meta_path = out / "metadata.json"
-    _write(csv_path, "\n".join(lines) + "\n")
-    _write(meta_path, _metadata(cfg))
-    return [csv_path, meta_path]
+        lines.append(line % (t, norm, fval, top, top_index, *coords.tolist()))
+    paths = [Path(cfg.out_dir) / "trajectory.csv", Path(cfg.out_dir) / "metadata.json"]
+    _write(paths[0], "\n".join(lines) + "\n")
+    _write(paths[1], _metadata(cfg))
+    return paths
 
 
 def _build_curve(cfg: ExperimentConfig) -> CesaroCurve:
@@ -414,9 +405,7 @@ def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
         window = max(2, len(curve) // 4)
         verdict = cauchy_convergence_test(curve, window=window, tol=cfg.convergence_tol)
     else:
-        verdict = ConvergenceVerdict(
-            "inconclusive", detail={"reason": "fewer than 4 grid points"}
-        )
+        verdict = ConvergenceVerdict("inconclusive", detail={"reason": "fewer than 4 grid points"})
     out = Path(cfg.out_dir)
     paths = [out / "cesaro_curve.csv", out / "verdict.json", out / "metadata.json"]
     _write(paths[0], curve.to_csv())
@@ -428,13 +417,8 @@ def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
 def cmd_verify(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     """Full invariant suite at the configured truncation; exit 0 iff all pass."""
     cfg.ensure_valid("verify")
-    results = run_all(
-        cfg.N,
-        cfg.seed,
-        quadrature_tol=cfg.quadrature_tol,
-        convergence_tol=cfg.convergence_tol,
-        inject_corruption=cfg.inject_corruption,
-    )
+    results = run_all(cfg.N, cfg.seed, quadrature_tol=cfg.quadrature_tol, convergence_tol=cfg.convergence_tol,
+                      inject_corruption=cfg.inject_corruption)
     all_passed = all(r.passed for r in results)
     path = Path(cfg.out_dir) / "verify_report.json"
     _write(path, _metadata(cfg, checks=[r.to_dict() for r in results], all_passed=all_passed))

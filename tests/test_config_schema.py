@@ -13,8 +13,10 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +276,26 @@ def test_fields_a_command_never_reads_do_not_bind_it(workdir, argv, data):
         json.dump(data, fh)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--config", "config.json", "--out", "out"]) == EXIT_OK
+
+
+def test_file_kind_without_a_path_names_the_path(workdir):
+    # it read the path "" and exited 3 with "Is a directory: '.'"
+    data = {"subject": "S", "N": 16, "s_matrix": {"kind": "file"}}
+    for command, config in (("simulate", data), ("cesaro", base("S") | data)):
+        assert run(command, config) == (EXIT_VALIDATION, "config error: s_matrix.path must name a matrix file\n")
+    assert run("simulate", data | {"subject": "T"}) == (EXIT_OK, "")  # no subject but S reads s_matrix
+
+
+# --- the README's config table ---
+
+def test_readme_config_table_lists_the_schema_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Key | Type | Default | Rule | Read by |\n")[1].split("\n\n")[0]
+    listed = []
+    for row in table.splitlines()[1:]:
+        first = None
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            # `r_grid.start`, `.factor`, `.count` is shorthand for r_grid.factor and r_grid.count
+            first = first or name.rpartition(".")[0]
+            listed.append(first + name if name.startswith(".") else name)
+    assert sorted(listed) == sorted(key.path for key in _SCHEMA)

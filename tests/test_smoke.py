@@ -54,12 +54,25 @@ def test_default_run_is_warning_free(tmp_path, name):
     assert (done.returncode, done.stderr) == (0, "")
 
 
-def run_warning_free(argv):
+def run_warning_free(argv, module=("-m", "ergodiclab.cli")):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ergodiclab.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", *module, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_cesaro_and_verify_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 10 ms of a CLI call that reaches it
+    script = "\n".join([
+        "import sys",
+        "from ergodiclab.cli import main",
+        f"codes = [main(['cesaro', '--subject', 'T', '--out', {str(tmp_path / 'c')!r}]),",
+        f"         main(['verify', '--dim', '64', '--out', {str(tmp_path / 'v')!r}])]",
+        "print(codes, 'numpy.ma' in sys.modules)",
+    ])
+    done = run_warning_free([], module=("-c", script))
+    assert (done.returncode, done.stderr, done.stdout.splitlines()[-1]) == (0, "", "[0, 0] False")
 
 
 def test_overflowing_l1_norm_is_a_config_error(tmp_path):

@@ -174,12 +174,15 @@ def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(cpus, subject):
 
 
 def poison(monkeypatch, name, at):
-    """Make the support rows of ``cesaro.<name>`` NaN from the grid point ``at`` on."""
+    """Make the support rows of ``cesaro.<name>``, formed a block of grid points at a time, NaN from ``at`` on."""
     real = getattr(cesaro, name)
 
     def rows(*args):
-        for i, (y, *rest) in enumerate(real(*args)):
-            yield (np.full_like(y, np.nan) if i >= at else y), *rest
+        start = 0
+        for y, *rest in real(*args):
+            points = np.arange(start, start + len(y))[:, None]
+            start += len(y)
+            yield np.where(points >= at, np.nan, y), *rest
 
     monkeypatch.setattr(cesaro, name, rows)
 

@@ -8,11 +8,13 @@ index is the row's except at a tie within rounding.  Lemmas (a)-(c) of
 """
 
 import math
+import struct
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from ergodiclab import cesaro
 from ergodiclab.cesaro import (
     _D_minima,
     curve_cesaro_M,
@@ -98,6 +100,76 @@ def test_bad_grid_points_raise(perturbed):
     # h/r overflows at r far below N / DBL_MAX, which the CLI refuses
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="coords must be finite"):
         list(support_summaries(TruncatedVector(signed_with_zero_prefix_gap(65536)), [1e-320], perturbed, mean=True))
+
+
+# --- blocks of grid points: every row keeps the bits of a one-point call ---
+
+BLOCK_CASES = {
+    "sparse": lambda: signed_with_zero_prefix_gap(257),
+    "full": lambda: np.random.default_rng(2).uniform(-1.0, 1.0, 4097),  # wider than a block's element budget
+}
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The number of grid points in each block that support_summaries evaluates, in order."""
+    sizes = []
+
+    def spy(real):
+        def rows(*args):
+            for block in real(*args):
+                sizes.append(len(block[0]))
+                yield block
+
+        return rows
+
+    for name in ("_mean_rows", "_trajectory_rows"):
+        monkeypatch.setattr(cesaro, name, spy(getattr(cesaro, name)))
+    return sizes
+
+
+def bits(summary):
+    return struct.pack("<ddqd", *summary[:4]), struct.pack("<d", summary[4])
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_blocks_keep_the_bits_of_one_call_per_point(monkeypatch, block_sizes, case, kind):
+    mean, perturbed = kind
+    x = TruncatedVector(BLOCK_CASES[case]())
+    longest = geometric_grid(0.05, 1.3, 70) if mean else np.linspace(0.0, 300.0, 70)
+    list(support_summaries(x, longest, perturbed, mean))
+    K = block_sizes[0]
+    assert (K == 1) == (case == "full")
+    for count in (K - 1, K, K + 1, 2 * K + 1):
+        grid = longest[:count]
+        block_sizes.clear()
+        blocked = [bits(s) for s in support_summaries(x, grid, perturbed, mean)]
+        assert block_sizes == [K] * (count // K) + [count % K] * (count % K > 0)
+        for point, (head, _) in zip(grid, blocked, strict=True):
+            (alone,) = support_summaries(x, [point], perturbed, mean)
+            assert head == bits(alone)[0]
+        # steps against one block for the whole grid
+        with monkeypatch.context() as m:
+            m.setattr(cesaro, "_BLOCK_ROWS", count)
+            m.setattr(cesaro, "_BLOCK_ELEMENTS", 10**9)
+            block_sizes.clear()
+            whole = [bits(s) for s in support_summaries(x, grid, perturbed, mean)]
+            assert block_sizes == [count] * (count > 0)
+        assert blocked == whole
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["curve", "trajectory"])
+def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(mean):
+    x = TruncatedVector(signed_with_zero_prefix_gap(64))
+    grid = geometric_grid(0.05, 1.1, 3 * cesaro._BLOCK_ROWS) if mean else np.linspace(0.0, 40.0, 3 * cesaro._BLOCK_ROWS)
+    bad = cesaro._BLOCK_ROWS + 5
+    grid[bad], grid[bad + 1] = -2.0, -1.0
+    rows = support_summaries(x, grid, perturbed=True, mean=mean)
+    assert len([row for _, row in zip(range(bad), rows)]) == bad
+    message = "averaging length r must be > 0, got -2.0" if mean else "time t must be >= 0, got -2.0"
+    with pytest.raises(ValueError, match=message):
+        next(rows)
 
 
 # --- lemmas (a)-(c), on sampled h up to 2**22, in 50-digit arithmetic ---
