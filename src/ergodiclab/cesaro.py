@@ -17,7 +17,7 @@ reads each row's summaries off the support of x in O(nnz) per grid point.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -26,25 +26,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .coeffs import integral_b_from_expm1
-from .exp_semigroup import PowerBoundedOperator, poisson_window
+from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window, series_blocks
 from .space import TruncatedVector, norm_l1, row_stats
 
 __all__ = [
-    "QuadratureError",
-    "CesaroCurve",
-    "cesaro_M",
-    "cesaro_M_opnorm",
-    "cesaro_T",
-    "cesaro_T_certificate",
-    "cesaro_quadrature",
-    "adaptive_simpson",
-    "means_kernel",
-    "support_summaries",
-    "stream_cesaro_S",
-    "curve_cesaro_M",
-    "curve_cesaro_T",
-    "curve_cesaro_M_opnorm",
-    "curve_cesaro_S",
+    "QuadratureError", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
+    "cesaro_quadrature", "adaptive_simpson", "means_kernel", "support_summaries", "stream_cesaro_S",
+    "curve_cesaro_M", "curve_cesaro_T", "curve_cesaro_M_opnorm", "curve_cesaro_S",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -140,16 +128,25 @@ def cesaro_T_certificate(r: float, N: int) -> float:
     Below u = 1, where subtracting from 1 cancels, the series u/2 - u^2/6 + u^3/24 - ... is within 2 eps;
     above, 1 + expm1(-u)/u is within 4 eps.  Either is raised past its bound, so it never understates.
     """
-    _check_r(r)
+    return float(_T_certificates(np.array([r], dtype=float), N)[0])
+
+
+def _T_certificates(r: np.ndarray, N: int) -> np.ndarray:
+    """cesaro_T_certificate over an array of r, the series by np.polyval in the same Horner order.
+
+    Above u = 1 each value keeps math.expm1, which differs from np.expm1 in about one last bit in eight.
+    """
+    if np.any(r <= 0):
+        _check_r(r[r <= 0][0])
     if N < 1:
         raise ValueError(f"truncation N must be >= 1, got {N}")
     u = r / N
-    if u < 1.0:
-        value, slack = u / 2.0 - u * u * functools.reduce(lambda t, c: t * u + c, _PHI2_TAIL, 0.0), 2.5
-    else:
-        value, slack = 1.0 + math.expm1(-u) / u, 4.5
+    low = np.minimum(u, 1.0)
+    value = np.where(u < 1.0, low / 2.0 - low * low * np.polyval(_PHI2_TAIL, low), 0.0)
+    for i in np.flatnonzero(u >= 1.0):
+        value[i] = 1.0 + math.expm1(-u[i]) / u[i]
     # below the normal range rounding errs by whole subnormal steps, not by eps * value
-    return value + max(slack * _EPS * value, 2 * math.ulp(0.0))
+    return value + np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 2 * math.ulp(0.0))
 
 
 def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int = 2**20) -> np.ndarray:
@@ -236,32 +233,21 @@ def cesaro_quadrature(kernel: Integrand, r: float, tol: float, budget: int = 2**
     return TruncatedVector(total / r)
 
 
-def _mean_weights(r: float, scale: float, tol: float) -> tuple[np.ndarray, float]:
-    """u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, and the window's loss.
-
-    The upper tails are summed from the top of the Poisson window; u_R is 0.
-    """
-    _check_r(r)
-    L, p, lost = poisson_window(r, _EPS * tol * r / scale if scale else math.inf)
-    upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
-    return np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r, lost
-
-
 def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Rows:
     """Closed-form means C_S(r)x = (1/r) sum_j P(Poisson(r) >= j+1) T^j x.
 
     Integrating S(s)x = sum_j P(Poisson(s) = j) T^j x over [0, r] term by
-    term gives these weights.  The powers T^j x are formed once for the
-    whole grid, up to the first J at which the largest r drops at most
-    ``tol``: power_bound * ||x||_1 * (1/r) * sum_{j>J} P(X >= j+1), plus
-    the Poisson window's loss.  That drop grows with r, so each row's own
-    bound, yielded as its trunc_error, is within ``tol`` too.
+    term gives these weights.  One power sweep serves a block of grid points
+    (``series_blocks``), up to the largest J that one of them needs: the
+    first J at which power_bound * ||x||_1 * (1/r) * sum_{j>J} P(X >= j+1),
+    plus the Poisson window's loss, is within ``tol``.  Each row's own bound
+    at the block's J is yielded as its trunc_error.  The powers are summed
+    into the block's rows by one product per chunk of BLOCK_ELEMENTS / N of them.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size < 1:
         raise ValueError("r_grid must be a nonempty 1-d array")
     scale = T.power_bound * norm_l1(x)
-    rows = [_mean_weights(float(r), scale, tol) for r in r_grid]
 
     def error_bounds(u, lost, r):
         # l1 error of stopping at J = 0..R: the weight past J, plus the
@@ -269,22 +255,30 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
         after = np.append(np.cumsum(u[::-1])[::-1][1:], 0.0)
         return scale * (after + ((np.arange(u.size) + 2) / r + 1.0) * lost)
 
-    top = int(np.argmax(r_grid))
-    within = np.flatnonzero(error_bounds(*rows[top], r_grid[top]) <= tol)
-    if not within.size:
-        raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
-    J = int(within[0])
-    powers = np.empty((J + 1, x.dim))
-    powers[0] = x.coords
-    for j in range(1, J + 1):
-        powers[j] = T.matrix @ powers[j - 1]
-    weights = np.empty((r_grid.size, J + 1))
-    errors = np.empty(r_grid.size)
-    for i, ((u, lost), r) in enumerate(zip(rows, r_grid)):
-        u = np.pad(u, (0, max(0, J + 1 - u.size)))
-        weights[i] = u[: J + 1]
-        errors[i] = error_bounds(u, lost, r)[J]
-    yield from zip(weights @ powers, errors)
+    def window(r):  # u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, with upper tails summed from the top
+        _check_r(r)
+        L, p, lost = poisson_window(r, _EPS * tol * r / scale if scale else math.inf)
+        upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
+        u = np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r
+        within = np.flatnonzero(error_bounds(u, lost, r) <= tol)
+        if not within.size:
+            raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
+        return int(within[0]), u, lost, r
+
+    chunk = max(1, BLOCK_ELEMENTS // x.dim)
+    for block in series_blocks(r_grid, x.dim, window):
+        J = max(item[0] for item in block)
+        weights, errors = np.empty((len(block), J + 1)), []
+        for row, (_, u, lost, r) in zip(weights, block):
+            u = np.pad(u, (0, max(0, J + 1 - u.size)))
+            row[:] = u[: J + 1]
+            errors.append(error_bounds(u, lost, r)[J])
+        powers = T.powers(x.coords, J)
+        for start in range(0, J + 1, chunk):
+            stack = np.array(list(itertools.islice(powers, chunk)))
+            part = weights[:, start : start + len(stack)] @ stack
+            means = part if start == 0 else np.add(means, part, out=means)
+        yield from zip(means, errors)
 
 
 # --- M and T rows summarised from the support of x ---
@@ -533,8 +527,7 @@ def curve_cesaro_T(r_grid, x: TruncatedVector) -> CesaroCurve:
     """Summaries of C_T(r)x; each errs by cesaro_T_certificate(r, N) * norm_l1(x) at most."""
     r_grid = np.asarray(r_grid, dtype=float)
     summaries = support_summaries(x, r_grid, perturbed=True, mean=True)
-    scale = norm_l1(x)
-    return _vector_curve(r_grid, summaries, [scale * cesaro_T_certificate(r, x.dim) for r in r_grid])
+    return _vector_curve(r_grid, summaries, norm_l1(x) * _T_certificates(r_grid, x.dim))
 
 
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:

@@ -22,13 +22,8 @@ from .semigroups import StructuredOperator, matrix_A, matrix_A_inverse, nullity,
 from .space import TruncatedVector, basis_vector
 
 __all__ = [
-    "Evidence",
-    "ConvergenceVerdict",
-    "kernel_criterion",
-    "sine_criterion",
-    "uniform_criterion_M",
-    "mass_escape_profile",
-    "cauchy_convergence_test",
+    "Evidence", "ConvergenceVerdict", "kernel_criterion", "sine_criterion", "uniform_criterion_M",
+    "mass_escape_profile", "cauchy_convergence_test",
 ]
 
 UNIFORM_FLOOR = 1.0 - 1.0 / math.e
@@ -87,9 +82,9 @@ def sine_criterion(T: PowerBoundedOperator) -> list[Evidence]:
     cross-Gram matrix has full rank over fix(T').  Mean ergodicity of T
     is equivalent to separation.
     """
-    eye = np.eye(T.dim)
-    fix_T = _null_basis(T.matrix - eye)
-    fix_Tp = _null_basis(T.matrix.T - eye)
+    eye, matrix = np.eye(T.dim), T.dense()
+    fix_T = _null_basis(matrix - eye)
+    fix_Tp = _null_basis(matrix.T - eye)
     dim_fix = fix_T.shape[1]
     dim_fix_adj = fix_Tp.shape[1]
     if dim_fix_adj == 0:
@@ -230,21 +225,12 @@ def cauchy_convergence_test(
         return ConvergenceVerdict("converges", detail=detail)
 
     window_min = float(curve.values[-window:].min())
-    if curve.kind == "norm":
-        if window_min >= floor - 1e-12:
-            detail["norm_window_min"] = window_min
-            return ConvergenceVerdict(
-                "diverges", witness=window_min, threshold=floor - 1e-12, detail=detail
-            )
-    else:
-        maxes = curve.max_coordinate
-        mass_escaping = maxes[-1] <= 0.5 * maxes[0]
-        if window_min >= floor - 1e-12 and mass_escaping:
-            detail["norm_window_min"] = window_min
+    maxes = curve.max_coordinate
+    if window_min >= floor - 1e-12 and (curve.kind == "norm" or maxes[-1] <= 0.5 * maxes[0]):
+        detail["norm_window_min"] = window_min
+        if curve.kind == "vector":  # the mass escapes
             detail["max_coordinate_drop"] = float(maxes[-1] / maxes[0])
-            return ConvergenceVerdict(
-                "diverges", witness=window_min, threshold=floor - 1e-12, detail=detail
-            )
+        return ConvergenceVerdict("diverges", witness=window_min, threshold=floor - 1e-12, detail=detail)
     return ConvergenceVerdict("inconclusive", detail=detail)
 
 

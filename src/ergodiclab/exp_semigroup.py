@@ -1,4 +1,4 @@
-"""Exponential semigroup S(t) = e^{-t} e^{tT} for a power-bounded matrix T.
+"""Exponential semigroup S(t) = e^{-t} e^{tT} for a power-bounded operator T.
 
 The construction turns any power-bounded operator into a bounded
 uniformly continuous semigroup: under the renorm
@@ -6,7 +6,8 @@ uniformly continuous semigroup: under the renorm
 |||S(t)||| <= exp(t(|||T||| - 1)) <= 1.  Fixed vectors of T are exactly
 the fixed vectors of every S(t).
 
-Series evaluation is matrix-free: S(t)x = sum_j P(Poisson(t) = j) T^j x
+Everything is matrix-free: T acts in O(N) (``StructuredOperator``) or
+O(nnz) (``SparseOperator``), and S(t)x = sum_j P(Poisson(t) = j) T^j x
 is accumulated over the powers T^j x, never forming the exponential
 densely.  The Poisson weights come from ``poisson_window``, which starts in
 log space where e^{-t} would underflow and sums tails from the top (Fox &
@@ -16,88 +17,107 @@ nor a tolerance near the rounding level stalls the series.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .semigroups import matrix_T, opnorm_l1
+from .semigroups import SparseOperator, StructuredOperator, matrix_T
 from .space import TruncatedVector, norm_l1
 
-__all__ = ["PowerBoundedOperator", "renorm", "poisson_window", "apply_S", "semigroup_defect_S"]
+__all__ = [
+    "PowerBoundedOperator", "renorm", "poisson_window", "series_blocks", "stream_S", "apply_S", "semigroup_defect_S",
+]
 
 _MAX_SERIES_TERMS = 100_000
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # smallest normal double
 _LOG_TINY = math.log(_TINY)
+# a block of grid points holds at most this many elements: its N-vector rows plus their series weights
+BLOCK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
 class PowerBoundedOperator:
-    """Square matrix with a bound on sup_n of its power norms.
+    """Matrix-free operator T, with its transpose action, and a bound on sup_n of its power norms.
 
     ``power_bound`` bounds the l1 operator norms of T^n over all n >= 0
     (n = 0 included, so the bound is always >= 1 and the renorm below
     dominates the original norm).  Its certificate is ``certified_power``,
     a k >= 1 with ||T^k||_1 <= 1, past which no power norm exceeds
     max_{n<k} ||T^n||_1; an operator without one has power_bound inf.
+    ``exact_bound`` is False for a T with a negative entry, whose scan
+    reads |T| instead: power_bound is then an upper bound, not the sup.
     """
 
-    matrix: np.ndarray
+    operator: StructuredOperator | SparseOperator
     power_bound: float
     certified_power: int | None
+    exact_bound: bool = True
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("matrix must be square")
         if (self.certified_power is None) != (self.power_bound == math.inf):
             raise ValueError("a finite power_bound needs a certified_power and an infinite one has none")
         if self.certified_power is not None and self.certified_power < 1:
             raise ValueError("certified_power must be >= 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
+        return self.operator.dim
+
+    def apply(self, x: TruncatedVector) -> TruncatedVector:
+        return self.operator.apply(x)
+
+    def dense(self) -> np.ndarray:
+        """T as an N x N matrix: O(N^2) memory, for small N only."""
+        return self.operator.dense()
+
+    def powers(self, coords: np.ndarray, count: int) -> Iterator[np.ndarray]:
+        """coords, T coords, ..., T^count coords: one matvec apart."""
+        yield coords
+        for _ in range(count):
+            coords = self.operator.apply_block(coords)
+            yield coords
 
     @classmethod
     def from_matrix(cls, matrix, horizon: int = 256) -> "PowerBoundedOperator":
         """Scan ||T^n|| for n = 0..horizon, stopping at the first k with ||T^k|| <= 1.
 
-        Past such a k, submultiplicativity gives ||T^n|| <= max_{j<k} ||T^j||
-        for every n, so the early stop returns what the full scan would.
-        Without such a k the norms seen up to horizon bound nothing beyond
-        it (the Jordan block [[1, 1], [0, 1]] has ||T^n|| = n + 1), so the
-        bound is inf, as it is when a power's norm overflows.
+        ``matrix`` is a structured or sparse operator, or a dense array, stored
+        sparse.  For nonnegative T, ||T^n||_1 is the largest entry of 1^T T^n,
+        one adjoint action per power; for signed T the scan reads 1^T |T|^n,
+        which bounds 1^T |T^n| entrywise.  Past such a k,
+        submultiplicativity gives ||T^n|| <= max_{j<k} ||T^j|| for every n,
+        so the early stop returns what the full scan would.  Without such a
+        k the norms seen up to horizon bound nothing beyond it (the Jordan
+        block [[1, 1], [0, 1]] has ||T^n|| = n + 1), so the bound is inf, as
+        it is when a power's norm overflows.
         """
-        arr = np.asarray(matrix, dtype=float)
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
-        bound = 1.0  # n = 0 term
-        power = np.eye(arr.shape[0])
+        op = matrix if isinstance(matrix, (StructuredOperator, SparseOperator)) else SparseOperator.from_dense(matrix)
+        scanned, bound, row = op.magnitude(), 1.0, np.ones(op.dim)  # |T|, the n = 0 term, and 1^T |T|^0
+        exact = scanned is op  # no entry is negative
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, horizon + 1):
-                power = arr @ power
-                norm = opnorm_l1(power)
+                row = scanned.adjoint_block(row)
+                norm = float(row.max())
                 if not math.isfinite(norm):
                     break
                 if norm <= 1.0:
-                    return cls(matrix=arr, power_bound=bound, certified_power=k)
+                    return cls(op, bound, k, exact)
                 bound = max(bound, norm)
-        return cls(matrix=arr, power_bound=math.inf, certified_power=None)
+        return cls(op, math.inf, None, exact)
 
     @classmethod
     def identity(cls, dim: int) -> "PowerBoundedOperator":
-        return cls(matrix=np.eye(dim), power_bound=1.0, certified_power=1)
+        return cls.from_matrix(StructuredOperator(np.ones(dim)))
 
     @classmethod
     def from_timestep(cls, t: float, dim: int, horizon: int = 256) -> "PowerBoundedOperator":
-        """The perturbed-semigroup matrix T(t) at truncation ``dim`` as input."""
-        return cls.from_matrix(matrix_T(t, dim).dense(), horizon=horizon)
+        """The perturbed-semigroup operator T(t) at truncation ``dim`` as input; its columns sum to e^{-t/N} <= 1."""
+        return cls.from_matrix(matrix_T(t, dim), horizon=horizon)
 
 
 def renorm(x: TruncatedVector, T: PowerBoundedOperator) -> float:
@@ -111,12 +131,7 @@ def renorm(x: TruncatedVector, T: PowerBoundedOperator) -> float:
         raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
     if T.certified_power is None:
         raise ValueError("renorm needs a certified power bound, and this operator has none")
-    v = x.coords
-    best = float(np.abs(v).sum())
-    for _ in range(1, T.certified_power):
-        v = T.matrix @ v
-        best = max(best, float(np.abs(v).sum()))
-    return best
+    return max(float(np.abs(v).sum()) for v in T.powers(x.coords, T.certified_power - 1))
 
 
 def poisson_window(t: float, rest_tol: float) -> tuple[int, np.ndarray, float]:
@@ -136,16 +151,8 @@ def poisson_window(t: float, rest_tol: float) -> tuple[int, np.ndarray, float]:
         return 0, np.ones(1), 0.0
     log_t = math.log(t)
     L = 0
-    if -t < _LOG_TINY:
-        # the log-pmf increases up to the mode, where it is about -log(2 pi t)/2
-        lo, hi = 0, int(t)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid * log_t - t - math.lgamma(mid + 1) < _LOG_TINY:
-                lo = mid + 1
-            else:
-                hi = mid
-        L = lo
+    if -t < _LOG_TINY:  # the log-pmf increases up to the mode, where it is about -log(2 pi t)/2
+        L = bisect.bisect_left(range(int(t)), True, key=lambda j: j * log_t - t - math.lgamma(j + 1) >= _LOG_TINY)
     p = math.exp(L * log_t - t - math.lgamma(L + 1))
     probs = [p]
     j = L
@@ -168,41 +175,70 @@ def poisson_window(t: float, rest_tol: float) -> tuple[int, np.ndarray, float]:
     return L, probs / total, 2.0 * (left + rest / total)
 
 
-def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> TruncatedVector:
-    """e^{-t} e^{tT} x by truncated uniformization series with a certified remainder.
+def series_blocks(grid: Iterable[float], dim: int, window: Callable[[float], tuple]) -> Iterator[list[tuple]]:
+    """``window(point)`` per grid point, in runs of consecutive points that share one power sweep.
 
-    The series stops at the first J whose dropped weight P(Poisson(t) > J),
+    A window starts with J, the last power its point reads.  A run takes
+    points while its count times (dim + 1 + the largest J) fits
+    BLOCK_ELEMENTS, and at least one, so a sweep holds O(BLOCK_ELEMENTS + N)
+    elements at any grid size.
+    """
+    block, width = [], 0
+    for point in grid:
+        item = window(float(point))
+        if block and (len(block) + 1) * (dim + 1 + max(width, item[0])) > BLOCK_ELEMENTS:
+            yield block
+            block, width = [], 0
+        block.append(item)
+        width = max(width, item[0])
+    if block:
+        yield block
+
+
+def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Iterator[np.ndarray]:
+    """e^{-t} e^{tT} x per t of ``t_grid``, by truncated uniformization series with certified remainders.
+
+    Each series stops at the first J whose dropped weight P(Poisson(t) > J),
     multiplied by power_bound * ||x||_1, is within ``tol``; that weight is
     summed from the top of the Poisson window, so it has no rounding floor.
+    One power sweep serves a block of grid points (``series_blocks``): row i
+    adds p_i(j) T^j x in increasing j, with p_i(j) = 0 outside L_i..J_i, so
+    every row keeps the bits of a one-point grid.
     """
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if x.dim != T.dim:
         raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
     scale = T.power_bound * norm_l1(x)
-    L, p, lost = poisson_window(t, _EPS * tol / scale if scale else math.inf)
-    # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
-    after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
-    within = np.flatnonzero(after * scale <= tol)
-    if not within.size:
-        raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
-    J = 0 if within[0] == 0 else L + int(within[0]) - 1
-    v = x.coords
-    acc = None
-    for j in range(J + 1):
-        if j:
-            v = T.matrix @ v
-        if j >= L:
-            term = p[j - L] * v
-            acc = term if acc is None else acc + term
-    return TruncatedVector(np.zeros_like(v) if acc is None else acc)
+
+    def window(t):
+        if t < 0:
+            raise ValueError(f"time t must be >= 0, got {t}")
+        L, p, lost = poisson_window(t, _EPS * tol / scale if scale else math.inf)
+        # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
+        after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
+        within = np.flatnonzero(after * scale <= tol)
+        if not within.size:
+            raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
+        return (0 if within[0] == 0 else L + int(within[0]) - 1), L, p
+
+    for block in series_blocks(t_grid, x.dim, window):
+        weights = np.zeros((len(block), max(item[0] for item in block) + 1))
+        for row, (J, L, p) in zip(weights, block):
+            row[L : J + 1] = p[: max(J + 1 - L, 0)]
+        rows = np.zeros((len(block), x.dim))
+        for j, v in enumerate(T.powers(x.coords, weights.shape[1] - 1)):
+            # a row starts at +0 and so is never -0: the zero weights outside L_i..J_i leave its bits alone
+            rows += weights[:, j, None] * v
+        yield from rows
 
 
-def semigroup_defect_S(
-    t: float, s: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float
-) -> float:
+def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> TruncatedVector:
+    """S(t)x within ``tol`` in l1: ``stream_S`` on a one-point grid."""
+    return TruncatedVector(next(stream_S([t], x, T, tol)))
+
+
+def semigroup_defect_S(t: float, s: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> float:
     """l1 defect ||S(t+s)x - S(t)S(s)x||; bounded by 4 * tol * power_bound."""
     joint = apply_S(t + s, x, T, tol)
     stepped = apply_S(t, apply_S(s, x, T, tol), T, tol)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
@@ -32,23 +32,15 @@ from .coeffs import b_from_decay, b_row, tail_sum_b
 from .space import TruncatedVector
 
 __all__ = [
-    "StructuredOperator",
-    "nullity",
-    "apply_M",
-    "apply_T",
-    "trajectory_kernel",
-    "matrix_M",
-    "matrix_N",
-    "matrix_T",
-    "matrix_A",
-    "matrix_A_inverse",
-    "matrix_B",
-    "kernel_B",
-    "adjoint_residual_vector",
-    "opnorm_l1",
-    "to_sparse_triples",
-    "from_sparse_triples",
+    "StructuredOperator", "SparseOperator", "nullity", "apply_M", "apply_T", "trajectory_kernel", "matrix_M",
+    "matrix_N", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B", "adjoint_residual_vector",
+    "opnorm_l1", "to_sparse_triples", "from_sparse_triples",
 ]
+
+
+def _check(op, x: TruncatedVector):
+    if x.dim != op.dim:
+        raise ValueError(f"dimension mismatch: operator {op.dim}, vector {x.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,20 +66,16 @@ class StructuredOperator:
     def dim(self) -> int:
         return int(self.diag.size)
 
-    def _check(self, x: TruncatedVector):
-        if x.dim != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, vector {x.dim}")
-
     def apply(self, x: TruncatedVector) -> TruncatedVector:
         """O(N) action: diag_j x_j + below_j (x_1 + ... + x_{j-1})."""
-        self._check(x)
+        _check(self, x)
         return TruncatedVector(self.apply_block(x.coords))
 
     def apply_block(self, coords: np.ndarray) -> np.ndarray:
         """The action of ``apply`` on the last axis: one N-vector, or a (k, N) block of k vectors."""
         out = self.diag * coords
         if self.below is not None:
-            out[..., 1:] += np.cumsum(coords, axis=-1)[..., :-1] * self.below[1:]
+            out[..., 1:] += coords.cumsum(axis=-1)[..., :-1] * self.below[1:]
         return out
 
     def min_entry(self) -> float:
@@ -98,12 +86,20 @@ class StructuredOperator:
         return low
 
     def apply_adjoint(self, y: TruncatedVector) -> TruncatedVector:
-        """O(N) transpose action: diag_k y_k plus the suffix sum of below_j y_j over j > k."""
-        self._check(y)
-        out = self.diag * y.coords
+        _check(self, y)
+        return TruncatedVector(self.adjoint_block(y.coords))
+
+    def adjoint_block(self, coords: np.ndarray) -> np.ndarray:
+        """O(N) transpose action on one N-vector: diag_k y_k plus the suffix sum of below_j y_j over j > k."""
+        out = self.diag * coords
         if self.below is not None:
-            out[:-1] += np.cumsum((self.below[1:] * y.coords[1:])[::-1])[::-1]
-        return TruncatedVector(out)
+            out[:-1] += np.cumsum((self.below[1:] * coords[1:])[::-1])[::-1]
+        return out
+
+    def magnitude(self) -> "StructuredOperator":
+        """The operator of the entries' absolute values: this one when none is negative."""
+        below = None if self.below is None else np.abs(self.below)
+        return self if self.min_entry() >= 0.0 else StructuredOperator(np.abs(self.diag), below, self.tail)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix.  It takes O(N^2) memory, so use it at small N only."""
@@ -111,6 +107,52 @@ class StructuredOperator:
         below = np.zeros(n) if self.below is None else self.below
         out = np.tril(np.broadcast_to(below[:, None], (n, n)), -1)
         out[np.diag_indices(n)] = self.diag
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class SparseOperator:
+    """An N x N matrix stored as its entries ``vals`` at 0-based ``rows`` and ``cols``, no pair twice.
+
+    Its action and that of its transpose are one ``np.bincount`` over the entries each: O(nnz).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    dim: int
+
+    def __post_init__(self):
+        if not np.isfinite(self.vals).all():
+            raise ValueError("matrix entries must be finite")
+
+    @classmethod
+    def from_dense(cls, entries) -> "SparseOperator":
+        arr = np.asarray(entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("matrix must be square")
+        rows, cols = np.nonzero(arr)
+        return cls(rows, cols, arr[rows, cols], arr.shape[0])
+
+    def apply(self, x: TruncatedVector) -> TruncatedVector:
+        _check(self, x)
+        return TruncatedVector(self.apply_block(x.coords))
+
+    def apply_block(self, coords: np.ndarray) -> np.ndarray:
+        """The action on one N-vector; a row no entry reaches is 0."""
+        return np.bincount(self.rows, self.vals * coords[self.cols], self.dim).astype(float, copy=False)
+
+    def adjoint_block(self, coords: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols, self.vals * coords[self.rows], self.dim).astype(float, copy=False)
+
+    def magnitude(self) -> "SparseOperator":
+        """The operator of the entries' absolute values: this one when none is negative."""
+        return self if self.vals.min(initial=0.0) >= 0.0 else replace(self, vals=np.abs(self.vals))
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix.  It takes O(N^2) memory, so use it at small N only."""
+        out = np.zeros((self.dim, self.dim))
+        out[self.rows, self.cols] = self.vals
         return out
 
 
@@ -275,7 +317,10 @@ def opnorm_l1(entries: np.ndarray) -> float:
 
 # --- exchange formats ---
 
-_DIM_HEADER = re.compile(r"\bdim\s+(\d+)\b")
+# the first comment line that states a dimension
+_DIM_HEADER = re.compile(r"^[ \t]*[%#].*?\bdim[ \t]+(\d+)\b", re.M)
+_DATA_LINE = re.compile(r"^[ \t]*[^%#\s]", re.M)
+_TRIPLE = np.dtype([("row", np.int64), ("col", np.int64), ("val", float)])
 
 
 def to_sparse_triples(op: StructuredOperator, out: TextIO):
@@ -301,45 +346,43 @@ def to_sparse_triples(op: StructuredOperator, out: TextIO):
             out.write(heads[first] + col + col.join(joints[first:]))
 
 
-def from_sparse_triples(text: str, dim: int | None = None) -> np.ndarray:
-    """Parse the triple format back into a dense matrix.
+def from_sparse_triples(text: str, dim: int | None = None) -> SparseOperator:
+    """Parse the triple format into its validated entries, without forming the matrix.
 
     The file's dimension is the ``dim N`` of the first comment line that
     states one, as the writer's header does, so trailing zero rows and
     columns survive; without such a line it is the largest index.  A file
-    of another dimension than an expected ``dim`` is refused before the
-    matrix is allocated, and so is an index outside 1..N.
+    of another dimension than an expected ``dim`` is refused, and so are an
+    index outside 1..N and a (row, col) pair given twice.
     """
-    triples = []
-    found = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith(("%", "#")):
-            stated = _DIM_HEADER.search(line)
-            if found is None and stated:
-                found = int(stated.group(1))
-            continue
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed triple line: {raw!r}")
-        triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-    if found is None:
-        if not triples:
-            raise ValueError("no triples found")
-        found = max(max(i, j) for i, j, _ in triples)
+    triples = np.zeros(0, _TRIPLE)
+    if _DATA_LINE.search(text):
+        try:
+            # one comment character keeps loadtxt in C
+            triples = np.loadtxt(text.replace("#", "%").splitlines(), dtype=_TRIPLE, comments="%", ndmin=1)
+        except ValueError as exc:  # loadtxt's advice on its usecols argument means nothing to a file's author
+            raise ValueError(f"malformed triples: {str(exc).split('; use')[0]}") from None
+    rows, cols = triples["row"], triples["col"]
+    stated = _DIM_HEADER.search(text)
+    if stated:
+        found = int(stated.group(1))
+    elif not triples.size:
+        raise ValueError("no triples found")
+    else:
+        found = int(max(rows.max(), cols.max()))
     if dim is not None and found != dim:
         raise ValueError(f"matrix file has dim {found}, expected {dim}")
     if found < 1:
         raise ValueError(f"matrix dim must be at least 1, got {found}")
-    for i, j, _ in triples:
-        if not (1 <= i <= found and 1 <= j <= found):
-            raise ValueError(f"triple index ({i}, {j}) outside 1..{found}")
-    entries = np.zeros((found, found))
-    for i, j, v in triples:
-        entries[i - 1, j - 1] = v
-    return entries
+    outside = np.flatnonzero((rows < 1) | (rows > found) | (cols < 1) | (cols > found))
+    if outside.size:
+        raise ValueError(f"triple index ({rows[outside[0]]}, {cols[outside[0]]}) outside 1..{found}")
+    order = np.lexsort((cols, rows))
+    twice = np.flatnonzero((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0))
+    if twice.size:
+        k = order[twice[0]]
+        raise ValueError(f"triple ({rows[k]}, {cols[k]}) is given more than once")
+    return SparseOperator(rows - 1, cols - 1, triples["val"], found)
 
 
 def matrix_json(op: StructuredOperator) -> str:

@@ -14,16 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "TruncatedVector",
-    "DualFunctional",
-    "vector",
-    "zero_vector",
-    "basis_vector",
-    "project_Q",
-    "project_P",
-    "norm_l1",
-    "pair",
-    "row_stats",
+    "TruncatedVector", "DualFunctional", "vector", "zero_vector", "basis_vector", "project_Q", "project_P",
+    "norm_l1", "pair", "row_stats",
 ]
 
 

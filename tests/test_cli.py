@@ -546,6 +546,14 @@ def test_simulate_S_rejects_matrix_file_of_other_dim(tmp_path, capsys, triples, 
     assert f"config error: s_matrix.path: {message}" in capsys.readouterr().err
 
 
+def test_simulate_S_rejects_a_repeated_entry(tmp_path, capsys):
+    # it ran with the last value and exited 0
+    text = _S_matrix_text_config(tmp_path, "1 1 0.5\n1 1 0.25\n", 1)
+    assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
+    assert "config error: s_matrix.path: triple (1, 1) is given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_S_rejects_index_outside_header_dim(tmp_path, capsys):
     text = _S_matrix_text_config(tmp_path, "% dim 2\n1 1 0.5\n3 3 0.5\n", 2)
     assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION

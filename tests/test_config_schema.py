@@ -202,7 +202,7 @@ CAPS = [
     # command, subject, key, just inside, just outside
     ("simulate", "M", "N", 2**22, 2**22 + 1),
     ("matrix", "M", "N", 10_000, 10_001),
-    ("simulate", "S", "N", 256, 257),
+    ("simulate", "S", "N", 2**16, 2**16 + 1),
     ("cesaro", "M", "r_grid.count", 100_000, 100_001),
     ("simulate", "M", "t_grid.count", 100_000, 100_001),
     ("simulate", "S", "t_grid.stop", 1e4, 10000.000000000002),

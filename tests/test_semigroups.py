@@ -320,7 +320,7 @@ def test_matrix_B_triple_count():
 def test_sparse_triples_round_trip():
     op = matrix_B(7)
     back = from_sparse_triples(triples_text(op))
-    assert np.array_equal(back, op.dense())
+    assert np.array_equal(back.dense(), op.dense())
 
 
 def test_kernel_B_trivial_small_and_large():
@@ -430,7 +430,7 @@ def test_operator_forms_agree(name):
             y = rand_vec(rng, n)
             assert np.abs(op.apply_adjoint(y).coords - dense.T @ y.coords).max() <= 1e-14
         # the header's dim restores trailing zero rows and columns, even of an all-zero matrix
-        assert np.array_equal(from_sparse_triples(triples_text(op)), dense)
+        assert np.array_equal(from_sparse_triples(triples_text(op)).dense(), dense)
 
 
 def test_operator_rejects_bad_shapes():
@@ -447,11 +447,11 @@ def test_operator_rejects_bad_shapes():
 def test_triples_dim_comes_from_header():
     # a zero last row and column survive only through the header
     text = "% sparse triples, column-action, dim 3\n1 1 0.5\n2 2 0.25\n"
-    assert np.array_equal(from_sparse_triples(text), np.diag([0.5, 0.25, 0.0]))
+    assert np.array_equal(from_sparse_triples(text).dense(), np.diag([0.5, 0.25, 0.0]))
     seeded = "% seeded substochastic matrix, dim 256, column sums 0.97\n3 1 0.97\n"
-    assert from_sparse_triples(seeded).shape == (256, 256)
+    assert from_sparse_triples(seeded).dim == 256
     # without a stated dim, the largest index sets it
-    assert from_sparse_triples("1 1 0.5\n2 2 0.25\n").shape == (2, 2)
+    assert from_sparse_triples("1 1 0.5\n2 2 0.25\n").dim == 2
 
 
 @pytest.mark.parametrize(
@@ -470,9 +470,14 @@ def test_triples_reject_indices_outside_dim(text):
         from_sparse_triples(text)
 
 
+def test_triples_reject_a_repeated_pair():
+    # stored as entries, a repeated (i, j) would sum where the dense fill kept the last value
+    with pytest.raises(ValueError, match=r"triple \(2, 1\) is given more than once"):
+        from_sparse_triples("% dim 2\n2 1 0.5\n1 1 0.25\n2 1 0.25\n")
+
+
 @pytest.mark.parametrize("text", ["% dim 4097\n1 1 0.5\n", "1 1000000 0.5\n", "1 1 0.5\n"])
 def test_triples_reject_other_than_expected_dim(text):
-    # refused before a dense matrix of the file's own size is allocated
     with pytest.raises(ValueError, match="expected 2"):
         from_sparse_triples(text, dim=2)
-    assert from_sparse_triples("% dim 2\n1 1 0.5\n", dim=2).shape == (2, 2)
+    assert from_sparse_triples("% dim 2\n1 1 0.5\n", dim=2).dim == 2
