@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .coeffs import integral_b_from_expm1
-from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window, series_blocks
+from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window, series_blocks, series_target
 from .space import TruncatedVector, norm_l1, row_stats
 
 __all__ = [
@@ -171,7 +171,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
     f_lo, f_mid, f_hi = _rows(f, np.concatenate([lo, mid, hi]))[:, None]
     whole = _simpson(hi - lo, f_lo, f_mid, f_hi)
     evals, ltol, min_width = 3, tol, (b - a) * 1e-13
-    accepted = []  # per level: the accepted intervals' left ends, (left, right, defect / 15) terms, errors
+    accepted = []  # per level: the accepted intervals' left ends, their left, right and defect / 15 terms, errors
     while lo.size:
         k = lo.size
         if evals + 2 * k > budget:
@@ -189,7 +189,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
         delta = left + right - whole
         err = np.abs(delta).sum(axis=1) / 15.0
         ok = (err <= ltol) | ((hi - lo) < min_width)
-        accepted.append((lo[ok], np.stack([left[ok], right[ok], delta[ok] / 15.0], axis=1), err[ok]))
+        accepted.append((lo[ok], left[ok], right[ok], delta[ok] / 15.0, err[ok]))
         # the next level: the left halves of the refined intervals, then their right halves
         go = ~ok
         lo, mid, hi, f_lo, f_hi, whole = (
@@ -216,10 +216,12 @@ def _simpson(width: np.ndarray, f_lo: np.ndarray, f_mid: np.ndarray, f_hi: np.nd
 
 def _sum_accepted(accepted) -> np.ndarray:
     """The sum by descending left end, each interval adding left, right and defect / 15 in turn, bit for bit."""
-    ends = np.concatenate([e for e, _, _ in accepted])
-    terms = np.concatenate([t for _, t, _ in accepted])[np.argsort(ends)[::-1]]
-    n = terms.shape[2]
-    return np.cumsum(np.concatenate([np.zeros((1, n)), terms.reshape(-1, n)]), axis=0)[-1]
+    order = np.argsort(np.concatenate([level[0] for level in accepted]))[::-1]
+    parts = [np.concatenate([level[i] for level in accepted])[order] for i in (1, 2, 3)]
+    terms = np.stack(parts, axis=1).reshape(-1, parts[0].shape[1])
+    if terms.shape[1] == 1:  # numpy adds the rows of a (rows, n > 1) array in order, but one column pairwise
+        return np.cumsum(np.concatenate([np.zeros((1, 1)), terms]), axis=0)[-1]
+    return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def cesaro_quadrature(kernel: Integrand, r: float, tol: float, budget: int = 2**20) -> TruncatedVector:
@@ -257,7 +259,7 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
 
     def window(r):  # u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, with upper tails summed from the top
         _check_r(r)
-        L, p, lost = poisson_window(r, _EPS * tol * r / scale if scale else math.inf)
+        L, p, lost = poisson_window(r, series_target(tol, scale, r))
         upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
         u = np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r
         within = np.flatnonzero(error_bounds(u, lost, r) <= tol)

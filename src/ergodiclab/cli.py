@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invariant failure, 2 validation error, 3 I/O error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -31,7 +30,7 @@ from .cesaro import (
     support_summaries,
 )
 from .diagnostics import ConvergenceVerdict, cauchy_convergence_test
-from .exp_semigroup import PowerBoundedOperator, stream_S
+from .exp_semigroup import PowerBoundedOperator, series_target, stream_S
 from .semigroups import (
     from_sparse_triples,
     matrix_B,
@@ -39,7 +38,7 @@ from .semigroups import (
     to_sparse_triples,
     trajectory_kernel,
 )
-from .space import TruncatedVector, row_stats
+from .space import TruncatedVector, norm_l1, row_stats
 from .verification import run_all
 
 EXIT_OK = 0
@@ -69,7 +68,22 @@ _HORIZON_CAP = 4096
 # verify's S checks bound rounding errors near 1e-14 by a few times quadrature_tol
 _VERIFY_QUADRATURE_TOL_MIN = 1e-13
 
-COMMANDS = ("simulate", "cesaro", "verify", "matrix")
+_COMMAND_HELP = {
+    "simulate": "sample t -> T(t)x trajectories to CSV",
+    "cesaro": "sample Cesaro-mean curves and run the convergence verdict",
+    "verify": "run the full invariant suite; exit 0 iff everything passes",
+    "matrix": "export the perturbed-generator matrix",
+}
+COMMANDS = tuple(_COMMAND_HELP)
+# the options of every command: the config field each sets, its value's name in the usage, its type, its help
+_OPTIONS = {
+    "--config": ("config", "P", str, "path to a JSON config file"),
+    "--out": ("out_dir", "D", str, "output directory (overrides config)"),
+    "--subject": ("subject", "|".join(_SUBJECTS), _SUBJECTS, "semigroup to study"),
+    "--dim": ("N", "INT", int, "truncation dimension N"),
+    "--seed": ("seed", "INT", int, "seed for randomized checks"),
+}
+_USAGE = "usage: ergodiclab COMMAND " + " ".join(f"[{name} {meta}]" for name, (_, meta, *_) in _OPTIONS.items())
 # the readers of a key: each command that reads it, with None or the (field, value) it reads it under
 _EVERY = dict.fromkeys(COMMANDS)
 _ON_S = dict.fromkeys(("simulate", "cesaro"), ("subject", "S"))
@@ -256,17 +270,19 @@ class ExperimentConfig:
         elif ordered and self.N <= _N_CAP and not math.isfinite(self.N / start):  # kernels scale h by h/r
             limit = self.N / sys.float_info.max
             yield "r_grid.start", f"r_grid.start must be above N / DBL_MAX = {limit:.3g}, got {start!r}"
-        # the largest r bounds T's truncation certificate
+        # the largest r bounds T's truncation certificate, and it is S's only cap on r
         if ordered and 1 <= self.N <= _N_CAP and count >= 1:
             try:
                 r_max = start * factor ** (count - 1)
             except OverflowError:
                 r_max = math.inf
-            if r_max / (2.0 * self.N) > 0.5:
-                raise_N = f" or raise N to at least {int(r_max)}" if math.isfinite(r_max) else ""
+            if not math.isfinite(r_max):
+                yield "r_grid.count", "r_grid: largest r = start * factor^(count - 1) overflows; shrink the r_grid"
+            elif self.subject != "M" and r_max / (2.0 * self.N) > 0.5:
                 yield "r_grid.count", (
                     f"r_grid: largest r = {r_max:g} gives a vacuous truncation certificate "
-                    f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); shrink the r_grid{raise_N}"
+                    f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); "
+                    f"shrink the r_grid or raise N to at least {int(r_max)}"
                 )
         t0, t1, _count = self.t_grid
         if math.isfinite(t0) and math.isfinite(t1) and not 0 <= t0 <= t1:
@@ -360,6 +376,16 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+def _series_operator(cfg: ExperimentConfig, x: TruncatedVector, r: float) -> PowerBoundedOperator:
+    """S's T, once its series' Poisson window target is a normal double: below that the window's loss reads 0."""
+    T, scale = cfg.power_operator(), norm_l1(x)
+    if series_target(cfg.quadrature_tol, T.power_bound * scale, r) < sys.float_info.min:
+        raise ConfigValidationError([f"vector: the S series' target eps * quadrature_tol * r / (power bound * l1 norm) "
+                                     f"= eps * {cfg.quadrature_tol:g} * {r:g} / ({T.power_bound:g} * {scale:g}) "
+                                     "is below the smallest normal double, where it could certify no error"])
+    return T
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     """Trajectory of t -> subject(t) x over the configured t-grid."""
     cfg.ensure_valid("simulate")
@@ -368,7 +394,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     track = min(cfg.N, 16)
     if cfg.subject == "S":
         scratch = np.empty(cfg.N)
-        rows = ((row_stats(y, scratch), y[:track]) for y in stream_S(ts, x, cfg.power_operator(), cfg.quadrature_tol))
+        T = _series_operator(cfg, x, 1.0)
+        rows = ((row_stats(y, scratch), y[:track]) for y in stream_S(ts, x, T, cfg.quadrature_tol))
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
@@ -395,7 +422,7 @@ def _build_curve(cfg: ExperimentConfig) -> CesaroCurve:
         return curve_cesaro_M(rs, x)
     if cfg.subject == "T":
         return curve_cesaro_T(rs, x)
-    return curve_cesaro_S(rs, x, cfg.power_operator(), cfg.quadrature_tol)
+    return curve_cesaro_S(rs, x, _series_operator(cfg, x, float(rs.min())), cfg.quadrature_tol)
 
 
 def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
@@ -449,47 +476,56 @@ def cmd_matrix(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
-def _load_config(args) -> ExperimentConfig:
-    if args.config:
+def _load_config(given: dict) -> ExperimentConfig:
+    """The ``--config`` file's config, or the default one, with the other options of ``given`` set."""
+    path = given.pop("config", None)
+    try:
+        data = json.loads(Path(path).read_text()) if path else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigValidationError([f"config file is not valid JSON: {exc}"])
+    return replace(ExperimentConfig.from_dict(data), **given)
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict]:
+    """The command and the options by field of ``COMMAND [--opt value | --opt=value]...``; the last repeat wins."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"COMMAND must be one of {', '.join(COMMANDS)}, got {repr(argv[0]) if argv else 'nothing'}")
+    given, rest = {}, iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if name not in _OPTIONS:
+            raise ValueError(f"unrecognized argument {arg!r}")
+        value = value if eq else next(rest, None)
+        if value is None or not eq and value.partition("=")[0] in _OPTIONS:
+            raise ValueError(f"{name} expects a value")
+        field, meta, kind, _ = _OPTIONS[name]
         try:
-            data = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigValidationError([f"config file is not valid JSON: {exc}"])
-        cfg = ExperimentConfig.from_dict(data)
-    else:
-        cfg = ExperimentConfig()
-    overrides = {"out_dir": args.out, "subject": args.subject, "N": args.dim, "seed": args.seed}
-    return replace(cfg, **{field: value for field, value in overrides.items() if value is not None})
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ergodiclab",
-        description="Cesaro-mean ergodicity laboratory for truncated l1 semigroups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, txt in (
-        ("simulate", "sample t -> T(t)x trajectories to CSV"),
-        ("cesaro", "sample Cesaro-mean curves and run the convergence verdict"),
-        ("verify", "run the full invariant suite; exit 0 iff everything passes"),
-        ("matrix", "export the perturbed-generator matrix"),
-    ):
-        p = sub.add_parser(name, help=txt)
-        p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--subject", choices=_SUBJECTS, help="semigroup to study")
-        p.add_argument("--dim", type=int, help="truncation dimension N")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
-    return parser
+            given[field] = int(value) if kind is int else value
+        except ValueError:
+            raise ValueError(f"{name} expects {meta}, got {value!r}") from None
+        if kind not in (int, str) and value not in kind:
+            raise ValueError(f"{name} expects {meta}, got {value!r}")
+    return argv[0], given
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        rows = [*_COMMAND_HELP.items(), *((f"{name} {meta}", text) for name, (_, meta, _, text) in _OPTIONS.items())]
+        print(_USAGE, "\nCesaro-mean ergodicity laboratory for truncated l1 semigroups\n",
+              *(f"  {name:<16} {text}" for name, text in rows),
+              "\nEach option is --opt value or --opt=value; a repeated option keeps its last value.", sep="\n")
+        return EXIT_OK
     try:
-        cfg = _load_config(args)
-        if args.command == "verify":
+        command, given = _read_argv(argv)
+    except ValueError as exc:
+        print(f"{_USAGE}\nargument error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        cfg = _load_config(given)
+        if command == "verify":
             return cmd_verify(cfg)[0]
-        {"simulate": cmd_simulate, "cesaro": cmd_cesaro, "matrix": cmd_matrix}[args.command](cfg)
+        {"simulate": cmd_simulate, "cesaro": cmd_cesaro, "matrix": cmd_matrix}[command](cfg)
     except ConfigValidationError as exc:
         for line in exc.violations:
             print(f"config error: {line}", file=sys.stderr)

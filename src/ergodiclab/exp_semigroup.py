@@ -29,7 +29,8 @@ from .semigroups import SparseOperator, StructuredOperator, matrix_T
 from .space import TruncatedVector, norm_l1
 
 __all__ = [
-    "PowerBoundedOperator", "renorm", "poisson_window", "series_blocks", "stream_S", "apply_S", "semigroup_defect_S",
+    "PowerBoundedOperator", "renorm", "poisson_window", "series_target", "series_blocks", "stream_S", "apply_S",
+    "semigroup_defect_S",
 ]
 
 _MAX_SERIES_TERMS = 100_000
@@ -175,6 +176,11 @@ def poisson_window(t: float, rest_tol: float) -> tuple[int, np.ndarray, float]:
     return L, probs / total, 2.0 * (left + rest / total)
 
 
+def series_target(tol: float, scale: float, r: float = 1.0) -> float:
+    """poisson_window's rest_tol for a series within tol * r at scale = power_bound * ||x||_1 (inf at scale 0)."""
+    return _EPS * tol * r / scale if scale else math.inf
+
+
 def series_blocks(grid: Iterable[float], dim: int, window: Callable[[float], tuple]) -> Iterator[list[tuple]]:
     """``window(point)`` per grid point, in runs of consecutive points that share one power sweep.
 
@@ -214,7 +220,7 @@ def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperato
     def window(t):
         if t < 0:
             raise ValueError(f"time t must be >= 0, got {t}")
-        L, p, lost = poisson_window(t, _EPS * tol / scale if scale else math.inf)
+        L, p, lost = poisson_window(t, series_target(tol, scale))
         # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
         after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
         within = np.flatnonzero(after * scale <= tol)

@@ -293,8 +293,8 @@ def adjoint_residual_vector(N: int) -> np.ndarray:
     with Kahan compensation so the uniformity holds to ~1e-16 even at
     N = 65536, where a naive running sum would drift.
     """
-    res = np.empty_like(_h(N))
-    res[N - 1] = -1.0 / N
+    _h(N)  # checks the truncation
+    res = [-1.0 / N]  # k = N, then N - 1 down to 1
     s = 0.0
     c = 0.0
     for k in range(N - 1, 0, -1):
@@ -303,8 +303,8 @@ def adjoint_residual_vector(N: int) -> np.ndarray:
         t2 = s + y
         c = (t2 - s) - y
         s = t2
-        res[k - 1] = s - 1.0 / k
-    return res
+        res.append(s - 1.0 / k)
+    return np.array(res[::-1])
 
 
 def opnorm_l1(entries: np.ndarray) -> float:

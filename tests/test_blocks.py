@@ -3,7 +3,7 @@
 Every row of a block must keep the bits of its one-point value: a trajectory row those of
 ``matrix_M/matrix_T(t, N).apply(x)``, a mean row those of the one-point formula in the operation
 order the kernels have always used.  The structure reads of ``verify`` must equal the dense reads
-they replace, and ``StructuredOperator.apply_block`` on a block must equal ``apply`` row by row.
+(and eigenvalues) they replace, and ``StructuredOperator.apply_block`` on a block must equal ``apply`` row by row.
 """
 
 import math
@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ergodiclab import semigroups, verification
+from ergodiclab import coeffs, semigroups, verification
 from ergodiclab.cesaro import adaptive_simpson, means_kernel
 from ergodiclab.semigroups import (
     matrix_A,
@@ -116,7 +116,7 @@ def test_structure_reads_equal_the_dense_reads(n):
 
 
 def dense_measurements(ctx):
-    """The four measured values as the checks read them off dense matrices and basis vectors."""
+    """The six measured values as the checks read them off dense matrices, eigenvalues and basis vectors."""
     n = ctx.small_N
     minus_I = max(0.0, *(abs(opnorm_l1(matrix_M(t, n).dense() - np.eye(n)) - (1.0 - math.exp(-t)))
                          for t in (0.01, 0.5, 1.0, 5.0)))
@@ -129,7 +129,17 @@ def dense_measurements(ctx):
         entries[min(1, n - 1), 0] += 1e-3
     apart = max(0.0, *(float(np.abs(entries[:, k - 1] - op.apply(basis_vector(k, n)).coords).max())
                        for k in range(1, n + 1)))
-    return [minus_I, bounded, negative, apart]
+    stochastic = 0.0
+    for t in (0.5, 2.0):
+        deficit = 1.0 - matrix_T(t, n).dense().sum(axis=0)
+        hi = coeffs.tail_sum_b(n, t)
+        stochastic = max(stochastic, float((-deficit).max()), float((deficit - hi).max()))
+    m = min(ctx.N, 512)
+    expected = np.sort(-1.0 / np.arange(1, m + 1, dtype=float))
+    spectrum = max(float(np.abs(np.sort(np.linalg.eigvals(builder(m).dense()).real) - expected).max())
+                   for builder in (matrix_A, matrix_B))
+    spectrum = max(spectrum, abs(float(np.abs(np.diag(matrix_B(m).dense())).min()) - 1.0 / m))
+    return [minus_I, bounded, negative, apart, stochastic, spectrum]
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
@@ -137,7 +147,8 @@ def dense_measurements(ctx):
 def test_checks_measure_what_the_dense_reads_measured(n, corrupt):
     ctx = verification._Context(n, 7, 1e-10, 1e-2, corrupt)
     checks = (verification.check_opnorm_M_minus_I, verification.check_opnorm_M_bounded,
-              verification.check_nonnegativity, verification.check_matrix_B_consistency)
+              verification.check_nonnegativity, verification.check_matrix_B_consistency,
+              verification.check_column_stochasticity, verification.check_spectrum)
     got = [check(ctx).measured for check in checks]
     assert np.array(got).tobytes() == np.array(dense_measurements(ctx)).tobytes()
 
@@ -160,6 +171,8 @@ def test_block_action_equals_the_vector_action(n):
         (verification.check_opnorm_M_bounded, 1 * MB),
         (verification.check_nonnegativity, 1 * MB),
         (verification.check_matrix_B_consistency, 3 * 8 * MB),  # below three dense 1024 x 1024 matrices
+        (verification.check_column_stochasticity, 1 * MB),
+        (verification.check_spectrum, 3 * MB),  # one dense 512 x 512 matrix at a time, read in place
     ],
     ids=lambda v: getattr(v, "__name__", ""),
 )

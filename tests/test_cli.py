@@ -34,6 +34,49 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# --- argv ---
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "COMMAND"),
+        (["simulat"], "'simulat'"),
+        (["--dim", "8", "verify"], "'--dim'"),
+        (["verify", "--conf", "c.json"], "'--conf'"),  # no abbreviations
+        (["verify", "extra"], "'extra'"),
+        (["verify", "--out"], "--out"),
+        (["verify", "--out", "--dim", "8"], "--out"),
+        (["verify", "--config", "--seed=3"], "--config"),
+        (["verify", "--dim", "8.0"], "--dim"),
+        (["verify", "--seed=x"], "--seed"),
+        (["cesaro", "--subject", "X"], "--subject"),
+    ],
+    ids=["none", "unknown_command", "option_first", "abbreviation", "positional", "missing_value",
+         "option_as_value", "option_with_value_as_value", "dim_not_integer", "seed_not_integer", "subject_choice"],
+)
+def test_argv_errors_exit_2_naming_the_argument(capsys, argv, named):
+    assert main(argv) == EXIT_VALIDATION
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ergodiclab COMMAND [--config P]")
+    assert error.startswith("argument error: ") and named in error
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cesaro", "-h"], ["verify", "--dim", "8", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ergodiclab COMMAND")
+    assert all(command in out for command in ("simulate", "cesaro", "verify", "matrix"))
+
+
+def test_option_forms_and_last_repeat_wins(tmp_path):
+    out = tmp_path / "out"
+    argv = ["matrix", "--dim=4", f"--out={tmp_path / 'first'}", "--dim", "3", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert json.loads((out / "metadata.json").read_text())["config"]["N"] == 3
+    assert not (tmp_path / "first").exists()
+
+
 # --- config schema ---
 
 def test_config_round_trip():
@@ -56,12 +99,32 @@ def test_config_validation_collects_problems():
 
 
 def test_config_rejects_vacuous_certificate(tmp_path, capsys):
-    # r_max/(2N) > 0.5 makes every truncation certificate useless; cesaro alone reads the r_grid
-    path = write_config(tmp_path, N=16, r_grid={"start": 1.0, "factor": 2.0, "count": 8})  # r_max = 128 > 16
+    # r_max/(2N) > 0.5 makes T's truncation certificate useless; cesaro alone reads the r_grid
+    path = write_config(tmp_path, subject="T", N=16, r_grid={"start": 1.0, "factor": 2.0, "count": 8})  # r_max = 128
     assert main(["cesaro", "--config", str(path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "config error: r_grid" in err and "vacuous" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_vacuous_certificate_rule_binds_S():
+    # it is S's only cap on r; the default r_grid reaches r = 512
+    assert any("vacuous truncation certificate" in p for p in ExperimentConfig(subject="S", N=64).validate("cesaro"))
+
+
+@pytest.mark.parametrize("mode", ["vector", "opnorm"])
+def test_cesaro_on_M_runs_past_r_equal_N(tmp_path, mode):
+    # M's means are exact, and ||C_M(r)|| starts to fall like N/r at r = N
+    path = write_config(tmp_path, subject="M", N=64, mode=mode, r_grid={"start": 1.0, "factor": 2.0, "count": 12})
+    assert main(["cesaro", "--config", str(path)]) == EXIT_OK
+    rows = (tmp_path / "out" / "cesaro_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12 and float(rows[-1].split(",")[1]) < 64 / 2048 + 1e-3
+
+
+@pytest.mark.parametrize("subject", ["M", "T", "S"])
+def test_overflowing_largest_r_is_refused_for_every_subject(subject):
+    cfg = ExperimentConfig(subject=subject, r_grid=(1e10, 1e300, 3))
+    assert any(p.startswith("r_grid: largest r") and "overflows" in p for p in cfg.validate("cesaro"))
 
 
 @pytest.mark.parametrize("command", [["verify"], ["matrix"], ["simulate", "--subject", "T"]])
@@ -494,6 +557,21 @@ def test_simulate_S_rejects_t_beyond_cap(tmp_path, capsys):
     text, _ = _S_file_config(tmp_path, t_grid={"start": 0.0, "stop": 1e6, "count": 2})
     assert _run_raw_config(tmp_path, text) == EXIT_VALIDATION
     assert "t_grid.stop" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cesaro", "simulate"])
+def test_S_series_tolerance_below_the_normal_range_names_the_vector(tmp_path, capsys, command):
+    # eps * tol * r / (power_bound * ||x||_1) underflows, and the window's certificate would read 0
+    text = _S_matrix_text_config(tmp_path, "% dim 2\n1 1 0.5\n1 2 1.5\n2 2 0.5\n", 2)
+    data = json.loads(text) | {"vector": [[1, 1e300], [2, 1.0]], "r_grid": {"start": 0.1, "factor": 2.0, "count": 3}}
+    assert _run_raw_config(tmp_path, json.dumps(data), command) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("config error: vector: the S series' target eps * quadrature_tol * r")
+    assert not (tmp_path / "out").exists()
+    data["vector"] = [[1, 1e270], [2, 1.0]]  # the target stays normal, and every certificate is positive
+    assert _run_raw_config(tmp_path, json.dumps(data), command) == EXIT_OK
+    if command == "cesaro":
+        lines = (tmp_path / "out" / "cesaro_curve.csv").read_text().splitlines()[1:]
+        assert all(float(line.split(",")[2]) > 0.0 for line in lines)
 
 
 def _S_matrix_text_config(tmp_path, triples, N):

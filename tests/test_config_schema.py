@@ -176,8 +176,8 @@ def test_every_mutation_runs_or_exits_2(workdir):
                         check_outcome(command, data, code, err)
                         if cfg.validate(command):
                             assert code == EXIT_VALIDATION, (command, data)
-                        elif code == EXIT_VALIDATION:  # a matrix file is read at run time
-                            assert err.startswith("config error: s_matrix.path: "), err
+                        elif code == EXIT_VALIDATION:  # a matrix file, and the S series' tolerance, at run time
+                            assert err.startswith(("config error: s_matrix.path: ", "config error: vector: ")), err
 
 
 def test_seeded_pairs_of_mutations(workdir):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergodiclab import space, verification
+from ergodiclab import semigroups, space, verification
 from ergodiclab.space import TruncatedVector
 
 
@@ -83,6 +83,23 @@ def test_expansion_uniqueness_bounded_for_any_x(monkeypatch, leading_zeros):
     assert res.passed
     assert len(p_calls) <= 2 * len(ctx.index_sample)
 
+
+
+@pytest.mark.parametrize("N", [2, 1024])
+def test_spectrum_check_catches_an_entry_above_the_diagonal(monkeypatch, N):
+    # negative control: with one entry above B's diagonal the diagonal is no longer the spectrum
+    dense = semigroups.StructuredOperator.dense
+
+    def broken(op):
+        out = dense(op)
+        if op.below is not None:  # B; A is diagonal
+            out[0, -1] = 1e-6
+        return out
+
+    monkeypatch.setattr(semigroups.StructuredOperator, "dense", broken)
+    result = verification.check_spectrum(make_ctx(N))
+    assert result.name == "semigroups.spectrum_diagonal" and not result.passed
+    assert result.measured == 1e-6
 
 
 # --- the whole registry: every invariant and its bound are written once, in CHECKS ---
