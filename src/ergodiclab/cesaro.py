@@ -507,10 +507,15 @@ class CesaroCurve:
         return "\n".join(["r,value_or_norm,trunc_error,max_coordinate,f_value", *lines]) + "\n"
 
 
-def geometric_grid(start: float, factor: float, count: int) -> np.ndarray:
-    if start <= 0 or factor <= 1 or count < 1:
-        raise ValueError("need start > 0, factor > 1, count >= 1")
-    return start * factor ** np.arange(count, dtype=float)
+def geometric_grid(start: float, factor: float, count: int, last: bool = False) -> np.ndarray:
+    """start * factor^k for k < count (k = count - 1 alone if ``last``); where factor^k alone overflows,
+    a power of factor first brings start near 1."""
+    if not (0 < start < math.inf and factor > 1) or count < 1:
+        raise ValueError("need finite start > 0, factor > 1, count >= 1")
+    k = np.array([count - 1.0]) if last else np.arange(count, dtype=float)
+    with np.errstate(over="ignore"):
+        power, a = factor ** k, np.minimum(k, max(0.0, math.floor(-math.log(start, factor))))
+        return np.where(np.isinf(power), start * factor ** a * factor ** (k - a), start * power)
 
 
 def _vector_curve(r_grid: np.ndarray, summaries: Iterable[Summary], trunc_error) -> CesaroCurve:

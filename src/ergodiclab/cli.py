@@ -273,8 +273,8 @@ class ExperimentConfig:
         # the largest r bounds T's truncation certificate, and it is S's only cap on r
         if ordered and 1 <= self.N <= _N_CAP and count >= 1:
             try:
-                r_max = start * factor ** (count - 1)
-            except OverflowError:
+                r_max = float(geometric_grid(start, factor, count, last=True)[0])
+            except OverflowError:  # count - 1 has no float
                 r_max = math.inf
             if not math.isfinite(r_max):
                 yield "r_grid.count", "r_grid: largest r = start * factor^(count - 1) overflows; shrink the r_grid"

@@ -294,17 +294,14 @@ def adjoint_residual_vector(N: int) -> np.ndarray:
     N = 65536, where a naive running sum would drift.
     """
     _h(N)  # checks the truncation
-    res = [-1.0 / N]  # k = N, then N - 1 down to 1
-    s = 0.0
-    c = 0.0
-    for k in range(N - 1, 0, -1):
-        term = 1.0 / (k * (k + 1))
+    k = np.arange(N - 1, 0, -1, dtype=float)  # N - 1 down to 1; k(k + 1) is exact below 2^53
+    sums, s, c = [], 0.0, 0.0
+    for term in (1.0 / (k * (k + 1.0))).tolist():
         y = term - c
-        t2 = s + y
-        c = (t2 - s) - y
-        s = t2
-        res.append(s - 1.0 / k)
-    return np.array(res[::-1])
+        t = s + y
+        c, s = (t - s) - y, t
+        sums.append(s)
+    return np.append((np.array(sums) - 1.0 / k)[::-1], -1.0 / N)
 
 
 def opnorm_l1(entries: np.ndarray) -> float:

@@ -14,8 +14,10 @@ pytest runs the same registry at N = 1, 2, 257 and 1024
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,12 +37,7 @@ class CheckResult:
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def _result(name: str, measured: float, bound: float) -> CheckResult:
@@ -541,8 +538,49 @@ class _Context:
         return np.random.default_rng([self.seed, zlib.crc32(label.encode())])
 
 
+def _run(pull, ctx) -> tuple[dict, BaseException | None]:
+    """Results of the checks pulled off the queue, by registry index, and the error that ended the pulls."""
+    done = {}
+    try:
+        for (i,) in pull:
+            done[i] = CHECKS[i](ctx)
+    except BaseException as exc:
+        return done, exc
+    return done, None
+
+
 def run_all(N: int, seed: int, quadrature_tol: float = 1e-10, convergence_tol: float = 1e-2,
             inject_corruption: bool = False) -> list[CheckResult]:
-    """Run every invariant check at truncation N; deterministic per seed."""
+    """Run every invariant check at truncation N; deterministic per seed, however many CPUs share the work:
+    on two CPUs a forked helper pulls checks off the caller's queue too; what it did not send back runs here."""
+    import numpy.random  # noqa: F401  both processes draw from it: load it once, before the fork
+
     ctx = _Context(N, seed, quadrature_tol, convergence_tol, inject_corruption)
-    return [check(ctx) for check in CHECKS]
+    (queue, feed), (back, report) = os.pipe(), os.pipe()  # registry indices out, results back
+    os.write(feed, bytes(range(len(CHECKS))))  # one byte per index: a 1-byte read is atomic
+    os.close(feed)
+    pull = iter(lambda: os.read(queue, 1), b"")
+    cpus = len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    helper = os.fork() if cpus > 1 and hasattr(os, "fork") else None
+    if helper == 0:
+        try:
+            os.write(report, pickle.dumps(_run(pull, ctx)))
+        finally:
+            os._exit(0)
+    os.close(report)
+    done, failure = _run(pull, ctx)
+    if helper and failure is not None:
+        os.kill(helper, 9)  # SIGKILL: the caller's own error ends the run
+    os.close(queue)
+    with open(back, "rb") as fh:
+        sent = fh.read()
+    if helper:
+        os.waitpid(helper, 0)
+    if failure is not None:
+        raise failure
+    theirs, failure = pickle.loads(sent) if sent else ({}, None)  # nothing: no helper, or it died first
+    done.update(theirs)
+    results = [done[i] if i in done else CHECKS[i](ctx) for i in range(len(CHECKS))]
+    if failure is not None:
+        raise failure  # met by the helper alone
+    return results

@@ -521,6 +521,19 @@ def test_norm_mode_curve_csv_blank_columns():
         assert cells[3] == "" and cells[4] == ""
 
 
+@pytest.mark.parametrize("start, factor, count", [(0.25, 2.0, 10), (1e-3, 3.0, 12), (1.0, 1.0000001, 1000),
+                                                  (1e-300, 1e5, 62), (1e-300, 1e5, 100), (1e-300, 1e200, 3)])
+def test_grid_splits_the_power_only_where_it_overflows(start, factor, count):
+    grid = geometric_grid(start, factor, count)
+    with np.errstate(over="ignore"):
+        plain = start * factor ** np.arange(count, dtype=float)
+    finite = np.isfinite(plain)
+    assert grid[finite].tobytes() == plain[finite].tobytes()
+    assert np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)
+    assert grid[-1] == geometric_grid(start, factor, count, last=True)[0]
+    assert grid[-1] == pytest.approx(10.0 ** (math.log10(start) + (count - 1) * math.log10(factor)), rel=1e-12)
+
+
 def test_curve_grid_validation():
     with pytest.raises(ValueError):
         CesaroCurve(

@@ -127,6 +127,15 @@ def test_overflowing_largest_r_is_refused_for_every_subject(subject):
     assert any(p.startswith("r_grid: largest r") and "overflows" in p for p in cfg.validate("cesaro"))
 
 
+def test_finite_largest_r_runs_though_its_power_of_factor_overflows(tmp_path):
+    # 1e5^99 overflows, the largest r = 1e-300 * 1e5^99 = 1e195 does not: the rule reads it off the grid
+    grid = {"start": 1e-300, "factor": 1e5, "count": 100}
+    path = write_config(tmp_path, subject="M", N=64, vector=[[1, 1.0]], r_grid=grid)
+    assert main(["cesaro", "--config", str(path)]) == EXIT_OK
+    rows = (tmp_path / "out" / "cesaro_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 100 and float(rows[-1].split(",")[0]) == pytest.approx(1e195, rel=1e-12)
+
+
 @pytest.mark.parametrize("command", [["verify"], ["matrix"], ["simulate", "--subject", "T"]])
 def test_commands_that_never_read_the_r_grid_run_below_it(tmp_path, command):
     # the default r_grid reaches r = 512, past r/(2N) = 0.5 at N = 64

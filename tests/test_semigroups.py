@@ -284,6 +284,27 @@ def test_adjoint_residual_matches_per_column_fsum():
         assert res[k - 1] == pytest.approx(math.fsum(col), abs=5e-16)
 
 
+def kahan_residual_reference(N):
+    """The adjoint residual as one Python loop over k: the reference the array form must match bit for bit."""
+    res = [-1.0 / N]  # k = N, then N - 1 down to 1
+    s = 0.0
+    c = 0.0
+    for k in range(N - 1, 0, -1):
+        term = 1.0 / (k * (k + 1))
+        y = term - c
+        t2 = s + y
+        c = (t2 - s) - y
+        s = t2
+        res.append(s - 1.0 / k)
+    return np.array(res[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 32768, 65536])
+def test_adjoint_residual_keeps_the_bits_of_the_python_loop(n):
+    res = adjoint_residual_vector(n)
+    assert res.flags.c_contiguous and res.tobytes() == kahan_residual_reference(n).tobytes()
+
+
 # --- matrix of B, kernel, spectrum ---
 
 def test_matrix_B_explicit_3x3():

@@ -1,6 +1,7 @@
 """M/T kernels against the direct formulas, and curves and trajectories that keep their bits for any CPU count.
 
-No code path reads the CPU count: these tests pin that a curve, its CSV, its Cauchy
+No M/T code path reads the CPU count (``verification.run_all`` alone does, and
+``tests/test_verification.py`` pins its results): these tests pin that a curve, its CSV, its Cauchy
 verdict and the ``simulate`` CSV keep their bytes whatever ``os.sched_getaffinity``
 reports, and that an error late in a grid raises what a one-CPU run raises, on the
 calling thread.

@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,87 @@ def test_injected_corruption_fails_exactly_its_check(N):
     # every other check must stay green
     failed = [result.name for result in verification.run_all(N, 7, inject_corruption=True) if not result.passed]
     assert failed == ["semigroups.matrix_B_matches_apply", "cesaro.summaries_match_rows"]
+
+
+# --- the forked helper: results keep their bits, its errors raise, no child outlives a run ---
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs the process may use; on leaving, assert that no child process is left."""
+    yield lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def as_hex(results):
+    return [(r.name, r.passed, r.measured.hex(), r.bound.hex()) for r in results]
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["healthy", "corrupt"])
+@pytest.mark.parametrize("N", REGISTRY_N)
+def test_results_keep_their_bits_on_one_and_two_cpus(cpus, N, corrupt):
+    runs = []
+    for k in (1, 2):
+        cpus(k)
+        runs.append(as_hex(verification.run_all(N, 7, inject_corruption=corrupt)))
+    assert runs[0] == runs[1]
+
+
+def in_helper_only(monkeypatch, tmp_path, action, then_in_caller=lambda: None):
+    """Wrap every check: in the helper it runs ``action`` first; the caller waits until the helper has."""
+    caller, mark = os.getpid(), tmp_path / "helper-pulled"
+
+    def wrap(check):
+        def run(ctx):
+            if os.getpid() != caller:
+                mark.touch()
+                action()
+            deadline = time.monotonic() + 60.0
+            while not mark.exists() and time.monotonic() < deadline:  # so the helper pulls a check
+                time.sleep(0.001)
+            then_in_caller()
+            return check(ctx)
+        return run
+
+    monkeypatch.setattr(verification, "CHECKS", [wrap(check) for check in verification.CHECKS])
+
+
+def test_a_check_that_raises_in_the_helper_alone_raises(monkeypatch, tmp_path, cpus):
+    cpus(2)
+
+    def fail():
+        raise RuntimeError("raised in the helper")
+
+    in_helper_only(monkeypatch, tmp_path, fail)
+    with pytest.raises(RuntimeError, match="raised in the helper"):
+        verification.run_all(64, 7)
+
+
+def test_a_helper_that_dies_loses_no_result(monkeypatch, tmp_path, cpus):
+    cpus(1)
+    serial = as_hex(verification.run_all(64, 7))
+    cpus(2)
+    in_helper_only(monkeypatch, tmp_path, lambda: os._exit(3))
+    assert as_hex(verification.run_all(64, 7)) == serial
+
+
+def test_an_error_in_the_caller_stops_the_helper(monkeypatch, tmp_path, cpus):
+    cpus(2)
+    naps = []
+
+    def nap_once():  # the helper's first check takes 10 s, unless the helper is stopped
+        if not naps:
+            naps.append(True)
+            time.sleep(10.0)
+
+    def fail():
+        raise RuntimeError("raised in the caller")
+
+    in_helper_only(monkeypatch, tmp_path, nap_once, fail)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="raised in the caller"):
+        verification.run_all(64, 7)
+    assert time.monotonic() - start < 5.0
 
 
 # --- the benchmark tracer's catalogue stays in step with the program ---
