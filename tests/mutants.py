@@ -1,0 +1,278 @@
+"""The mutation register: every recorded mutant of ``src/`` must still fail the tests named for it.
+
+    python3 tests/mutants.py              # every mutant
+    python3 tests/mutants.py NAME ...     # only the named mutants
+
+Run it from the root of a checkout.  ``src/``, ``tests/`` and ``pyproject.toml`` are
+copied to a temporary directory.  Each mutant replaces one exact text, which must occur
+exactly once in its file, runs only its named tests there, and restores the file.  A
+mutant is caught when every named test fails or errors; a named test that passes makes
+it a survivor.  One line per mutant gives its verdict and time.  The exit code is 0 when
+every mutant is caught, 1 when one survives, and 2 when an old text does not occur
+exactly once, a named test is not collected, or a mutant breaks the import of a test file.
+
+Stdlib only.  It is not a test module: tier-1 runs no mutant, and
+``tests/test_mutants.py`` only holds the register to the code.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300  # a mutant that hangs its tests this long counts as caught
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node IDs that must each fail
+
+
+VERIFICATION = "src/ergodiclab/verification.py"
+CESARO = "src/ergodiclab/cesaro.py"
+TV = "tests/test_verification.py"
+TC = "tests/test_cesaro.py"
+
+# the mutations that the tests of the run order, the Simpson oracle, the T certificate and the
+# forked helper were each first shown to catch
+RECORDED = [
+    Mutant("rng.one_shared_stream", VERIFICATION,
+           "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
+           "self.shared = getattr(self, 'shared', None) or np.random.default_rng(self.seed)\n"
+           "        return self.shared",
+           (f"{TV}::test_check_order_cannot_matter[N257]",)),
+    Mutant("simpson.ascending_order", CESARO,
+           "order = np.argsort(np.concatenate([level[0] for level in accepted]))[::-1]",
+           "order = np.argsort(np.concatenate([level[0] for level in accepted]))",
+           (f"{TC}::test_level_synchronous_simpson_keeps_the_depth_first_bits[exponential]",
+            f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]")),
+    Mutant("simpson.no_zero_row", CESARO,
+           "np.cumsum(np.concatenate([np.zeros((1, 1)), terms]), axis=0)[-1]",
+           "np.cumsum(terms, axis=0)[-1]",
+           (f"{TC}::test_simpson_budget_exhaustion_carries_payload",)),
+    Mutant("simpson.one_call_per_node", CESARO,
+           "fresh = _rows(f, np.concatenate([lm, rm]))",
+           "fresh = np.concatenate([_rows(f, node[None]) for node in np.concatenate([lm, rm])])",
+           (f"{TC}::test_oracle_calls_its_kernel_once_per_level_not_per_node",)),
+    Mutant("simpson.budget_checked_after_the_fact", CESARO,
+           "if evals + 2 * k > budget:",
+           "if evals > budget:",
+           (f"{TC}::test_budget_boundary_is_the_depth_first_node_count",)),
+    Mutant("simpson.ltol_not_halved", CESARO,
+           "ltol = 0.5 * ltol",
+           "ltol = 1.0 * ltol",
+           (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
+    Mutant("simpson.left_plus_right_first", CESARO,
+           "accepted.append((lo[ok], left[ok], right[ok], delta[ok] / 15.0, err[ok]))",
+           "accepted.append((lo[ok], left[ok] + right[ok], 0.0 * right[ok], delta[ok] / 15.0, err[ok]))",
+           (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
+    Mutant("certificate.by_subtraction", CESARO,
+           "for i in np.flatnonzero(u >= 1.0):",
+           "for i in range(u.size):",
+           (f"{TC}::test_T_certificate_never_understates_at_small_r_over_N[65536]",)),
+    Mutant("certificate.no_slack", CESARO,
+           "np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 2 * math.ulp(0.0))",
+           "np.maximum(0.0 * _EPS * value, 2 * math.ulp(0.0))",
+           (f"{TC}::test_T_certificate_never_understates_at_any_r_over_N",)),
+    Mutant("certificate.no_subnormal_floor", CESARO,
+           "np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 2 * math.ulp(0.0))",
+           "np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 0.0)",
+           (f"{TC}::test_T_certificate_never_understates_at_any_r_over_N",)),
+    Mutant("helper.no_reraise_of_its_error", VERIFICATION,
+           "        raise failure  # met by the helper alone\n",
+           "        pass\n",
+           (f"{TV}::test_a_check_that_raises_in_the_helper_alone_raises",)),
+    Mutant("helper.no_rerun_in_the_caller", VERIFICATION,
+           "results = [done[i] if i in done else CHECKS[i](ctx) for i in range(len(CHECKS))]",
+           "results = [done[i] for i in range(len(CHECKS))]",
+           (f"{TV}::test_a_helper_that_dies_loses_no_result",)),
+    Mutant("helper.not_reaped", VERIFICATION,
+           "        os.waitpid(helper, 0)\n",
+           "        pass\n",
+           (f"{TV}::test_results_keep_their_bits_on_one_and_two_cpus[257-healthy]",)),
+    Mutant("helper.results_in_completion_order", VERIFICATION,
+           "results = [done[i] if i in done else CHECKS[i](ctx) for i in range(len(CHECKS))]",
+           "results = list(done.values()) + [CHECKS[i](ctx) for i in range(len(CHECKS)) if i not in done]",
+           (f"{TV}::test_results_keep_their_bits_on_one_and_two_cpus[1024-healthy]",)),
+    Mutant("helper.not_killed", VERIFICATION,
+           "        os.kill(helper, 9)  # SIGKILL: the caller's own error ends the run\n",
+           "        pass\n",
+           (f"{TV}::test_an_error_in_the_caller_stops_the_helper",)),
+]
+
+# one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry
+# run of that check at the named N is the test that must fail.  (check, N, old, new)
+_CHECK_EDITS = [
+    ("check_space_holder", 2, "worst = max(worst, slack)", "worst = max(worst, -slack)"),
+    ("check_space_partial_sum_decomposition", 2,
+     "step = below + space.project_Q(x, h).coords", "step = below - space.project_Q(x, h).coords"),
+    ("check_space_projections", 2,
+     "worst = max(worst, norm_l1(once) - norm_l1(x))", "worst = max(worst, norm_l1(x) - norm_l1(once))"),
+    ("check_space_expansion_uniqueness", 2,
+     "consistent = all_zero == (norm_l1(x) == 0.0)", "consistent = all_zero != (norm_l1(x) == 0.0)"),
+    ("check_coeffs_sum_identities", 2,
+     '_result("coeffs.sum_identities_exactness", worst, 1e-13)',
+     '_result("coeffs.sum_identities_exactness", worst, 0.0)'),
+    ("check_coeffs_positivity", 2,
+     "float(-coeffs.b_row(t, min(ctx.N, 4096)).min())", "float(coeffs.b_row(t, min(ctx.N, 4096)).max())"),
+    ("check_coeffs_tail_consistency", 2,
+     '_result("coeffs.tail_consistency", worst, 1e-14)', '_result("coeffs.tail_consistency", worst, 0.0)'),
+    ("check_coeffs_integral_derivative", 2,
+     '_result("coeffs.integral_derivative_fd", worst, 1e-8)', '_result("coeffs.integral_derivative_fd", worst, 0.0)'),
+    ("check_coeffs_integral_vs_quadrature", 2,
+     '_result("coeffs.integral_vs_quadrature_rel", worst, 1e-10)',
+     '_result("coeffs.integral_vs_quadrature_rel", worst, 0.0)'),
+    ("check_semigroup_law_M", 2,
+     '_result("semigroups.law_M_exact", worst, 1e-14)', '_result("semigroups.law_M_exact", worst, 0.0)'),
+    ("check_semigroup_law_T", 257,
+     "bound = 2.0 * coeffs.tail_sum_b(ctx.N, t + s)", "bound = 0.0 * coeffs.tail_sum_b(ctx.N, t + s)"),
+    ("check_opnorm_M_minus_I", 2,
+     '_result("semigroups.opnorm_M_minus_I_exact", worst, 1e-14)',
+     '_result("semigroups.opnorm_M_minus_I_exact", worst, 0.0)'),
+    ("check_opnorm_M_bounded", 2,
+     '_result("semigroups.opnorm_M_le_one", worst, 1.0 + 1e-15)',
+     '_result("semigroups.opnorm_M_le_one", worst, 1.0 - 1e-15)'),
+    ("check_nonnegativity", 1,
+     "worst = max(worst, -builder(t, ctx.small_N).min_entry())",
+     "worst = max(worst, builder(t, ctx.small_N).min_entry())"),
+    ("check_column_stochasticity", 257,
+     '_result("semigroups.column_deficit_in_range", worst, 1e-14 * ctx.small_N)',
+     '_result("semigroups.column_deficit_in_range", worst, 0.0 * ctx.small_N)'),
+    ("check_adjoint_residual", 257,
+     '_result("semigroups.adjoint_residual_uniform", worst, 1e-15)',
+     '_result("semigroups.adjoint_residual_uniform", worst, 0.0)'),
+    ("check_f_invariance", 2, "worst = max(worst, drift - allowed)", "worst = max(worst, allowed - drift)"),
+    ("check_spectrum", 2,
+     "entries[np.tri(n, dtype=bool)] = 0.0", "entries[~np.tri(n, dtype=bool)] = 0.0"),
+    ("check_matrix_B_consistency", 2,
+     "entries[:, k : k + 64] - images.T", "entries[:, k : k + 64] + images.T"),
+    ("check_kernel_B", 2,
+     "0.0 if semigroups.kernel_B(ctx.N) else 1.0", "1.0 if semigroups.kernel_B(ctx.N) else 0.0"),
+    ("check_renorm_contractive", 2,
+     "exp_semigroup.renorm(T.apply(x), T) - exp_semigroup.renorm(x, T)",
+     "exp_semigroup.renorm(x, T) - exp_semigroup.renorm(T.apply(x), T)"),
+    ("check_renorm_axioms", 2,
+     '_result("exp.renorm_norm_axioms", worst, 1e-12)', '_result("exp.renorm_norm_axioms", worst, 0.0)'),
+    ("check_fixed_vector_transfer", 2,
+     '_result("exp.fixed_vector_transfer", worst, tol)', '_result("exp.fixed_vector_transfer", worst, 0.0 * tol)'),
+    ("check_S_monotone_bound", 2,
+     "ratio = exp_semigroup.renorm(exp_semigroup.apply_S(t, x, T, tol), T) / exp_semigroup.renorm(x, T)",
+     "ratio = exp_semigroup.renorm(x, T) / exp_semigroup.renorm(exp_semigroup.apply_S(t, x, T, tol), T)"),
+    ("check_S_defect", 2,
+     '_result("exp.semigroup_defect", worst, 4.0 * tol * T.power_bound)',
+     '_result("exp.semigroup_defect", worst, 0.0 * tol * T.power_bound)'),
+    ("check_oracle_cesaro_M", 2,
+     '_result("cesaro.oracle_equivalence_M", worst, max(1e-9, 10 * 1e-11))',
+     '_result("cesaro.oracle_equivalence_M", worst, 0.0)'),
+    ("check_oracle_cesaro_T", 2,
+     '_result("cesaro.oracle_equivalence_T", worst, max(1e-9, 10 * 1e-11))',
+     '_result("cesaro.oracle_equivalence_T", worst, 0.0)'),
+    ("check_strong_convergence_M", 2, "worst = max(worst, value - k / r)", "worst = max(worst, k / r - value)"),
+    ("check_uniform_floor", 2,
+     "diagnostics.UNIFORM_FLOOR - cesaro.cesaro_M_opnorm(float(r), ctx.N))",
+     "cesaro.cesaro_M_opnorm(float(r), ctx.N) - diagnostics.UNIFORM_FLOOR)"),
+    ("check_mass_escape_T", 2,
+     "shortfall = (1.0 - r / (2.0 * ctx.N)) - fval", "shortfall = fval - (1.0 - r / (2.0 * ctx.N))"),
+    ("check_linearity", 257,
+     '_result("cesaro.linearity", worst, 1e-12)', '_result("cesaro.linearity", worst, 0.0)'),
+    ("check_summaries_match_rows", 257,
+     '_result("cesaro.summaries_match_rows", worst, 1e-13)', '_result("cesaro.summaries_match_rows", worst, 0.0)'),
+    ("check_verdict_soundness", 2,
+     "verdict.witness >= verdict.threshold", "verdict.witness < verdict.threshold"),
+    ("check_kernel_criterion_consistency", 2,
+     '_result("diagnostics.kernel_criterion_consistency", worst, 1e-15)',
+     '_result("diagnostics.kernel_criterion_consistency", worst, 0.0)'),
+    ("check_opnorm_crossing", 2,
+     ">= diagnostics.UNIFORM_FLOOR - 1e-12]", "< diagnostics.UNIFORM_FLOOR - 1e-12]"),
+    ("check_mass_accounting", 2, "worst = max(worst, n1 - 1.0,", "worst = max(worst, 1.0 - n1,"),
+]
+
+CHECK_MUTANTS = [Mutant(check, VERIFICATION, old, new, (f"{TV}::test_invariant_holds[N{n}-{check}]",))
+                 for check, n, old, new in _CHECK_EDITS]
+
+MUTANTS = RECORDED + CHECK_MUTANTS
+
+
+def stale(mutants) -> list[str]:
+    """Mutants whose old text does not occur exactly once in the checkout's file."""
+    return [m.name for m in mutants if (ROOT / m.path).read_text().count(m.old) != 1]
+
+
+def _pytest(work: Path, tests) -> tuple[str, set[str] | str]:
+    """Run ``tests`` in ``work``: ("ran", failed or errored node IDs), or ("timeout" | "missing" | "broken", why)."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "--no-header", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.Popen(argv, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                            start_new_session=True)
+    try:
+        output, _ = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return "timeout", f"timed out after {TIMEOUT_S} s"
+    if proc.returncode in (4, 5):  # a named test that pytest cannot find
+        return "missing", output.strip().splitlines()[-1] if output.strip() else ""
+    # the short summary: "FAILED <node id> - ..." or "ERROR <node id or, for a collection error, file>"
+    failed = {line.split()[1] for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))}
+    files = sorted(node for node in failed if "::" not in node)
+    return ("broken", "collection error in " + ", ".join(files)) if files else ("ran", failed)
+
+
+def _verdict(outcome: str, failed, tests) -> tuple[str, str]:
+    """caught, survived (a named test passed), or invalid (a named test missing, or a test file broken)."""
+    if outcome == "timeout":
+        return "caught", failed
+    if outcome != "ran":
+        return "invalid", failed
+    passed = [test for test in tests if test not in failed]
+    return ("survived", "passed: " + ", ".join(passed)) if passed else ("caught", "")
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    problems = [f"unknown mutant: {name}" for name in sorted(set(argv) - {m.name for m in MUTANTS})]
+    problems += [f"stale: the old text of {name} does not occur exactly once" for name in stale(chosen)]
+    problems += [f"no test named for {m.name}" for m in chosen if not m.tests]
+    if problems:
+        print("\n".join(problems))
+        return 2
+    survivors, invalid, start = [], [], time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        outcome, failed = _pytest(work, sorted({test for m in chosen for test in m.tests}))
+        if outcome != "ran" or failed:  # a named test that fails unmutated would make every verdict vacuous
+            print(f"the named tests do not all pass unmutated: {outcome} {failed}")
+            return 2
+        for m in chosen:
+            target = work / m.path
+            original = target.read_text()
+            target.write_text(original.replace(m.old, m.new))
+            began = time.monotonic()
+            try:
+                verdict, detail = _verdict(*_pytest(work, m.tests), m.tests)
+            finally:
+                target.write_text(original)
+            print(f"{verdict:8s} {time.monotonic() - began:6.1f} s  {m.name}" + (f"  ({detail})" if detail else ""),
+                  flush=True)
+            (survivors if verdict == "survived" else invalid if verdict == "invalid" else []).append(m.name)
+    print(f"{len(chosen)} mutants, {len(survivors)} survived, {len(invalid)} invalid, "
+          f"in {time.monotonic() - start:.0f} s")
+    return 2 if invalid else 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -24,33 +24,12 @@ from ergodiclab.semigroups import (
     trajectory_kernel,
 )
 from ergodiclab.space import TruncatedVector, basis_vector
+from rows import one_point_mean, signed_with_gaps
 
 NS = [1, 2, 257, 1024]
 TS = [0.0, 0.5, 7.0, 300.0, 1e4, 1e6]  # t = 1e6 underflows e^{-t/h} below h = 1342
 RS = [1e-3, 0.05, 1.0, 30.0, 900.0, 8857.0]
 MB = 2**20
-
-
-def signed_with_gaps(n):
-    """Signed x with runs of zeros (one of them -0.0) and, from n = 4, a zero prefix sum after index 2."""
-    rng = np.random.default_rng(n)
-    coords = np.zeros(n)
-    on = np.unique(np.concatenate(([0], rng.choice(n, min(n, 40), replace=False))))
-    coords[on] = rng.uniform(0.5, 1.0, on.size) * rng.choice([-1.0, 1.0], on.size)
-    if n >= 4:
-        coords[2:4] = [-coords[0] - coords[1], -0.0]
-    return TruncatedVector(coords)
-
-
-def one_point_mean(r, x, perturbed):
-    """C_M(r)x or C_T(r)x at one r, in the kernels' operation order: ((-e) (h/r)) x, plus ((I prefix) / r)."""
-    h = np.arange(1, x.dim + 1, dtype=float)
-    e = np.expm1(-r / h)
-    row = -e * (h / r) * x.coords
-    if perturbed and x.dim > 1:
-        he = e * h
-        row[1:] = (he[:-1] - he[1:]) * np.cumsum(x.coords)[:-1] / r + row[1:]
-    return row
 
 
 @pytest.fixture(params=["gathered", "sliced"])

@@ -522,7 +522,8 @@ def test_norm_mode_curve_csv_blank_columns():
 
 
 @pytest.mark.parametrize("start, factor, count", [(0.25, 2.0, 10), (1e-3, 3.0, 12), (1.0, 1.0000001, 1000),
-                                                  (1e-300, 1e5, 62), (1e-300, 1e5, 100), (1e-300, 1e200, 3)])
+                                                  (1e-300, 1e5, 62), (1e-300, 1e5, 100), (1e-300, 1e200, 3),
+                                                  (5e-324, 2.0, 2000), (1e-310, 10.0, 600)])  # start < 1/DBL_MAX
 def test_grid_splits_the_power_only_where_it_overflows(start, factor, count):
     grid = geometric_grid(start, factor, count)
     with np.errstate(over="ignore"):

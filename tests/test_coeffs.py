@@ -67,7 +67,8 @@ def test_partial_sum_matches_direct_summation():
 
 
 def test_tail_sum_frozen_values():
-    assert tail_sum_b(1, 1.0) == pytest.approx(0.6321205588285577, abs=1e-16)
+    # 1 - e^{-1} rounds to 0.6321205588285577, below the exact value; the tail is raised by 2.5 eps of itself
+    assert tail_sum_b(1, 1.0) == pytest.approx(0.632120558828558, abs=1e-16)
     assert tail_sum_b(10, 0.0) == 0.0
     assert tail_sum_b(100, 1.0) == pytest.approx(0.009950166250831893, abs=1e-16)
 
@@ -76,6 +77,17 @@ def test_tail_sum_bounded_by_t_over_m():
     for m in (1, 5, 100, 10**4):
         for t in (0.0, 0.3, 2.0, 50.0):
             assert 0.0 <= tail_sum_b(m, t) <= t / m + 1e-16
+
+
+def test_tail_sum_never_understates():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8)
+    with mpmath.workdps(50):
+        for m in (1, 2, 3, 7, 100, 1000, 65536, 2**22):
+            for t in 10.0 ** rng.uniform(-8.0, 4.0, 375):
+                exact = -mpmath.expm1(-mpmath.mpf(float(t)) / m)
+                assert exact <= tail_sum_b(m, float(t)) <= exact * (1 + 9e-16), (m, t)  # within 4 eps
+    assert tail_sum_b(3, 5e-324) > 0.0  # t/m rounds to 0
 
 
 def test_tail_consistency():

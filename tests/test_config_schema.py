@@ -22,6 +22,7 @@ import pytest
 
 from ergodiclab.cli import (
     _SCHEMA,
+    _TYPE_NAMES,
     COMMANDS,
     EXIT_INVARIANT,
     EXIT_IO,
@@ -288,14 +289,45 @@ def test_file_kind_without_a_path_names_the_path(workdir):
 
 # --- the README's config table ---
 
-def test_readme_config_table_lists_the_schema_keys():
+def readme_rows():
+    """(keys, types, defaults, read by) of each row of the README's config table; k keys have k types and defaults."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| Key | Type | Default | Rule | Read by |\n")[1].split("\n\n")[0]
-    listed = []
     for row in table.splitlines()[1:]:
-        first = None
-        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
-            # `r_grid.start`, `.factor`, `.count` is shorthand for r_grid.factor and r_grid.count
-            first = first or name.rpartition(".")[0]
-            listed.append(first + name if name.startswith(".") else name)
+        keys_cell, type_cell, default_cell, _rule, read_by = (cell.strip() for cell in row.strip("|").split(" | "))
+        keys = re.findall(r"`([^`]+)`", keys_cell)
+        # `r_grid.start`, `.factor`, `.count` is shorthand for r_grid.factor and r_grid.count
+        keys = [keys[0].rpartition(".")[0] + key if key.startswith(".") else key for key in keys]
+        split = (lambda cell: cell.split(", ")) if len(keys) > 1 else (lambda cell: [cell])
+        yield keys, split(type_cell), split(default_cell), read_by
+
+
+def test_readme_config_table_lists_the_schema_keys():
+    listed = [key for keys, *_ in readme_rows() for key in keys]
     assert sorted(listed) == sorted(key.path for key in _SCHEMA)
+
+
+def written(key):
+    """The Read-by cell of ``key``: its readers, those that read it under a condition after the rest."""
+    if key.readers == dict.fromkeys(COMMANDS):
+        return "every command"
+    conditions = {None: "", ("subject", "S"): " on S", ("mode", "vector"): " in vector mode"}
+    groups = {}
+    for command, when in key.readers.items():
+        groups.setdefault(when, []).append(f"`{command}`")
+    return "; ".join(", ".join(commands) + conditions[when] for when, commands in groups.items())
+
+
+def test_readme_config_table_holds_the_schema_types_defaults_and_readers():
+    defaults = {}
+    for cfg in (ExperimentConfig(), ExperimentConfig.from_dict({"s_matrix": {"kind": "file"}})):  # and s_matrix.path
+        for section, value in cfg.to_dict().items():
+            for name, v in value.items() if isinstance(value, dict) else [("", value)]:
+                defaults.setdefault(f"{section}.{name}" if name else section, v)
+    schema = {key.path: key for key in _SCHEMA}
+    for keys, types, values, read_by in readme_rows():
+        for path, type_name, value in zip(keys, types, values, strict=True):
+            key = schema[path]
+            assert type_name == _TYPE_NAMES[key.type].partition(" ")[2], path
+            assert json.loads(value.strip("`")) == defaults[path] and type(defaults[path]) is key.type, path
+            assert read_by == written(key), path

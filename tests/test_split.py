@@ -7,8 +7,6 @@ reports, and that an error late in a grid raises what a one-CPU run raises, on t
 calling thread.
 """
 
-import json
-import os
 import threading
 
 import numpy as np
@@ -24,49 +22,14 @@ from ergodiclab.cesaro import (
     geometric_grid,
     means_kernel,
 )
-from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_simulate, main
+from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.diagnostics import cauchy_convergence_test
 from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
 from ergodiclab.space import TruncatedVector
+from rows import one_point_mean, one_point_orbit, same_bits, simulate_csv, sparse_vector
 
 CURVES = {"M": curve_cesaro_M, "T": curve_cesaro_T}
 FIELDS = ("r_grid", "trunc_error", "values", "steps", "max_coordinate", "max_index", "f_value")
-
-
-def sparse_vector(n, seed=17):
-    rng = np.random.default_rng(seed)
-    coords = np.zeros(n)
-    k = max(1, n // 8)
-    coords[rng.choice(n, k, replace=False)] = rng.uniform(-1.0, 1.0, k)
-    return TruncatedVector(coords)
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs the process may use."""
-    def use(k):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
-    return use
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def simulate_csv(tmp_path, subject, x, ts):
-    config = {
-        "subject": subject,
-        "N": x.dim,
-        "vector": [[k + 1, v] for k, v in enumerate(x.coords.tolist()) if v],
-        "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
-        "t_grid": {"start": 0.0, "stop": 40.0, "count": ts},
-    }
-    tmp_path.mkdir()
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == EXIT_OK
-    return (tmp_path / "trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 13])
@@ -87,31 +50,6 @@ def test_curves_and_trajectories_keep_their_bytes_for_any_cpu_count(tmp_path, cp
         for name in FIELDS:
             assert same_bits(getattr(curve, name), getattr(serial, name)), (k, name)
         assert results[k][1:] == (csv, verdict, trajectory)
-
-
-def direct_M(r, x):
-    # the parent formula, in its operation order: ((h/r) * -expm1(-r/h)) * x
-    h = np.arange(1, x.dim + 1, dtype=float)
-    return (h / r) * -np.expm1(-r / h) * x.coords
-
-
-def direct_T(r, x):
-    h = np.arange(1, x.dim + 1, dtype=float)
-    row = direct_M(r, x)
-    if x.dim > 1:
-        he = h * np.expm1(-r / h)
-        row[1:] += (he[:-1] - he[1:]) * np.cumsum(x.coords)[:-1] / r
-    return row
-
-
-def direct_trajectory(t, x, perturbed):
-    h = np.arange(1, x.dim + 1, dtype=float)
-    decay = np.exp(-t / h)
-    row = decay * x.coords
-    if perturbed and x.dim > 1:
-        pairs = h[1:] * (h[1:] - 1)
-        row[1:] += -np.expm1(-t / pairs) * decay[1:] * np.cumsum(x.coords)[:-1]
-    return row
 
 
 EDGE_VECTORS = {
@@ -139,17 +77,17 @@ def test_support_aware_rows_equal_the_direct_formulas(name, calls):
         means = ((cesaro_M(r, x).coords, cesaro_T(r, x).coords) for r in rs)
         orbits = ((apply_M(t, x).coords, apply_T(t, x).coords) for t in ts)
     for r, (mean_M, mean_T) in zip(rs, means, strict=True):
-        assert same_bits(mean_M, direct_M(r, x))
-        assert same_bits(mean_T, direct_T(r, x))
+        assert same_bits(mean_M, one_point_mean(r, x, perturbed=False))
+        assert same_bits(mean_T, one_point_mean(r, x, perturbed=True))
     for t, (orbit_M, orbit_T) in zip(ts, orbits, strict=True):
-        assert same_bits(orbit_M, direct_trajectory(t, x, perturbed=False))
-        assert same_bits(orbit_T, direct_trajectory(t, x, perturbed=True))
+        assert same_bits(orbit_M, one_point_orbit(t, x, perturbed=False))
+        assert same_bits(orbit_T, one_point_orbit(t, x, perturbed=True))
 
 
 def test_full_support_opnorm_equals_the_direct_formula():
     rs = geometric_grid(0.5, 2.0, 12)
     ones = TruncatedVector(np.ones(1024))
-    want = [direct_M(r, ones).max() for r in rs]
+    want = [one_point_mean(r, ones, perturbed=False).max() for r in rs]
     assert same_bits(curve_cesaro_M_opnorm(rs, 1024).values, want)
 
 

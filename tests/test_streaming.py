@@ -1,6 +1,5 @@
 """Grid kernels and the summaries read off the support of x: curves and trajectories match their per-point values."""
 
-import json
 import tracemalloc
 from collections import deque
 
@@ -15,22 +14,14 @@ from ergodiclab.cesaro import (
     geometric_grid,
     support_summaries,
 )
-from ergodiclab.cli import EXIT_OK, main
 from ergodiclab.coeffs import integral_b_row
 from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T
 from ergodiclab.space import DualFunctional, TruncatedVector, norm_l1, pair, row_stats
+from rows import simulate_csv, sparse_vector
 
 F = DualFunctional.constant_one()
 MEANS = {"M": (curve_cesaro_M, cesaro_M), "T": (curve_cesaro_T, cesaro_T)}
 SEMIGROUPS = {"M": (apply_M, matrix_M), "T": (apply_T, matrix_T)}
-
-
-def sparse_vector(n, seed=17):
-    rng = np.random.default_rng(seed)
-    coords = np.zeros(n)
-    k = max(1, n // 8)
-    coords[rng.choice(n, k, replace=False)] = rng.uniform(-1.0, 1.0, k)
-    return TruncatedVector(coords)
 
 
 def reduce(v: TruncatedVector):
@@ -86,16 +77,7 @@ def test_means_keep_their_closed_forms(n):
 def test_simulate_rows_equal_per_point_evaluation(tmp_path, subject, n):
     apply, matrix = SEMIGROUPS[subject]
     x = sparse_vector(n)
-    config = {
-        "subject": subject,
-        "N": n,
-        "vector": [[k + 1, v] for k, v in enumerate(x.coords.tolist()) if v],
-        "r_grid": {"start": 0.25, "factor": 2.0, "count": 2},
-        "t_grid": {"start": 0.0, "stop": 40.0, "count": 9},
-    }
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path)]) == EXIT_OK
-    lines = (tmp_path / "trajectory.csv").read_text().strip().split("\n")[1:]
+    lines = simulate_csv(tmp_path, subject, x, 9).decode().strip().split("\n")[1:]
     for line, t in zip(lines, np.linspace(0.0, 40.0, 9), strict=True):
         y = apply(float(t), x)
         assert np.array_equal(y.coords, matrix(float(t), n).apply(x).coords)

@@ -25,6 +25,7 @@ from ergodiclab.cesaro import (
 )
 from ergodiclab.semigroups import trajectory_kernel
 from ergodiclab.space import TruncatedVector, norm_l1, row_stats
+from rows import signed_with_gaps
 
 PIN = 1e-13
 NS = [1, 2, 257, 1024, 65536]
@@ -34,21 +35,10 @@ RS = geometric_grid(0.05, 3.0, 12)  # up to r = 8857
 TS = [0.0, 0.5, 7.0, 300.0, 1e4, 1e6]  # t = 1e6 underflows e^{-t/h} below h = 1342
 
 
-def signed_with_zero_prefix_gap(n):
-    """Signed sparse x with x_1 != 0, and from n = 4 a gap after index 2 where the prefix sum is 0."""
-    rng = np.random.default_rng(n)
-    coords = np.zeros(n)
-    on = np.unique(np.concatenate(([0], rng.choice(n, min(n, 40), replace=False))))
-    coords[on] = rng.uniform(0.5, 1.0, on.size) * rng.choice([-1.0, 1.0], on.size)
-    if n >= 4:
-        coords[2:4] = [-coords[0] - coords[1], 0.0]
-    return coords
-
-
 CASES = {
     "zero": lambda n: np.zeros(n),
     "full": lambda n: np.random.default_rng(1).uniform(-1.0, 1.0, n),
-    "signed_gap": signed_with_zero_prefix_gap,
+    "signed_gap": lambda n: signed_with_gaps(n).coords,
 }
 
 
@@ -91,7 +81,7 @@ def test_zero_vector_reads_max_zero_at_index_one():
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["M", "T"])
 def test_bad_grid_points_raise(perturbed):
-    x = TruncatedVector(signed_with_zero_prefix_gap(64))
+    x = signed_with_gaps(64)
     curve = curve_cesaro_T if perturbed else curve_cesaro_M
     with pytest.raises(ValueError, match="averaging length r must be > 0, got -2.0"):
         curve([0.5, 1.0, -2.0, -1.0], x)
@@ -99,13 +89,13 @@ def test_bad_grid_points_raise(perturbed):
         list(support_summaries(x, [0.0, 1.0, -1.0], perturbed, mean=False))
     # h/r overflows at r far below N / DBL_MAX, which the CLI refuses
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="coords must be finite"):
-        list(support_summaries(TruncatedVector(signed_with_zero_prefix_gap(65536)), [1e-320], perturbed, mean=True))
+        list(support_summaries(signed_with_gaps(65536), [1e-320], perturbed, mean=True))
 
 
 # --- blocks of grid points: every row keeps the bits of a one-point call ---
 
 BLOCK_CASES = {
-    "sparse": lambda: signed_with_zero_prefix_gap(257),
+    "sparse": lambda: signed_with_gaps(257).coords,
     "full": lambda: np.random.default_rng(2).uniform(-1.0, 1.0, 4097),  # wider than a block's element budget
 }
 
@@ -161,7 +151,7 @@ def test_blocks_keep_the_bits_of_one_call_per_point(monkeypatch, block_sizes, ca
 
 @pytest.mark.parametrize("mean", [True, False], ids=["curve", "trajectory"])
 def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(mean):
-    x = TruncatedVector(signed_with_zero_prefix_gap(64))
+    x = signed_with_gaps(64)
     grid = geometric_grid(0.05, 1.1, 3 * cesaro._BLOCK_ROWS) if mean else np.linspace(0.0, 40.0, 3 * cesaro._BLOCK_ROWS)
     bad = cesaro._BLOCK_ROWS + 5
     grid[bad], grid[bad + 1] = -2.0, -1.0
@@ -239,7 +229,7 @@ def test_lemma_c_D_falls_to_the_found_minimum_and_rises_after(r0, r1):
 def test_T_curve_step_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     n = 1024
-    x = TruncatedVector(signed_with_zero_prefix_gap(n))
+    x = signed_with_gaps(n)
     r0, r1 = 60.0, 60.0 * 1.02
     (at,), _ = _D_minima(np.array([r0, r1]), float(n))
     assert 22 < at < 42 and not x.coords[22:41].any()  # D's minimum lies inside the gap 23..41

@@ -150,15 +150,7 @@ def test_injected_corruption_fails_exactly_its_check(N):
     assert failed == ["semigroups.matrix_B_matches_apply", "cesaro.summaries_match_rows"]
 
 
-# --- the forked helper: results keep their bits, its errors raise, no child outlives a run ---
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set how many CPUs the process may use; on leaving, assert that no child process is left."""
-    yield lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
+# --- the forked helper: results keep their bits, its errors raise, no child outlives a run (``cpus``) ---
 
 def as_hex(results):
     return [(r.name, r.passed, r.measured.hex(), r.bound.hex()) for r in results]
