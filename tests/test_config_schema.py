@@ -307,7 +307,7 @@ def test_readme_config_table_lists_the_schema_keys():
     assert sorted(listed) == sorted(key.path for key in _SCHEMA)
 
 
-def written(key):
+def read_by_cell(key):
     """The Read-by cell of ``key``: its readers, those that read it under a condition after the rest."""
     if key.readers == dict.fromkeys(COMMANDS):
         return "every command"
@@ -330,4 +330,4 @@ def test_readme_config_table_holds_the_schema_types_defaults_and_readers():
             key = schema[path]
             assert type_name == _TYPE_NAMES[key.type].partition(" ")[2], path
             assert json.loads(value.strip("`")) == defaults[path] and type(defaults[path]) is key.type, path
-            assert read_by == written(key), path
+            assert read_by == read_by_cell(key), path
