@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -224,14 +224,14 @@ def _sum_accepted(accepted) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
-def cesaro_quadrature(kernel: Integrand, r: float, tol: float, budget: int = 2**20) -> TruncatedVector:
+def cesaro_quadrature(kernel: Integrand, r: float, tol: float) -> TruncatedVector:
     """Quadrature oracle for the mean (1/r) * integral over [0, r] of an orbit, within ``tol`` in l1.
 
     ``kernel(nodes)`` returns the orbit at each node as a (nodes, N) array, as
     ``semigroups.trajectory_kernel(x, perturbed)`` does.
     """
     _check_r(r)
-    total = adaptive_simpson(kernel, 0.0, r, tol * r, budget=budget)
+    total = adaptive_simpson(kernel, 0.0, r, tol * r)
     return TruncatedVector(total / r)
 
 
@@ -249,7 +249,8 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size < 1:
         raise ValueError("r_grid must be a nonempty 1-d array")
-    scale = T.power_bound * norm_l1(x)
+    norm = norm_l1(x)
+    scale = T.power_bound * norm
 
     def error_bounds(u, lost, r):
         # l1 error of stopping at J = 0..R: the weight past J, plus the
@@ -259,7 +260,7 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
 
     def window(r):  # u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, with upper tails summed from the top
         _check_r(r)
-        L, p, lost = poisson_window(r, series_target(tol, scale, r))
+        L, p, lost = poisson_window(r, series_target(tol, T.power_bound, norm, r))
         upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
         u = np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r
         within = np.flatnonzero(error_bounds(u, lost, r) <= tol)
@@ -468,7 +469,6 @@ class CesaroCurve:
     max_coordinate: np.ndarray | None = None
     max_index: np.ndarray | None = None
     f_value: np.ndarray | None = None
-    caveats: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.r_grid = np.asarray(self.r_grid, dtype=float)

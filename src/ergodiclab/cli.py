@@ -377,12 +377,12 @@ def _write(path: Path, text: str):
 
 
 def _series_operator(cfg: ExperimentConfig, x: TruncatedVector, r: float) -> PowerBoundedOperator:
-    """S's T, once its series' Poisson window target is a normal double: below that the window's loss reads 0."""
-    T, scale = cfg.power_operator(), norm_l1(x)
-    if series_target(cfg.quadrature_tol, T.power_bound * scale, r) < sys.float_info.min:
-        raise ConfigValidationError([f"vector: the S series' target eps * quadrature_tol * r / (power bound * l1 norm) "
-                                     f"= eps * {cfg.quadrature_tol:g} * {r:g} / ({T.power_bound:g} * {scale:g}) "
-                                     "is below the smallest normal double, where it could certify no error"])
+    """S's T, once ``series_target`` accepts its series' Poisson window target at the smallest r."""
+    T = cfg.power_operator()
+    try:
+        series_target(cfg.quadrature_tol, T.power_bound, norm_l1(x), r)
+    except ValueError as err:
+        raise ConfigValidationError([f"vector: {err}"]) from None
     return T
 
 

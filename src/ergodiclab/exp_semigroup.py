@@ -176,9 +176,21 @@ def poisson_window(t: float, rest_tol: float) -> tuple[int, np.ndarray, float]:
     return L, probs / total, 2.0 * (left + rest / total)
 
 
-def series_target(tol: float, scale: float, r: float = 1.0) -> float:
-    """poisson_window's rest_tol for a series within tol * r at scale = power_bound * ||x||_1 (inf at scale 0)."""
-    return _EPS * tol * r / scale if scale else math.inf
+def series_target(tol: float, power_bound: float, norm: float, r: float = 1.0) -> float:
+    """poisson_window's rest_tol for a series within tol * r at scale = power_bound * ||x||_1 (inf at scale 0).
+
+    Raises ValueError where the target is below the smallest normal double:
+    there the window's loss reads 0, so it could certify no error.
+    """
+    scale = power_bound * norm
+    if not scale:
+        return math.inf
+    target = _EPS * tol * r / scale
+    if target < _TINY:
+        raise ValueError(f"the S series' target eps * quadrature_tol * r / (power bound * l1 norm) = eps * {tol:g} * "
+                         f"{r:g} / ({power_bound:g} * {norm:g}) is below the smallest normal double, "
+                         "where it could certify no error")
+    return target
 
 
 def series_blocks(grid: Iterable[float], dim: int, window: Callable[[float], tuple]) -> Iterator[list[tuple]]:
@@ -215,12 +227,13 @@ def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperato
         raise ValueError(f"tol must be > 0, got {tol}")
     if x.dim != T.dim:
         raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
-    scale = T.power_bound * norm_l1(x)
+    norm = norm_l1(x)
+    scale, target = T.power_bound * norm, series_target(tol, T.power_bound, norm)
 
     def window(t):
         if t < 0:
             raise ValueError(f"time t must be >= 0, got {t}")
-        L, p, lost = poisson_window(t, series_target(tol, scale))
+        L, p, lost = poisson_window(t, target)
         # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
         after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
         within = np.flatnonzero(after * scale <= tol)

@@ -41,11 +41,15 @@ class Mutant(NamedTuple):
 
 VERIFICATION = "src/ergodiclab/verification.py"
 CESARO = "src/ergodiclab/cesaro.py"
+DIAGNOSTICS = "src/ergodiclab/diagnostics.py"
+EXP = "src/ergodiclab/exp_semigroup.py"
 TV = "tests/test_verification.py"
 TC = "tests/test_cesaro.py"
+TD = "tests/test_diagnostics.py"
+TE = "tests/test_exp_semigroup.py"
 
-# the mutations that the tests of the run order, the Simpson oracle, the T certificate and the
-# forked helper were each first shown to catch
+# the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
+# forked helper, the convergence verdict and the S series' target were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -109,6 +113,29 @@ RECORDED = [
            "        os.kill(helper, 9)  # SIGKILL: the caller's own error ends the run\n",
            "        pass\n",
            (f"{TV}::test_an_error_in_the_caller_stops_the_helper",)),
+    Mutant("verdict.rising_steps_decay", DIAGNOSTICS,
+           "if slope >= 0:\n        return False",
+           "if slope >= 0:\n        return True",
+           (f"{TD}::test_growing_tail_differences_do_not_converge",)),
+    Mutant("verdict.escape_test_flipped", DIAGNOSTICS,
+           "maxes[-1] <= 0.5 * maxes[0]",
+           "maxes[-1] > 0.5 * maxes[0]",
+           (f"{TD}::test_mass_escape_curve_diverges",)),
+    Mutant("verdict.cauchy_flipped", DIAGNOSTICS,
+           "tail_diffs < tol",
+           "tail_diffs >= tol",
+           (f"{TD}::test_convergence_on_decaying_curve",)),
+    Mutant("verdict.threshold_above_the_floor", DIAGNOSTICS,
+           "threshold = UNIFORM_FLOOR - 1e-12",
+           "threshold = UNIFORM_FLOOR + 1e-12",
+           (f"{TD}::test_divergence_on_opnorm_curve",)),
+    Mutant("series.no_target_guard", EXP,
+           "if target < _TINY:",
+           "if target < 0.0:",
+           tuple(f"{TE}::test_S_target_below_the_normal_range_raises[{call}]"
+                 for call in ("apply_S", "stream_S", "stream_cesaro_S", "curve_cesaro_S", "semigroup_defect_S"))
+           + ("tests/test_cli.py::test_S_series_tolerance_below_the_normal_range_names_the_vector[simulate]",
+              "tests/test_cli.py::test_S_series_tolerance_below_the_normal_range_names_the_vector[cesaro]")),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry

@@ -7,12 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
+from ergodiclab.cesaro import curve_cesaro_S, stream_cesaro_S
 from ergodiclab.exp_semigroup import (
     PowerBoundedOperator,
     apply_S,
     poisson_window,
     renorm,
     semigroup_defect_S,
+    stream_S,
 )
 from ergodiclab.semigroups import SparseOperator, from_sparse_triples, matrix_T, to_sparse_triples
 from ergodiclab.space import TruncatedVector, basis_vector, norm_l1, vector
@@ -225,6 +227,19 @@ def test_S_tolerance_validation(T1_64):
     with pytest.raises(ValueError):
         apply_S(-0.5, basis_vector(1, 64), T1_64, 1e-10)
 
+
+@pytest.mark.parametrize("call", [
+    lambda x, T: apply_S(0.4, x, T, 1e-10),
+    lambda x, T: next(stream_S([0.4], x, T, 1e-10)),
+    lambda x, T: next(stream_cesaro_S([0.1, 0.2, 0.4], x, T, 1e-10)),
+    lambda x, T: curve_cesaro_S([0.1, 0.2, 0.4], x, T, 1e-10),
+    lambda x, T: semigroup_defect_S(0.2, 0.2, x, T, 1e-10),
+], ids=["apply_S", "stream_S", "stream_cesaro_S", "curve_cesaro_S", "semigroup_defect_S"])
+def test_S_target_below_the_normal_range_raises(call):
+    # eps * tol * r / (power_bound * ||x||_1) underflows, and the window's loss would certify an error of 0
+    T = PowerBoundedOperator.from_matrix(np.array([[0.5, 1.5], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="below the smallest normal double"):
+        call(TruncatedVector(np.array([1e300, 1.0])), T)
 
 
 def test_fixed_vectors_are_fixed_by_S():

@@ -1,5 +1,6 @@
 """Tests for the invariant suite: the registry at every N, its controls and its cost."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -247,3 +248,35 @@ def test_tracer_targets_resolve():
     # until the benchmark's next change adds them to CHECK_NAMES
     untimed = ["check_summaries_match_rows"]
     assert tracing.CHECK_NAMES == [check.__name__ for check in verification.CHECKS if check.__name__ not in untimed]
+
+
+def _readers(trees) -> dict[str, set[tuple[str, str | None]]]:
+    """Each name that a Name or Attribute node reads -> the (module, top-level def or class) reading it."""
+    readers = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    readers.setdefault(name, set()).add((module, getattr(stmt, "name", None)))
+    return readers
+
+
+def test_every_public_src_function_has_a_caller():
+    # code that no caller reaches gets deleted; a name that only a paper pin or the tracer reads stays,
+    # and the check_* functions are reached through verification.CHECKS
+    src = Path(verification.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    readers = _readers(trees)
+    pinned = _readers({"test_acceptance": ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())})
+    tracing = _tracing_module()
+    traced = set({**tracing.SPLIT, **tracing.TOTAL}.values())
+    uncalled = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith(("_", "check_"))
+        and not readers.get(node.name, set()) - {(module, node.name)}
+        and node.name not in pinned and (f"ergodiclab.{module}", node.name) not in traced
+    ]
+    assert not uncalled, f"no caller reaches {uncalled}"
