@@ -32,7 +32,7 @@ from .space import TruncatedVector, norm_l1, row_stats
 __all__ = [
     "QuadratureError", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
     "cesaro_quadrature", "adaptive_simpson", "means_kernel", "support_summaries", "stream_cesaro_S",
-    "curve_cesaro_M", "curve_cesaro_T", "curve_cesaro_M_opnorm", "curve_cesaro_S",
+    "curve_cesaro_M", "curve_cesaro_T", "curve_cesaro_M_opnorm", "curve_cesaro_S", "geometric_grid",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -80,7 +80,7 @@ def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[floa
         e = np.expm1(-r / h)
         out = -e * (h / r) * x.coords
         if coupled:
-            out[:, 1:] += integral_b_from_expm1(h, e, np.empty((r.size, x.dim - 1))) * prefix / r
+            out[:, 1:] += integral_b_from_expm1(h, e) * prefix / r
         return out
 
     return rows

@@ -99,12 +99,8 @@ def b_row(t: float, n_max: int) -> np.ndarray:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if t < 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    out = np.empty(n_max)
-    out[0] = math.exp(-t)
-    if n_max > 1:
-        n = np.arange(2, n_max + 1, dtype=float)
-        b_from_decay(t, np.exp(-t / n), n * (n - 1), out[1:])
-    return out
+    n = np.arange(2, n_max + 1, dtype=float)
+    return np.concatenate(([math.exp(-t)], b_from_decay(t, np.exp(-t / n), n * (n - 1))))
 
 
 def integral_b_row(r: float, n_max: int) -> np.ndarray:
@@ -113,36 +109,31 @@ def integral_b_row(r: float, n_max: int) -> np.ndarray:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if r < 0:
         raise ValueError(f"upper limit r must be >= 0, got {r}")
-    out = np.empty(n_max)
-    out[0] = -math.expm1(-r)
-    if n_max > 1:
-        h = np.arange(1, n_max + 1, dtype=float)
-        integral_b_from_expm1(h, np.expm1(-r / h), out[1:])
-    return out
+    h = np.arange(1, n_max + 1, dtype=float)
+    return np.concatenate(([-math.expm1(-r)], integral_b_from_expm1(h, np.expm1(-r / h))))
 
 
-# --- row kernels over caller-owned buffers, shared by the grid loops ---
+# --- row kernels shared by the grid loops ---
 
-def b_from_decay(t: float, decay: np.ndarray, pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """b(n, t) for n = 2..N into ``out``, from decay = exp(-t/n) and pairs = n(n-1).
+def b_from_decay(t: float, decay: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """b(n, t) for n = 2..N, from decay = exp(-t/n) and pairs = n(n-1).
 
     Same cancellation-free form as ``b``; a trajectory computes exp(-t/n)
     once per t for its diagonal and reuses it here.
     """
-    np.divide(-t, pairs, out=out)
+    out = np.divide(-t, pairs)
     np.expm1(out, out=out)
     np.negative(out, out=out)
     out *= decay
     return out
 
 
-def integral_b_from_expm1(h: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """integral_b(h, r) for h = 2..N into ``out``, from h = 1..N and e = expm1(-r/h).
+def integral_b_from_expm1(h: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """integral_b(h, r) for h = 2..N, from h = 1..N and e = expm1(-r/h).
 
     Uses integral_b(h, r) = (h-1) e_{h-1} - h e_h, so the mean of the
     perturbed semigroup shares one expm1 pass per r with its diagonal;
-    a (k, N) block of e gives k rows.  ``e`` is overwritten with h e_h.
+    a (k, N) block of e gives k rows.
     """
-    e *= h
-    np.subtract(e[..., :-1], e[..., 1:], out=out)
-    return out
+    he = e * h
+    return he[..., :-1] - he[..., 1:]

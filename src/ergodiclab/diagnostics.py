@@ -20,41 +20,29 @@ from .cesaro import CesaroCurve
 from .semigroups import StructuredOperator, nullity
 from .space import TruncatedVector
 
-__all__ = ["Evidence", "ConvergenceVerdict", "kernel_criterion", "cauchy_convergence_test"]
+__all__ = ["ConvergenceVerdict", "kernel_criterion", "cauchy_convergence_test"]
 
 UNIFORM_FLOOR = 1.0 - 1.0 / math.e
 
 
-@dataclass(frozen=True)
-class Evidence:
-    """One named numerical fact supporting a verdict; ``ref`` names the criterion the fact instantiates."""
+def kernel_criterion(op: StructuredOperator) -> dict:
+    """Null-space dimension of a generator (and so of its adjoint) at truncation N.
 
-    name: str
-    value: float | int | list | bool
-    ref: str | None = None
-
-
-def kernel_criterion(op: StructuredOperator) -> list[Evidence]:
-    """Null-space dimensions of a generator and its adjoint at truncation N.
-
-    A trivial adjoint null space certifies mean ergodicity.  The evidence
-    also records the adjoint image of the all-ones functional (the
+    A trivial adjoint null space certifies mean ergodicity; a square matrix
+    and its transpose share their rank, so one ``null_dim`` serves both.
+    The dict also records the adjoint image of the all-ones functional (the
     coordinate sums of the generator columns): when that residual is
     uniformly small but nonzero, the finite truncations are flagging an
     emergent fixed functional of the infinite-dimensional adjoint.
     """
-    null_dim = nullity(op)  # a square matrix and its transpose share their rank
     residual = op.apply_adjoint(TruncatedVector(np.ones(op.dim))).coords
-    return [
-        Evidence("generator_null_dim", null_dim, ref="adjoint-kernel criterion"),
-        Evidence("adjoint_null_dim", null_dim, ref="adjoint-kernel criterion"),
-        Evidence("adjoint_ones_residual_max", float(np.abs(residual).max())),
-        Evidence("adjoint_ones_residual_min", float(np.abs(residual).min())),
-        Evidence(
-            "adjoint_ones_residual_uniform",
+    return {
+        "null_dim": nullity(op),
+        "adjoint_ones_residual_max": float(np.abs(residual).max()),
+        "adjoint_ones_residual_min": float(np.abs(residual).min()),
+        "adjoint_ones_residual_uniform":
             bool(np.abs(residual - residual.mean()).max() <= 1e-12 + 1e-9 * np.abs(residual).max()),
-        ),
-    ]
+    }
 
 
 _VERDICTS = ("converges", "diverges", "inconclusive")

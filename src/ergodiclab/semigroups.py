@@ -32,9 +32,9 @@ from .coeffs import b_from_decay, b_row, tail_sum_b
 from .space import TruncatedVector
 
 __all__ = [
-    "StructuredOperator", "SparseOperator", "nullity", "apply_M", "apply_T", "trajectory_kernel", "matrix_M",
-    "matrix_N", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B", "adjoint_residual_vector",
-    "opnorm_l1", "to_sparse_triples", "from_sparse_triples",
+    "StructuredOperator", "SparseOperator", "nullity", "numerical_rank", "apply_M", "apply_T", "trajectory_kernel",
+    "matrix_M", "matrix_N", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B",
+    "adjoint_residual_vector", "opnorm_l1", "to_sparse_triples", "from_sparse_triples", "matrix_json",
 ]
 
 
@@ -259,7 +259,7 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
         decay = np.exp(-t / h)
         out = decay * x.coords
         if coupled:
-            out[:, 1:] += b_from_decay(t, decay[:, 1:], pairs, np.empty((t.size, x.dim - 1))) * prefix
+            out[:, 1:] += b_from_decay(t, decay[:, 1:], pairs) * prefix
         return out
 
     return rows

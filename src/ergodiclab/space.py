@@ -9,13 +9,12 @@ and every vector is immutable once constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "TruncatedVector", "DualFunctional", "vector", "zero_vector", "basis_vector", "project_Q", "project_P",
-    "norm_l1", "pair", "row_stats",
+    "TruncatedVector", "zero_vector", "basis_vector", "project_Q", "project_P", "norm_l1", "pair", "row_stats",
 ]
 
 
@@ -58,11 +57,6 @@ class TruncatedVector:
             and self.dim == other.dim
             and bool(np.array_equal(self.coords, other.coords))
         )
-
-
-def vector(values) -> TruncatedVector:
-    """Build a vector from any 1-d sequence of finite reals."""
-    return TruncatedVector(np.asarray(values, dtype=float))
 
 
 def zero_vector(dim: int) -> TruncatedVector:
@@ -122,63 +116,11 @@ def row_stats(coords: np.ndarray, scratch: np.ndarray) -> tuple[float, float, in
     return float(scratch.sum()), top, k + 1, float(coords.sum())
 
 
-@dataclass(frozen=True)
-class DualFunctional:
-    """Bounded functional on the truncated space, an element of l-infinity.
+def pair(f: np.ndarray, x: TruncatedVector) -> float:
+    """Duality pairing sum_k f_k x_k of a coefficient array f (an l-infinity element) with x.
 
-    ``kind`` is either ``"constant_one"`` (the all-ones sequence) or
-    ``"sequence"`` with an explicit coefficient array.
+    The all-ones f, np.ones(N), gives the coordinate sum of x bit for bit.
     """
-
-    kind: str
-    values: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        if self.kind not in ("constant_one", "sequence"):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == "sequence":
-            if self.values is None:
-                raise ValueError("sequence functional requires values")
-            arr = np.asarray(self.values, dtype=float)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValueError("values must be a nonempty 1-d array")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("values must be finite")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, "values", arr)
-        elif self.values is not None:
-            raise ValueError("constant_one functional carries no values")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DualFunctional) or self.kind != other.kind:
-            return False
-        if self.kind == "constant_one":
-            return True
-        return bool(np.array_equal(self.values, other.values))
-
-    @classmethod
-    def constant_one(cls) -> "DualFunctional":
-        return cls(kind="constant_one")
-
-    @classmethod
-    def sequence(cls, values) -> "DualFunctional":
-        return cls(kind="sequence", values=np.asarray(values, dtype=float))
-
-    @property
-    def sup_norm(self) -> float:
-        if self.kind == "constant_one":
-            return 1.0
-        return float(np.abs(self.values).max())
-
-
-def pair(f: DualFunctional, x: TruncatedVector) -> float:
-    """Duality pairing sum_k f_k x_k; for constant_one this is the coordinate sum."""
-    if f.kind == "constant_one":
-        return float(x.coords.sum())
-    if f.values.size < x.dim:
-        raise ValueError(
-            f"functional length {f.values.size} shorter than vector dim {x.dim}"
-        )
-    return float((f.values[: x.dim] * x.coords).sum())
-
+    if f.size < x.dim:
+        raise ValueError(f"functional length {f.size} shorter than vector dim {x.dim}")
+    return float((f[: x.dim] * x.coords).sum())

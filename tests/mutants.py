@@ -43,13 +43,15 @@ VERIFICATION = "src/ergodiclab/verification.py"
 CESARO = "src/ergodiclab/cesaro.py"
 DIAGNOSTICS = "src/ergodiclab/diagnostics.py"
 EXP = "src/ergodiclab/exp_semigroup.py"
+SPACE = "src/ergodiclab/space.py"
 TV = "tests/test_verification.py"
 TC = "tests/test_cesaro.py"
 TD = "tests/test_diagnostics.py"
 TE = "tests/test_exp_semigroup.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
-# forked helper, the convergence verdict and the S series' target were each first shown to catch
+# forked helper, the convergence verdict, the S series' target, the pairing's length guard and
+# the kernel criterion's null dimension were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -136,6 +138,14 @@ RECORDED = [
                  for call in ("apply_S", "stream_S", "stream_cesaro_S", "curve_cesaro_S", "semigroup_defect_S"))
            + ("tests/test_cli.py::test_S_series_tolerance_below_the_normal_range_names_the_vector[simulate]",
               "tests/test_cli.py::test_S_series_tolerance_below_the_normal_range_names_the_vector[cesaro]")),
+    Mutant("pair.no_length_guard", SPACE,
+           "if f.size < x.dim:",
+           "if False:",
+           ("tests/test_space.py::test_pair_sequence_functional",)),
+    Mutant("kernel_criterion.null_dim_zero", DIAGNOSTICS,
+           '"null_dim": nullity(op),',
+           '"null_dim": 0,',
+           (f"{TD}::test_kernel_criterion_zero_generator",)),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry

@@ -17,7 +17,7 @@ from ergodiclab.exp_semigroup import (
     stream_S,
 )
 from ergodiclab.semigroups import SparseOperator, from_sparse_triples, matrix_T, to_sparse_triples
-from ergodiclab.space import TruncatedVector, basis_vector, norm_l1, vector
+from ergodiclab.space import TruncatedVector, basis_vector, norm_l1
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_renorm_identity_operator():
 
 def test_renorm_zero_operator():
     T = PowerBoundedOperator.from_matrix(np.zeros((4, 4)), horizon=16)
-    x = vector([1.0, -2.0, 3.0, 0.5])
+    x = TruncatedVector([1.0, -2.0, 3.0, 0.5])
     assert renorm(x, T) == norm_l1(x)  # attained at n = 0
 
 
@@ -174,7 +174,7 @@ def test_renorm_refuses_an_operator_without_a_certified_bound():
     T = PowerBoundedOperator.from_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]), horizon=64)
     assert T.power_bound == math.inf and T.certified_power is None
     with pytest.raises(ValueError, match="certified"):
-        renorm(vector([1.0, 1.0]), T)
+        renorm(TruncatedVector([1.0, 1.0]), T)
 
 
 def test_power_bound_and_certified_power_agree():
@@ -247,7 +247,7 @@ def test_fixed_vectors_are_fixed_by_S():
     mat = np.full((3, 3), 0.25)
     np.fill_diagonal(mat, 0.5)
     T = PowerBoundedOperator.from_matrix(mat, horizon=64)
-    fixed = vector([1 / 3, 1 / 3, 1 / 3])
+    fixed = TruncatedVector([1 / 3, 1 / 3, 1 / 3])
     tol = 1e-11
     for t in (0.2, 1.0, 15.0):
         assert norm_l1(apply_S(t, fixed, T, tol) - fixed) <= tol
@@ -266,7 +266,7 @@ def test_semigroup_defect_zero_times(T1_64):
 
 def test_semigroup_defect_identity_matrix():
     T = PowerBoundedOperator.identity(5)
-    x = vector([1.0, 2.0, -1.0, 0.0, 0.5])
+    x = TruncatedVector([1.0, 2.0, -1.0, 0.0, 0.5])
     assert semigroup_defect_S(1.0, 2.0, x, T, 1e-14) <= 1e-13
 
 

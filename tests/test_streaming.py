@@ -16,10 +16,9 @@ from ergodiclab.cesaro import (
 )
 from ergodiclab.coeffs import integral_b_row
 from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T
-from ergodiclab.space import DualFunctional, TruncatedVector, norm_l1, pair, row_stats
+from ergodiclab.space import TruncatedVector, norm_l1, pair, row_stats
 from rows import simulate_csv, sparse_vector
 
-F = DualFunctional.constant_one()
 MEANS = {"M": (curve_cesaro_M, cesaro_M), "T": (curve_cesaro_T, cesaro_T)}
 SEMIGROUPS = {"M": (apply_M, matrix_M), "T": (apply_T, matrix_T)}
 
@@ -27,7 +26,7 @@ SEMIGROUPS = {"M": (apply_M, matrix_M), "T": (apply_T, matrix_T)}
 def reduce(v: TruncatedVector):
     """What a curve or trajectory row keeps of a vector, reduced the long way."""
     a = np.abs(v.coords)
-    return norm_l1(v), float(a.max()), int(a.argmax()) + 1, pair(F, v)
+    return norm_l1(v), float(a.max()), int(a.argmax()) + 1, pair(np.ones(v.dim), v)
 
 
 # the summaries sum a row in another order than its reduction: norms and maxima within this relative

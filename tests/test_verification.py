@@ -250,15 +250,38 @@ def test_tracer_targets_resolve():
     assert tracing.CHECK_NAMES == [check.__name__ for check in verification.CHECKS if check.__name__ not in untimed]
 
 
-def _readers(trees) -> dict[str, set[tuple[str, str | None]]]:
-    """Each name that a Name or Attribute node reads -> the (module, top-level def or class) reading it."""
+def _readers(trees) -> dict[tuple[str, str], set[tuple[str, str | None]]]:
+    """Each src def that a Name or Attribute node reads, as (its module, its name) -> the (module, top-level def or
+    class) reading it.
+
+    A read resolves to the module that bound it: ``from .m import f`` or ``from ergodiclab.m import f``, an
+    attribute of a module bound by ``from . import m`` or ``from ergodiclab import m``, or a def of the reading
+    module itself.  An attribute of anything else (``cfg.vector``) reads no src def.
+    """
     readers = {}
     for module, tree in trees.items():
+        names = {node.name: (module, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                package = (node.module if node.level == 0
+                           else f"ergodiclab.{node.module}" if node.module else "ergodiclab")
+                for alias in node.names:
+                    if package == "ergodiclab":
+                        modules[alias.asname or alias.name] = alias.name
+                    elif package.startswith("ergodiclab."):
+                        names[alias.asname or alias.name] = (package.removeprefix("ergodiclab."), alias.name)
         for stmt in tree.body:
             for node in ast.walk(stmt):
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    name = node.id if isinstance(node, ast.Name) else node.attr
-                    readers.setdefault(name, set()).add((module, getattr(stmt, "name", None)))
+                if isinstance(node, ast.Name):
+                    target = names.get(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                    target = (modules[node.value.id], node.attr)
+                else:
+                    continue
+                if target:
+                    readers.setdefault(target, set()).add((module, getattr(stmt, "name", None)))
     return readers
 
 
@@ -267,16 +290,19 @@ def test_every_public_src_function_has_a_caller():
     # and the check_* functions are reached through verification.CHECKS
     src = Path(verification.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    public = {module: {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith(("_", "check_"))} for module, tree in trees.items()}
     readers = _readers(trees)
     pinned = _readers({"test_acceptance": ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())})
     tracing = _tracing_module()
     traced = set({**tracing.SPLIT, **tracing.TOTAL}.values())
     uncalled = [
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith(("_", "check_"))
-        and not readers.get(node.name, set()) - {(module, node.name)}
-        and node.name not in pinned and (f"ergodiclab.{module}", node.name) not in traced
+        f"{module}.{name}" for module, names in public.items() for name in sorted(names)
+        if not readers.get((module, name), set()) - {(module, name)}
+        and (module, name) not in pinned and (f"ergodiclab.{module}", name) not in traced
     ]
     assert not uncalled, f"no caller reaches {uncalled}"
+    # a module's __all__, where it has one, names exactly its public defs and classes
+    exported = {module: set(ast.literal_eval(stmt.value)) for module, tree in trees.items() for stmt in tree.body
+                if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["__all__"]}
+    assert {module: names ^ public[module] for module, names in exported.items() if names != public[module]} == {}
