@@ -32,9 +32,11 @@ from .cesaro import (
 from .diagnostics import ConvergenceVerdict, cauchy_convergence_test
 from .exp_semigroup import PowerBoundedOperator, series_target, stream_S
 from .semigroups import (
+    StructuredOperator,
     from_sparse_triples,
     matrix_B,
     matrix_json,
+    matrix_T,
     to_sparse_triples,
     trajectory_kernel,
 )
@@ -350,9 +352,9 @@ class ExperimentConfig:
     def power_operator(self) -> PowerBoundedOperator:
         kind = self.s_matrix[0]
         if kind == "identity":
-            return PowerBoundedOperator.identity(self.N)
+            return PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(self.N)))
         if kind == "timestep":
-            return PowerBoundedOperator.from_timestep(float(self.s_matrix[1]), self.N, horizon=self.horizon)
+            return PowerBoundedOperator.from_matrix(matrix_T(float(self.s_matrix[1]), self.N), horizon=self.horizon)
         try:
             op = PowerBoundedOperator.from_matrix(
                 from_sparse_triples(Path(self.s_matrix[1]).read_text(), dim=self.N), horizon=self.horizon

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .semigroups import SparseOperator, StructuredOperator, matrix_T
+from .semigroups import SparseOperator, StructuredOperator
 from .space import TruncatedVector, norm_l1
 
 __all__ = [
@@ -69,13 +69,6 @@ class PowerBoundedOperator:
     def dim(self) -> int:
         return self.operator.dim
 
-    def apply(self, x: TruncatedVector) -> TruncatedVector:
-        return self.operator.apply(x)
-
-    def dense(self) -> np.ndarray:
-        """T as an N x N matrix: O(N^2) memory, for small N only."""
-        return self.operator.dense()
-
     def powers(self, coords: np.ndarray, count: int) -> Iterator[np.ndarray]:
         """coords, T coords, ..., T^count coords: one matvec apart."""
         yield coords
@@ -110,15 +103,6 @@ class PowerBoundedOperator:
                     return cls(op, bound, k, exact)
                 bound = max(bound, norm)
         return cls(op, math.inf, None, exact)
-
-    @classmethod
-    def identity(cls, dim: int) -> "PowerBoundedOperator":
-        return cls.from_matrix(StructuredOperator(np.ones(dim)))
-
-    @classmethod
-    def from_timestep(cls, t: float, dim: int, horizon: int = 256) -> "PowerBoundedOperator":
-        """The perturbed-semigroup operator T(t) at truncation ``dim`` as input; its columns sum to e^{-t/N} <= 1."""
-        return cls.from_matrix(matrix_T(t, dim), horizon=horizon)
 
 
 def renorm(x: TruncatedVector, T: PowerBoundedOperator) -> float:

@@ -10,8 +10,9 @@ two arrays, and the matrix-free action, the adjoint action, dense entries
 and the triple export all read them, so they cannot drift apart.
 
 M is diagonal and therefore exact at every truncation; the perturbation
-drops coefficient mass beyond the truncation edge and carries the tail
-certificate tail_sum_b(N, t) <= t/N per unit input norm.
+drops coefficient mass beyond the truncation edge, at most
+``coeffs.tail_sum_b(N, t)`` <= t/N per unit input norm, and each
+certificate calls that function itself.
 
 Convention: matrices act on column vectors; the image of basis vector
 e_k is column k.  The row-action display of the same operators is the
@@ -28,11 +29,11 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .coeffs import b_from_decay, b_row, tail_sum_b
+from .coeffs import b_from_decay, b_row
 from .space import TruncatedVector
 
 __all__ = [
-    "StructuredOperator", "SparseOperator", "nullity", "numerical_rank", "apply_M", "apply_T", "trajectory_kernel",
+    "StructuredOperator", "SparseOperator", "nullity", "apply_M", "apply_T", "trajectory_kernel",
     "matrix_M", "matrix_N", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B",
     "adjoint_residual_vector", "opnorm_l1", "to_sparse_triples", "from_sparse_triples", "matrix_json",
 ]
@@ -47,14 +48,11 @@ def _check(op, x: TruncatedVector):
 class StructuredOperator:
     """Column k holds ``diag[k-1]`` on the diagonal and ``below[j-1]`` at every row j > k.
 
-    ``below`` is None for a diagonal operator.  ``tail`` bounds the l1
-    discrepancy against the untruncated operator, per unit l1 norm of the
-    input.
+    ``below`` is None for a diagonal operator.
     """
 
     diag: np.ndarray
     below: np.ndarray | None = None
-    tail: float = 0.0
 
     def __post_init__(self):
         if self.diag.ndim != 1 or self.diag.size < 1:
@@ -99,7 +97,7 @@ class StructuredOperator:
     def magnitude(self) -> "StructuredOperator":
         """The operator of the entries' absolute values: this one when none is negative."""
         below = None if self.below is None else np.abs(self.below)
-        return self if self.min_entry() >= 0.0 else StructuredOperator(np.abs(self.diag), below, self.tail)
+        return self if self.min_entry() >= 0.0 else StructuredOperator(np.abs(self.diag), below)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix.  It takes O(N^2) memory, so use it at small N only."""
@@ -160,11 +158,6 @@ class SparseOperator:
 RANK_RTOL = 1e-10
 
 
-def numerical_rank(svals: np.ndarray) -> int:
-    """How many of the descending singular values ``svals`` exceed RANK_RTOL times the largest (0 if all vanish)."""
-    return int(np.sum(svals > RANK_RTOL * svals[0])) if svals.size else 0
-
-
 def nullity(op: StructuredOperator) -> int:
     """Null-space dimension of ``op``, which is also that of its adjoint.
 
@@ -178,7 +171,8 @@ def nullity(op: StructuredOperator) -> int:
         scale = max(scale, np.abs(op.below[1:]).max())
     if scale > 0.0 and np.abs(op.diag).min() > RANK_RTOL * scale:
         return 0
-    return op.dim - numerical_rank(np.linalg.svd(op.dense(), compute_uv=False))
+    svals = np.linalg.svd(op.dense(), compute_uv=False)  # descending
+    return op.dim - int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
 def _h(N: int) -> np.ndarray:
@@ -213,7 +207,7 @@ def matrix_A_inverse(N: int) -> StructuredOperator:
 
 def matrix_N(t: float, N: int) -> StructuredOperator:
     """Perturbation part: strictly lower, column k holds b(j, t) at rows j > k."""
-    return StructuredOperator(np.zeros_like(_h(N)), b_row(t, N), tail_sum_b(N, t))
+    return StructuredOperator(np.zeros_like(_h(N)), b_row(t, N))
 
 
 def matrix_T(t: float, N: int) -> StructuredOperator:
@@ -223,7 +217,7 @@ def matrix_T(t: float, N: int) -> StructuredOperator:
     sums to exp(-t/N), so the truncated operator has l1 norm exp(-t/N) <= 1
     and conserves the coordinate-sum functional up to that deficit.
     """
-    return StructuredOperator(np.exp(-t / _h(N)), b_row(t, N), tail_sum_b(N, t))
+    return StructuredOperator(np.exp(-t / _h(N)), b_row(t, N))
 
 
 def matrix_B(N: int) -> StructuredOperator:

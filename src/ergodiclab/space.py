@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TruncatedVector", "zero_vector", "basis_vector", "project_Q", "project_P", "norm_l1", "pair", "row_stats",
+    "TruncatedVector", "basis_vector", "project_Q", "project_P", "norm_l1", "pair", "row_stats",
 ]
 
 
@@ -57,12 +57,6 @@ class TruncatedVector:
             and self.dim == other.dim
             and bool(np.array_equal(self.coords, other.coords))
         )
-
-
-def zero_vector(dim: int) -> TruncatedVector:
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    return TruncatedVector(np.zeros(dim))
 
 
 def basis_vector(k: int, dim: int) -> TruncatedVector:

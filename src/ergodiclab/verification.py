@@ -105,7 +105,7 @@ def check_space_expansion_uniqueness(ctx) -> CheckResult:
     all_zero = all(norm_l1(space.project_P(x, h)) == 0.0 for h in ctx.index_sample)
     consistent = all_zero == (norm_l1(x) == 0.0)
     zero_ok = all(
-        norm_l1(space.project_P(space.zero_vector(ctx.N), h)) == 0.0
+        norm_l1(space.project_P(TruncatedVector(np.zeros(ctx.N)), h)) == 0.0
         for h in ctx.index_sample
     )
     return _result("space.expansion_uniqueness", 0.0 if (consistent and zero_ok) else 1.0, 0.0)
@@ -286,7 +286,7 @@ def check_kernel_B(ctx) -> CheckResult:
 # --- exponential semigroup ---
 
 def _power_op(ctx) -> exp_semigroup.PowerBoundedOperator:
-    return exp_semigroup.PowerBoundedOperator.from_timestep(1.0, min(ctx.N, 64), horizon=64)
+    return exp_semigroup.PowerBoundedOperator.from_matrix(semigroups.matrix_T(1.0, min(ctx.N, 64)), horizon=64)
 
 
 def _renorm_ops(ctx) -> tuple[exp_semigroup.PowerBoundedOperator, ...]:
@@ -303,7 +303,7 @@ def check_renorm_contractive(ctx) -> CheckResult:
     for T in _renorm_ops(ctx):
         for _ in range(10):
             x = _random_vector(rng, T.dim)
-            worst = max(worst, exp_semigroup.renorm(T.apply(x), T) - exp_semigroup.renorm(x, T))
+            worst = max(worst, exp_semigroup.renorm(T.operator.apply(x), T) - exp_semigroup.renorm(x, T))
     return _result("exp.renorm_contractive", worst, 1e-12)
 
 

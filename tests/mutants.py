@@ -50,8 +50,8 @@ TD = "tests/test_diagnostics.py"
 TE = "tests/test_exp_semigroup.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
-# forked helper, the convergence verdict, the S series' target, the pairing's length guard and
-# the kernel criterion's null dimension were each first shown to catch
+# forked helper, the convergence verdict, the S series' target, the pairing's length guard, the
+# kernel criterion's null dimension and the NaN r guard were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -84,8 +84,8 @@ RECORDED = [
            "accepted.append((lo[ok], left[ok] + right[ok], 0.0 * right[ok], delta[ok] / 15.0, err[ok]))",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("certificate.by_subtraction", CESARO,
-           "for i in np.flatnonzero(u >= 1.0):",
-           "for i in range(u.size):",
+           "np.where(u < 1.0, low / 2.0 - low * low * np.polyval(_PHI2_TAIL, low), 1.0 + np.expm1(-high) / high)",
+           "1.0 + np.expm1(-u) / u",
            (f"{TC}::test_T_certificate_never_understates_at_small_r_over_N[65536]",)),
     Mutant("certificate.no_slack", CESARO,
            "np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 2 * math.ulp(0.0))",
@@ -146,6 +146,10 @@ RECORDED = [
            '"null_dim": nullity(op),',
            '"null_dim": 0,',
            (f"{TD}::test_kernel_criterion_zero_generator",)),
+    Mutant("r_guard.nan_passes", CESARO,
+           "bad = ~(r > 0)",
+           "bad = r <= 0",
+           (f"{TC}::test_opnorm_refuses_a_nonpositive_r[nan]",)),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry
@@ -197,8 +201,8 @@ _CHECK_EDITS = [
     ("check_kernel_B", 2,
      "0.0 if semigroups.kernel_B(ctx.N) else 1.0", "1.0 if semigroups.kernel_B(ctx.N) else 0.0"),
     ("check_renorm_contractive", 2,
-     "exp_semigroup.renorm(T.apply(x), T) - exp_semigroup.renorm(x, T)",
-     "exp_semigroup.renorm(x, T) - exp_semigroup.renorm(T.apply(x), T)"),
+     "exp_semigroup.renorm(T.operator.apply(x), T) - exp_semigroup.renorm(x, T)",
+     "exp_semigroup.renorm(x, T) - exp_semigroup.renorm(T.operator.apply(x), T)"),
     ("check_renorm_axioms", 2,
      '_result("exp.renorm_norm_axioms", worst, 1e-12)', '_result("exp.renorm_norm_axioms", worst, 0.0)'),
     ("check_fixed_vector_transfer", 2,

@@ -205,7 +205,7 @@ def test_criterion_09_matrix_export(tmp_path):
 def test_criterion_10_exponential_semigroup():
     start = time.monotonic()
     n = 64
-    T = PowerBoundedOperator.from_timestep(1.0, n, horizon=256)
+    T = PowerBoundedOperator.from_matrix(matrix_T(1.0, n), horizon=256)
     tol = 1e-12
     worst_ratio = 0.0
     rng = np.random.default_rng(7)

@@ -26,13 +26,12 @@ from ergodiclab.cesaro import (
 from ergodiclab import cesaro, verification
 from ergodiclab.coeffs import b, integral_b
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S
-from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
+from ergodiclab.semigroups import StructuredOperator, apply_M, apply_T, matrix_T, trajectory_kernel
 from ergodiclab.space import (
     TruncatedVector,
     basis_vector,
     norm_l1,
     pair,
-    zero_vector,
 )
 
 FLOOR = 1.0 - 1.0 / math.e
@@ -227,7 +226,7 @@ def test_oracle_calls_its_kernel_once_per_level_not_per_node():
 def test_cesaro_M_basis_closed_form():
     y = cesaro_M(1.0, basis_vector(1, 4))
     assert y.coords[0] == pytest.approx(0.6321205588285577, abs=1e-16)
-    z = cesaro_M(1.0, zero_vector(4))
+    z = cesaro_M(1.0, TruncatedVector(np.zeros(4)))
     assert norm_l1(z) == 0.0
     with pytest.raises(ValueError):
         cesaro_M(0.0, basis_vector(1, 4))
@@ -268,12 +267,14 @@ def test_opnorm_is_the_max_of_the_dense_mean_diagonal(n):
     assert [cesaro_M_opnorm(r, n) for r in rs] == want
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
 def test_opnorm_refuses_a_nonpositive_r(bad):
     with pytest.raises(ValueError, match="averaging length"):
         cesaro_M_opnorm(bad, 8)
     with pytest.raises(ValueError, match="averaging length"):
         curve_cesaro_M_opnorm([bad, 1.0], 8)
+    with pytest.raises(ValueError, match="averaging length"):
+        cesaro_T_certificate(bad, 8)
 
 
 def test_cesaro_M_opnorm_floor_inside_r_le_N():
@@ -301,7 +302,7 @@ def test_cesaro_T_f_value_conservation():
 
 
 def test_cesaro_T_zero_vector():
-    assert norm_l1(cesaro_T(1.0, zero_vector(5))) == 0.0
+    assert norm_l1(cesaro_T(1.0, TruncatedVector(np.zeros(5)))) == 0.0
 
 
 def test_cesaro_T_against_oracle():
@@ -355,6 +356,12 @@ def test_T_certificate_never_understates_at_any_r_over_N():
         assert decimal.Decimal(cert) >= exact, (r, N)
         if cert >= sys.float_info.min:
             assert (decimal.Decimal(cert) - exact) / exact <= decimal.Decimal("2e-15"), (r, N)
+    # over an array, below, at and above u = 1, it keeps the bits of its per-r calls, and so does a T curve
+    N, rs = 64, np.array([1e-9, 0.5, 32.0, 63.0, 64.0, 65.0, 640.0, 1e6])
+    certs = cesaro_T_certificate(rs, N)
+    assert certs.tobytes() == np.array([cesaro_T_certificate(float(r), N) for r in rs]).tobytes()
+    x = TruncatedVector(rng.uniform(-1.0, 1.0, N))
+    assert curve_cesaro_T(rs, x).trunc_error.tobytes() == (norm_l1(x) * certs).tobytes()
 
 
 # --- quadrature of generic semigroups ---
@@ -371,7 +378,7 @@ def mean_S(r, x, T, tol):
 
 
 def test_cesaro_S_identity():
-    T = PowerBoundedOperator.identity(6)
+    T = PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(6)))
     rng = np.random.default_rng(1)
     x = TruncatedVector(rng.uniform(-1, 1, 6))
     result = mean_S(2.0, x, T, 1e-10)
@@ -389,7 +396,7 @@ def test_cesaro_S_fixed_vector():
 
 def test_cesaro_S_f_conservation_from_timestep():
     n, r = 64, 20.0
-    T = PowerBoundedOperator.from_timestep(1.0, n, horizon=64)
+    T = PowerBoundedOperator.from_matrix(matrix_T(1.0, n), horizon=64)
     tol = 1e-8
     result = mean_S(r, basis_vector(1, n), T, tol)
     deficit_bound = r / (2.0 * n)
@@ -412,9 +419,9 @@ def _substochastic(n, c=0.97, seed=11):
 
 
 S_CASES = {
-    "identity": lambda: PowerBoundedOperator.identity(6),
+    "identity": lambda: PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(6))),
     "fixed_vector_3x3": lambda: PowerBoundedOperator.from_matrix(_fixed_vector_matrix(), horizon=64),
-    "timestep_64": lambda: PowerBoundedOperator.from_timestep(1.0, 64, horizon=64),
+    "timestep_64": lambda: PowerBoundedOperator.from_matrix(matrix_T(1.0, 64), horizon=64),
     "substochastic_48": lambda: PowerBoundedOperator.from_matrix(_substochastic(48), horizon=64),
 }
 S_RADII = (0.5, 4.0, 32.0, 128.0)
@@ -456,7 +463,7 @@ def test_closed_form_S_certificate_within_tol(case, tol):
 @pytest.mark.parametrize("n", [64, 256])
 def test_closed_form_S_exact_f_value(n):
     # columns of T(1) sum to c = exp(-1/n): f(C_S(r)e_1) = (1 - exp(-ra))/(ra), a = 1 - c
-    T = PowerBoundedOperator.from_timestep(1.0, n, horizon=64)
+    T = PowerBoundedOperator.from_matrix(matrix_T(1.0, n), horizon=64)
     a = -math.expm1(-1.0 / n)
     rs = geometric_grid(0.5, 2.0, 9)
     curve = curve_cesaro_S(rs, basis_vector(1, n), T, 1e-10)

@@ -19,7 +19,7 @@ from ergodiclab.diagnostics import (
     kernel_criterion,
 )
 from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B, matrix_N
-from ergodiclab.space import basis_vector, zero_vector
+from ergodiclab.space import TruncatedVector, basis_vector
 
 
 # --- kernel criterion ---
@@ -78,7 +78,7 @@ def test_kernel_criterion_reads_the_structure(monkeypatch, n):
 # --- mass escape ---
 
 def test_zero_vector_curve_is_all_zero():
-    curve = curve_cesaro_T(geometric_grid(1.0, 2.0, 4), zero_vector(32))
+    curve = curve_cesaro_T(geometric_grid(1.0, 2.0, 4), TruncatedVector(np.zeros(32)))
     assert np.all(curve.values == 0.0)
 
 

@@ -16,13 +16,19 @@ from ergodiclab.exp_semigroup import (
     semigroup_defect_S,
     stream_S,
 )
-from ergodiclab.semigroups import SparseOperator, from_sparse_triples, matrix_T, to_sparse_triples
+from ergodiclab.semigroups import (
+    SparseOperator,
+    StructuredOperator,
+    from_sparse_triples,
+    matrix_T,
+    to_sparse_triples,
+)
 from ergodiclab.space import TruncatedVector, basis_vector, norm_l1
 
 
 @pytest.fixture(scope="module")
 def T1_64():
-    return PowerBoundedOperator.from_timestep(1.0, 64, horizon=256)
+    return PowerBoundedOperator.from_matrix(matrix_T(1.0, 64), horizon=256)
 
 
 def rand_vec(rng, n):
@@ -59,7 +65,7 @@ def full_scan_bound(mat, horizon):
 # --- power bound and renorm ---
 
 def test_power_bound_identity():
-    T = PowerBoundedOperator.identity(5)
+    T = PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(5)))
     assert T.power_bound == 1.0
 
 
@@ -118,7 +124,7 @@ def test_power_bound_overflow_ends_scan_quietly(monkeypatch):
 
 def test_renorm_identity_operator():
     rng = np.random.default_rng(1)
-    T = PowerBoundedOperator.identity(9)
+    T = PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(9)))
     for _ in range(5):
         x = rand_vec(rng, 9)
         assert renorm(x, T) == norm_l1(x)
@@ -147,7 +153,7 @@ def walked_renorm(x, T, powers=4096):
     """max ||T^n x||_1 over n <= powers, the sup that renorm reads off its certified power."""
     v, best = x.coords, norm_l1(x)
     for _ in range(powers):
-        v = T.apply(TruncatedVector(v)).coords
+        v = T.operator.apply(TruncatedVector(v)).coords
         best = max(best, float(np.abs(v).sum()))
     return best
 
@@ -155,9 +161,9 @@ def walked_renorm(x, T, powers=4096):
 @pytest.mark.parametrize(
     "T, k, bound",
     [
-        (PowerBoundedOperator.identity(5), 1, 1.0),
+        (PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(5))), 1, 1.0),
         (PowerBoundedOperator.from_matrix(np.zeros((5, 5))), 1, 1.0),
-        (PowerBoundedOperator.from_timestep(1.0, 64), 1, 1.0),
+        (PowerBoundedOperator.from_matrix(matrix_T(1.0, 64)), 1, 1.0),
         # ||T^n||_1 = 2, 1.75, 1.25, then 0.8125 <= 1 at n = 4
         (PowerBoundedOperator.from_matrix(np.array([[0.5, 1.5], [0.0, 0.5]])), 4, 2.0),
     ],
@@ -205,7 +211,7 @@ def test_S_at_zero_is_identity(T1_64):
 
 
 def test_S_of_identity_matrix_is_identity():
-    T = PowerBoundedOperator.identity(7)
+    T = PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(7)))
     rng = np.random.default_rng(6)
     x = rand_vec(rng, 7)
     for t in (0.5, 3.0, 20.0):
@@ -265,7 +271,7 @@ def test_semigroup_defect_zero_times(T1_64):
 
 
 def test_semigroup_defect_identity_matrix():
-    T = PowerBoundedOperator.identity(5)
+    T = PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(5)))
     x = TruncatedVector([1.0, 2.0, -1.0, 0.0, 0.5])
     assert semigroup_defect_S(1.0, 2.0, x, T, 1e-14) <= 1e-13
 
@@ -284,7 +290,7 @@ def test_from_triples_matches_matrix():
     buf = io.StringIO()
     to_sparse_triples(op, buf)
     T = PowerBoundedOperator.from_matrix(from_sparse_triples(buf.getvalue()), horizon=32)
-    assert np.array_equal(T.dense(), op.dense())
+    assert np.array_equal(T.operator.dense(), op.dense())
     rng = np.random.default_rng(9)
     x = rand_vec(rng, 16)
     direct = PowerBoundedOperator.from_matrix(op.dense(), horizon=32)

@@ -9,7 +9,7 @@ from ergodiclab import exp_semigroup
 from ergodiclab.cesaro import stream_cesaro_S
 from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, poisson_window, series_blocks, stream_S
-from ergodiclab.semigroups import SparseOperator, from_sparse_triples
+from ergodiclab.semigroups import SparseOperator, StructuredOperator, from_sparse_triples, matrix_T
 from ergodiclab.space import TruncatedVector
 
 
@@ -26,9 +26,9 @@ def triples(n, per_col=8, c=0.97, seed=3):
 
 def operator(kind, n):
     if kind == "identity":
-        return PowerBoundedOperator.identity(n)
+        return PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(n)))
     if kind == "timestep":
-        return PowerBoundedOperator.from_timestep(1.0, n)
+        return PowerBoundedOperator.from_matrix(matrix_T(1.0, n))
     return PowerBoundedOperator.from_matrix(from_sparse_triples(triples(n), dim=n))
 
 
@@ -57,7 +57,7 @@ def dense_mean_S(r, x, matrix):
 @pytest.mark.parametrize("kind", ["identity", "timestep", "file"])
 def test_matrix_free_S_matches_the_dense_path(kind, n):
     T = operator(kind, n)
-    matrix = T.dense()
+    matrix = T.operator.dense()
     x = np.random.default_rng(n).uniform(0.0, 1.0, n)
     tol = 1e-16 * x.sum()
     ts, rs = [0.0, 0.5, 3.0, 20.0], [0.5, 4.0, 32.0, 128.0]
@@ -114,13 +114,13 @@ def test_signed_operator_bound_is_an_upper_bound():
     # |T| = [[0.5, 1.5], [0, 0.5]]: 1^T |T|^n peaks at 2 and falls to 0.8125 at n = 4
     T = PowerBoundedOperator.from_matrix(np.array([[0.5, -1.5], [0.0, 0.5]]))
     assert (T.exact_bound, T.certified_power, T.power_bound) == (False, 4, 2.0)
-    norms = [np.abs(np.linalg.matrix_power(T.dense(), k)).sum(axis=0).max() for k in range(64)]
+    norms = [np.abs(np.linalg.matrix_power(T.operator.dense(), k)).sum(axis=0).max() for k in range(64)]
     assert max(norms) <= T.power_bound
     # 0.9 times a rotation: ||T^n||_1 <= 0.9^n sqrt(2) falls below 1, but 1^T |T|^n grows, so nothing is certified
     c = 0.9 / math.sqrt(2.0)
     rotation = PowerBoundedOperator.from_matrix(np.array([[c, -c], [c, c]]), horizon=64)
     assert (rotation.exact_bound, rotation.power_bound) == (False, math.inf)
-    assert PowerBoundedOperator.from_timestep(1.0, 8).exact_bound
+    assert PowerBoundedOperator.from_matrix(matrix_T(1.0, 8)).exact_bound
 
 
 def test_sparse_operator_matches_its_dense_form():

@@ -30,7 +30,6 @@ from ergodiclab.space import (
     basis_vector,
     norm_l1,
     pair,
-    zero_vector,
 )
 
 
@@ -224,7 +223,7 @@ def test_Ndot_on_first_basis_vector():
     for h in range(1, n):
         expected[h] = 1.0 / (h * h + h)
     assert np.allclose(y.coords, expected, atol=1e-17)
-    assert norm_l1(Ndot.apply(zero_vector(n))) == 0.0
+    assert norm_l1(Ndot.apply(TruncatedVector(np.zeros(n)))) == 0.0
 
 
 def test_Ndot_is_derivative_of_N_at_zero():
@@ -250,7 +249,7 @@ def test_B_on_basis_vectors():
         for h in range(k, n):
             expected[h] += 1.0 / (h * h + h)
         assert np.allclose(y.coords, expected, atol=1e-16)
-    assert norm_l1(B.apply(zero_vector(n))) == 0.0
+    assert norm_l1(B.apply(TruncatedVector(np.zeros(n)))) == 0.0
 
 
 def test_pair_f_with_B_columns_is_minus_one_over_N():
@@ -388,13 +387,6 @@ def test_matrix_structure_conventions():
     assert np.array_equal(np.diag(b_entries), -1.0 / h)
 
 
-def test_tail_bound_certificates():
-    n = 64
-    assert matrix_T(1.5, n).tail == tail_sum_b(n, 1.5)
-    assert matrix_N(1.5, n).tail == tail_sum_b(n, 1.5)
-    assert matrix_M(1.5, n).tail == 0.0
-
-
 def test_truncation_error_within_certificate():
     # embed dimension 64 into 512 and compare the two truncations of T(t)
     small, big = 64, 512
@@ -407,7 +399,7 @@ def test_truncation_error_within_certificate():
         diff = norm_l1(TruncatedVector(y_big.coords[:small]) - y_small) + float(
             np.abs(y_big.coords[small:]).sum()
         )
-        cert = norm_l1(x_small) * matrix_T(t, small).tail
+        cert = norm_l1(x_small) * tail_sum_b(small, t)
         assert diff <= cert + 1e-14
 
 

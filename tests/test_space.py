@@ -10,7 +10,6 @@ from ergodiclab.space import (
     pair,
     project_P,
     project_Q,
-    zero_vector,
 )
 from rows import same_bits, signed_with_gaps
 
@@ -42,7 +41,7 @@ def test_project_P_examples():
 
 def test_norm_l1_examples():
     assert norm_l1(TruncatedVector([1, -2, 3])) == 6.0
-    assert norm_l1(zero_vector(5)) == 0.0
+    assert norm_l1(TruncatedVector(np.zeros(5))) == 0.0
     for k in range(1, 6):
         assert norm_l1(basis_vector(k, 5)) == 1.0
 
@@ -51,7 +50,7 @@ def test_pair_examples():
     for k in range(1, 4):
         assert pair(np.ones(3), basis_vector(k, 3)) == 1.0
     assert pair(np.ones(3), TruncatedVector([2, -1, 3])) == 4.0
-    assert pair(np.ones(4), zero_vector(4)) == 0.0
+    assert pair(np.ones(4), TruncatedVector(np.zeros(4))) == 0.0
     # the all-ones f pairs to the coordinate sum bit for bit: 1.0 x_k is exact, -0.0 included
     for x in (signed_with_gaps(1), signed_with_gaps(4), signed_with_gaps(257), TruncatedVector([-0.0, -0.0])):
         assert same_bits(pair(np.ones(x.dim), x), float(x.coords.sum()))
@@ -107,7 +106,7 @@ def test_projections_idempotent_and_contractive():
 
 
 def test_zero_iff_all_partial_projections_vanish():
-    z = zero_vector(9)
+    z = TruncatedVector(np.zeros(9))
     assert all(norm_l1(project_P(z, h)) == 0.0 for h in range(1, 10))
     rng = np.random.default_rng(3)
     x = TruncatedVector(rng.standard_normal(9))
