@@ -12,7 +12,7 @@ Each mean is a grid kernel: ``means_kernel`` returns the means at every r
 as one (r, N) array, ``stream_cesaro_S`` yields them one r at a time; the
 per-point functions are the one-point case, and ||C_M(r)|| is a formula in
 r and N alone.  M and T curves and trajectories never form a row: ``support_summaries``
-reads each row's summaries off the support of x in O(nnz) per grid point.
+reads each row's summaries off the ``Support`` of x in O(nnz) per grid point.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window,
 from .space import TruncatedVector, norm_l1, row_stats
 
 __all__ = [
-    "QuadratureError", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
+    "QuadratureError", "Support", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
     "cesaro_quadrature", "adaptive_simpson", "means_kernel", "support_summaries", "stream_cesaro_S",
     "curve_cesaro_M", "curve_cesaro_T", "curve_cesaro_M_opnorm", "curve_cesaro_S", "geometric_grid",
 ]
@@ -41,6 +41,16 @@ _EPS = sys.float_info.epsilon
 Rows = Iterator[tuple[np.ndarray, float]]
 # a grid integrand returns one row per node, as a (nodes, n) array
 Integrand = Callable[[np.ndarray], np.ndarray]
+# a CSV is written this many grid points at a time
+CSV_BLOCK_ROWS = 256
+
+
+class Support(NamedTuple):
+    """x at truncation N by its nonzero entries: their 1-based indices, increasing, and their values."""
+
+    N: int
+    index: np.ndarray
+    values: np.ndarray
 
 
 class QuadratureError(RuntimeError):
@@ -287,7 +297,7 @@ _NONE = np.empty((1, 0))
 _PHI2 = [1.0 / math.factorial(n + 2) for n in range(17, -1, -1)]
 
 
-def support_summaries(x: TruncatedVector, grid, perturbed: bool, mean: bool) -> Iterator[Summary]:
+def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator[Summary]:
     """Summaries of M(t)x, or T(t)x if ``perturbed``, per t; of C_M(r)x or C_T(r)x per r if ``mean``.
 
     Coordinate h is x_h W(h) + P_{h-1} (W(h) - W(h-1)), with W(h) = e^{-t/h}, or F(h, r) =
@@ -301,11 +311,10 @@ def support_summaries(x: TruncatedVector, grid, perturbed: bool, mean: bool) -> 
     maxima keep the bits of the full-row kernels; norms, f values and steps are summed in
     another order.  The step is nan at the first point and for trajectories.
     """
-    at = np.flatnonzero(x.coords)
-    s, xs = at + 1.0, x.coords[at]
+    s, xs = np.asarray(x.index, dtype=float), np.asarray(x.values, dtype=float)
     prefix = np.cumsum(xs)
     before = np.concatenate(([0.0], prefix))[:-1]  # x_1 + ... + x_{s-1}
-    ends = np.append(s[1:] - 1.0, float(x.dim))
+    ends = np.append(s[1:] - 1.0, float(x.N))
     gap = (s < ends) & perturbed
     a, c, P = s[gap] + 1.0, ends[gap], prefix[gap]
     grid, size, prev = np.asarray(grid, dtype=float), np.abs(P), None
@@ -488,14 +497,19 @@ class CesaroCurve:
     def __len__(self) -> int:
         return int(self.r_grid.size)
 
-    def to_csv(self) -> str:
-        """CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value, each row one %-format."""
+    def to_csv(self, out: TextIO):
+        """Write the CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value to ``out``.
+
+        Each row is one %-format; the rows go out CSV_BLOCK_ROWS at a time.
+        """
         columns = [self.r_grid, self.values, self.trunc_error]
         if self.kind == "vector":
             columns += [self.max_coordinate, self.f_value]
-        row = ",".join(["%.16e"] * len(columns) + [""] * (5 - len(columns)))
-        lines = [row % cells for cells in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
-        return "\n".join(["r,value_or_norm,trunc_error,max_coordinate,f_value", *lines]) + "\n"
+        row = ",".join(["%.16e"] * len(columns) + [""] * (5 - len(columns))) + "\n"
+        out.write("r,value_or_norm,trunc_error,max_coordinate,f_value\n")
+        for i in range(0, len(self), CSV_BLOCK_ROWS):
+            block = (np.asarray(c[i : i + CSV_BLOCK_ROWS], dtype=float).tolist() for c in columns)
+            out.write("".join(row % cells for cells in zip(*block)))
 
 
 def geometric_grid(start: float, factor: float, count: int, last: bool = False) -> np.ndarray:
@@ -518,16 +532,24 @@ def _vector_curve(r_grid: np.ndarray, summaries: Iterable[Summary], trunc_error)
                        max_index=table[:, 2].astype(int), f_value=table[:, 3])
 
 
-def curve_cesaro_M(r_grid, x: TruncatedVector) -> CesaroCurve:
+def curve_cesaro_M(r_grid, x: Support) -> CesaroCurve:
     r_grid = np.asarray(r_grid, dtype=float)
     return _vector_curve(r_grid, support_summaries(x, r_grid, perturbed=False, mean=True), np.zeros(r_grid.size))
 
 
-def curve_cesaro_T(r_grid, x: TruncatedVector) -> CesaroCurve:
-    """Summaries of C_T(r)x; each errs by cesaro_T_certificate(r, N) * norm_l1(x) at most."""
+def curve_cesaro_T(r_grid, x: Support) -> CesaroCurve:
+    """Summaries of C_T(r)x; each errs by cesaro_T_certificate(r, N) * ||x||_1 at most.
+
+    ||x||_1 is summed on the support by math.fsum, correctly rounded; it and the product each
+    round within eps/2 of themselves, so the product is raised by 2 eps of itself, with a floor
+    of two subnormal steps, and never understates.
+    """
     r_grid = np.asarray(r_grid, dtype=float)
-    summaries = support_summaries(x, r_grid, perturbed=True, mean=True)
-    return _vector_curve(r_grid, summaries, norm_l1(x) * cesaro_T_certificate(r_grid, x.dim))
+    norm = math.fsum(np.abs(x.values).tolist())
+    error = norm * cesaro_T_certificate(r_grid, x.N)
+    if norm:
+        error = error + np.maximum(2 * _EPS * error, 2 * math.ulp(0.0))
+    return _vector_curve(r_grid, support_summaries(x, r_grid, perturbed=True, mean=True), error)
 
 
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:

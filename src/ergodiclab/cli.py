@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from .cesaro import (
+    CSV_BLOCK_ROWS,
     CesaroCurve,
+    Support,
     curve_cesaro_M,
     curve_cesaro_M_opnorm,
     curve_cesaro_S,
@@ -41,7 +45,6 @@ from .semigroups import (
     trajectory_kernel,
 )
 from .space import TruncatedVector, norm_l1, row_stats
-from .verification import run_all
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -53,13 +56,13 @@ _MODES = ("vector", "opnorm")
 # each s_matrix kind, with the key of its parameter and that key's default
 _S_KINDS = {"identity": None, "timestep": ("s_matrix.t", 1.0), "file": ("s_matrix.path", "")}
 
-# size budget, fixed so that what runs does not depend on the machine: the input
-# vector is dense, the M/T summaries hold a few arrays the size of its support, and
-# every grid point keeps its summaries and one CSV line until the file is written
-_N_CAP = 2**22
+# size budget, fixed so that what runs does not depend on the machine.  M/T cesaro and simulate
+# read x by its support alone, with arrays the size of the support per block of grid points, so N
+# costs them no memory; below about 9.4e7, s(s - 1) and (a - 1)c stay exact doubles.  verify forms
+# dense N-vectors, and the matrix export writes N(N+1)/2 triples.  A CSV is written a block of grid
+# points at a time; a curve keeps a few numbers per grid point, a trajectory none.
+_N_CAPS = {"simulate": 2**26, "cesaro": 2**26, "verify": 2**22, "matrix": 10_000}
 _GRID_COUNT_CAP = 100_000
-# the matrix export writes N(N+1)/2 triples
-_MATRIX_N_CAP = 10_000
 # subject S holds a few N-vectors, sweep blocks of exp_semigroup.BLOCK_ELEMENTS and its operator; a matrix
 # file is parsed from its lines, about 150 bytes per entry: 80 MB at 8 entries per column here, 5 GB at 2^22
 _S_DIM_CAP = 2**16
@@ -249,12 +252,11 @@ class ExperimentConfig:
             yield "subject", f"subject must be one of {_SUBJECTS}, got {self.subject!r}"
         elif self.subject == "S" and self.N > _S_DIM_CAP:
             yield "subject", f"subject S needs N <= {_S_DIM_CAP} (the size budget), got {self.N}"
+        cap = _N_CAPS[command]
         if self.N < 1:
             yield "N", f"N must be >= 1, got {self.N}"
-        elif self.N > _N_CAP:
-            yield "N", f"N must be <= {_N_CAP} (the size budget), got {self.N}"
-        elif command == "matrix" and self.N > _MATRIX_N_CAP:
-            yield "N", f"matrix export capped at N = {_MATRIX_N_CAP}, got {self.N}"
+        elif self.N > cap:
+            yield "N", f"N must be <= {cap} for {command} (the size budget), got {self.N}"
         for grid, ends in (("r_grid", "start and factor"), ("t_grid", "start and stop")):
             first, second, count = getattr(self, grid)
             if count < 1:
@@ -269,11 +271,11 @@ class ExperimentConfig:
         ordered = 0 < start < math.inf and 1 < factor < math.inf
         if math.isfinite(start) and math.isfinite(factor) and not ordered:
             yield "r_grid.start", "r_grid needs start > 0 and factor > 1"
-        elif ordered and self.N <= _N_CAP and not math.isfinite(self.N / start):  # kernels scale h by h/r
+        elif ordered and self.N <= cap and not math.isfinite(self.N / start):  # kernels scale h by h/r
             limit = self.N / sys.float_info.max
             yield "r_grid.start", f"r_grid.start must be above N / DBL_MAX = {limit:.3g}, got {start!r}"
         # the largest r bounds T's truncation certificate, and it is S's only cap on r
-        if ordered and 1 <= self.N <= _N_CAP and count >= 1:
+        if ordered and 1 <= self.N <= cap and count >= 1:
             try:
                 r_max = float(geometric_grid(start, factor, count, last=True)[0])
             except OverflowError:  # count - 1 has no float
@@ -343,11 +345,18 @@ class ExperimentConfig:
         t0, t1, count = self.t_grid
         return np.linspace(t0, t1, count)
 
-    def input_vector(self) -> TruncatedVector:
-        coords = np.zeros(self.N)
+    def input_vector(self, n: int | None = None) -> TruncatedVector:
+        """x as a dense vector, or its first ``n`` coordinates; a listed +-0.0 keeps its sign."""
+        coords = np.zeros(self.N if n is None else n)
         for i, v in self.vector:
-            coords[i - 1] = v
+            if i <= coords.size:
+                coords[i - 1] = v
         return TruncatedVector(coords)
+
+    def support(self) -> Support:
+        """x for the M/T kernels: its nonzero entries by increasing index; a listed +-0.0 is dropped."""
+        entries = sorted((i, v) for i, v in self.vector if v != 0.0)
+        return Support(self.N, np.array([i for i, _ in entries], dtype=float), np.array([v for _, v in entries]))
 
     def power_operator(self) -> PowerBoundedOperator:
         kind = self.s_matrix[0]
@@ -373,9 +382,23 @@ def _metadata(cfg: ExperimentConfig, **extra) -> str:
     return json.dumps({"config": cfg.to_dict(), "version": __version__, **extra}, indent=2, sort_keys=True)
 
 
-def _write(path: Path, text: str):
+@contextmanager
+def _published(path: Path):
+    """A text file to write ``path`` through: a sibling that replaces ``path`` only once the block ends without
+    an error, so that an error part way leaves no file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    part = path.with_name(f".{path.name}.part")
+    try:
+        with part.open("w") as fh:
+            yield fh
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def _write(path: Path, text: str):
+    with _published(path) as fh:
+        fh.write(text)
 
 
 def _series_operator(cfg: ExperimentConfig, x: TruncatedVector, r: float) -> PowerBoundedOperator:
@@ -389,28 +412,30 @@ def _series_operator(cfg: ExperimentConfig, x: TruncatedVector, r: float) -> Pow
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
-    """Trajectory of t -> subject(t) x over the configured t-grid."""
+    """Trajectory of t -> subject(t) x over the configured t-grid, written CSV_BLOCK_ROWS points at a time."""
     cfg.ensure_valid("simulate")
-    x = cfg.input_vector()
-    ts = cfg.t_values().tolist()
+    ts = cfg.t_values()
     track = min(cfg.N, 16)
     if cfg.subject == "S":
-        scratch = np.empty(cfg.N)
+        x, scratch = cfg.input_vector(), np.empty(cfg.N)
         T = _series_operator(cfg, x, 1.0)
-        rows = ((row_stats(y, scratch), y[:track]) for y in stream_S(ts, x, T, cfg.quadrature_tol))
+        rows = ((*row_stats(y, scratch), *y[:track].tolist()) for y in stream_S(ts, x, T, cfg.quadrature_tol))
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
-        head = trajectory_kernel(TruncatedVector(x.coords[:track]), perturbed)(ts)
-        rows = zip(support_summaries(x, ts, perturbed, mean=False), head)
+        head = trajectory_kernel(cfg.input_vector(track), perturbed)
+        heads = (row for i in range(0, ts.size, CSV_BLOCK_ROWS) for row in head(ts[i : i + CSV_BLOCK_ROWS]).tolist())
+        summaries = support_summaries(cfg.support(), ts, perturbed, mean=False)
+        rows = ((*summary[:4], *coords) for summary, coords in zip(summaries, heads))
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
-    line = ",".join(["%.16e"] * 4 + ["%d"] + ["%.16e"] * track)
-    lines = [",".join(header)]
-    for t, ((norm, top, top_index, fval, *_), coords) in zip(ts, rows):
-        lines.append(line % (t, norm, fval, top, top_index, *coords.tolist()))
+    line = ",".join(["%.16e"] * 4 + ["%d"] + ["%.16e"] * track) + "\n"
     paths = [Path(cfg.out_dir) / "trajectory.csv", Path(cfg.out_dir) / "metadata.json"]
-    _write(paths[0], "\n".join(lines) + "\n")
+    with _published(paths[0]) as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(0, ts.size, CSV_BLOCK_ROWS):
+            block = zip(ts[i : i + CSV_BLOCK_ROWS].tolist(), rows)  # the t first: a block takes no row past its own
+            fh.write("".join(line % (t, norm, fval, top, index, *head) for t, (norm, top, index, fval, *head) in block))
     _write(paths[1], _metadata(cfg))
     return paths
 
@@ -419,11 +444,11 @@ def _build_curve(cfg: ExperimentConfig) -> CesaroCurve:
     rs = cfg.r_values()
     if cfg.mode == "opnorm":
         return curve_cesaro_M_opnorm(rs, cfg.N)
-    x = cfg.input_vector()
     if cfg.subject == "M":
-        return curve_cesaro_M(rs, x)
+        return curve_cesaro_M(rs, cfg.support())
     if cfg.subject == "T":
-        return curve_cesaro_T(rs, x)
+        return curve_cesaro_T(rs, cfg.support())
+    x = cfg.input_vector()
     return curve_cesaro_S(rs, x, _series_operator(cfg, x, float(rs.min())), cfg.quadrature_tol)
 
 
@@ -438,7 +463,8 @@ def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
         verdict = ConvergenceVerdict("inconclusive", detail={"reason": "fewer than 4 grid points"})
     out = Path(cfg.out_dir)
     paths = [out / "cesaro_curve.csv", out / "verdict.json", out / "metadata.json"]
-    _write(paths[0], curve.to_csv())
+    with _published(paths[0]) as fh:
+        curve.to_csv(fh)
     _write(paths[1], verdict.to_json())
     _write(paths[2], _metadata(cfg))
     return paths
@@ -447,6 +473,8 @@ def cmd_cesaro(cfg: ExperimentConfig) -> list[Path]:
 def cmd_verify(cfg: ExperimentConfig) -> tuple[int, list[Path]]:
     """Full invariant suite at the configured truncation; exit 0 iff all pass."""
     cfg.ensure_valid("verify")
+    from .verification import run_all  # loaded by verify alone
+
     results = run_all(cfg.N, cfg.seed, quadrature_tol=cfg.quadrature_tol, convergence_tol=cfg.convergence_tol,
                       inject_corruption=cfg.inject_corruption)
     all_passed = all(r.passed for r in results)
@@ -464,8 +492,7 @@ def cmd_matrix(cfg: ExperimentConfig) -> list[Path]:
     op = matrix_B(cfg.N)
     out = Path(cfg.out_dir)
     paths = [out / "matrix_B.txt", out / "metadata.json"]
-    out.mkdir(parents=True, exist_ok=True)
-    with paths[0].open("w") as fh:
+    with _published(paths[0]) as fh:
         to_sparse_triples(op, fh)
     extra = {}
     if cfg.N <= 64:

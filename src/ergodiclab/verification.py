@@ -447,8 +447,9 @@ def check_summaries_match_rows(ctx) -> CheckResult:
     coords[on] = rng.uniform(0.5, 1.0, on.size) * rng.choice([-1.0, 1.0], on.size)
     for j in on[1:][np.diff(np.append(on, n))[1:] > 1][:1]:  # a support index after x_1 with a gap after it
         coords[j] = -np.cumsum(coords)[j - 1]
-    x, scale, scratch = TruncatedVector(coords), float(np.abs(coords).sum()), np.empty(n)
-    seen = TruncatedVector(coords + np.eye(1, n, n - 1).ravel() * 1e-9 * scale) if ctx.inject_corruption else x
+    at, scale, scratch = np.flatnonzero(coords), float(np.abs(coords).sum()), np.empty(n)
+    x = cesaro.Support(n, at + 1.0, coords[at])
+    seen = TruncatedVector(coords + np.eye(1, n, n - 1).ravel() * 1e-9 * scale if ctx.inject_corruption else coords)
     worst = 0.0
     for mean, grid in ((True, cesaro.geometric_grid(0.25, 2.0, 12)), (False, np.linspace(0.0, 2.0 * n, 12))):
         for perturbed in (False, True):

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 VERIFICATION = "src/ergodiclab/verification.py"
 CESARO = "src/ergodiclab/cesaro.py"
+CLI = "src/ergodiclab/cli.py"
 DIAGNOSTICS = "src/ergodiclab/diagnostics.py"
 EXP = "src/ergodiclab/exp_semigroup.py"
 SPACE = "src/ergodiclab/space.py"
@@ -48,10 +49,12 @@ TV = "tests/test_verification.py"
 TC = "tests/test_cesaro.py"
 TD = "tests/test_diagnostics.py"
 TE = "tests/test_exp_semigroup.py"
+TS = "tests/test_streaming.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
 # forked helper, the convergence verdict, the S series' target, the pairing's length guard, the
-# kernel criterion's null dimension and the NaN r guard were each first shown to catch
+# kernel criterion's null dimension, the NaN r guard, the config's support and the publication
+# of a CSV were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -150,6 +153,24 @@ RECORDED = [
            "bad = ~(r > 0)",
            "bad = r <= 0",
            (f"{TC}::test_opnorm_refuses_a_nonpositive_r[nan]",)),
+    Mutant("curve_T.no_subnormal_floor", CESARO,
+           "error = error + np.maximum(2 * _EPS * error, 2 * math.ulp(0.0))",
+           "error = error + np.maximum(2 * _EPS * error, 0.0)",
+           (f"{TC}::test_T_curve_trunc_error_never_understates_the_exact_bound",)),
+    Mutant("support.unsorted", CLI,
+           "entries = sorted((i, v) for i, v in self.vector if v != 0.0)",
+           "entries = list((i, v) for i, v in self.vector if v != 0.0)",
+           (f"{TS}::test_the_config_support_drops_zero_entries_and_sorts_the_rest[257]",)),
+    Mutant("support.keeps_signed_zeros", CLI,
+           "entries = sorted((i, v) for i, v in self.vector if v != 0.0)",
+           "entries = sorted((i, v) for i, v in self.vector)",
+           (f"{TS}::test_the_config_support_drops_zero_entries_and_sorts_the_rest[257]",
+            f"{TS}::test_the_config_support_drops_zero_entries_and_sorts_the_rest[1024]")),
+    Mutant("csv.published_before_its_last_block", CLI,
+           "        with part.open(\"w\") as fh:\n            yield fh\n        os.replace(part, path)\n",
+           "        with part.open(\"w\") as fh:\n            os.replace(part, path)\n            yield fh\n",
+           ("tests/test_split.py::test_a_bad_point_in_a_later_csv_block_leaves_no_file",
+            "tests/test_split.py::test_nan_row_in_a_later_piece_raises_as_in_a_serial_run")),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry

@@ -1,9 +1,11 @@
 """The vectors that the M/T row tests share, and the one-point rows that the grid kernels are pinned against."""
 
+import io
 import json
 
 import numpy as np
 
+from ergodiclab.cesaro import Support
 from ergodiclab.cli import EXIT_OK, main
 from ergodiclab.space import TruncatedVector
 
@@ -26,6 +28,19 @@ def signed_with_gaps(n):
     if n >= 4:
         coords[2:4] = [-coords[0] - coords[1], -0.0]
     return TruncatedVector(coords)
+
+
+def support_of(x):
+    """x by its nonzero entries, as ``ExperimentConfig.support`` hands them to the M/T kernels."""
+    at = np.flatnonzero(x.coords)
+    return Support(x.dim, at + 1.0, x.coords[at])
+
+
+def csv_text(curve):
+    """What ``curve.to_csv`` writes."""
+    out = io.StringIO()
+    curve.to_csv(out)
+    return out.getvalue()
 
 
 def one_point_mean(r, x, perturbed):

@@ -10,6 +10,7 @@ import pytest
 from ergodiclab.cesaro import (
     CesaroCurve,
     QuadratureError,
+    Support,
     adaptive_simpson,
     cesaro_M,
     cesaro_M_opnorm,
@@ -33,6 +34,7 @@ from ergodiclab.space import (
     norm_l1,
     pair,
 )
+from rows import csv_text, support_of
 
 FLOOR = 1.0 - 1.0 / math.e
 
@@ -360,8 +362,26 @@ def test_T_certificate_never_understates_at_any_r_over_N():
     N, rs = 64, np.array([1e-9, 0.5, 32.0, 63.0, 64.0, 65.0, 640.0, 1e6])
     certs = cesaro_T_certificate(rs, N)
     assert certs.tobytes() == np.array([cesaro_T_certificate(float(r), N) for r in rs]).tobytes()
-    x = TruncatedVector(rng.uniform(-1.0, 1.0, N))
-    assert curve_cesaro_T(rs, x).trunc_error.tobytes() == (norm_l1(x) * certs).tobytes()
+
+
+def test_T_curve_trunc_error_never_understates_the_exact_bound():
+    # ||x||_1 (1 - (N/r)(1 - e^{-r/N})) in 50 digits, on signed sparse x up to N = 2^26 and r/N from 1e-12 to 1e3;
+    # |x| is summed on the support, in another order than over the dense vector, so the sum is tested too
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(25)
+    cases = [(64, np.array([5.0, 9.0]), np.array([1e-310, -3e-312])), (64, np.array([]), np.array([]))]
+    for _ in range(300):
+        N = int(rng.integers(1, 2**26 + 1))
+        index = np.array(sorted(set(rng.integers(1, N + 1, int(rng.integers(1, 65))).tolist())), dtype=float)
+        cases.append((N, index, rng.uniform(-1.0, 1.0, index.size) * 10.0 ** rng.uniform(-3.0, 3.0, index.size)))
+    with mpmath.workdps(50):
+        for N, index, values in cases:
+            rs = np.sort(N * 10.0 ** rng.uniform(-12.0, 3.0, 5))
+            norm = mpmath.fsum(abs(mpmath.mpf(v)) for v in values.tolist())
+            trunc_error = curve_cesaro_T(rs, Support(N, index, values)).trunc_error.tolist()
+            for r, bound in zip(rs.tolist(), trunc_error, strict=True):
+                u = mpmath.mpf(r) / N
+                assert mpmath.mpf(bound) >= norm * (1 - -mpmath.expm1(-u) / u), (N, r)
 
 
 # --- quadrature of generic semigroups ---
@@ -510,8 +530,8 @@ def test_closed_form_S_large_r_beyond_exp_underflow():
 
 def test_curve_construction_and_csv():
     grid = geometric_grid(1.0, 2.0, 6)
-    curve = curve_cesaro_T(grid, basis_vector(1, 64))
-    text = curve.to_csv()
+    curve = curve_cesaro_T(grid, support_of(basis_vector(1, 64)))
+    text = csv_text(curve)
     lines = text.strip().split("\n")
     assert lines[0] == "r,value_or_norm,trunc_error,max_coordinate,f_value"
     assert len(lines) == 7
@@ -520,7 +540,7 @@ def test_curve_construction_and_csv():
 
 def test_norm_mode_curve_csv_blank_columns():
     curve = curve_cesaro_M_opnorm(geometric_grid(1.0, 2.0, 4), 16)
-    for line in curve.to_csv().strip().split("\n")[1:]:
+    for line in csv_text(curve).strip().split("\n")[1:]:
         cells = line.split(",")
         assert cells[3] == "" and cells[4] == ""
 
@@ -557,7 +577,7 @@ def test_curve_grid_validation():
 
 
 def test_curve_statistics():
-    curve = curve_cesaro_M(geometric_grid(1.0, 4.0, 3), basis_vector(1, 8))
+    curve = curve_cesaro_M(geometric_grid(1.0, 4.0, 3), support_of(basis_vector(1, 8)))
     assert curve.values[0] == pytest.approx(1 - math.exp(-1), abs=1e-15)
     assert list(curve.max_index) == [1, 1, 1]
     assert curve.f_value[0] == pytest.approx(curve.values[0], abs=1e-15)

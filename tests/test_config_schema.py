@@ -201,7 +201,9 @@ def test_small_case_runs(workdir, command, subject):
 
 CAPS = [
     # command, subject, key, just inside, just outside
-    ("simulate", "M", "N", 2**22, 2**22 + 1),
+    ("simulate", "M", "N", 2**26, 2**26 + 1),
+    ("cesaro", "T", "N", 2**26, 2**26 + 1),
+    ("verify", "M", "N", 2**22, 2**22 + 1),
     ("matrix", "M", "N", 10_000, 10_001),
     ("simulate", "S", "N", 2**16, 2**16 + 1),
     ("cesaro", "M", "r_grid.count", 100_000, 100_001),

@@ -20,6 +20,7 @@ from ergodiclab.diagnostics import (
 )
 from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B, matrix_N
 from ergodiclab.space import TruncatedVector, basis_vector
+from rows import support_of
 
 
 # --- kernel criterion ---
@@ -78,7 +79,7 @@ def test_kernel_criterion_reads_the_structure(monkeypatch, n):
 # --- mass escape ---
 
 def test_zero_vector_curve_is_all_zero():
-    curve = curve_cesaro_T(geometric_grid(1.0, 2.0, 4), TruncatedVector(np.zeros(32)))
+    curve = curve_cesaro_T(geometric_grid(1.0, 2.0, 4), support_of(TruncatedVector(np.zeros(32))))
     assert np.all(curve.values == 0.0)
 
 
@@ -86,11 +87,11 @@ def test_zero_vector_curve_is_all_zero():
 
 def test_convergence_on_decaying_curve():
     grid = geometric_grid(1.0, 2.0, 11)  # r = 1..1024
-    curve = curve_cesaro_M(grid, basis_vector(1, 64))
+    curve = curve_cesaro_M(grid, support_of(basis_vector(1, 64)))
     # tail differences on this grid sit at ~4e-3 and halve per step
     verdict = cauchy_convergence_test(curve, window=3, tol=1e-2)
     assert verdict.verdict == "converges"
-    deeper = curve_cesaro_M(geometric_grid(1.0, 2.0, 15), basis_vector(1, 64))
+    deeper = curve_cesaro_M(geometric_grid(1.0, 2.0, 15), support_of(basis_vector(1, 64)))
     assert cauchy_convergence_test(deeper, window=3, tol=1e-3).verdict == "converges"
 
 
@@ -136,7 +137,7 @@ def test_convergence_test_needs_enough_samples():
 def test_mass_escape_curve_diverges():
     n = 8192
     grid = geometric_grid(32.0, 2.0, 7)  # r = 32..2048, certificates stay sane
-    curve = curve_cesaro_T(grid, basis_vector(1, n))
+    curve = curve_cesaro_T(grid, support_of(basis_vector(1, n)))
     assert np.all(np.diff(curve.max_coordinate) <= 0.0)
     verdict = cauchy_convergence_test(curve, window=3, tol=1e-4)
     assert verdict.verdict == "diverges"

@@ -19,10 +19,10 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SMALL_R = {"start": 0.5, "factor": 2.0, "count": 6}
-# at the N cap: a signed sparse x, four entries per dyadic block, r up to N and t up to 1e6
-CAP = 2**22
-CAP_X = [[k + j, (-1.0) ** j / (k + j)] for k in (2**e for e in range(22)) for j in range(min(k, 4))]
-CAP_RUN = {"N": CAP, "vector": CAP_X, "r_grid": {"start": 1.0, "factor": 2.0, "count": 23},
+# at the M/T N cap: a signed sparse x, four entries per dyadic block, r up to N and t up to 1e6
+CAP = 2**26
+CAP_X = [[k + j, (-1.0) ** j / (k + j)] for k in (2**e for e in range(26)) for j in range(min(k, 4))]
+CAP_RUN = {"N": CAP, "vector": CAP_X, "r_grid": {"start": 1.0, "factor": 2.0, "count": 27},
            "t_grid": {"start": 0.0, "stop": 1e6, "count": 101}}
 RUNS = {
     "simulate_M": ("simulate", ["--subject", "M"], None),
@@ -76,6 +76,22 @@ def test_cesaro_and_verify_do_not_import_numpy_ma(tmp_path):
     ])
     done = run_warning_free([], module=("-c", script))
     assert (done.returncode, done.stderr, done.stdout.splitlines()[-1]) == (0, "", "[0, 0] False")
+
+
+def test_cesaro_and_simulate_load_neither_verification_nor_numpy_random(tmp_path):
+    # verify alone imports verification, and with it the numpy.random that its checks draw from
+    runs = [[command, "--subject", subject, "--out", str(tmp_path / (command + subject))]
+            for command in ("cesaro", "simulate") for subject in ("M", "T")]
+    script = "\n".join([
+        "import sys",
+        "from ergodiclab.cli import main",
+        f"codes = [main(argv) for argv in {runs!r}]",
+        "loaded = [name for name in ('ergodiclab.verification', 'numpy.random') if name in sys.modules]",
+        f"codes.append(main(['verify', '--dim', '64', '--out', {str(tmp_path / 'v')!r}]))",
+        "print(codes, loaded)",
+    ])
+    done = run_warning_free([], module=("-c", script))
+    assert (done.returncode, done.stderr, done.stdout.splitlines()[-1]) == (0, "", "[0, 0, 0, 0, 0] []")
 
 
 def test_overflowing_l1_norm_is_a_config_error(tmp_path):

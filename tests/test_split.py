@@ -26,7 +26,7 @@ from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.diagnostics import cauchy_convergence_test
 from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
 from ergodiclab.space import TruncatedVector
-from rows import one_point_mean, one_point_orbit, same_bits, simulate_csv, sparse_vector
+from rows import csv_text, one_point_mean, one_point_orbit, same_bits, simulate_csv, sparse_vector, support_of
 
 CURVES = {"M": curve_cesaro_M, "T": curve_cesaro_T}
 FIELDS = ("r_grid", "trunc_error", "values", "steps", "max_coordinate", "max_index", "f_value")
@@ -41,9 +41,9 @@ def test_curves_and_trajectories_keep_their_bytes_for_any_cpu_count(tmp_path, cp
     results = {}
     for k in (1, 2, 3, 7):
         cpus(k)
-        curve = CURVES[subject](rs, x)
+        curve = CURVES[subject](rs, support_of(x))
         verdict = cauchy_convergence_test(curve, 1, 1e-2).to_json() if count >= 2 else None
-        results[k] = curve, curve.to_csv(), verdict, simulate_csv(tmp_path / str(k), subject, x, count)
+        results[k] = curve, csv_text(curve), verdict, simulate_csv(tmp_path / str(k), subject, x, count)
     serial, csv, verdict, trajectory = results[1]
     for k in (2, 3, 7):
         curve = results[k][0]
@@ -108,7 +108,7 @@ def serial_and_split(cpus, run):
 def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(cpus, subject):
     rs = geometric_grid(0.5, 1.5, 20)
     rs[9], rs[15] = -2.0, -1.0  # two bad points past the start of the grid; a serial run meets -2.0
-    first, split = serial_and_split(cpus, lambda: CURVES[subject](rs, sparse_vector(64)))
+    first, split = serial_and_split(cpus, lambda: CURVES[subject](rs, support_of(sparse_vector(64))))
     assert first == split == (ValueError, "averaging length r must be > 0, got -2.0")
 
 
@@ -130,7 +130,7 @@ def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(cpus, monkeypatch, t
     x = TruncatedVector(np.eye(1, 32).ravel())
     rs = geometric_grid(0.5, 1.1, 20)
     poison(monkeypatch, "_mean_rows", 15)
-    first, split = serial_and_split(cpus, lambda: curve_cesaro_M(rs, x))
+    first, split = serial_and_split(cpus, lambda: curve_cesaro_M(rs, support_of(x)))
     assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
 
     cfg = ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
@@ -138,3 +138,13 @@ def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(cpus, monkeypatch, t
     first, split = serial_and_split(cpus, lambda: cmd_simulate(cfg))
     assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_a_bad_point_in_a_later_csv_block_leaves_no_file(monkeypatch, tmp_path):
+    # the blocks before the bad point have gone out to a temporary sibling, which the error removes unpublished
+    count = 2 * cesaro.CSV_BLOCK_ROWS + 5
+    cfg = ExperimentConfig(subject="T", N=64, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 40.0, count), out_dir=str(tmp_path))
+    poison(monkeypatch, "_trajectory_rows", count - 1)
+    with pytest.raises(ValueError, match="coords must be finite"):
+        cmd_simulate(cfg)
+    assert list(tmp_path.iterdir()) == []

@@ -1,12 +1,17 @@
 """Grid kernels and the summaries read off the support of x: curves and trajectories match their per-point values."""
 
+import json
+import time
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ergodiclab import cesaro
 from ergodiclab.cesaro import (
+    Support,
     cesaro_M,
     cesaro_T,
     curve_cesaro_M,
@@ -14,10 +19,11 @@ from ergodiclab.cesaro import (
     geometric_grid,
     support_summaries,
 )
+from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_cesaro, cmd_simulate, main
 from ergodiclab.coeffs import integral_b_row
 from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T
 from ergodiclab.space import TruncatedVector, norm_l1, pair, row_stats
-from rows import simulate_csv, sparse_vector
+from rows import csv_text, signed_with_gaps, simulate_csv, sparse_vector, support_of
 
 MEANS = {"M": (curve_cesaro_M, cesaro_M), "T": (curve_cesaro_T, cesaro_T)}
 SEMIGROUPS = {"M": (apply_M, matrix_M), "T": (apply_T, matrix_T)}
@@ -44,7 +50,7 @@ def test_curve_equals_per_point_means(subject, n):
     curve_of, mean = MEANS[subject]
     x = sparse_vector(n)
     rs = geometric_grid(0.5, 1.7, 12)
-    curve = curve_of(rs, x)
+    curve = curve_of(rs, support_of(x))
     means = [mean(float(r), x) for r in rs]
     stats = np.array([reduce(v) for v in means])
     assert close(curve.values, stats[:, 0], stats[:, 0])
@@ -52,7 +58,7 @@ def test_curve_equals_per_point_means(subject, n):
     assert np.array_equal(curve.max_index, stats[:, 2].astype(int))
     assert close(curve.f_value, stats[:, 3], norm_l1(x))
     assert close(curve.steps, [norm_l1(b - a) for a, b in zip(means, means[1:])], norm_l1(x))
-    lines = curve.to_csv().strip().split("\n")[1:]
+    lines = csv_text(curve).strip().split("\n")[1:]
     rows = zip(rs, curve.values, curve.trunc_error, curve.max_coordinate, curve.f_value, strict=True)
     for line, row in zip(lines, rows, strict=True):
         assert line == ",".join(f"{v:.16e}" for v in row)
@@ -88,14 +94,51 @@ def test_simulate_rows_equal_per_point_evaluation(tmp_path, subject, n):
         assert close(float(cells[1]), norm, norm) and close(float(cells[2]), fval, norm_l1(x))
 
 
-N_MEM = 65536
+def config_csvs(out, vector, n):
+    """The bytes of the cesaro_curve.csv and trajectory.csv that cesaro and simulate on T write for ``vector``."""
+    config = {"subject": "T", "N": n, "vector": vector, "r_grid": {"start": 0.25, "factor": 2.0, "count": 11},
+              "t_grid": {"start": 0.0, "stop": 40.0, "count": 9}}
+    out.mkdir()
+    (out / "cfg.json").write_text(json.dumps(config))
+    for command in ("cesaro", "simulate"):
+        assert main([command, "--config", str(out / "cfg.json"), "--out", str(out)]) == EXIT_OK
+    return (out / "cesaro_curve.csv").read_bytes(), (out / "trajectory.csv").read_bytes()
+
+
+def summary_cells(trajectory):
+    """The t and the summaries of each trajectory row, without its tracked coordinates."""
+    return [line.split(b",")[:5] for line in trajectory.splitlines()]
+
+
+@pytest.mark.parametrize("n", [257, 1024])
+def test_the_config_support_drops_zero_entries_and_sorts_the_rest(tmp_path, n):
+    listed = [[k + 1, v] for k, v in enumerate(signed_with_gaps(n).coords.tolist())]  # -0.0 at 4, +0.0 between
+    nonzero = [[k, v] for k, v in listed if v]
+    curve, trajectory = config_csvs(tmp_path / "nonzero", nonzero, n)
+    for name, vector in (("every", listed), ("reversed", nonzero[::-1])):
+        other_curve, other_trajectory = config_csvs(tmp_path / name, vector, n)
+        assert other_curve == curve, name
+        # a listed -0.0 keeps its sign in the tracked coordinates alone
+        assert summary_cells(other_trajectory) == summary_cells(trajectory), name
+
+
+N_MEM, NNZ = 65536, 60
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak in bytes of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def memory_peaks(count):
-    # tracemalloc peaks in bytes of the M and T curves and trajectories on 60 nonzeros
-    coords = np.zeros(N_MEM)
-    coords[7::1093] = np.resize([0.5, -0.25, 0.125], 60)
-    x = TruncatedVector(coords)
+    # tracemalloc peaks in bytes of the M and T curves and trajectories on NNZ nonzeros
+    index = np.arange(8.0, N_MEM, 1093.0)[:NNZ]
+    x = Support(N_MEM, index, np.resize([0.5, -0.25, 0.125], NNZ))
     rs = geometric_grid(1.0, 2048.0 ** (1.0 / (count - 1)), count)
     ts = np.linspace(0.0, 100.0, count)
     runs = {
@@ -104,30 +147,52 @@ def memory_peaks(count):
         "M trajectory": lambda: deque(support_summaries(x, ts, perturbed=False, mean=False), maxlen=0),
         "T trajectory": lambda: deque(support_summaries(x, ts, perturbed=True, mean=False), maxlen=0),
     }
-    peaks = {}
-    for name, run in runs.items():
-        tracemalloc.start()
-        try:
-            run()
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    return peaks
+    return {name: traced_peak(run) for name, run in runs.items()}
 
 
 def test_curve_and_trajectory_memory_do_not_grow_with_the_grid():
-    # the summaries hold arrays the size of the support of x, never an N-vector; the one
-    # N-length temporary is the |x| of norm_l1(x), which scales the T curve's trunc_error
-    vector = N_MEM * 8
+    # no array has N entries: a block of grid points holds (block, width) arrays of at most
+    # _BLOCK_ELEMENTS doubles, ten of them at most at once, and the support's arrays a few dozen
+    # doubles per nonzero; an N-vector alone (512 kB) would pass the limit
+    limit = 10 * cesaro._BLOCK_ELEMENTS * 8 + 64 * NNZ * 8
     memory_peaks(50)  # the first run pays for lazy imports
     small, large = memory_peaks(50), memory_peaks(500)
     for name in small:
-        limit = vector + 4096 if name == "T curve" else vector
         assert small[name] < limit and large[name] < limit, name
     # what may grow is a curve's table of five summaries per row and its trunc_error, 8 bytes
     # each and held twice while the curve is built, or the summaries a trajectory's caller keeps
     for name in small:
         assert large[name] - small[name] <= 2 * 6 * 450 * 8 + 4096, name
+
+
+def cap_config(subject, tmp_path, count=None):
+    """A config at the M/T cap N = 2^26 with 4 nonzeros: r up to N, t up to 1e6, or ``count`` points of each."""
+    N = 2**26
+    return ExperimentConfig(subject=subject, N=N, vector=((1, 0.5), (1000, -0.25), (2**20, 0.125), (N, 0.125)),
+                            r_grid=(1.0, 2.0, 27) if count is None else (1.0, (N / 2.0) ** (1.0 / count), count),
+                            t_grid=(0.0, 1e6, 101 if count is None else count), out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("command", [cmd_cesaro, cmd_simulate], ids=["cesaro", "simulate"])
+@pytest.mark.parametrize("subject", ["M", "T"])
+def test_cap_runs_in_under_a_second_and_10_MB(tmp_path, subject, command):
+    cfg = cap_config(subject, tmp_path)
+    command(replace(cfg, N=64, vector=((1, 1.0),), r_grid=(1.0, 2.0, 6)))  # pays for lazy imports
+    start = time.perf_counter()
+    peak = traced_peak(lambda: command(cfg))
+    assert time.perf_counter() - start < 1.0 and peak < 10e6, peak
+
+
+@pytest.mark.parametrize("command", [cmd_cesaro, cmd_simulate], ids=["cesaro", "simulate"])
+def test_command_memory_grows_by_the_per_point_summaries_alone(tmp_path, command):
+    # the CSV goes out a block of rows at a time: what grows with the grid is the grid itself and, for a
+    # curve, the 8 numbers it keeps per point (r, five summaries, trunc_error, max_index) and the 11 at
+    # most that D's bisection over the grid, or the verdict's power-law fit, forms beside them; the CSV
+    # lines of the whole grid, kept until the file was written, took over 300 bytes per point
+    per_point = 8 if command is cmd_simulate else 19 * 8
+    command(cap_config("T", tmp_path, 1000))  # pays for lazy imports and a first run of full CSV blocks
+    small, large = (traced_peak(lambda: command(cap_config("T", tmp_path, count))) for count in (2000, 20000))
+    assert large - small <= per_point * 18000 + 64 * 1024, (small, large)
 
 
 def test_row_stats_rejects_non_finite_rows():

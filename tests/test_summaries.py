@@ -25,7 +25,7 @@ from ergodiclab.cesaro import (
 )
 from ergodiclab.semigroups import trajectory_kernel
 from ergodiclab.space import TruncatedVector, norm_l1, row_stats
-from rows import signed_with_gaps
+from rows import signed_with_gaps, support_of
 
 PIN = 1e-13
 NS = [1, 2, 257, 1024, 65536]
@@ -56,8 +56,8 @@ def test_summaries_pin_the_full_rows(n, case, kind):
     scale = norm_l1(x)
     grid = RS if mean else TS
     scratch, prev, ties = np.empty(n), None, []
-    for row, (norm, top, index, fval, step) in zip(full_rows(x, grid, mean, perturbed),
-                                                    support_summaries(x, grid, perturbed, mean), strict=True):
+    summaries = support_summaries(support_of(x), grid, perturbed, mean)
+    for row, (norm, top, index, fval, step) in zip(full_rows(x, grid, mean, perturbed), summaries, strict=True):
         want_norm, want_top, want_index, want_f = row_stats(row, scratch)
         assert abs(norm - want_norm) <= PIN * want_norm
         assert top == want_top
@@ -75,13 +75,13 @@ def test_summaries_pin_the_full_rows(n, case, kind):
 
 def test_zero_vector_reads_max_zero_at_index_one():
     for mean, perturbed in KINDS:
-        for summary in support_summaries(TruncatedVector(np.zeros(5)), RS if mean else TS, perturbed, mean):
+        for summary in support_summaries(support_of(TruncatedVector(np.zeros(5))), RS if mean else TS, perturbed, mean):
             assert summary[:4] == (0.0, 0.0, 1, 0.0)
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["M", "T"])
 def test_bad_grid_points_raise(perturbed):
-    x = signed_with_gaps(64)
+    x = support_of(signed_with_gaps(64))
     curve = curve_cesaro_T if perturbed else curve_cesaro_M
     with pytest.raises(ValueError, match="averaging length r must be > 0, got -2.0"):
         curve([0.5, 1.0, -2.0, -1.0], x)
@@ -89,7 +89,7 @@ def test_bad_grid_points_raise(perturbed):
         list(support_summaries(x, [0.0, 1.0, -1.0], perturbed, mean=False))
     # h/r overflows at r far below N / DBL_MAX, which the CLI refuses
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="coords must be finite"):
-        list(support_summaries(signed_with_gaps(65536), [1e-320], perturbed, mean=True))
+        list(support_summaries(support_of(signed_with_gaps(65536)), [1e-320], perturbed, mean=True))
 
 
 # --- blocks of grid points: every row keeps the bits of a one-point call ---
@@ -126,7 +126,7 @@ def bits(summary):
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_blocks_keep_the_bits_of_one_call_per_point(monkeypatch, block_sizes, case, kind):
     mean, perturbed = kind
-    x = TruncatedVector(BLOCK_CASES[case]())
+    x = support_of(TruncatedVector(BLOCK_CASES[case]()))
     longest = geometric_grid(0.05, 1.3, 70) if mean else np.linspace(0.0, 300.0, 70)
     list(support_summaries(x, longest, perturbed, mean))
     K = block_sizes[0]
@@ -151,7 +151,7 @@ def test_blocks_keep_the_bits_of_one_call_per_point(monkeypatch, block_sizes, ca
 
 @pytest.mark.parametrize("mean", [True, False], ids=["curve", "trajectory"])
 def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(mean):
-    x = signed_with_gaps(64)
+    x = support_of(signed_with_gaps(64))
     grid = geometric_grid(0.05, 1.1, 3 * cesaro._BLOCK_ROWS) if mean else np.linspace(0.0, 40.0, 3 * cesaro._BLOCK_ROWS)
     bad = cesaro._BLOCK_ROWS + 5
     grid[bad], grid[bad + 1] = -2.0, -1.0
@@ -233,7 +233,7 @@ def test_T_curve_step_against_mpmath():
     r0, r1 = 60.0, 60.0 * 1.02
     (at,), _ = _D_minima(np.array([r0, r1]), float(n))
     assert 22 < at < 42 and not x.coords[22:41].any()  # D's minimum lies inside the gap 23..41
-    step = list(support_summaries(x, [r0, r1], perturbed=True, mean=True))[1][4]
+    step = list(support_summaries(support_of(x), [r0, r1], perturbed=True, mean=True))[1][4]
 
     def row(r):
         r = mpmath.mpf(r)
