@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 import numpy as np
 
 from .coeffs import integral_b_from_expm1
+from .csvtext import csv_lines
 from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window, series_blocks, series_target
 from .space import TruncatedVector, norm_l1, row_stats
 
@@ -292,6 +293,8 @@ Summary = tuple[float, float, int, float, float]
 # a block of grid points has at most this many points, and its (block, width) arrays at most this many elements
 _BLOCK_ROWS = 32
 _BLOCK_ELEMENTS = 4096
+# D's bisection runs over this many grid points at a time, about 89 bytes each
+_D_POINTS = 4096
 _NONE = np.empty((1, 0))
 # 1/(n+2)! for n = 17 down to 0: phi_2(u) = (e^u - 1 - u)/u^2 in Horner order, next term < eps/4 for u < 1
 _PHI2 = [1.0 / math.factorial(n + 2) for n in range(17, -1, -1)]
@@ -393,8 +396,7 @@ def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed, blocks):
     Q = Q[np.append(True, Q[1:] != Q[:-1])]  # np.unique, which imports numpy.ma
     i_s, i_b, i_g, i_a = (_positions(Q, h) for h in (s, s - 1.0, a - 1.0, a))
     ends, g, G_prev, i = np.searchsorted(Q, np.concatenate((a - 1.0, c))), c.size, None, 0
-    if g:  # per r after the first, D's least integer point against the r before, and D there
-        at, least = (np.concatenate(([0.0], m))[:, None] for m in _D_minima(r_grid, c[-1]))
+    at, start = (), 0  # per r after the first, D's least integer point against the r before, and D there
     for r in blocks(Q.size):
         e, E = np.expm1(-r / Q[1:]), np.zeros((len(r), Q.size))
         np.multiply(e, Q[1:], out=E[:, 1:])
@@ -403,8 +405,11 @@ def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed, blocks):
         G = E.take(ends, 1) / r  # -F at a - 1, then at c
         variation = _NONE
         if g:
+            if i + len(r) > start + len(at):  # the next _D_POINTS points, from this block on
+                start, minima = i, _D_minima(r_grid[max(i - 1, 0) : i + _D_POINTS], c[-1])
+                at, least = (np.concatenate(([0.0] if i == 0 else [], m))[:, None] for m in minima)
             D = np.concatenate((G[:1] if G_prev is None else G_prev, G[:-1])) - G
-            low, block = np.minimum(D[:, :g], D[:, g:]), slice(i, i + len(r))
+            low, block = np.minimum(D[:, :g], D[:, g:]), slice(i - start, i - start + len(r))
             np.minimum(low, least[block], out=low, where=(a - 1.0 <= at[block]) & (at[block] <= c))
             variation = (D[:, :g] - low) + (D[:, g:] - low)
         yield y, G[:, :g] - G[:, g:], (_columns(E, i_g) - _columns(E, i_a)) * P / r, a, variation
@@ -500,16 +505,13 @@ class CesaroCurve:
     def to_csv(self, out: TextIO):
         """Write the CSV with columns r, value_or_norm, trunc_error, max_coordinate, f_value to ``out``.
 
-        Each row is one %-format; the rows go out CSV_BLOCK_ROWS at a time.
+        The rows go out CSV_BLOCK_ROWS at a time through ``csv_lines``; a norm curve leaves the last two cells empty.
         """
         columns = [self.r_grid, self.values, self.trunc_error]
-        if self.kind == "vector":
-            columns += [self.max_coordinate, self.f_value]
-        row = ",".join(["%.16e"] * len(columns) + [""] * (5 - len(columns))) + "\n"
+        columns += [self.max_coordinate, self.f_value] if self.kind == "vector" else [None, None]
         out.write("r,value_or_norm,trunc_error,max_coordinate,f_value\n")
         for i in range(0, len(self), CSV_BLOCK_ROWS):
-            block = (np.asarray(c[i : i + CSV_BLOCK_ROWS], dtype=float).tolist() for c in columns)
-            out.write("".join(row % cells for cells in zip(*block)))
+            out.write(csv_lines([c if c is None else np.asarray(c[i : i + CSV_BLOCK_ROWS], float) for c in columns]))
 
 
 def geometric_grid(start: float, factor: float, count: int, last: bool = False) -> np.ndarray:

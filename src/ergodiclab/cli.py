@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 invariant failure, 2 validation error, 3 I/O error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from .cesaro import (
     geometric_grid,
     support_summaries,
 )
+from .csvtext import csv_lines
 from .diagnostics import ConvergenceVerdict, cauchy_convergence_test
 from .exp_semigroup import PowerBoundedOperator, series_target, stream_S
 from .semigroups import (
@@ -416,26 +418,28 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     cfg.ensure_valid("simulate")
     ts = cfg.t_values()
     track = min(cfg.N, 16)
+    pieces = [ts[i : i + CSV_BLOCK_ROWS] for i in range(0, ts.size, CSV_BLOCK_ROWS)]
+    # per piece of the grid, a row per t: norm, largest |coordinate|, its index, f, then coordinates 1..track
     if cfg.subject == "S":
         x, scratch = cfg.input_vector(), np.empty(cfg.N)
         T = _series_operator(cfg, x, 1.0)
         rows = ((*row_stats(y, scratch), *y[:track].tolist()) for y in stream_S(ts, x, T, cfg.quadrature_tol))
+        blocks = (np.array(list(itertools.islice(rows, t.size))) for t in pieces)
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
         head = trajectory_kernel(cfg.input_vector(track), perturbed)
-        heads = (row for i in range(0, ts.size, CSV_BLOCK_ROWS) for row in head(ts[i : i + CSV_BLOCK_ROWS]).tolist())
         summaries = support_summaries(cfg.support(), ts, perturbed, mean=False)
-        rows = ((*summary[:4], *coords) for summary, coords in zip(summaries, heads))
+        blocks = (np.column_stack((np.fromiter(itertools.islice(summaries, t.size), np.dtype((float, 5)), t.size)[:, :4],
+                                   head(t))) for t in pieces)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
-    line = ",".join(["%.16e"] * 4 + ["%d"] + ["%.16e"] * track) + "\n"
     paths = [Path(cfg.out_dir) / "trajectory.csv", Path(cfg.out_dir) / "metadata.json"]
     with _published(paths[0]) as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(0, ts.size, CSV_BLOCK_ROWS):
-            block = zip(ts[i : i + CSV_BLOCK_ROWS].tolist(), rows)  # the t first: a block takes no row past its own
-            fh.write("".join(line % (t, norm, fval, top, index, *head) for t, (norm, top, index, fval, *head) in block))
+        for t, block in zip(pieces, blocks):
+            norm, top, index, fval = block[:, :4].T
+            fh.write(csv_lines([t, norm, fval, top, index.astype(np.int64), *block[:, 4:].T]))
     _write(paths[1], _metadata(cfg))
     return paths
 

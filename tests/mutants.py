@@ -45,16 +45,18 @@ CLI = "src/ergodiclab/cli.py"
 DIAGNOSTICS = "src/ergodiclab/diagnostics.py"
 EXP = "src/ergodiclab/exp_semigroup.py"
 SPACE = "src/ergodiclab/space.py"
+CSVTEXT = "src/ergodiclab/csvtext.py"
 TV = "tests/test_verification.py"
 TC = "tests/test_cesaro.py"
 TD = "tests/test_diagnostics.py"
 TE = "tests/test_exp_semigroup.py"
 TS = "tests/test_streaming.py"
+TX = "tests/test_csvtext.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
 # forked helper, the convergence verdict, the S series' target, the pairing's length guard, the
-# kernel criterion's null dimension, the NaN r guard, the config's support and the publication
-# of a CSV were each first shown to catch
+# kernel criterion's null dimension, the NaN r guard, the config's support, the publication
+# of a CSV, the CSV writer's fast path and D's bisection in chunks were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -171,6 +173,26 @@ RECORDED = [
            "        with part.open(\"w\") as fh:\n            os.replace(part, path)\n            yield fh\n",
            ("tests/test_split.py::test_a_bad_point_in_a_later_csv_block_leaves_no_file",
             "tests/test_split.py::test_nan_row_in_a_later_piece_raises_as_in_a_serial_run")),
+    Mutant("csv.no_decade_carry", CSVTEXT,
+           "carry = high == 1e9",
+           "carry = high == -1.0",
+           (f"{TX}::test_every_float_cell_is_what_percent_prints",)),
+    Mutant("csv.near_tie_rounded", CSVTEXT,
+           "(np.abs(frac - 0.5) > 1e-9)",
+           "(np.abs(frac - 0.5) > -1.0)",
+           (f"{TX}::test_every_float_cell_is_what_percent_prints",)),
+    Mutant("csv.no_dekker_error", CSVTEXT,
+           "rest = (p - whole) + ((((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2) + a * lo)",
+           "rest = (p - whole) + a * lo",
+           (f"{TX}::test_every_float_cell_is_what_percent_prints",)),
+    Mutant("D.whole_grid_at_once", CESARO,
+           "_D_POINTS = 4096",
+           "_D_POINTS = 10**9",
+           (f"{TS}::test_D_bisection_memory_does_not_grow_with_the_grid",)),
+    Mutant("D.chunk_without_the_pair_before", CESARO,
+           "r_grid[max(i - 1, 0) : i + _D_POINTS]",
+           "r_grid[i : i + _D_POINTS + 1]",
+           (f"{TS}::test_D_bisection_in_chunks_keeps_the_bits_of_one_pass",)),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry

@@ -165,6 +165,34 @@ def test_curve_and_trajectory_memory_do_not_grow_with_the_grid():
         assert large[name] - small[name] <= 2 * 6 * 450 * 8 + 4096, name
 
 
+def test_D_bisection_memory_does_not_grow_with_the_grid(monkeypatch):
+    # D's bisection over a T curve's whole r grid at once held about 89 bytes per point; it runs _D_POINTS at a time
+    x = Support(N_MEM, np.array([8.0, 1101.0, 20000.0, 65000.0]), np.array([0.5, -0.25, 0.125, 0.125]))
+    bisect, peaks = cesaro._D_minima, {}
+
+    def traced(r_grid, N):
+        peaks[count] = max(peaks.get(count, 0), traced_peak(lambda: bisect(r_grid, N)))
+        return bisect(r_grid, N)
+
+    monkeypatch.setattr(cesaro, "_D_minima", traced)
+    for count in (20_000, 100_000):
+        rs = geometric_grid(1.0, 2048.0 ** (1.0 / (count - 1)), count)
+        deque(support_summaries(x, rs, perturbed=True, mean=True), maxlen=0)
+    assert peaks[100_000] <= peaks[20_000] + 1024, peaks
+
+
+def test_D_bisection_in_chunks_keeps_the_bits_of_one_pass(monkeypatch):
+    # chunks of 1000 points end inside blocks of 22 points, and each chunk but the first starts on the pair before it
+    index = np.arange(8.0, N_MEM, 1093.0)[:NNZ]
+    x = Support(N_MEM, index, np.resize([0.5, -0.25, 0.125], NNZ))
+    rs = geometric_grid(1.0, 2048.0 ** (1.0 / 4999), 5000)
+    table = {}
+    for points in (1000, rs.size):
+        monkeypatch.setattr(cesaro, "_D_POINTS", points)
+        table[points] = np.array(list(support_summaries(x, rs, perturbed=True, mean=True)))
+    assert table[1000].tobytes() == table[rs.size].tobytes()
+
+
 def cap_config(subject, tmp_path, count=None):
     """A config at the M/T cap N = 2^26 with 4 nonzeros: r up to N, t up to 1e6, or ``count`` points of each."""
     N = 2**26
