@@ -171,7 +171,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
     f_lo, f_mid, f_hi = _rows(f, np.concatenate([lo, mid, hi]))[:, None]
     whole = _simpson(hi - lo, f_lo, f_mid, f_hi)
     evals, ltol, min_width = 3, tol, (b - a) * 1e-13
-    accepted = []  # per level: the accepted intervals' left ends, their left, right and defect / 15 terms, errors
+    accepted = []  # per level: the accepted intervals' left ends, their (left, right, defect / 15) terms, errors
     while lo.size:
         k = lo.size
         if evals + 2 * k > budget:
@@ -189,7 +189,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
         delta = left + right - whole
         err = np.abs(delta).sum(axis=1) / 15.0
         ok = (err <= ltol) | ((hi - lo) < min_width)
-        accepted.append((lo[ok], left[ok], right[ok], delta[ok] / 15.0, err[ok]))
+        accepted.append((lo[ok], np.stack((left[ok], right[ok], delta[ok] / 15.0), axis=1), err[ok]))
         # the next level: the left halves of the refined intervals, then their right halves
         go = ~ok
         lo, mid, hi, f_lo, f_hi, whole = (
@@ -217,8 +217,9 @@ def _simpson(width: np.ndarray, f_lo: np.ndarray, f_mid: np.ndarray, f_hi: np.nd
 def _sum_accepted(accepted) -> np.ndarray:
     """The sum by descending left end, each interval adding left, right and defect / 15 in turn, bit for bit."""
     order = np.argsort(np.concatenate([level[0] for level in accepted]))[::-1]
-    parts = [np.concatenate([level[i] for level in accepted])[order] for i in (1, 2, 3)]
-    terms = np.stack(parts, axis=1).reshape(-1, parts[0].shape[1])
+    rank, terms, start = np.argsort(order), np.empty((3 * order.size, accepted[0][1].shape[2])), 0
+    for _, level, _ in accepted:  # each level's terms go straight to their rank: no copy of them all but this one
+        terms.reshape(-1, 3, terms.shape[1])[rank[start : (start := start + len(level))]] = level
     if terms.shape[1] == 1:  # numpy adds the rows of a (rows, n > 1) array in order, but one column pairwise
         return np.cumsum(np.concatenate([np.zeros((1, 1)), terms]), axis=0)[-1]
     return np.add.reduce(terms, axis=0, initial=0.0)
@@ -288,11 +289,8 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
 
 # --- M and T rows summarised from the support of x ---
 
-# one row's l1 norm, largest |coordinate|, its 1-based index, coordinate sum f, and l1 step from the row before
-Summary = tuple[float, float, int, float, float]
-# a block of grid points has at most this many points, and its (block, width) arrays at most this many elements
-_BLOCK_ROWS = 32
-_BLOCK_ELEMENTS = 4096
+# a block of grid points keeps its (block, width) arrays within this many elements, or is one point (sweep: README)
+_BLOCK_ELEMENTS = 12288
 # D's bisection runs over this many grid points at a time, about 89 bytes each
 _D_POINTS = 4096
 _NONE = np.empty((1, 0))
@@ -300,7 +298,7 @@ _NONE = np.empty((1, 0))
 _PHI2 = [1.0 / math.factorial(n + 2) for n in range(17, -1, -1)]
 
 
-def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator[Summary]:
+def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator[np.ndarray]:
     """Summaries of M(t)x, or T(t)x if ``perturbed``, per t; of C_M(r)x or C_T(r)x per r if ``mean``.
 
     Coordinate h is x_h W(h) + P_{h-1} (W(h) - W(h-1)), with W(h) = e^{-t/h}, or F(h, r) =
@@ -309,10 +307,11 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
     By lemmas (a)-(c) of the README its largest coordinate sits at floor((t + 1)/2) + {0, 1, 2}
     clamped into the gap, or at a for a mean, and its step is |P| (D(a-1) + D(c) - 2 min D) over
     the gap for D = F(., r_i) - F(., r_{i-1}).  O(nnz) work per grid point, and no N-vector.
-    A block of grid points is one numpy pass over (block, width) arrays, C-ordered and reduced
-    row by row, so every row keeps the bits of a one-point block.  Support coordinates and gap
-    maxima keep the bits of the full-row kernels; norms, f values and steps are summed in
-    another order.  The step is nan at the first point and for trajectories.
+    A block of grid points is one numpy pass over (block, width) arrays, C-ordered and reduced row by
+    row, so every row keeps the bits of a one-point block; it goes out as a C-ordered (block, 5) array of
+    per-point l1 norm, largest |coordinate|, its 1-based index, coordinate sum f and l1 step from the point
+    before (nan at the first point and for trajectories).  Support coordinates and gap maxima keep the bits
+    of the full-row kernels; norms, f values and steps sum in another order.  Inf/NaN rows raise after those before.
     """
     s, xs = np.asarray(x.index, dtype=float), np.asarray(x.values, dtype=float)
     prefix = np.cumsum(xs)
@@ -324,14 +323,13 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
     stop = int(np.argmax(np.append(~(grid > 0) if mean else grid < 0, True)))  # the first bad point, or the end
 
     def blocks(width: int) -> Iterator[np.ndarray]:
-        """The grid up to its first bad point, in columns of _BLOCK_ROWS points or _BLOCK_ELEMENTS / width."""
-        rows = max(1, min(_BLOCK_ROWS, _BLOCK_ELEMENTS // max(width, 1)))
+        """The grid up to its first bad point, in columns of _BLOCK_ELEMENTS / width points."""
+        rows = max(1, _BLOCK_ELEMENTS // max(width, 1))
         return (grid[i : min(i + rows, stop), None] for i in range(0, stop, rows))
 
     def summaries(y, sums, tops, where, variation):
         nonlocal prev
-        rows = np.arange(len(y))
-        magnitude = np.abs(y)
+        rows, magnitude = np.arange(len(y)), np.abs(y)
         norm = np.add.reduce(magnitude, axis=1) + _dots(size, sums)
         f = np.add.reduce(y, axis=1) + _dots(P, sums)
         top, index = np.zeros(rows.size), np.ones(rows.size)  # an all-zero row, as argmax reads it
@@ -345,15 +343,15 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
         if mean:
             change = y - np.concatenate((y[:1] if prev is None else prev, y[:-1]))
             step = np.add.reduce(np.abs(change, out=change), axis=1) + _dots(size, variation)
-            step[0], prev = math.nan if prev is None else step[0], y[-1:]
-        for summary in zip(norm.tolist(), top.tolist(), index.astype(int).tolist(), f.tolist(), step.tolist()):
-            if not math.isfinite(summary[0]):
-                raise ValueError("coords must be finite (no NaN/inf)")
-            yield summary
+            step[0], prev = math.nan if prev is None else step[0], y[-1:].copy()
+        finite = int(np.logical_and.accumulate(np.isfinite(norm)).sum())  # the rows before a non-finite one
+        yield np.column_stack((norm, top, index, f, step))[:finite]
+        if finite < rows.size:
+            raise ValueError("coords must be finite (no NaN/inf)")
 
-    # a block stays alive while the next forms: freed first, a wide block's pages went back and faulted in again
-    for block in (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed, blocks):
-        yield from summaries(*block)
+    # the rows' arrays live on while the next block forms (freed first, wide pages faulted in again); not their tuple
+    formed = (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed, blocks)
+    yield from itertools.chain.from_iterable(itertools.starmap(summaries, formed))
     if stop < grid.size:  # the first bad point raises as a one-point call does
         point = float(grid[stop])
         if mean:
@@ -397,11 +395,12 @@ def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed, blocks):
     i_s, i_b, i_g, i_a = (_positions(Q, h) for h in (s, s - 1.0, a - 1.0, a))
     ends, g, G_prev, i = np.searchsorted(Q, np.concatenate((a - 1.0, c))), c.size, None, 0
     at, start = (), 0  # per r after the first, D's least integer point against the r before, and D there
-    for r in blocks(Q.size):
-        e, E = np.expm1(-r / Q[1:]), np.zeros((len(r), Q.size))
-        np.multiply(e, Q[1:], out=E[:, 1:])
-        # Q[1:] holds s where Q holds s - 1
-        y = (_columns(E, i_b) - _columns(E, i_s)) * before / r + -_columns(e, i_b) * (s / r) * xs
+    for r in blocks(Q.size):  # E: one buffer, the first and largest block's; e = expm1(-r/Q[1:]) is read in it first
+        E = (E if i else np.zeros((len(r), Q.size)))[: len(r)]
+        e = np.expm1(np.divide(-r, Q[1:], out=E[:, 1:]), out=E[:, 1:])
+        own = -_columns(e, i_b) * (s / r) * xs  # Q[1:] holds s where Q holds s - 1
+        np.multiply(e, Q[1:], out=e)
+        y = (_columns(E, i_b) - _columns(E, i_s)) * before / r + own
         G = E.take(ends, 1) / r  # -F at a - 1, then at c
         variation = _NONE
         if g:
@@ -413,7 +412,7 @@ def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed, blocks):
             np.minimum(low, least[block], out=low, where=(a - 1.0 <= at[block]) & (at[block] <= c))
             variation = (D[:, :g] - low) + (D[:, g:] - low)
         yield y, G[:, :g] - G[:, g:], (_columns(E, i_g) - _columns(E, i_a)) * P / r, a, variation
-        G_prev, i = G[-1:], i + len(r)
+        G_prev, i = G[-1:].copy(), i + len(r)  # a copy: a view would keep all of G alive through the next block
 
 
 def _positions(Q: np.ndarray, h: np.ndarray) -> np.ndarray | slice:
@@ -436,15 +435,15 @@ def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
     """
 
     def k(u):  # as u e^{-u} phi_2(u) below u = 1, where the direct form cancels
-        out = (-np.expm1(-u) - u * np.exp(-u)) / u
-        out[u < 1.0] = (u * np.exp(-u) * np.polyval(_PHI2, np.minimum(u, 1.0)))[u < 1.0]
+        out, low = (-np.expm1(-u) - u * np.exp(-u)) / u, u < 1.0
+        out[low] = (v := u[low]) * np.exp(-v) * np.polyval(_PHI2, v)
         return out
 
     r0, r1 = r_grid[:-1], r_grid[1:]
-    lo, hi = np.zeros(r0.size), np.full(r0.size, N + 1.0)  # D falls at lo, rises at hi
+    lo, hi, pairs = np.zeros(r0.size), np.full(r0.size, N + 1.0), np.stack((r1, r0))  # D falls at lo, rises at hi
     while np.any(hi - lo > 1.0):
         mid = np.maximum(np.floor((lo + hi) / 2.0), 1.0)
-        up = k(r1 / mid) >= k(r0 / mid)
+        up = np.greater_equal(*k(pairs / mid))  # k at r_i / mid and r_{i-1} / mid in one pass
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     h = np.stack((np.maximum(hi - 1.0, 1.0), np.minimum(hi, N)))
     D = np.expm1(-r0 / h) * h / r0 - np.expm1(-r1 / h) * h / r1  # as support_summaries forms it
@@ -527,9 +526,11 @@ def geometric_grid(start: float, factor: float, count: int, last: bool = False) 
         return np.where(np.isinf(power), lift * factor ** (k - a), start * power)
 
 
-def _vector_curve(r_grid: np.ndarray, summaries: Iterable[Summary], trunc_error) -> CesaroCurve:
-    """A vector curve from one ``Summary`` per grid point."""
-    table = np.fromiter(summaries, np.dtype((float, 5)), count=r_grid.size)
+def _vector_curve(r_grid: np.ndarray, blocks: Iterable[np.ndarray], trunc_error) -> CesaroCurve:
+    """A vector curve from (block, 5) arrays of summaries, as ``support_summaries`` yields them, in grid order."""
+    table, i = np.empty((r_grid.size, 5)), 0
+    for block in blocks:
+        table[i : i + len(block)], i = block, i + len(block)
     return CesaroCurve(r_grid, "vector", trunc_error, table[:, 0], steps=table[1:, 4], max_coordinate=table[:, 1],
                        max_index=table[:, 2].astype(int), f_value=table[:, 3])
 
@@ -557,14 +558,13 @@ def curve_cesaro_T(r_grid, x: Support) -> CesaroCurve:
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
     """The closed-form means of ``stream_cesaro_S``, summarised row by row."""
     r_grid = np.asarray(r_grid, dtype=float)
-    summaries, errors = [], []
-    scratch, prev = np.empty(x.dim), None
+    summaries, errors, scratch, prev = [], [], np.empty(x.dim), None
     for row, err in stream_cesaro_S(r_grid, x, T, tol):
         step = math.nan if prev is None else float(np.abs(row - prev).sum())
         summaries.append((*row_stats(row, scratch), step))
         errors.append(err)
         prev = row
-    return _vector_curve(r_grid, summaries, errors)
+    return _vector_curve(r_grid, [np.array(summaries)], errors)
 
 
 def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:

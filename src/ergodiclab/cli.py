@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invariant failure, 2 validation error, 3 I/O error.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -413,33 +412,44 @@ def _series_operator(cfg: ExperimentConfig, x: TruncatedVector, r: float) -> Pow
     return T
 
 
+def _joined(blocks, rows: int):
+    """The arrays of ``blocks`` in order, joined into arrays of at least ``rows`` rows but the last."""
+    held = []
+    for block in blocks:
+        held.append(block)
+        if sum(map(len, held)) >= rows:
+            yield np.concatenate(held)
+            held = []
+    if held:
+        yield np.concatenate(held)
+
+
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
-    """Trajectory of t -> subject(t) x over the configured t-grid, written CSV_BLOCK_ROWS points at a time."""
+    """Trajectory of t -> subject(t) x over the configured t-grid, written CSV_BLOCK_ROWS points at a time or more."""
     cfg.ensure_valid("simulate")
     ts = cfg.t_values()
     track = min(cfg.N, 16)
-    pieces = [ts[i : i + CSV_BLOCK_ROWS] for i in range(0, ts.size, CSV_BLOCK_ROWS)]
-    # per piece of the grid, a row per t: norm, largest |coordinate|, its index, f, then coordinates 1..track
+    # blocks of a row per t: norm, largest |coordinate|, its index, f, then (S alone) coordinates 1..track
     if cfg.subject == "S":
-        x, scratch = cfg.input_vector(), np.empty(cfg.N)
+        x, scratch, head = cfg.input_vector(), np.empty(cfg.N), None
         T = _series_operator(cfg, x, 1.0)
-        rows = ((*row_stats(y, scratch), *y[:track].tolist()) for y in stream_S(ts, x, T, cfg.quadrature_tol))
-        blocks = (np.array(list(itertools.islice(rows, t.size))) for t in pieces)
+        blocks = (np.array([(*row_stats(y, scratch), *y[:track])]) for y in stream_S(ts, x, T, cfg.quadrature_tol))
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
         head = trajectory_kernel(cfg.input_vector(track), perturbed)
-        summaries = support_summaries(cfg.support(), ts, perturbed, mean=False)
-        blocks = (np.column_stack((np.fromiter(itertools.islice(summaries, t.size), np.dtype((float, 5)), t.size)[:, :4],
-                                   head(t))) for t in pieces)
+        blocks = support_summaries(cfg.support(), ts, perturbed, mean=False)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]
     paths = [Path(cfg.out_dir) / "trajectory.csv", Path(cfg.out_dir) / "metadata.json"]
     with _published(paths[0]) as fh:
         fh.write(",".join(header) + "\n")
-        for t, block in zip(pieces, blocks):
+        start = 0
+        for block in _joined(blocks, CSV_BLOCK_ROWS):
+            t, start = ts[start : start + len(block)], start + len(block)
             norm, top, index, fval = block[:, :4].T
-            fh.write(csv_lines([t, norm, fval, top, index.astype(np.int64), *block[:, 4:].T]))
+            coords = block[:, 4:] if head is None else head(t)
+            fh.write(csv_lines([t, norm, fval, top, index.astype(np.int64), *coords.T]))
     _write(paths[1], _metadata(cfg))
     return paths
 

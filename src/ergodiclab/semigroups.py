@@ -99,12 +99,12 @@ class StructuredOperator:
         below = None if self.below is None else np.abs(self.below)
         return self if self.min_entry() >= 0.0 else StructuredOperator(np.abs(self.diag), below)
 
-    def dense(self) -> np.ndarray:
-        """The N x N matrix.  It takes O(N^2) memory, so use it at small N only."""
-        n = self.dim
+    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Columns start..stop-1 of the N x N matrix, all of them by default.  It takes O(N^2) memory at full width."""
+        n, stop = self.dim, self.dim if stop is None else stop
         below = np.zeros(n) if self.below is None else self.below
-        out = np.tril(np.broadcast_to(below[:, None], (n, n)), -1)
-        out[np.diag_indices(n)] = self.diag
+        out = np.tril(np.broadcast_to(below[:, None], (n, stop - start)), -1 - start)
+        out[np.arange(start, stop), np.arange(stop - start)] = self.diag[start:stop]
         return out
 
 

@@ -52,11 +52,13 @@ TD = "tests/test_diagnostics.py"
 TE = "tests/test_exp_semigroup.py"
 TS = "tests/test_streaming.py"
 TX = "tests/test_csvtext.py"
+TU = "tests/test_summaries.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
 # forked helper, the convergence verdict, the S series' target, the pairing's length guard, the
 # kernel criterion's null dimension, the NaN r guard, the config's support, the publication
-# of a CSV, the CSV writer's fast path and D's bisection in chunks were each first shown to catch
+# of a CSV, the CSV writer's fast path, D's bisection in chunks and the summaries' blocks were each
+# first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -85,8 +87,8 @@ RECORDED = [
            "ltol = 1.0 * ltol",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("simpson.left_plus_right_first", CESARO,
-           "accepted.append((lo[ok], left[ok], right[ok], delta[ok] / 15.0, err[ok]))",
-           "accepted.append((lo[ok], left[ok] + right[ok], 0.0 * right[ok], delta[ok] / 15.0, err[ok]))",
+           "np.stack((left[ok], right[ok], delta[ok] / 15.0), axis=1)",
+           "np.stack((left[ok] + right[ok], 0.0 * right[ok], delta[ok] / 15.0), axis=1)",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("certificate.by_subtraction", CESARO,
            "np.where(u < 1.0, low / 2.0 - low * low * np.polyval(_PHI2_TAIL, low), 1.0 + np.expm1(-high) / high)",
@@ -193,6 +195,17 @@ RECORDED = [
            "r_grid[max(i - 1, 0) : i + _D_POINTS]",
            "r_grid[i : i + _D_POINTS + 1]",
            (f"{TS}::test_D_bisection_in_chunks_keeps_the_bits_of_one_pass",)),
+    Mutant("summaries.nan_block_drops_its_prefix", CESARO,
+           "np.column_stack((norm, top, index, f, step))[:finite]",
+           "np.column_stack((norm, top, index, f, step))[:finite if finite == rows.size else 0]",
+           (f"{TU}::test_bad_point_in_a_later_block_raises_after_the_rows_before_it[curve]",
+            f"{TU}::test_bad_point_in_a_later_block_raises_after_the_rows_before_it[trajectory]")),
+    Mutant("summaries.first_step_from_its_own_block", CESARO,
+           "np.concatenate((y[:1] if prev is None else prev, y[:-1]))",
+           "np.concatenate((y[:1], y[:-1]))",
+           (f"{TU}::test_blocks_keep_the_bits_of_one_call_per_point[sparse-C_M]",
+            f"{TU}::test_blocks_keep_the_bits_of_one_call_per_point[sparse-C_T]",
+            f"{TU}::test_blocks_keep_the_bits_of_one_call_per_point[full-C_T]")),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry
@@ -240,7 +253,7 @@ _CHECK_EDITS = [
     ("check_spectrum", 2,
      "entries[np.tri(n, dtype=bool)] = 0.0", "entries[~np.tri(n, dtype=bool)] = 0.0"),
     ("check_matrix_B_consistency", 2,
-     "entries[:, k : k + 64] - images.T", "entries[:, k : k + 64] + images.T"),
+     "entries - images.T", "entries + images.T"),
     ("check_kernel_B", 2,
      "0.0 if semigroups.kernel_B(ctx.N) else 1.0", "1.0 if semigroups.kernel_B(ctx.N) else 0.0"),
     ("check_renorm_contractive", 2,

@@ -113,13 +113,16 @@ def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(cpus, subject):
 
 
 def poison(monkeypatch, name, at):
-    """Make the support rows of ``cesaro.<name>``, formed a block of grid points at a time, NaN from ``at`` on."""
+    """Make the support rows of ``cesaro.<name>``, formed a block of grid points at a time, NaN from grid value ``at``.
+
+    A value, not an index: ``cmd_simulate`` summarises its grid in pieces, each a grid of its own.
+    """
     real = getattr(cesaro, name)
 
     def rows(*args):
-        start = 0
+        start, grid = 0, args[6]
         for y, *rest in real(*args):
-            points = np.arange(start, start + len(y))[:, None]
+            points = grid[start : start + len(y), None]
             start += len(y)
             yield np.where(points >= at, np.nan, y), *rest
 
@@ -129,22 +132,24 @@ def poison(monkeypatch, name, at):
 def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(cpus, monkeypatch, tmp_path):
     x = TruncatedVector(np.eye(1, 32).ravel())
     rs = geometric_grid(0.5, 1.1, 20)
-    poison(monkeypatch, "_mean_rows", 15)
+    poison(monkeypatch, "_mean_rows", rs[15])
     first, split = serial_and_split(cpus, lambda: curve_cesaro_M(rs, support_of(x)))
     assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
 
     cfg = ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
-    poison(monkeypatch, "_trajectory_rows", 15)
+    poison(monkeypatch, "_trajectory_rows", 15.0)
     first, split = serial_and_split(cpus, lambda: cmd_simulate(cfg))
     assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
     assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_a_bad_point_in_a_later_csv_block_leaves_no_file(monkeypatch, tmp_path):
-    # the blocks before the bad point have gone out to a temporary sibling, which the error removes unpublished
+    # the blocks before the bad point have gone out to a temporary sibling, which the error removes unpublished;
+    # 16 nonzeros, each before a gap, give rows of 80 elements: blocks of _BLOCK_ELEMENTS // 80 points, two CSV blocks
     count = 2 * cesaro.CSV_BLOCK_ROWS + 5
-    cfg = ExperimentConfig(subject="T", N=64, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 40.0, count), out_dir=str(tmp_path))
-    poison(monkeypatch, "_trajectory_rows", count - 1)
+    cfg = ExperimentConfig(subject="T", N=64, vector=tuple((k, 1.0) for k in range(1, 65, 4)), r_grid=(0.5, 2.0, 2),
+                           t_grid=(0.0, 40.0, count), out_dir=str(tmp_path))
+    poison(monkeypatch, "_trajectory_rows", 40.0)
     with pytest.raises(ValueError, match="coords must be finite"):
         cmd_simulate(cfg)
     assert list(tmp_path.iterdir()) == []

@@ -135,10 +135,10 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def memory_peaks(count):
+def memory_peaks(count, N=N_MEM):
     # tracemalloc peaks in bytes of the M and T curves and trajectories on NNZ nonzeros
     index = np.arange(8.0, N_MEM, 1093.0)[:NNZ]
-    x = Support(N_MEM, index, np.resize([0.5, -0.25, 0.125], NNZ))
+    x = Support(N, index, np.resize([0.5, -0.25, 0.125], NNZ))
     rs = geometric_grid(1.0, 2048.0 ** (1.0 / (count - 1)), count)
     ts = np.linspace(0.0, 100.0, count)
     runs = {
@@ -151,18 +151,22 @@ def memory_peaks(count):
 
 
 def test_curve_and_trajectory_memory_do_not_grow_with_the_grid():
-    # no array has N entries: a block of grid points holds (block, width) arrays of at most
-    # _BLOCK_ELEMENTS doubles, ten of them at most at once, and the support's arrays a few dozen
-    # doubles per nonzero; an N-vector alone (512 kB) would pass the limit
+    # a block of grid points holds (block, width) arrays of at most _BLOCK_ELEMENTS doubles, ten
+    # of them at most at once, and the support's arrays a few dozen doubles per nonzero
     limit = 10 * cesaro._BLOCK_ELEMENTS * 8 + 64 * NNZ * 8
     memory_peaks(50)  # the first run pays for lazy imports
-    small, large = memory_peaks(50), memory_peaks(500)
+    # the two blocks alive at once are full from about 410 points on: the narrowest, NNZ wide, hold 204 points
+    small, large = memory_peaks(1000), memory_peaks(1450)
     for name in small:
         assert small[name] < limit and large[name] < limit, name
     # what may grow is a curve's table of five summaries per row and its trunc_error, 8 bytes
     # each and held twice while the curve is built, or the summaries a trajectory's caller keeps
     for name in small:
         assert large[name] - small[name] <= 2 * 6 * 450 * 8 + 4096, name
+    # no array has N entries: at N = 2^22 an N-vector is 32 MB, and the peaks stay those at N = 65536
+    wide = memory_peaks(1000, N=2**22)
+    for name in small:
+        assert abs(wide[name] - small[name]) <= 4096, name
 
 
 def test_D_bisection_memory_does_not_grow_with_the_grid(monkeypatch):
@@ -182,14 +186,14 @@ def test_D_bisection_memory_does_not_grow_with_the_grid(monkeypatch):
 
 
 def test_D_bisection_in_chunks_keeps_the_bits_of_one_pass(monkeypatch):
-    # chunks of 1000 points end inside blocks of 22 points, and each chunk but the first starts on the pair before it
+    # chunks of 1000 points end inside blocks of 67 points, and each chunk but the first starts on the pair before it
     index = np.arange(8.0, N_MEM, 1093.0)[:NNZ]
     x = Support(N_MEM, index, np.resize([0.5, -0.25, 0.125], NNZ))
     rs = geometric_grid(1.0, 2048.0 ** (1.0 / 4999), 5000)
     table = {}
     for points in (1000, rs.size):
         monkeypatch.setattr(cesaro, "_D_POINTS", points)
-        table[points] = np.array(list(support_summaries(x, rs, perturbed=True, mean=True)))
+        table[points] = np.concatenate([*support_summaries(x, rs, perturbed=True, mean=True)])
     assert table[1000].tobytes() == table[rs.size].tobytes()
 
 

@@ -8,7 +8,6 @@ index is the row's except at a tie within rounding.  Lemmas (a)-(c) of
 """
 
 import math
-import struct
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -47,6 +46,18 @@ def full_rows(x, grid, mean, perturbed):
         yield row.copy()
 
 
+def table(x, grid, perturbed, mean):
+    """The summaries of every grid point as one (points, 5) array, joined from C-ordered (block, 5) arrays."""
+    blocks = [*support_summaries(x, grid, perturbed, mean)]
+    assert all(block.shape[1:] == (5,) and block.flags.c_contiguous for block in blocks)
+    return np.concatenate(blocks) if blocks else np.empty((0, 5))
+
+
+def summary_rows(x, grid, perturbed, mean):
+    """The summaries of every grid point, one (norm, top, index, f, step) tuple each."""
+    return [(norm, top, int(index), f, step) for norm, top, index, f, step in table(x, grid, perturbed, mean).tolist()]
+
+
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("n", NS)
@@ -56,7 +67,7 @@ def test_summaries_pin_the_full_rows(n, case, kind):
     scale = norm_l1(x)
     grid = RS if mean else TS
     scratch, prev, ties = np.empty(n), None, []
-    summaries = support_summaries(support_of(x), grid, perturbed, mean)
+    summaries = summary_rows(support_of(x), grid, perturbed, mean)
     for row, (norm, top, index, fval, step) in zip(full_rows(x, grid, mean, perturbed), summaries, strict=True):
         want_norm, want_top, want_index, want_f = row_stats(row, scratch)
         assert abs(norm - want_norm) <= PIN * want_norm
@@ -75,7 +86,7 @@ def test_summaries_pin_the_full_rows(n, case, kind):
 
 def test_zero_vector_reads_max_zero_at_index_one():
     for mean, perturbed in KINDS:
-        for summary in support_summaries(support_of(TruncatedVector(np.zeros(5))), RS if mean else TS, perturbed, mean):
+        for summary in summary_rows(support_of(TruncatedVector(np.zeros(5))), RS if mean else TS, perturbed, mean):
             assert summary[:4] == (0.0, 0.0, 1, 0.0)
 
 
@@ -96,7 +107,7 @@ def test_bad_grid_points_raise(perturbed):
 
 BLOCK_CASES = {
     "sparse": lambda: signed_with_gaps(257).coords,
-    "full": lambda: np.random.default_rng(2).uniform(-1.0, 1.0, 4097),  # wider than a block's element budget
+    "full": lambda: np.random.default_rng(2).uniform(-1.0, 1.0, cesaro._BLOCK_ELEMENTS + 1),  # wider than a block
 }
 
 
@@ -118,48 +129,69 @@ def block_sizes(monkeypatch):
     return sizes
 
 
-def bits(summary):
-    return struct.pack("<ddqd", *summary[:4]), struct.pack("<d", summary[4])
+def long_grid(mean):
+    return geometric_grid(0.05, 1.02, 1000) if mean else np.linspace(0.0, 300.0, 1000)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
 def test_blocks_keep_the_bits_of_one_call_per_point(monkeypatch, block_sizes, case, kind):
+    # the chosen budget, one point per block and the whole grid in one block give every row the same bits
     mean, perturbed = kind
     x = support_of(TruncatedVector(BLOCK_CASES[case]()))
-    longest = geometric_grid(0.05, 1.3, 70) if mean else np.linspace(0.0, 300.0, 70)
-    list(support_summaries(x, longest, perturbed, mean))
+    longest = long_grid(mean)
+    table(x, longest, perturbed, mean)
     K = block_sizes[0]
-    assert (K == 1) == (case == "full")
+    assert (K == 1) == (case == "full") and 2 * K + 1 <= longest.size
     for count in (K - 1, K, K + 1, 2 * K + 1):
         grid = longest[:count]
         block_sizes.clear()
-        blocked = [bits(s) for s in support_summaries(x, grid, perturbed, mean)]
+        blocked = table(x, grid, perturbed, mean)
         assert block_sizes == [K] * (count // K) + [count % K] * (count % K > 0)
-        for point, (head, _) in zip(grid, blocked, strict=True):
-            (alone,) = support_summaries(x, [point], perturbed, mean)
-            assert head == bits(alone)[0]
-        # steps against one block for the whole grid
-        with monkeypatch.context() as m:
-            m.setattr(cesaro, "_BLOCK_ROWS", count)
-            m.setattr(cesaro, "_BLOCK_ELEMENTS", 10**9)
-            block_sizes.clear()
-            whole = [bits(s) for s in support_summaries(x, grid, perturbed, mean)]
-            assert block_sizes == [count] * (count > 0)
-        assert blocked == whole
+        for point, row in zip(grid, blocked, strict=True):
+            assert row[:4].tobytes() == table(x, [point], perturbed, mean)[0, :4].tobytes()
+        for budget, sizes in ((1, [1] * count), (10**9, [count] * (count > 0))):
+            with monkeypatch.context() as m:
+                m.setattr(cesaro, "_BLOCK_ELEMENTS", budget)
+                block_sizes.clear()
+                other = table(x, grid, perturbed, mean)
+                assert block_sizes == sizes
+            assert blocked.tobytes() == other.tobytes(), budget
+
+
+def rows_then_error(blocks):
+    """How many rows ``blocks`` hands over before its ValueError, and the error's message."""
+    count = 0
+    with pytest.raises(ValueError) as info:
+        for block in blocks:
+            count += len(block)
+    return count, str(info.value)
 
 
 @pytest.mark.parametrize("mean", [True, False], ids=["curve", "trajectory"])
-def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(mean):
+def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(monkeypatch, block_sizes, mean):
     x = support_of(signed_with_gaps(64))
-    grid = geometric_grid(0.05, 1.1, 3 * cesaro._BLOCK_ROWS) if mean else np.linspace(0.0, 40.0, 3 * cesaro._BLOCK_ROWS)
-    bad = cesaro._BLOCK_ROWS + 5
+    grid = long_grid(mean)
+    table(x, grid, perturbed=True, mean=mean)
+    bad = block_sizes[0] + 5  # in the second block
+    assert block_sizes[1] > 6
     grid[bad], grid[bad + 1] = -2.0, -1.0
-    rows = support_summaries(x, grid, perturbed=True, mean=mean)
-    assert len([row for _, row in zip(range(bad), rows)]) == bad
     message = "averaging length r must be > 0, got -2.0" if mean else "time t must be >= 0, got -2.0"
-    with pytest.raises(ValueError, match=message):
-        next(rows)
+    assert rows_then_error(support_summaries(x, grid, perturbed=True, mean=mean)) == (bad, message)
+    # a NaN row there instead: the rows before it in its block still go out
+    name = "_mean_rows" if mean else "_trajectory_rows"
+    real = getattr(cesaro, name)
+
+    def poisoned(*args):
+        start = 0
+        for y, *rest in real(*args):
+            y[np.arange(start, start + len(y)) == bad] = np.nan
+            start += len(y)
+            yield y, *rest
+
+    monkeypatch.setattr(cesaro, name, poisoned)
+    got = rows_then_error(support_summaries(x, long_grid(mean), perturbed=True, mean=mean))
+    assert got == (bad, "coords must be finite (no NaN/inf)")
 
 
 # --- lemmas (a)-(c), on sampled h up to 2**22, in 50-digit arithmetic ---
@@ -233,7 +265,7 @@ def test_T_curve_step_against_mpmath():
     r0, r1 = 60.0, 60.0 * 1.02
     (at,), _ = _D_minima(np.array([r0, r1]), float(n))
     assert 22 < at < 42 and not x.coords[22:41].any()  # D's minimum lies inside the gap 23..41
-    step = list(support_summaries(support_of(x), [r0, r1], perturbed=True, mean=True))[1][4]
+    step = summary_rows(support_of(x), [r0, r1], perturbed=True, mean=True)[1][4]
 
     def row(r):
         r = mpmath.mpf(r)
