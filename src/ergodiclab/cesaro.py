@@ -166,14 +166,14 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
         raise ValueError(f"need b > a, got [{a}, {b}]")
     if budget < 8:
         raise ValueError(f"budget too small to form any estimate, got {budget}")
-    # the pending intervals: ends and midpoints, the integrand there, Simpson estimates
-    lo, mid, hi = np.array([a]), np.array([0.5 * (a + b)]), np.array([b])
-    f_lo, f_mid, f_hi = _rows(f, np.concatenate([lo, mid, hi]))[:, None]
-    whole = _simpson(hi - lo, f_lo, f_mid, f_hi)
+    # the k pending intervals as rows lo, mid, hi of x; the integrand there, (3, k, n); their Simpson estimates
+    x = np.array([[a], [0.5 * (a + b)], [b]])
+    fx = _rows(f, x.ravel())[:, None]
+    whole = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
     evals, ltol, min_width = 3, tol, (b - a) * 1e-13
     accepted = []  # per level: the accepted intervals' left ends, their (left, right, defect / 15) terms, errors
-    while lo.size:
-        k = lo.size
+    while k := x.shape[1]:
+        ends, whole = fx.reshape(3, k, -1), whole.reshape(k, -1)  # the halves' left ends: ends[:2]; right: ends[1:]
         if evals + 2 * k > budget:
             # unrefined intervals carry no defect estimate; their l1 mass safely bounds what they may still move
             raise QuadratureError(
@@ -181,22 +181,23 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
                 best_estimate=_sum_accepted(accepted) + whole.sum(axis=0),
                 achieved_error=sum(float(e.sum()) for *_, e in accepted) + float(np.abs(whole).sum()),
             )
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        fresh = _rows(f, np.concatenate([lm, rm]))
+        # the halves, left ones then right ones, (lo, lm, mid) and (mid, rm, hi), as the rows of a (3, 2, k) array
+        halves = np.concatenate((x[:2], 0.5 * (x[:2] + x[1:]), x[1:])).reshape(3, 2, k)
+        fresh = _rows(f, halves[1].ravel()).reshape(2, k, -1)
         evals += 2 * k
-        left = _simpson(mid - lo, f_lo, fresh[:k], f_mid)
-        right = _simpson(hi - mid, f_mid, fresh[k:], f_hi)
-        delta = left + right - whole
-        err = np.abs(delta).sum(axis=1) / 15.0
-        ok = (err <= ltol) | ((hi - lo) < min_width)
-        accepted.append((lo[ok], np.stack((left[ok], right[ok], delta[ok] / 15.0), axis=1), err[ok]))
-        # the next level: the left halves of the refined intervals, then their right halves
-        go = ~ok
-        lo, mid, hi, f_lo, f_hi, whole = (
-            np.concatenate([first[go], second[go]])
-            for first, second in ((lo, mid), (lm, rm), (mid, hi), (f_lo, f_mid), (f_mid, f_hi), (left, right))
-        )
-        f_mid = fresh[np.concatenate([go, go])]
+        parts = fresh * 4.0  # f_lo + 4 f_mid + f_hi, then times width / 6, in place
+        parts += ends[:2]
+        parts += ends[1:]
+        parts *= ((halves[2] - halves[0]) / 6.0)[..., None]
+        delta = parts[0] + parts[1]
+        delta -= whole
+        err = np.add.reduce(np.abs(delta, out=whole), axis=1) / 15.0
+        ok = (err <= ltol) | ((x[2] - x[0]) < min_width)
+        kept, refined = ok.nonzero()[0], (~ok).nonzero()[0]
+        accepted.append((x[0, kept], np.concatenate((parts, delta[None] / 15.0)).take(kept, 1), err[kept]))
+        # the next level: the refined intervals' left halves, then their right halves
+        x = halves.take(refined, 2).reshape(3, -1)
+        whole, fx = (v.take(refined, 1) for v in (parts, np.concatenate((ends[:2], fresh, ends[1:]))))
         ltol = 0.5 * ltol
     return _sum_accepted(accepted)
 
@@ -209,17 +210,13 @@ def _rows(f: Integrand, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simpson(width: np.ndarray, f_lo: np.ndarray, f_mid: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
-    """Simpson's rule on a stack of intervals, one row per interval."""
-    return (width / 6.0)[:, None] * (f_lo + 4.0 * f_mid + f_hi)
-
-
 def _sum_accepted(accepted) -> np.ndarray:
     """The sum by descending left end, each interval adding left, right and defect / 15 in turn, bit for bit."""
     order = np.argsort(np.concatenate([level[0] for level in accepted]))[::-1]
     rank, terms, start = np.argsort(order), np.empty((3 * order.size, accepted[0][1].shape[2])), 0
-    for _, level, _ in accepted:  # each level's terms go straight to their rank: no copy of them all but this one
-        terms.reshape(-1, 3, terms.shape[1])[rank[start : (start := start + len(level))]] = level
+    for _, level, _ in accepted:  # each level's (3, count, n) terms go straight to their rank: no copy of them all
+        at = rank[start : (start := start + level.shape[1])]
+        terms.reshape(-1, 3, terms.shape[1])[at] = level.transpose(1, 0, 2)
     if terms.shape[1] == 1:  # numpy adds the rows of a (rows, n > 1) array in order, but one column pairwise
         return np.cumsum(np.concatenate([np.zeros((1, 1)), terms]), axis=0)[-1]
     return np.add.reduce(terms, axis=0, initial=0.0)

@@ -244,16 +244,19 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
     """
     h = _h(x.dim)
     coupled = perturbed and x.dim > 1
-    pairs, prefix = (h[1:] * (h[1:] - 1), np.cumsum(x.coords)[:-1]) if coupled else (None, None)
+    pairs, prefix = (h[1:] * h[:-1], np.cumsum(x.coords)[:-1]) if coupled else (None, None)  # h(h - 1), exactly
 
     def rows(t_grid: Iterable[float]) -> np.ndarray:
         t = np.array(t_grid, dtype=float, ndmin=1)[:, None]
-        if np.any(t < 0):
+        if (t < 0).any():
             raise ValueError(f"time t must be >= 0, got {t[t < 0][0]}")
-        decay = np.exp(-t / h)
-        out = decay * x.coords
+        decay = np.divide(-t, h)
+        np.exp(decay, out=decay)
+        coupling = b_from_decay(t, decay[:, 1:], pairs) if coupled else None
+        out = np.multiply(decay, x.coords, out=decay)  # in decay's place, once the coupling has read it
         if coupled:
-            out[:, 1:] += b_from_decay(t, decay[:, 1:], pairs) * prefix
+            coupling *= prefix
+            out[:, 1:] += coupling
         return out
 
     return rows
@@ -289,13 +292,18 @@ def adjoint_residual_vector(N: int) -> np.ndarray:
     """
     _h(N)  # checks the truncation
     k = np.arange(N - 1, 0, -1, dtype=float)  # N - 1 down to 1; k(k + 1) is exact below 2^53
-    sums, s, c = [], 0.0, 0.0
-    for term in (1.0 / (k * (k + 1.0))).tolist():
-        y = term - c
-        t = s + y
-        c, s = (t - s) - y, t
-        sums.append(s)
-    return np.append((np.array(sums) - 1.0 / k)[::-1], -1.0 / N)
+    sums = 1.0 / (k * (k + 1.0))  # the terms, overwritten by their running sums a block at a time
+    s = c = 0.0
+    for start in range(0, N - 1, 4096):  # Python floats for one block at a time, not for all N
+        block = []
+        for term in sums[start : start + 4096].tolist():
+            y = term - c
+            t = s + y
+            c, s = (t - s) - y, t
+            block.append(s)
+        sums[start : start + 4096] = block
+    sums -= 1.0 / k
+    return np.append(sums[::-1], -1.0 / N)
 
 
 def opnorm_l1(entries: np.ndarray) -> float:

@@ -46,6 +46,7 @@ DIAGNOSTICS = "src/ergodiclab/diagnostics.py"
 EXP = "src/ergodiclab/exp_semigroup.py"
 SPACE = "src/ergodiclab/space.py"
 CSVTEXT = "src/ergodiclab/csvtext.py"
+SEMIGROUPS = "src/ergodiclab/semigroups.py"
 TV = "tests/test_verification.py"
 TC = "tests/test_cesaro.py"
 TD = "tests/test_diagnostics.py"
@@ -53,12 +54,13 @@ TE = "tests/test_exp_semigroup.py"
 TS = "tests/test_streaming.py"
 TX = "tests/test_csvtext.py"
 TU = "tests/test_summaries.py"
+TG = "tests/test_semigroups.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
-# forked helper, the convergence verdict, the S series' target, the pairing's length guard, the
-# kernel criterion's null dimension, the NaN r guard, the config's support, the publication
-# of a CSV, the CSV writer's fast path, D's bisection in chunks and the summaries' blocks were each
-# first shown to catch
+# convergence verdict, the S series' target, the pairing's length guard, the kernel criterion's
+# null dimension, the NaN r guard, the config's support, the publication of a CSV, the CSV
+# writer's fast path, D's bisection in chunks, the summaries' blocks, the sum identities' skipped
+# blocks and the adjoint residual's blocks were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -75,8 +77,8 @@ RECORDED = [
            "np.cumsum(terms, axis=0)[-1]",
            (f"{TC}::test_simpson_budget_exhaustion_carries_payload",)),
     Mutant("simpson.one_call_per_node", CESARO,
-           "fresh = _rows(f, np.concatenate([lm, rm]))",
-           "fresh = np.concatenate([_rows(f, node[None]) for node in np.concatenate([lm, rm])])",
+           "fresh = _rows(f, halves[1].ravel()).reshape(2, k, -1)",
+           "fresh = np.concatenate([_rows(f, node[None]) for node in halves[1].ravel()]).reshape(2, k, -1)",
            (f"{TC}::test_oracle_calls_its_kernel_once_per_level_not_per_node",)),
     Mutant("simpson.budget_checked_after_the_fact", CESARO,
            "if evals + 2 * k > budget:",
@@ -87,8 +89,8 @@ RECORDED = [
            "ltol = 1.0 * ltol",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("simpson.left_plus_right_first", CESARO,
-           "np.stack((left[ok], right[ok], delta[ok] / 15.0), axis=1)",
-           "np.stack((left[ok] + right[ok], 0.0 * right[ok], delta[ok] / 15.0), axis=1)",
+           "terms.reshape(-1, 3, terms.shape[1])[at] = level.transpose(1, 0, 2)",
+           "terms.reshape(-1, 3, terms.shape[1])[at] = np.stack((level[0] + level[1], 0.0 * level[1], level[2]), 1)",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("certificate.by_subtraction", CESARO,
            "np.where(u < 1.0, low / 2.0 - low * low * np.polyval(_PHI2_TAIL, low), 1.0 + np.expm1(-high) / high)",
@@ -102,26 +104,6 @@ RECORDED = [
            "np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 2 * math.ulp(0.0))",
            "np.maximum(np.where(u < 1.0, 2.5, 4.5) * _EPS * value, 0.0)",
            (f"{TC}::test_T_certificate_never_understates_at_any_r_over_N",)),
-    Mutant("helper.no_reraise_of_its_error", VERIFICATION,
-           "        raise failure  # met by the helper alone\n",
-           "        pass\n",
-           (f"{TV}::test_a_check_that_raises_in_the_helper_alone_raises",)),
-    Mutant("helper.no_rerun_in_the_caller", VERIFICATION,
-           "results = [done[i] if i in done else CHECKS[i](ctx) for i in range(len(CHECKS))]",
-           "results = [done[i] for i in range(len(CHECKS))]",
-           (f"{TV}::test_a_helper_that_dies_loses_no_result",)),
-    Mutant("helper.not_reaped", VERIFICATION,
-           "        os.waitpid(helper, 0)\n",
-           "        pass\n",
-           (f"{TV}::test_results_keep_their_bits_on_one_and_two_cpus[257-healthy]",)),
-    Mutant("helper.results_in_completion_order", VERIFICATION,
-           "results = [done[i] if i in done else CHECKS[i](ctx) for i in range(len(CHECKS))]",
-           "results = list(done.values()) + [CHECKS[i](ctx) for i in range(len(CHECKS)) if i not in done]",
-           (f"{TV}::test_results_keep_their_bits_on_one_and_two_cpus[1024-healthy]",)),
-    Mutant("helper.not_killed", VERIFICATION,
-           "        os.kill(helper, 9)  # SIGKILL: the caller's own error ends the run\n",
-           "        pass\n",
-           (f"{TV}::test_an_error_in_the_caller_stops_the_helper",)),
     Mutant("verdict.rising_steps_decay", DIAGNOSTICS,
            "if slope >= 0:\n        return False",
            "if slope >= 0:\n        return True",
@@ -206,6 +188,14 @@ RECORDED = [
            (f"{TU}::test_blocks_keep_the_bits_of_one_call_per_point[sparse-C_M]",
             f"{TU}::test_blocks_keep_the_bits_of_one_call_per_point[sparse-C_T]",
             f"{TU}::test_blocks_keep_the_bits_of_one_call_per_point[full-C_T]")),
+    Mutant("sum_identities.block_skipped_by_its_least_bound", VERIFICATION,
+           "if bound[i:top].max() <= worst:",
+           "if bound[i:top].min() <= worst:",
+           (f"{TV}::test_sum_identities_skip_no_block_that_holds_the_largest_gap[700-1.0-1e-09]",)),
+    Mutant("adjoint.float_object_per_entry", SEMIGROUPS,
+           "for term in sums[start : start + 4096].tolist():",
+           "for term in sums.tolist()[start : start + 4096]:",
+           (f"{TG}::test_adjoint_residual_holds_a_few_arrays_not_a_float_object_per_entry",)),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry

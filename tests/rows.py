@@ -1,7 +1,9 @@
 """The vectors that the M/T row tests share, and the one-point rows that the grid kernels are pinned against."""
 
+import contextlib
 import io
 import json
+import os
 
 import numpy as np
 
@@ -28,6 +30,23 @@ def signed_with_gaps(n):
     if n >= 4:
         coords[2:4] = [-coords[0] - coords[1], -0.0]
     return TruncatedVector(coords)
+
+
+@contextlib.contextmanager
+def on_cpus(k):
+    """This process pinned to k of the CPUs it may use (all of them, if fewer) while the block runs.
+
+    Where the platform sets no affinity mask, the block runs as it is.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:k])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def support_of(x):

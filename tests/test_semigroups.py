@@ -3,6 +3,7 @@
 import io
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,6 +289,20 @@ def kahan_residual_reference(N):
 def test_adjoint_residual_keeps_the_bits_of_the_python_loop(n):
     res = adjoint_residual_vector(n)
     assert res.flags.c_contiguous and res.tobytes() == kahan_residual_reference(n).tobytes()
+
+
+def test_adjoint_residual_holds_a_few_arrays_not_a_float_object_per_entry():
+    # the Kahan loop reads Python floats a block at a time: the traced peak was 9.1 N-arrays of doubles
+    # while every term and every running sum was a list of floats, and is 3.1 with them a block at a time
+    n = 2**16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adjoint_residual_vector(n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n
 
 
 # --- matrix of B, kernel, spectrum ---

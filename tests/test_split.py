@@ -1,10 +1,8 @@
 """M/T kernels against the direct formulas, and curves and trajectories that keep their bits for any CPU count.
 
-No M/T code path reads the CPU count (``verification.run_all`` alone does, and
-``tests/test_verification.py`` pins its results): these tests pin that a curve, its CSV, its Cauchy
-verdict and the ``simulate`` CSV keep their bytes whatever ``os.sched_getaffinity``
-reports, and that an error late in a grid raises what a one-CPU run raises, on the
-calling thread.
+No M/T code path reads the CPU count: these tests pin that a curve, its CSV, its Cauchy verdict and
+the ``simulate`` CSV keep their bytes with the process pinned to 1, 2, 3 or 7 CPUs (as many as it
+may use), and that an error late in a grid raises the first bad point's error on the calling thread.
 """
 
 import threading
@@ -26,7 +24,9 @@ from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.diagnostics import cauchy_convergence_test
 from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
 from ergodiclab.space import TruncatedVector
-from rows import csv_text, one_point_mean, one_point_orbit, same_bits, simulate_csv, sparse_vector, support_of
+from rows import (
+    csv_text, on_cpus, one_point_mean, one_point_orbit, same_bits, simulate_csv, sparse_vector, support_of,
+)
 
 CURVES = {"M": curve_cesaro_M, "T": curve_cesaro_T}
 FIELDS = ("r_grid", "trunc_error", "values", "steps", "max_coordinate", "max_index", "f_value")
@@ -35,15 +35,15 @@ FIELDS = ("r_grid", "trunc_error", "values", "steps", "max_coordinate", "max_ind
 @pytest.mark.parametrize("count", [1, 2, 5, 13])
 @pytest.mark.parametrize("n", [1, 2, 257])
 @pytest.mark.parametrize("subject", sorted(CURVES))
-def test_curves_and_trajectories_keep_their_bytes_for_any_cpu_count(tmp_path, cpus, subject, n, count):
+def test_curves_and_trajectories_keep_their_bytes_for_any_cpu_count(tmp_path, subject, n, count):
     x = sparse_vector(n)
     rs = geometric_grid(0.5, 1.7, count)
     results = {}
     for k in (1, 2, 3, 7):
-        cpus(k)
-        curve = CURVES[subject](rs, support_of(x))
-        verdict = cauchy_convergence_test(curve, 1, 1e-2).to_json() if count >= 2 else None
-        results[k] = curve, csv_text(curve), verdict, simulate_csv(tmp_path / str(k), subject, x, count)
+        with on_cpus(k):
+            curve = CURVES[subject](rs, support_of(x))
+            verdict = cauchy_convergence_test(curve, 1, 1e-2).to_json() if count >= 2 else None
+            results[k] = curve, csv_text(curve), verdict, simulate_csv(tmp_path / str(k), subject, x, count)
     serial, csv, verdict, trajectory = results[1]
     for k in (2, 3, 7):
         curve = results[k][0]
@@ -91,25 +91,21 @@ def test_full_support_opnorm_equals_the_direct_formula():
     assert same_bits(curve_cesaro_M_opnorm(rs, 1024).values, want)
 
 
-def serial_and_split(cpus, run):
-    """The exception ``run`` raises on one CPU, then on seven; no thread may outlive the call."""
-    raised = []
+def raised(run):
+    """The type and message of what ``run`` raises; no thread may outlive the call."""
     before = threading.active_count()
-    for k in (1, 7):
-        cpus(k)
-        with pytest.raises(Exception) as info:
-            run()
-        raised.append((type(info.value), str(info.value)))
-        assert threading.active_count() == before
-    return raised
+    with pytest.raises(Exception) as info:
+        run()
+    assert threading.active_count() == before
+    return type(info.value), str(info.value)
 
 
 @pytest.mark.parametrize("subject", sorted(CURVES))
-def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(cpus, subject):
+def test_bad_r_in_a_later_piece_raises_as_in_a_serial_run(subject):
     rs = geometric_grid(0.5, 1.5, 20)
     rs[9], rs[15] = -2.0, -1.0  # two bad points past the start of the grid; a serial run meets -2.0
-    first, split = serial_and_split(cpus, lambda: CURVES[subject](rs, support_of(sparse_vector(64))))
-    assert first == split == (ValueError, "averaging length r must be > 0, got -2.0")
+    assert raised(lambda: CURVES[subject](rs, support_of(sparse_vector(64)))) == (
+        ValueError, "averaging length r must be > 0, got -2.0")
 
 
 def poison(monkeypatch, name, at):
@@ -129,17 +125,15 @@ def poison(monkeypatch, name, at):
     monkeypatch.setattr(cesaro, name, rows)
 
 
-def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(cpus, monkeypatch, tmp_path):
+def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(monkeypatch, tmp_path):
     x = TruncatedVector(np.eye(1, 32).ravel())
     rs = geometric_grid(0.5, 1.1, 20)
     poison(monkeypatch, "_mean_rows", rs[15])
-    first, split = serial_and_split(cpus, lambda: curve_cesaro_M(rs, support_of(x)))
-    assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
+    assert raised(lambda: curve_cesaro_M(rs, support_of(x))) == (ValueError, "coords must be finite (no NaN/inf)")
 
     cfg = ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
     poison(monkeypatch, "_trajectory_rows", 15.0)
-    first, split = serial_and_split(cpus, lambda: cmd_simulate(cfg))
-    assert first == split == (ValueError, "coords must be finite (no NaN/inf)")
+    assert raised(lambda: cmd_simulate(cfg)) == (ValueError, "coords must be finite (no NaN/inf)")
     assert not (tmp_path / "trajectory.csv").exists()
 
 

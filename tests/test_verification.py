@@ -3,15 +3,14 @@
 import ast
 import importlib
 import importlib.util
-import os
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ergodiclab import semigroups, space, verification
+from ergodiclab import coeffs, semigroups, space, verification
 from ergodiclab.space import TruncatedVector
+from rows import on_cpus
 
 
 def make_ctx(N, seed=3):
@@ -105,6 +104,33 @@ def test_spectrum_check_catches_an_entry_above_the_diagonal(monkeypatch, N):
     assert result.measured == 1e-6
 
 
+def sum_identities_over_every_pair():
+    """check_coeffs_sum_identities' value from all 499 500 pairs at each t, with no block skipped."""
+    n = np.arange(1, 1001, dtype=float)
+    worst = 0.0
+    for t in (0.0, 0.1, 1.0, 10.0, 100.0):
+        cum, expn = np.cumsum(coeffs.b_row(t, 1000)), np.exp(-t / n)
+        gap = np.abs(np.subtract.outer(cum, cum) - np.subtract.outer(expn, expn)) / n[:, None]
+        worst = max(worst, float(gap[np.tri(1000, k=-1, dtype=bool)].max()))
+    return worst
+
+
+@pytest.mark.parametrize("at, t, scale", [(None, 0.0, 0.0), (2, 0.1, 1e-15), (40, 10.0, 1e-12), (700, 1.0, 1e-9),
+                                          (999, 100.0, 1e-14), (1000, 0.0, 1e-3)])
+def test_sum_identities_skip_no_block_that_holds_the_largest_gap(monkeypatch, at, t, scale):
+    # b(at, t) moved by scale grows the gaps of every n >= at, in blocks that the bound must not skip
+    row = coeffs.b_row
+
+    def moved(t_, n_max):
+        out = row(t_, n_max)
+        if t_ == t and at is not None:
+            out[at - 1] += scale
+        return out
+
+    monkeypatch.setattr(coeffs, "b_row", moved)
+    assert verification.check_coeffs_sum_identities(make_ctx(2)).measured == sum_identities_over_every_pair()
+
+
 # --- the whole registry: every invariant and its bound are written once, in CHECKS ---
 
 REGISTRY_N = [1, 2, 257, 1024]
@@ -151,7 +177,7 @@ def test_injected_corruption_fails_exactly_its_check(N):
     assert failed == ["semigroups.matrix_B_matches_apply", "cesaro.summaries_match_rows"]
 
 
-# --- the forked helper: results keep their bits, its errors raise, no child outlives a run (``cpus``) ---
+# --- the report keeps its bits whatever CPUs the process may use ---
 
 def as_hex(results):
     return [(r.name, r.passed, r.measured.hex(), r.bound.hex()) for r in results]
@@ -159,69 +185,12 @@ def as_hex(results):
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["healthy", "corrupt"])
 @pytest.mark.parametrize("N", REGISTRY_N)
-def test_results_keep_their_bits_on_one_and_two_cpus(cpus, N, corrupt):
+def test_results_keep_their_bits_on_one_and_two_cpus(N, corrupt):
     runs = []
     for k in (1, 2):
-        cpus(k)
-        runs.append(as_hex(verification.run_all(N, 7, inject_corruption=corrupt)))
+        with on_cpus(k):
+            runs.append(as_hex(verification.run_all(N, 7, inject_corruption=corrupt)))
     assert runs[0] == runs[1]
-
-
-def in_helper_only(monkeypatch, tmp_path, action, then_in_caller=lambda: None):
-    """Wrap every check: in the helper it runs ``action`` first; the caller waits until the helper has."""
-    caller, mark = os.getpid(), tmp_path / "helper-pulled"
-
-    def wrap(check):
-        def run(ctx):
-            if os.getpid() != caller:
-                mark.touch()
-                action()
-            deadline = time.monotonic() + 60.0
-            while not mark.exists() and time.monotonic() < deadline:  # so the helper pulls a check
-                time.sleep(0.001)
-            then_in_caller()
-            return check(ctx)
-        return run
-
-    monkeypatch.setattr(verification, "CHECKS", [wrap(check) for check in verification.CHECKS])
-
-
-def test_a_check_that_raises_in_the_helper_alone_raises(monkeypatch, tmp_path, cpus):
-    cpus(2)
-
-    def fail():
-        raise RuntimeError("raised in the helper")
-
-    in_helper_only(monkeypatch, tmp_path, fail)
-    with pytest.raises(RuntimeError, match="raised in the helper"):
-        verification.run_all(64, 7)
-
-
-def test_a_helper_that_dies_loses_no_result(monkeypatch, tmp_path, cpus):
-    cpus(1)
-    serial = as_hex(verification.run_all(64, 7))
-    cpus(2)
-    in_helper_only(monkeypatch, tmp_path, lambda: os._exit(3))
-    assert as_hex(verification.run_all(64, 7)) == serial
-
-
-def test_an_error_in_the_caller_stops_the_helper(monkeypatch, tmp_path, cpus):
-    cpus(2)
-    naps = []
-
-    def nap_once():  # the helper's first check takes 10 s, unless the helper is stopped
-        if not naps:
-            naps.append(True)
-            time.sleep(10.0)
-
-    def fail():
-        raise RuntimeError("raised in the caller")
-
-    in_helper_only(monkeypatch, tmp_path, nap_once, fail)
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="raised in the caller"):
-        verification.run_all(64, 7)
-    assert time.monotonic() - start < 5.0
 
 
 # --- the benchmark tracer's catalogue stays in step with the program ---
