@@ -9,9 +9,9 @@ integrands, one call per refinement level, serves only as the independent
 oracle for every closed form.
 
 Each mean is a grid kernel: ``means_kernel`` returns the means at every r
-as one (r, N) array, ``stream_cesaro_S`` yields them one r at a time; the
-per-point functions are the one-point case, and ||C_M(r)|| is a formula in
-r and N alone.  M and T curves and trajectories never form a row: ``support_summaries``
+as one (r, N) array, ``stream_cesaro_S`` yields them one (block, N) array
+per power sweep; the per-point functions are the one-point case, and
+||C_M(r)|| is a formula in r and N alone.  M and T curves and trajectories never form a row: ``support_summaries``
 reads each row's summaries off the ``Support`` of x in O(nnz) per grid point.
 """
 
@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .coeffs import integral_b_from_expm1
+from .coeffs import _EPS, _check_finite, _check_r, _check_t, integral_b_from_expm1
 from .csvtext import csv_lines
 from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window, series_blocks, series_target
-from .space import TruncatedVector, norm_l1, row_stats
+from .space import _BLOCK_ELEMENTS, TruncatedVector, norm_l1, row_stats
 
 __all__ = [
     "QuadratureError", "Support", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
@@ -36,10 +35,6 @@ __all__ = [
     "curve_cesaro_M", "curve_cesaro_T", "curve_cesaro_M_opnorm", "curve_cesaro_S", "geometric_grid",
 ]
 
-_EPS = sys.float_info.epsilon
-
-# a streamed mean is (C(r)x, its trunc_error)
-Rows = Iterator[tuple[np.ndarray, float]]
 # a grid integrand returns one row per node, as a (nodes, n) array
 Integrand = Callable[[np.ndarray], np.ndarray]
 # a CSV is written this many grid points at a time
@@ -64,15 +59,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.achieved_error = achieved_error
-
-
-def _check_r(r) -> np.ndarray:
-    """r, a number or an array, as a float array once every entry is > 0 (a NaN is not)."""
-    r = np.asarray(r, dtype=float)
-    bad = ~(r > 0)
-    if bad.any():
-        raise ValueError(f"averaging length r must be > 0, got {r[bad][0]}")
-    return r
 
 
 def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
@@ -233,20 +219,22 @@ def cesaro_quadrature(kernel: Integrand, r: float, tol: float) -> TruncatedVecto
     return TruncatedVector(total / r)
 
 
-def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Rows:
+def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Iterator[tuple]:
     """Closed-form means C_S(r)x = (1/r) sum_j P(Poisson(r) >= j+1) T^j x.
 
     Integrating S(s)x = sum_j P(Poisson(s) = j) T^j x over [0, r] term by
-    term gives these weights.  One power sweep serves a block of grid points
-    (``series_blocks``), up to the largest J that one of them needs: the
-    first J at which power_bound * ||x||_1 * (1/r) * sum_{j>J} P(X >= j+1),
-    plus the Poisson window's loss, is within ``tol``.  Each row's own bound
-    at the block's J is yielded as its trunc_error.  The powers are summed
-    into the block's rows by one product per chunk of BLOCK_ELEMENTS / N of them.
+    term gives these weights.  The grid is checked first.  A block of grid
+    points shares one power sweep (``series_blocks``), up to the largest J
+    that one of them needs: the first J at which power_bound * ||x||_1 *
+    (1/r) * sum_{j>J} P(X >= j+1), plus the Poisson window's loss, is within
+    ``tol``.  It goes out as (block, N) means and the (block,) trunc_errors,
+    each row's own bound at the block's J.  The powers are summed into the
+    means by one product per chunk of BLOCK_ELEMENTS / N of them.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size < 1:
         raise ValueError("r_grid must be a nonempty 1-d array")
+    r_grid = _check_finite(_check_r(r_grid), "averaging length r")
     norm = norm_l1(x)
     scale = T.power_bound * norm
 
@@ -257,7 +245,6 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
         return scale * (after + ((np.arange(u.size) + 2) / r + 1.0) * lost)
 
     def window(r):  # u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, with upper tails summed from the top
-        _check_r(r)
         L, p, lost = poisson_window(r, series_target(tol, T.power_bound, norm, r))
         upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
         u = np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r
@@ -281,13 +268,11 @@ def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: fl
             # r = 1, 2, ..., 4096, one BLAS thread, 2-CPU VM); stream_S keeps that order, which apply_S's bits need
             part = weights[:, start : start + len(stack)] @ stack
             means = part if start == 0 else np.add(means, part, out=means)
-        yield from zip(means, errors)
+        yield means, np.array(errors)
 
 
 # --- M and T rows summarised from the support of x ---
 
-# a block of grid points keeps its (block, width) arrays within this many elements, or is one point (sweep: README)
-_BLOCK_ELEMENTS = 12288
 # D's bisection runs over this many grid points at a time, about 89 bytes each
 _D_POINTS = 4096
 _NONE = np.empty((1, 0))
@@ -304,10 +289,10 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
     By lemmas (a)-(c) of the README its largest coordinate sits at floor((t + 1)/2) + {0, 1, 2}
     clamped into the gap, or at a for a mean, and its step is |P| (D(a-1) + D(c) - 2 min D) over
     the gap for D = F(., r_i) - F(., r_{i-1}).  O(nnz) work per grid point, and no N-vector.
-    A block of grid points is one numpy pass over (block, width) arrays, C-ordered and reduced row by
-    row, so every row keeps the bits of a one-point block; it goes out as a C-ordered (block, 5) array of
-    per-point l1 norm, largest |coordinate|, its 1-based index, coordinate sum f and l1 step from the point
-    before (nan at the first point and for trajectories).  Support coordinates and gap maxima keep the bits
+    The grid is checked first.  A block of points is one numpy pass over (block, width) arrays, C-ordered and
+    reduced row by row, so every row keeps the bits of a one-point block; it goes out as a C-ordered (block, 5)
+    array of per-point l1 norm, largest |coordinate|, its 1-based index, coordinate sum f and l1 step from the
+    point before (nan at the first point and for trajectories).  Support coordinates and gap maxima keep the bits
     of the full-row kernels; norms, f values and steps sum in another order.  Inf/NaN rows raise after those before.
     """
     s, xs = np.asarray(x.index, dtype=float), np.asarray(x.values, dtype=float)
@@ -316,13 +301,12 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
     ends = np.append(s[1:] - 1.0, float(x.N))
     gap = (s < ends) & perturbed
     a, c, P = s[gap] + 1.0, ends[gap], prefix[gap]
-    grid, size, prev = np.asarray(grid, dtype=float), np.abs(P), None
-    stop = int(np.argmax(np.append(~(grid > 0) if mean else grid < 0, True)))  # the first bad point, or the end
+    grid, size, prev = (_check_r if mean else _check_t)(np.asarray(grid, dtype=float)), np.abs(P), None
 
     def blocks(width: int) -> Iterator[np.ndarray]:
-        """The grid up to its first bad point, in columns of _BLOCK_ELEMENTS / width points."""
+        """The grid in columns of _BLOCK_ELEMENTS / width points."""
         rows = max(1, _BLOCK_ELEMENTS // max(width, 1))
-        return (grid[i : min(i + rows, stop), None] for i in range(0, stop, rows))
+        return (grid[i : i + rows, None] for i in range(0, grid.size, rows))
 
     def summaries(y, sums, tops, where, variation):
         nonlocal prev
@@ -349,11 +333,6 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
     # the rows' arrays live on while the next block forms (freed first, wide pages faulted in again); not their tuple
     formed = (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed, blocks)
     yield from itertools.chain.from_iterable(itertools.starmap(summaries, formed))
-    if stop < grid.size:  # the first bad point raises as a one-point call does
-        point = float(grid[stop])
-        if mean:
-            _check_r(point)
-        raise ValueError(f"time t must be >= 0, got {point}")
 
 
 def _dots(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -553,15 +532,17 @@ def curve_cesaro_T(r_grid, x: Support) -> CesaroCurve:
 
 
 def curve_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> CesaroCurve:
-    """The closed-form means of ``stream_cesaro_S``, summarised row by row."""
+    """The closed-form means of ``stream_cesaro_S``, summarised in the C-ordered passes of ``row_stats``; each step
+    is the l1 distance from the row before, across passes and sweeps (the first row's, from itself, is dropped)."""
     r_grid = np.asarray(r_grid, dtype=float)
-    summaries, errors, scratch, prev = [], [], np.empty(x.dim), None
-    for row, err in stream_cesaro_S(r_grid, x, T, tol):
-        step = math.nan if prev is None else float(np.abs(row - prev).sum())
-        summaries.append((*row_stats(row, scratch), step))
-        errors.append(err)
-        prev = row
-    return _vector_curve(r_grid, [np.array(summaries)], errors)
+    tables, errors, prev, size = [], [], None, max(1, _BLOCK_ELEMENTS // x.dim)
+    for means, error in stream_cesaro_S(r_grid, x, T, tol):
+        for part in (means[i : i + size] for i in range(0, len(means), size)):
+            change = part - np.concatenate((part[:1] if prev is None else prev, part[:-1]))
+            tables.append(np.column_stack((row_stats(part), np.add.reduce(np.abs(change, out=change), axis=1))))
+            prev = part[-1:].copy()  # a view would keep the whole block alive through the next sweep
+        errors.append(error)
+    return _vector_curve(r_grid, tables, np.concatenate(errors))
 
 
 def curve_cesaro_M_opnorm(r_grid, N: int) -> CesaroCurve:

@@ -412,28 +412,28 @@ def _series_operator(cfg: ExperimentConfig, x: TruncatedVector, r: float) -> Pow
     return T
 
 
-def _joined(blocks, rows: int):
-    """The arrays of ``blocks`` in order, joined into arrays of at least ``rows`` rows but the last."""
+def _regrouped(blocks, rows: int):
+    """The rows of the arrays ``blocks`` in order, as arrays of ``rows`` rows but the last."""
     held = []
     for block in blocks:
-        held.append(block)
-        if sum(map(len, held)) >= rows:
-            yield np.concatenate(held)
-            held = []
-    if held:
-        yield np.concatenate(held)
+        held = np.concatenate((held, block)) if len(held) else block
+        cut = len(held) - len(held) % rows
+        yield from (held[i : i + rows] for i in range(0, cut, rows))
+        held = held[cut:]
+    if len(held):
+        yield held
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
-    """Trajectory of t -> subject(t) x over the configured t-grid, written CSV_BLOCK_ROWS points at a time or more."""
+    """Trajectory of t -> subject(t) x over the configured t-grid, written CSV_BLOCK_ROWS points at a time."""
     cfg.ensure_valid("simulate")
     ts = cfg.t_values()
     track = min(cfg.N, 16)
     # blocks of a row per t: norm, largest |coordinate|, its index, f, then (S alone) coordinates 1..track
     if cfg.subject == "S":
-        x, scratch, head = cfg.input_vector(), np.empty(cfg.N), None
+        x, head = cfg.input_vector(), None
         T = _series_operator(cfg, x, 1.0)
-        blocks = (np.array([(*row_stats(y, scratch), *y[:track])]) for y in stream_S(ts, x, T, cfg.quadrature_tol))
+        blocks = (np.column_stack((row_stats(y), y[:, :track])) for y in stream_S(ts, x, T, cfg.quadrature_tol))
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
@@ -444,9 +444,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     paths = [Path(cfg.out_dir) / "trajectory.csv", Path(cfg.out_dir) / "metadata.json"]
     with _published(paths[0]) as fh:
         fh.write(",".join(header) + "\n")
-        start = 0
-        for block in _joined(blocks, CSV_BLOCK_ROWS):
-            t, start = ts[start : start + len(block)], start + len(block)
+        for k, block in enumerate(_regrouped(blocks, CSV_BLOCK_ROWS)):
+            t = ts[k * CSV_BLOCK_ROWS : k * CSV_BLOCK_ROWS + len(block)]
             norm, top, index, fval = block[:, :4].T
             coords = block[:, 4:] if head is None else head(t)
             fh.write(csv_lines([t, norm, fval, top, index.astype(np.int64), *coords.T]))

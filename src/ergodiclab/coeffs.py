@@ -23,6 +23,31 @@ __all__ = [
 ]
 
 
+def _check_t(t, name: str = "time t") -> np.ndarray:
+    """t, a number or an array, as a float array once every entry is >= 0 (a NaN is not)."""
+    t = np.asarray(t, dtype=float)
+    bad = ~(t >= 0)
+    if bad.any():
+        raise ValueError(f"{name} must be >= 0, got {t[bad][0]}")
+    return t
+
+
+def _check_r(r) -> np.ndarray:
+    """r, a number or an array, as a float array once every entry is > 0 (a NaN is not)."""
+    r = np.asarray(r, dtype=float)
+    bad = ~(r > 0)
+    if bad.any():
+        raise ValueError(f"averaging length r must be > 0, got {r[bad][0]}")
+    return r
+
+
+def _check_finite(grid: np.ndarray, name: str) -> np.ndarray:
+    """``grid`` once every point is finite: an S series at an infinite t or r would need infinitely many terms."""
+    if not np.isfinite(grid).all():
+        raise ValueError(f"{name} must be finite, got {grid[~np.isfinite(grid)][0]}")
+    return grid
+
+
 def b(n: int, t: float) -> float:
     """Coefficient b(n, t): exp(-t) for n=1, exp(-t/n) - exp(-t/(n-1)) for n>=2.
 
@@ -32,8 +57,7 @@ def b(n: int, t: float) -> float:
     """
     if n < 1:
         raise ValueError(f"index n must be >= 1, got {n}")
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
+    _check_t(t)
     if n == 1:
         return math.exp(-t)
     return math.exp(-t / n) * -math.expm1(-t / (n * (n - 1)))
@@ -49,8 +73,7 @@ def partial_sum_b(m: int, n: int, t: float) -> float:
         raise ValueError(f"lower index m must be >= 0, got {m}")
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
+    _check_t(t)
     if m == 0:
         lower = 1.0 if t == 0 else 0.0
     else:
@@ -70,8 +93,7 @@ def tail_sum_b(m: int, t: float) -> float:
     """
     if m < 1:
         raise ValueError(f"index m must be >= 1, got {m}")
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
+    _check_t(t)
     if t == 0:
         return 0.0
     value = -math.expm1(-t / m)
@@ -86,8 +108,7 @@ def integral_b(h: int, r: float) -> float:
     """
     if h < 1:
         raise ValueError(f"index h must be >= 1, got {h}")
-    if r < 0:
-        raise ValueError(f"upper limit r must be >= 0, got {r}")
+    _check_t(r, "upper limit r")
     if h == 1:
         return -math.expm1(-r)
     return (h - 1) * math.expm1(-r / (h - 1)) - h * math.expm1(-r / h)
@@ -97,8 +118,7 @@ def b_row(t: float, n_max: int) -> np.ndarray:
     """Vectorized b(n, t) for n = 1..n_max (0-based entry n-1)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
+    _check_t(t)
     n = np.arange(2, n_max + 1, dtype=float)
     return np.concatenate(([math.exp(-t)], b_from_decay(t, np.exp(-t / n), n * (n - 1))))
 
@@ -107,8 +127,7 @@ def integral_b_row(r: float, n_max: int) -> np.ndarray:
     """Vectorized integral_b(h, r) for h = 1..n_max."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if r < 0:
-        raise ValueError(f"upper limit r must be >= 0, got {r}")
+    _check_t(r, "upper limit r")
     h = np.arange(1, n_max + 1, dtype=float)
     return np.concatenate(([-math.expm1(-r)], integral_b_from_expm1(h, np.expm1(-r / h))))
 

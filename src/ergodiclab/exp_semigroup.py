@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .coeffs import _EPS, _check_finite, _check_t
 from .semigroups import SparseOperator, StructuredOperator
 from .space import TruncatedVector, norm_l1
 
@@ -34,7 +35,6 @@ __all__ = [
 ]
 
 _MAX_SERIES_TERMS = 100_000
-_EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min  # smallest normal double
 _LOG_TINY = math.log(_TINY)
 # a block of grid points holds at most this many elements: its N-vector rows plus their series weights
@@ -203,9 +203,10 @@ def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperato
     Each series stops at the first J whose dropped weight P(Poisson(t) > J),
     multiplied by power_bound * ||x||_1, is within ``tol``; that weight is
     summed from the top of the Poisson window, so it has no rounding floor.
-    One power sweep serves a block of grid points (``series_blocks``): row i
-    adds p_i(j) T^j x in increasing j, with p_i(j) = 0 outside L_i..J_i, so
-    every row keeps the bits of a one-point grid.
+    The grid is checked first.  A block of grid points shares one power sweep
+    (``series_blocks``) and goes out as one (block, N) array: row i adds
+    p_i(j) T^j x in increasing j, with p_i(j) = 0 outside L_i..J_i, so every
+    row keeps the bits of a one-point grid.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -213,10 +214,9 @@ def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperato
         raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
     norm = norm_l1(x)
     scale, target = T.power_bound * norm, series_target(tol, T.power_bound, norm)
+    t_grid = _check_finite(_check_t(np.array(t_grid, dtype=float, ndmin=1)), "time t")
 
     def window(t):
-        if t < 0:
-            raise ValueError(f"time t must be >= 0, got {t}")
         L, p, lost = poisson_window(t, target)
         # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
         after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
@@ -233,12 +233,12 @@ def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperato
         for j, v in enumerate(T.powers(x.coords, weights.shape[1] - 1)):
             # a row starts at +0 and so is never -0: the zero weights outside L_i..J_i leave its bits alone
             rows += weights[:, j, None] * v
-        yield from rows
+        yield rows
 
 
 def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> TruncatedVector:
     """S(t)x within ``tol`` in l1: ``stream_S`` on a one-point grid."""
-    return TruncatedVector(next(stream_S([t], x, T, tol)))
+    return TruncatedVector(next(stream_S([t], x, T, tol))[0])
 
 
 def semigroup_defect_S(t: float, s: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> float:

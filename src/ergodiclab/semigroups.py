@@ -29,7 +29,7 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .coeffs import b_from_decay, b_row
+from .coeffs import _check_t, b_from_decay, b_row
 from .space import TruncatedVector
 
 __all__ = [
@@ -186,8 +186,7 @@ def _h(N: int) -> np.ndarray:
 
 def matrix_M(t: float, N: int) -> StructuredOperator:
     """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h)."""
-    if t < 0:
-        raise ValueError(f"time t must be >= 0, got {t}")
+    _check_t(t)
     return StructuredOperator(np.exp(-t / _h(N)))
 
 
@@ -247,9 +246,7 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
     pairs, prefix = (h[1:] * h[:-1], np.cumsum(x.coords)[:-1]) if coupled else (None, None)  # h(h - 1), exactly
 
     def rows(t_grid: Iterable[float]) -> np.ndarray:
-        t = np.array(t_grid, dtype=float, ndmin=1)[:, None]
-        if (t < 0).any():
-            raise ValueError(f"time t must be >= 0, got {t[t < 0][0]}")
+        t = _check_t(np.array(t_grid, dtype=float, ndmin=1))[:, None]
         decay = np.divide(-t, h)
         np.exp(decay, out=decay)
         coupling = b_from_decay(t, decay[:, 1:], pairs) if coupled else None

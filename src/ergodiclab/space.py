@@ -8,7 +8,6 @@ and every vector is immutable once constructed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,9 @@ import numpy as np
 __all__ = [
     "TruncatedVector", "basis_vector", "project_Q", "project_P", "norm_l1", "pair", "row_stats",
 ]
+
+# a pass over a block of rows, M/T summaries (sweep: README) or S rows, keeps its arrays within this, or is one row
+_BLOCK_ELEMENTS = 12288
 
 
 @dataclass(frozen=True)
@@ -95,19 +97,22 @@ def norm_l1(x: TruncatedVector) -> float:
     return float(np.abs(x.coords).sum())
 
 
-def row_stats(coords: np.ndarray, scratch: np.ndarray) -> tuple[float, float, int, float]:
-    """l1 norm, largest |coordinate|, its 1-based index and coordinate sum of a row.
+def row_stats(rows: np.ndarray) -> np.ndarray:
+    """l1 norm, largest |coordinate|, its 1-based index and coordinate sum of each row of a (k, N) block, as (k, 4).
 
-    One |.| pass into ``scratch`` (same length) serves the first three, so
-    streamed rows need no vector object.  Rejects a NaN or inf coordinate
-    as ``TruncatedVector`` does: the max of |coords| is finite iff all are.
+    Each pass takes a C-ordered run of rows within _BLOCK_ELEMENTS elements, or one row, and reduces
+    along its rows, so every row keeps the bits of its own 1-d reductions.  Rejects a NaN or inf
+    coordinate as ``TruncatedVector`` does: the max of |coords| is finite iff all are.
     """
-    np.abs(coords, out=scratch)
-    k = int(scratch.argmax())
-    top = float(scratch[k])
-    if not math.isfinite(top):
+    out, size = np.empty((len(rows), 4)), max(1, _BLOCK_ELEMENTS // rows.shape[1])
+    for i in range(0, len(rows), size):
+        part = rows[i : i + size]
+        at = (magnitude := np.abs(part)).argmax(axis=1)
+        out[i : i + size] = np.column_stack((np.add.reduce(magnitude, axis=1), magnitude[np.arange(len(part)), at],
+                                             at + 1, np.add.reduce(part, axis=1)))
+    if not np.isfinite(out[:, 1]).all():
         raise ValueError("coords must be finite (no NaN/inf)")
-    return float(scratch.sum()), top, k + 1, float(coords.sum())
+    return out
 
 
 def pair(f: np.ndarray, x: TruncatedVector) -> float:

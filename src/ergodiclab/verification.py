@@ -343,9 +343,8 @@ def check_fixed_vector_transfer(ctx) -> CheckResult:
     T = exp_semigroup.PowerBoundedOperator.from_matrix(matrix, horizon=32)
     fixed = basis_vector(1, dim)
     tol = ctx.quadrature_tol
-    worst = 0.0
-    for t in (0.2, 1.0, 9.0):
-        worst = max(worst, norm_l1(exp_semigroup.apply_S(t, fixed, T, tol) - fixed))
+    rows = np.concatenate([*exp_semigroup.stream_S([0.2, 1.0, 9.0], fixed, T, tol)])
+    worst = float(np.add.reduce(np.abs(rows - fixed.coords), axis=1).max())
     return _result("exp.fixed_vector_transfer", worst, tol)
 
 
@@ -460,22 +459,21 @@ def check_summaries_match_rows(ctx) -> CheckResult:
     coords[on] = rng.uniform(0.5, 1.0, on.size) * rng.choice([-1.0, 1.0], on.size)
     for j in on[1:][np.diff(np.append(on, n))[1:] > 1][:1]:  # a support index after x_1 with a gap after it
         coords[j] = -np.cumsum(coords)[j - 1]
-    at, scale, scratch = np.flatnonzero(coords), float(np.abs(coords).sum()), np.empty(n)
+    at, scale = np.flatnonzero(coords), float(np.abs(coords).sum())
     x = cesaro.Support(n, at + 1.0, coords[at])
     seen = TruncatedVector(coords + np.eye(1, n, n - 1).ravel() * 1e-9 * scale if ctx.inject_corruption else coords)
     worst = 0.0
     for mean, grid in ((True, cesaro.geometric_grid(0.25, 2.0, 12)), (False, np.linspace(0.0, 2.0 * n, 12))):
         for perturbed in (False, True):
             rows = (cesaro.means_kernel if mean else semigroups.trajectory_kernel)(seen, perturbed)(grid)
-            prev = None
-            summaries = np.concatenate([*cesaro.support_summaries(x, grid, perturbed, mean)]).tolist()
-            for row, (norm, top, index, fval, step) in zip(rows, summaries):
-                want_norm, want_top, _, want_f = space.row_stats(row, scratch)
-                worst = max(worst, abs(norm - want_norm) / (want_norm or 1.0), abs(fval - want_f) / scale,
-                            max(abs(top - want_top), abs(abs(row[int(index) - 1]) - want_top)) / (want_top or 1.0))
-                if mean and prev is not None:
-                    worst = max(worst, abs(step - float(np.abs(row - prev).sum())) / scale)
-                prev = row
+            norm, top, index, fval, step = np.concatenate([*cesaro.support_summaries(x, grid, perturbed, mean)]).T
+            want = space.row_stats(rows)
+            unit, held = np.where(want == 0.0, 1.0, want), np.abs(rows[np.arange(len(rows)), index.astype(int) - 1])
+            gaps = [np.abs(norm - want[:, 0]) / unit[:, 0], np.abs(fval - want[:, 3]) / scale,
+                    np.maximum(np.abs(top - want[:, 1]), np.abs(held - want[:, 1])) / unit[:, 1]]
+            if mean:
+                gaps.append(np.abs(step[1:] - np.add.reduce(np.abs(rows[1:] - rows[:-1]), axis=1)) / scale)
+            worst = max(worst, *(float(gap.max()) for gap in gaps))
     return _result("cesaro.summaries_match_rows", worst, 1e-13)
 
 

@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 VERIFICATION = "src/ergodiclab/verification.py"
+COEFFS = "src/ergodiclab/coeffs.py"
 CESARO = "src/ergodiclab/cesaro.py"
 CLI = "src/ergodiclab/cli.py"
 DIAGNOSTICS = "src/ergodiclab/diagnostics.py"
@@ -55,12 +56,16 @@ TS = "tests/test_streaming.py"
 TX = "tests/test_csvtext.py"
 TU = "tests/test_summaries.py"
 TG = "tests/test_semigroups.py"
+TK = "tests/test_coeffs.py"
+TB = "tests/test_blocks.py"
+TM = "tests/test_matrix_free_S.py"
 
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
 # convergence verdict, the S series' target, the pairing's length guard, the kernel criterion's
-# null dimension, the NaN r guard, the config's support, the publication of a CSV, the CSV
-# writer's fast path, D's bisection in chunks, the summaries' blocks, the sum identities' skipped
-# blocks and the adjoint residual's blocks were each first shown to catch
+# null dimension, the NaN r and t guards, the grid checks, the row summaries of a block, the S
+# steps across sweeps, the config's support, the publication of a CSV, the CSV writer's fast
+# path, D's bisection in chunks, the summaries' blocks, the sum identities' skipped blocks and
+# the adjoint residual's blocks were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -135,10 +140,29 @@ RECORDED = [
            '"null_dim": nullity(op),',
            '"null_dim": 0,',
            (f"{TD}::test_kernel_criterion_zero_generator",)),
-    Mutant("r_guard.nan_passes", CESARO,
+    Mutant("r_guard.nan_passes", COEFFS,
            "bad = ~(r > 0)",
            "bad = r <= 0",
            (f"{TC}::test_opnorm_refuses_a_nonpositive_r[nan]",)),
+    Mutant("t_guard.nan_passes", COEFFS,
+           "~(t >= 0)",
+           "t < 0",
+           (f"{TK}::test_b_domain_errors", f"{TK}::test_partial_sum_domain_errors",
+            f"{TG}::test_M_rejects_negative_time")),
+    Mutant("grid_guard.first_point_only", COEFFS,
+           "    bad = ~(t >= 0)\n    if bad.any():",
+           "    bad = ~(t >= 0)\n    if bad.flat[0]:",
+           (f"{TB}::test_bad_grid_point_names_the_first[trajectory_kernel]",
+            f"{TU}::test_bad_point_in_a_later_block_raises_after_the_rows_before_it[trajectory]")),
+    Mutant("row_stats.sum_by_matvec", SPACE,
+           "at + 1, np.add.reduce(part, axis=1)))",
+           "at + 1, part @ np.ones(part.shape[1])))",
+           (f"{TS}::test_row_stats_keeps_the_bits_of_each_rows_own_reductions[1000]",
+            f"{TS}::test_row_stats_keeps_the_bits_of_each_rows_own_reductions[65536]")),
+    Mutant("S_steps.no_carry_across_sweeps", CESARO,
+           "change = part - np.concatenate((part[:1] if prev is None else prev, part[:-1]))",
+           "change = part - np.concatenate((part[:1], part[:-1]))",
+           (f"{TM}::test_S_curve_steps_carry_the_row_before_across_sweeps",)),
     Mutant("curve_T.no_subnormal_floor", CESARO,
            "error = error + np.maximum(2 * _EPS * error, 2 * math.ulp(0.0))",
            "error = error + np.maximum(2 * _EPS * error, 0.0)",

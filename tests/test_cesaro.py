@@ -394,7 +394,7 @@ def test_quadrature_of_constant_semigroup():
 
 def mean_S(r, x, T, tol):
     """C_S(r)x, the one row of stream_cesaro_S on a one-point grid."""
-    return TruncatedVector(next(stream_cesaro_S([r], x, T, tol))[0])
+    return TruncatedVector(next(stream_cesaro_S([r], x, T, tol))[0][0])
 
 
 def test_cesaro_S_identity():
@@ -453,7 +453,8 @@ def test_closed_form_S_matches_quadrature_oracle(case):
     x = TruncatedVector(np.random.default_rng(3).uniform(0.0, 1.0, T.dim))
     tol = 1e-10
     # the rows curve_cesaro_S reduces, one per radius
-    for r, (closed, _err) in zip(S_RADII, stream_cesaro_S(S_RADII, x, T, tol), strict=True):
+    means = np.concatenate([block for block, _err in stream_cesaro_S(S_RADII, x, T, tol)])
+    for r, closed in zip(S_RADII, means, strict=True):
         orbit = lambda nodes: np.array([apply_S(s, x, T, tol / 10.0).coords for s in nodes])
         oracle = cesaro_quadrature(orbit, r, tol)
         assert norm_l1(TruncatedVector(closed) - oracle) <= 1e-9

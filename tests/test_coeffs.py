@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ergodiclab.coeffs import b, b_row, integral_b, integral_b_row, partial_sum_b, tail_sum_b
+from ergodiclab.coeffs import b, b_row, integral_b, integral_b_from_expm1, integral_b_row, partial_sum_b, tail_sum_b
 
 
 def test_b_frozen_values():
@@ -24,6 +24,13 @@ def test_b_domain_errors():
         b(0, 1.0)
     with pytest.raises(ValueError):
         b(1, -0.1)
+    # a NaN time or upper limit is refused, not turned into a NaN value or certificate
+    for call in (lambda: b(1, math.nan), lambda: tail_sum_b(5, math.nan), lambda: b_row(math.nan, 4)):
+        with pytest.raises(ValueError, match="time t must be >= 0, got nan"):
+            call()
+    for call in (lambda: integral_b(2, math.nan), lambda: integral_b_row(math.nan, 4)):
+        with pytest.raises(ValueError, match="upper limit r must be >= 0, got nan"):
+            call()
 
 
 def test_b_matches_naive_difference():
@@ -51,6 +58,8 @@ def test_partial_sum_domain_errors():
         partial_sum_b(3, 3, 1.0)
     with pytest.raises(ValueError):
         partial_sum_b(4, 3, 1.0)
+    with pytest.raises(ValueError, match="time t must be >= 0, got nan"):
+        partial_sum_b(1, 3, math.nan)
 
 
 def test_partial_sum_matches_direct_summation():
@@ -130,4 +139,7 @@ def test_row_kernels_keep_the_bits_of_the_direct_forms(n):
     for r in (0.5, 1.0, 37.25, 4096.0, 60000.0):
         direct = (h - 1) * np.expm1(-r / (h - 1)) - h * np.expm1(-r / h)
         assert np.array_equal(integral_b_row(r, n)[1:], direct)
+        # and as the mean kernel forms it, from the expm1 pass its diagonal shares
+        shared = np.arange(1, n + 1, dtype=float)
+        assert np.array_equal(integral_b_from_expm1(shared, np.expm1(-r / shared)), direct)
         assert np.array_equal(b_row(r, n)[1:], np.exp(-r / h) * -np.expm1(-r / (h * (h - 1))))

@@ -232,6 +232,12 @@ def test_S_tolerance_validation(T1_64):
         apply_S(1.0, basis_vector(1, 64), T1_64, 0.0)
     with pytest.raises(ValueError):
         apply_S(-0.5, basis_vector(1, 64), T1_64, 1e-10)
+    # a non-finite point, after a good one, is named before any series runs
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"time t must be .*, got {bad}"):
+            next(stream_S([0.5, bad], basis_vector(1, 64), T1_64, 1e-10))
+        with pytest.raises(ValueError, match=f"averaging length r must be .*, got {bad}"):
+            next(stream_cesaro_S([0.5, bad], basis_vector(1, 64), T1_64, 1e-10))
 
 
 @pytest.mark.parametrize("call", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ergodiclab import exp_semigroup
-from ergodiclab.cesaro import stream_cesaro_S
+from ergodiclab.cesaro import curve_cesaro_S, geometric_grid, stream_cesaro_S
 from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, poisson_window, series_blocks, stream_S
 from ergodiclab.semigroups import SparseOperator, StructuredOperator, from_sparse_triples, matrix_T
@@ -61,24 +61,50 @@ def test_matrix_free_S_matches_the_dense_path(kind, n):
     x = np.random.default_rng(n).uniform(0.0, 1.0, n)
     tol = 1e-16 * x.sum()
     ts, rs = [0.0, 0.5, 3.0, 20.0], [0.5, 4.0, 32.0, 128.0]
-    for t, row in zip(ts, stream_S(ts, TruncatedVector(x), T, tol), strict=True):
+    for t, row in zip(ts, np.concatenate([*stream_S(ts, TruncatedVector(x), T, tol)]), strict=True):
         want = dense_S(t, x, matrix)
         assert np.abs(row - want).sum() <= 1e-13 * np.abs(want).sum(), t
-    for r, (row, _err) in zip(rs, stream_cesaro_S(rs, TruncatedVector(x), T, tol), strict=True):
+    means = np.concatenate([block for block, _err in stream_cesaro_S(rs, TruncatedVector(x), T, tol)])
+    for r, row in zip(rs, means, strict=True):
         want = dense_mean_S(r, x, matrix)
         assert np.abs(row - want).sum() <= 1e-13 * np.abs(want).sum(), r
 
 
 @pytest.mark.parametrize("budget", [1, 64, 2**20], ids=["one_point_blocks", "small_blocks", "one_block"])
-def test_stream_S_rows_keep_the_bits_of_apply_S(monkeypatch, budget):
+def test_stream_S_rows_keep_the_bits_of_apply_S(monkeypatch, tmp_path, budget):
     monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", budget)
     T = operator("file", 16)
     x = TruncatedVector(np.random.default_rng(1).uniform(-1.0, 1.0, 16))
     ts = np.linspace(0.0, 20.0, 21).tolist() + [800.0, 0.25]  # e^{-800} underflows; the grid need not increase
-    rows = list(stream_S(ts, x, T, 1e-10))
-    assert len(rows) == len(ts)
+    blocks = list(stream_S(ts, x, T, 1e-10))
+    assert all(block.shape[1:] == (16,) and block.flags.c_contiguous for block in blocks)
+    rows = np.concatenate(blocks)
+    assert len(rows) == len(ts) and (budget == 2**20) == (len(blocks) == 1)
     for t, row in zip(ts, rows):
         assert row.tobytes() == apply_S(t, x, T, 1e-10).coords.tobytes(), t
+    # simulate's summaries of a block keep the bits of the 1-d reductions of each apply_S row
+    (tmp_path / "W.txt").write_text(triples(16))
+    cfg = ExperimentConfig(subject="S", N=16, vector=tuple((k + 1, v) for k, v in enumerate(x.coords.tolist())),
+                           t_grid=(0.0, 20.0, 21), s_matrix=("file", str(tmp_path / "W.txt")),
+                           out_dir=str(tmp_path / "out"))
+    want = ["t,norm_l1,f_value,max_coordinate,max_index," + ",".join(f"coord_{j}" for j in range(1, 17))]
+    for t in cfg.t_values().tolist():
+        y = apply_S(t, x, T, cfg.quadrature_tol).coords  # cfg's matrix is T's file
+        a = np.abs(y)
+        cells = [t, a.sum(), y.sum(), a.max()]
+        want.append(",".join(["%.16e" % v for v in cells] + ["%d" % (a.argmax() + 1)] + ["%.16e" % v for v in y]))
+    assert cmd_simulate(cfg)[0].read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+def test_S_curve_steps_carry_the_row_before_across_sweeps(monkeypatch):
+    monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", 400)  # up to 9 points per sweep, one at the largest r
+    T, x = operator("timestep", 32), TruncatedVector(np.random.default_rng(5).uniform(-1.0, 1.0, 32))
+    rs = geometric_grid(0.5, 1.25, 20)
+    blocks = list(stream_cesaro_S(rs, x, T, 1e-10))
+    assert len(blocks) >= 3
+    rows = np.concatenate([means for means, _ in blocks])
+    steps = curve_cesaro_S(rs, x, T, 1e-10).steps
+    assert steps.tolist() == [np.abs(b - a).sum() for a, b in zip(rows, rows[1:])]
 
 
 @pytest.mark.parametrize("budget", [1, 300, 2**20])
@@ -94,9 +120,11 @@ def test_series_blocks_fit_the_element_budget(monkeypatch, budget):
 def test_mean_blocks_agree_with_one_block(monkeypatch):
     T, rs = operator("timestep", 64), [0.5, 4.0, 32.0, 64.0, 1.0]
     x = TruncatedVector(np.random.default_rng(4).uniform(-1.0, 1.0, 64))
-    whole = list(stream_cesaro_S(rs, x, T, 1e-10))
-    monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", 200)  # one point per block, three powers per product
-    for (row, err), (want, _) in zip(stream_cesaro_S(rs, x, T, 1e-10), whole, strict=True):
+    (whole, _), = stream_cesaro_S(rs, x, T, 1e-10)
+    monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", 200)  # a point or two per block, three powers per product
+    blocks = list(stream_cesaro_S(rs, x, T, 1e-10))
+    assert len(blocks) > 1
+    for row, err, want in zip(*(np.concatenate(part) for part in zip(*blocks)), whole, strict=True):
         assert np.abs(row - want).sum() <= 1e-9 and 0.0 <= err <= 1e-10
 
 

@@ -72,6 +72,11 @@ def test_M_contraction_toward_identity():
 def test_M_rejects_negative_time():
     with pytest.raises(ValueError):
         apply_M(-1e-9, basis_vector(1, 2))
+    # a NaN t is refused too, not turned into NaN entries (or a T whose power scan reads inf)
+    for call in (lambda: apply_M(math.nan, basis_vector(1, 2)), lambda: apply_T(math.nan, basis_vector(1, 2)),
+                 lambda: matrix_M(math.nan, 2), lambda: matrix_N(math.nan, 2), lambda: matrix_T(math.nan, 2)):
+        with pytest.raises(ValueError, match="time t must be >= 0, got nan"):
+            call()
 
 
 def test_A_on_basis_vectors():

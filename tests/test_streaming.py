@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ergodiclab import cesaro
+from ergodiclab import cesaro, space
 from ergodiclab.cesaro import (
     Support,
     cesaro_M,
@@ -20,7 +20,6 @@ from ergodiclab.cesaro import (
     support_summaries,
 )
 from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_cesaro, cmd_simulate, main
-from ergodiclab.coeffs import integral_b_row
 from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T
 from ergodiclab.space import TruncatedVector, norm_l1, pair, row_stats
 from rows import csv_text, signed_with_gaps, simulate_csv, sparse_vector, support_of
@@ -62,19 +61,6 @@ def test_curve_equals_per_point_means(subject, n):
     rows = zip(rs, curve.values, curve.trunc_error, curve.max_coordinate, curve.f_value, strict=True)
     for line, row in zip(lines, rows, strict=True):
         assert line == ",".join(f"{v:.16e}" for v in row)
-
-
-@pytest.mark.parametrize("n", [1, 2, 257])
-def test_means_keep_their_closed_forms(n):
-    # the expm1 pass shared by the diagonal and integral_b gives the bits of the direct forms
-    x = sparse_vector(n)
-    h = np.arange(1, n + 1, dtype=float)
-    for r in geometric_grid(0.5, 1.7, 12):
-        direct = (h / r) * -np.expm1(-r / h) * x.coords
-        assert np.array_equal(cesaro_M(r, x).coords, direct)
-        if n > 1:
-            direct[1:] += np.cumsum(x.coords)[:-1] * integral_b_row(r, n)[1:] / r
-        assert np.array_equal(cesaro_T(r, x).coords, direct)
 
 
 @pytest.mark.parametrize("n", [1, 2, 257])
@@ -227,9 +213,16 @@ def test_command_memory_grows_by_the_per_point_summaries_alone(tmp_path, command
     assert large - small <= per_point * 18000 + 64 * 1024, (small, large)
 
 
+@pytest.mark.parametrize("n", [1, 7, 1000, 65536])
+def test_row_stats_keeps_the_bits_of_each_rows_own_reductions(n):
+    # a block of rows goes through in passes of _BLOCK_ELEMENTS elements, or one row; here three passes or more
+    rows = np.random.default_rng(n).uniform(-1.0, 1.0, (max(3, 2 * space._BLOCK_ELEMENTS // n + 1), n))
+    want = [[np.abs(row).sum(), np.abs(row).max(), np.abs(row).argmax() + 1, row.sum()] for row in rows]
+    assert row_stats(rows).tolist() == want
+
+
 def test_row_stats_rejects_non_finite_rows():
-    scratch = np.empty(3)
-    assert row_stats(np.array([1.0, -3.0, 2.0]), scratch) == (6.0, 3.0, 2, 0.0)
+    assert row_stats(np.array([[1.0, -3.0, 2.0], [0.0, 0.0, 0.0]])).tolist() == [[6.0, 3.0, 2, 0.0], [0.0, 0.0, 1, 0.0]]
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            row_stats(np.array([1.0, bad, 2.0]), scratch)
+            row_stats(np.array([[1.0, 2.0, 3.0], [1.0, bad, 2.0]]))

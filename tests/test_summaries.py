@@ -66,10 +66,10 @@ def test_summaries_pin_the_full_rows(n, case, kind):
     x = TruncatedVector(CASES[case](n))
     scale = norm_l1(x)
     grid = RS if mean else TS
-    scratch, prev, ties = np.empty(n), None, []
+    prev, ties = None, []
     summaries = summary_rows(support_of(x), grid, perturbed, mean)
     for row, (norm, top, index, fval, step) in zip(full_rows(x, grid, mean, perturbed), summaries, strict=True):
-        want_norm, want_top, want_index, want_f = row_stats(row, scratch)
+        want_norm, want_top, want_index, want_f = row_stats(row[None])[0]
         assert abs(norm - want_norm) <= PIN * want_norm
         assert top == want_top
         if index != want_index:
@@ -177,7 +177,8 @@ def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(monkeypatch,
     assert block_sizes[1] > 6
     grid[bad], grid[bad + 1] = -2.0, -1.0
     message = "averaging length r must be > 0, got -2.0" if mean else "time t must be >= 0, got -2.0"
-    assert rows_then_error(support_summaries(x, grid, perturbed=True, mean=mean)) == (bad, message)
+    # the whole grid is checked first: a bad point raises before any row
+    assert rows_then_error(support_summaries(x, grid, perturbed=True, mean=mean)) == (0, message)
     # a NaN row there instead: the rows before it in its block still go out
     name = "_mean_rows" if mean else "_trajectory_rows"
     real = getattr(cesaro, name)
