@@ -4,13 +4,14 @@ Closed forms are the production path for all three semigroups: the
 diagonal decay semigroup has diagonal means, the perturbed one reduces
 to the coefficient antiderivatives, and the exponential semigroup of a
 power-bounded matrix integrates its uniformization series term by term
-into Poisson upper tails.  An adaptive Simpson quadrature over grid
+into Poisson upper tails (``exp_semigroup.stream_cesaro_S``, which shares
+the power sweeps of S(t)x).  An adaptive Simpson quadrature over grid
 integrands, one call per refinement level, serves only as the independent
 oracle for every closed form.
 
 Each mean is a grid kernel: ``means_kernel`` returns the means at every r
-as one (r, N) array, ``stream_cesaro_S`` yields them one (block, N) array
-per power sweep; the per-point functions are the one-point case, and
+as one (r, N) array, ``curve_cesaro_S`` reads the S means one power sweep
+at a time; the per-point functions are the one-point case, and
 ||C_M(r)|| is a formula in r and N alone.  M and T curves and trajectories never form a row: ``support_summaries``
 reads each row's summaries off the ``Support`` of x in O(nnz) per grid point.
 """
@@ -24,15 +25,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .coeffs import _EPS, _check_finite, _check_r, _check_t, integral_b_from_expm1
+from .coeffs import _EPS, _check_r, _check_t, integral_b_from_expm1
 from .csvtext import csv_lines
-from .exp_semigroup import BLOCK_ELEMENTS, PowerBoundedOperator, poisson_window, series_blocks, series_target
-from .space import _BLOCK_ELEMENTS, TruncatedVector, norm_l1, row_stats
+from .exp_semigroup import PowerBoundedOperator, stream_cesaro_S
+from .space import _BLOCK_ELEMENTS, TruncatedVector, row_stats
 
 __all__ = [
     "QuadratureError", "Support", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
-    "cesaro_quadrature", "adaptive_simpson", "means_kernel", "support_summaries", "stream_cesaro_S",
-    "curve_cesaro_M", "curve_cesaro_T", "curve_cesaro_M_opnorm", "curve_cesaro_S", "geometric_grid",
+    "cesaro_quadrature", "adaptive_simpson", "means_kernel", "support_summaries", "curve_cesaro_M", "curve_cesaro_T",
+    "curve_cesaro_M_opnorm", "curve_cesaro_S", "geometric_grid",
 ]
 
 # a grid integrand returns one row per node, as a (nodes, n) array
@@ -217,58 +218,6 @@ def cesaro_quadrature(kernel: Integrand, r: float, tol: float) -> TruncatedVecto
     _check_r(r)
     total = adaptive_simpson(kernel, 0.0, r, tol * r)
     return TruncatedVector(total / r)
-
-
-def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Iterator[tuple]:
-    """Closed-form means C_S(r)x = (1/r) sum_j P(Poisson(r) >= j+1) T^j x.
-
-    Integrating S(s)x = sum_j P(Poisson(s) = j) T^j x over [0, r] term by
-    term gives these weights.  The grid is checked first.  A block of grid
-    points shares one power sweep (``series_blocks``), up to the largest J
-    that one of them needs: the first J at which power_bound * ||x||_1 *
-    (1/r) * sum_{j>J} P(X >= j+1), plus the Poisson window's loss, is within
-    ``tol``.  It goes out as (block, N) means and the (block,) trunc_errors,
-    each row's own bound at the block's J.  The powers are summed into the
-    means by one product per chunk of BLOCK_ELEMENTS / N of them.
-    """
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size < 1:
-        raise ValueError("r_grid must be a nonempty 1-d array")
-    r_grid = _check_finite(_check_r(r_grid), "averaging length r")
-    norm = norm_l1(x)
-    scale = T.power_bound * norm
-
-    def error_bounds(u, lost, r):
-        # l1 error of stopping at J = 0..R: the weight past J, plus the
-        # window's loss on each kept weight and on the tail
-        after = np.append(np.cumsum(u[::-1])[::-1][1:], 0.0)
-        return scale * (after + ((np.arange(u.size) + 2) / r + 1.0) * lost)
-
-    def window(r):  # u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, with upper tails summed from the top
-        L, p, lost = poisson_window(r, series_target(tol, T.power_bound, norm, r))
-        upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
-        u = np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r
-        within = np.flatnonzero(error_bounds(u, lost, r) <= tol)
-        if not within.size:
-            raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
-        return int(within[0]), u, lost, r
-
-    chunk = max(1, BLOCK_ELEMENTS // x.dim)
-    for block in series_blocks(r_grid, x.dim, window):
-        J = max(item[0] for item in block)
-        weights, errors = np.empty((len(block), J + 1)), []
-        for row, (_, u, lost, r) in zip(weights, block):
-            u = np.pad(u, (0, max(0, J + 1 - u.size)))
-            row[:] = u[: J + 1]
-            errors.append(error_bounds(u, lost, r)[J])
-        powers = T.powers(x.coords, J)
-        for start in range(0, J + 1, chunk):
-            stack = np.array(list(itertools.islice(powers, chunk)))
-            # summed power by power as in stream_S, these means took 9.5 s against 3.7 s (T(1), N = 65536,
-            # r = 1, 2, ..., 4096, one BLAS thread, 2-CPU VM); stream_S keeps that order, which apply_S's bits need
-            part = weights[:, start : start + len(stack)] @ stack
-            means = part if start == 0 else np.add(means, part, out=means)
-        yield means, np.array(errors)
 
 
 # --- M and T rows summarised from the support of x ---

@@ -12,12 +12,16 @@ is accumulated over the powers T^j x, never forming the exponential
 densely.  The Poisson weights come from ``poisson_window``, which starts in
 log space where e^{-t} would underflow and sums tails from the top (Fox &
 Glynn, "Computing Poisson probabilities", CACM 1988), so neither large t
-nor a tolerance near the rounding level stalls the series.
+nor a tolerance near the rounding level stalls the series.  The Cesaro
+means C_S(r)x read the same series with upper tails / r as weights; both
+streams run one power sweep per block of grid points (``_sweeps``), and
+each point stops at its own J.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,12 +29,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .coeffs import _EPS, _check_finite, _check_t
+from .coeffs import _EPS, _check_finite, _check_r, _check_t
 from .semigroups import SparseOperator, StructuredOperator
 from .space import TruncatedVector, norm_l1
 
 __all__ = [
-    "PowerBoundedOperator", "renorm", "poisson_window", "series_target", "series_blocks", "stream_S", "apply_S",
+    "PowerBoundedOperator", "renorm", "poisson_window", "series_target", "stream_S", "stream_cesaro_S", "apply_S",
     "semigroup_defect_S",
 ]
 
@@ -177,24 +181,44 @@ def series_target(tol: float, power_bound: float, norm: float, r: float = 1.0) -
     return target
 
 
-def series_blocks(grid: Iterable[float], dim: int, window: Callable[[float], tuple]) -> Iterator[list[tuple]]:
-    """``window(point)`` per grid point, in runs of consecutive points that share one power sweep.
+def _sweeps(grid: np.ndarray, x: TruncatedVector, T: PowerBoundedOperator, tol: float,
+            window: Callable[[float, float], tuple]) -> Iterator[tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]]:
+    """The power sweeps of an S series over a checked grid, for ``stream_S`` and ``stream_cesaro_S``.
 
-    A window starts with J, the last power its point reads.  A run takes
-    points while its count times (dim + 1 + the largest J) fits
-    BLOCK_ELEMENTS, and at least one, so a sweep holds O(BLOCK_ELEMENTS + N)
-    elements at any grid size.
+    ``window(point, ||x||_1)`` gives the point's first nonzero power L, its weights w of T^L x, T^{L+1} x, ...,
+    and its error bounds per J = 0, 1, ... in units of power_bound * ||x||_1; the point stops at the first J
+    whose bound is within ``tol``.  A sweep block takes points while its count times (dim + 1 + its largest J)
+    fits BLOCK_ELEMENTS, and at least one, so it holds O(BLOCK_ELEMENTS + N) elements at any grid size.  It
+    goes out as its (block, largest J + 1) weights, each row zero outside L..J, each row's bound at its own J,
+    and the powers x, Tx, ..., T^J x.
     """
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if x.dim != T.dim:
+        raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
+    norm = norm_l1(x)
+    scale = T.power_bound * norm
+
+    def sweep(block):
+        weights = np.zeros((len(block), max(J for J, *_ in block) + 1))
+        for row, (J, L, w, _) in zip(weights, block):
+            row[L : J + 1] = w[: max(J + 1 - L, 0)]
+        return weights, np.array([bound for *_, bound in block]), T.powers(x.coords, weights.shape[1] - 1)
+
     block, width = [], 0
-    for point in grid:
-        item = window(float(point))
-        if block and (len(block) + 1) * (dim + 1 + max(width, item[0])) > BLOCK_ELEMENTS:
-            yield block
+    for point in grid.tolist():
+        L, w, bounds = window(point, norm)
+        within = np.flatnonzero(scale * bounds <= tol)
+        if not within.size:
+            raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
+        J = int(within[0])
+        if block and (len(block) + 1) * (x.dim + 1 + max(width, J)) > BLOCK_ELEMENTS:
+            yield sweep(block)
             block, width = [], 0
-        block.append(item)
-        width = max(width, item[0])
+        block.append((J, L, w, scale * bounds[J]))
+        width = max(width, J)
     if block:
-        yield block
+        yield sweep(block)
 
 
 def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Iterator[np.ndarray]:
@@ -203,37 +227,57 @@ def stream_S(t_grid: Iterable[float], x: TruncatedVector, T: PowerBoundedOperato
     Each series stops at the first J whose dropped weight P(Poisson(t) > J),
     multiplied by power_bound * ||x||_1, is within ``tol``; that weight is
     summed from the top of the Poisson window, so it has no rounding floor.
-    The grid is checked first.  A block of grid points shares one power sweep
-    (``series_blocks``) and goes out as one (block, N) array: row i adds
-    p_i(j) T^j x in increasing j, with p_i(j) = 0 outside L_i..J_i, so every
-    row keeps the bits of a one-point grid.
+    The grid is checked first.  A sweep block (``_sweeps``) goes out as one
+    (block, N) array: row i adds p_i(j) T^j x in increasing j, with
+    p_i(j) = 0 outside L_i..J_i, so every row keeps the bits of a one-point grid.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if x.dim != T.dim:
-        raise ValueError(f"dimension mismatch: operator {T.dim}, vector {x.dim}")
-    norm = norm_l1(x)
-    scale, target = T.power_bound * norm, series_target(tol, T.power_bound, norm)
     t_grid = _check_finite(_check_t(np.array(t_grid, dtype=float, ndmin=1)), "time t")
 
-    def window(t):
-        L, p, lost = poisson_window(t, target)
-        # after[k] = P(X > L + k - 1); after[0] covers every J < L as well
-        after = np.append(np.cumsum(p[::-1])[::-1], 0.0) + lost
-        within = np.flatnonzero(after * scale <= tol)
-        if not within.size:
-            raise ValueError(f"tol {tol:g} is out of reach at ||x||_1 * power_bound = {scale:g}")
-        return (0 if within[0] == 0 else L + int(within[0]) - 1), L, p
+    def window(t, norm):
+        L, p, lost = poisson_window(t, series_target(tol, T.power_bound, norm))
+        # P(X > J) for J = 0..R; the mass below L is in lost, so every J < L reads P(X >= L)
+        after = np.cumsum(p[::-1])[::-1]
+        return L, p, np.concatenate([np.full(L, after[0]), after[1:], [0.0]]) + lost
 
-    for block in series_blocks(t_grid, x.dim, window):
-        weights = np.zeros((len(block), max(item[0] for item in block) + 1))
-        for row, (J, L, p) in zip(weights, block):
-            row[L : J + 1] = p[: max(J + 1 - L, 0)]
-        rows = np.zeros((len(block), x.dim))
-        for j, v in enumerate(T.powers(x.coords, weights.shape[1] - 1)):
+    for weights, _, powers in _sweeps(t_grid, x, T, tol, window):
+        rows = np.zeros((len(weights), x.dim))
+        for j, v in enumerate(powers):
             # a row starts at +0 and so is never -0: the zero weights outside L_i..J_i leave its bits alone
             rows += weights[:, j, None] * v
         yield rows
+
+
+def stream_cesaro_S(r_grid, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> Iterator[tuple]:
+    """Closed-form means C_S(r)x = (1/r) sum_j P(Poisson(r) >= j+1) T^j x.
+
+    Integrating S(s)x = sum_j P(Poisson(s) = j) T^j x over [0, r] term by term gives these weights.  The
+    grid is checked first.  Each mean stops at the first J at which power_bound * ||x||_1 * (1/r) *
+    sum_{j>J} P(X >= j+1), plus the Poisson window's loss, is within ``tol``, so a row and its trunc_error
+    do not depend on the other points of its grid.  A sweep block (``_sweeps``) goes out as (block, N)
+    means and the (block,) trunc_errors; its powers are summed into the means by one product per chunk of
+    BLOCK_ELEMENTS / N of them.
+    """
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or r_grid.size < 1:
+        raise ValueError("r_grid must be a nonempty 1-d array")
+    r_grid = _check_finite(_check_r(r_grid), "averaging length r")
+
+    def window(r, norm):  # u_j = P(X >= j+1)/r for X ~ Poisson(r), j = 0..R, with upper tails summed from the top
+        L, p, lost = poisson_window(r, series_target(tol, T.power_bound, norm, r))
+        upper = np.cumsum(p[::-1])[::-1]  # P(X >= L + k)
+        u = np.concatenate([np.full(L, upper[0]), upper[1:], [0.0]]) / r
+        # stopping at J drops the weight past J, plus the window's loss on each kept weight and on the tail
+        return 0, u, np.append(np.cumsum(u[::-1])[::-1][1:], 0.0) + ((np.arange(u.size) + 2) / r + 1.0) * lost
+
+    chunk = max(1, BLOCK_ELEMENTS // x.dim)
+    for weights, errors, powers in _sweeps(r_grid, x, T, tol, window):
+        for start in range(0, weights.shape[1], chunk):
+            stack = np.array(list(itertools.islice(powers, chunk)))
+            # summed power by power as in stream_S, these means took 9.5 s against 3.7 s (T(1), N = 65536,
+            # r = 1, 2, ..., 4096, one BLAS thread, 2-CPU VM); stream_S keeps that order, which apply_S's bits need
+            part = weights[:, start : start + len(stack)] @ stack
+            means = part if start == 0 else np.add(means, part, out=means)
+        yield means, errors
 
 
 def apply_S(t: float, x: TruncatedVector, T: PowerBoundedOperator, tol: float) -> TruncatedVector:

@@ -63,9 +63,10 @@ TM = "tests/test_matrix_free_S.py"
 # the mutations that the tests of the run order, the Simpson oracle, the T certificate, the
 # convergence verdict, the S series' target, the pairing's length guard, the kernel criterion's
 # null dimension, the NaN r and t guards, the grid checks, the row summaries of a block, the S
-# steps across sweeps, the config's support, the publication of a CSV, the CSV writer's fast
-# path, D's bisection in chunks, the summaries' blocks, the sum identities' skipped blocks and
-# the adjoint residual's blocks were each first shown to catch
+# sweeps' own J and dimension guard, the S steps across sweeps, the config's support, the
+# publication of a CSV, the CSV writer's fast path, D's bisection in chunks, the summaries' blocks,
+# the sum identities' skipped blocks and the adjoint residual's blocks were each first shown to
+# catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -159,6 +160,14 @@ RECORDED = [
            "at + 1, part @ np.ones(part.shape[1])))",
            (f"{TS}::test_row_stats_keeps_the_bits_of_each_rows_own_reductions[1000]",
             f"{TS}::test_row_stats_keeps_the_bits_of_each_rows_own_reductions[65536]")),
+    Mutant("S_sweeps.block_J_for_every_row", EXP,
+           "row[L : J + 1] = w[: max(J + 1 - L, 0)]",
+           "row[L : L + w.size] = w[: row.size - L]",
+           (f"{TM}::test_mean_blocks_agree_with_one_block",)),
+    Mutant("S_sweeps.no_dim_guard", EXP,
+           'raise ValueError(f"tol must be > 0, got {tol}")\n    if x.dim != T.dim:',
+           'raise ValueError(f"tol must be > 0, got {tol}")\n    if False:',
+           (f"{TE}::test_S_tolerance_validation",)),
     Mutant("S_steps.no_carry_across_sweeps", CESARO,
            "change = part - np.concatenate((part[:1] if prev is None else prev, part[:-1]))",
            "change = part - np.concatenate((part[:1], part[:-1]))",

@@ -22,11 +22,10 @@ from ergodiclab.cesaro import (
     curve_cesaro_S,
     curve_cesaro_T,
     geometric_grid,
-    stream_cesaro_S,
 )
 from ergodiclab import cesaro, verification
 from ergodiclab.coeffs import b, integral_b
-from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S
+from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, stream_cesaro_S
 from ergodiclab.semigroups import StructuredOperator, apply_M, apply_T, matrix_T, trajectory_kernel
 from ergodiclab.space import (
     TruncatedVector,

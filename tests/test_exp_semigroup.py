@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ergodiclab.cesaro import curve_cesaro_S, stream_cesaro_S
+from ergodiclab.cesaro import curve_cesaro_S
 from ergodiclab.exp_semigroup import (
     PowerBoundedOperator,
     apply_S,
@@ -15,6 +15,7 @@ from ergodiclab.exp_semigroup import (
     renorm,
     semigroup_defect_S,
     stream_S,
+    stream_cesaro_S,
 )
 from ergodiclab.semigroups import (
     SparseOperator,
@@ -232,6 +233,15 @@ def test_S_tolerance_validation(T1_64):
         apply_S(1.0, basis_vector(1, 64), T1_64, 0.0)
     with pytest.raises(ValueError):
         apply_S(-0.5, basis_vector(1, 64), T1_64, 1e-10)
+    # the means refuse what the trajectories refuse, with the same words
+    identity = PowerBoundedOperator.from_matrix(StructuredOperator(np.ones(4)))
+    for mean in (lambda *a: next(stream_cesaro_S(*a)), curve_cesaro_S):
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError, match="tol must be > 0"):
+                mean([0.5, 1.0], basis_vector(1, 64), T1_64, tol)
+        for T in (T1_64, identity):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                mean([0.5, 1.0], basis_vector(1, 1), T, 1e-10)
     # a non-finite point, after a good one, is named before any series runs
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"time t must be .*, got {bad}"):

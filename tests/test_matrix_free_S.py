@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from ergodiclab import exp_semigroup
-from ergodiclab.cesaro import curve_cesaro_S, geometric_grid, stream_cesaro_S
+from ergodiclab.cesaro import curve_cesaro_S, geometric_grid
 from ergodiclab.cli import ExperimentConfig, cmd_simulate
-from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, poisson_window, series_blocks, stream_S
+from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, poisson_window, stream_S, stream_cesaro_S
 from ergodiclab.semigroups import SparseOperator, StructuredOperator, from_sparse_triples, matrix_T
-from ergodiclab.space import TruncatedVector
+from ergodiclab.space import TruncatedVector, basis_vector
 
 
 def triples(n, per_col=8, c=0.97, seed=3):
@@ -111,21 +111,45 @@ def test_S_curve_steps_carry_the_row_before_across_sweeps(monkeypatch):
 def test_series_blocks_fit_the_element_budget(monkeypatch, budget):
     monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", budget)
     lasts = [3, 90, 7, 0, 250, 250, 40] * 5
-    blocks = list(series_blocks(range(len(lasts)), 10, lambda i: (lasts[int(i)], i)))
-    assert [item[1] for block in blocks for item in block] == list(range(len(lasts)))
-    for block in blocks:
-        assert len(block) == 1 or len(block) * (10 + 1 + max(item[0] for item in block)) <= budget
+    T, x = operator("identity", 10), TruncatedVector(np.ones(10))  # power_bound * ||x||_1 = 10
+
+    def window(point, norm):  # point i reads weights i + 1 and stops at J = lasts[i], with bound 10 * 0.1 / (i + 1)
+        J = lasts[int(point)]
+        return 0, np.full(J + 3, point + 1.0), np.concatenate([np.ones(J), np.full(3, 0.1 / (point + 1.0))])
+
+    sweeps = list(exp_semigroup._sweeps(np.arange(float(len(lasts))), x, T, 1.0, window))
+    rows = [row for weights, _, _ in sweeps for row in weights]
+    assert np.concatenate([bounds for _, bounds, _ in sweeps]).tolist() == [10.0 * (0.1 / i)
+                                                                            for i in range(1, len(lasts) + 1)]
+    for i, (J, row) in enumerate(zip(lasts, rows, strict=True)):  # each row stops at its own J, in grid order
+        assert (row[: J + 1] == i + 1).all() and not row[J + 1 :].any()
+    for weights, _, powers in sweeps:
+        assert len(list(powers)) == weights.shape[1] == 1 + max(lasts[int(row[0]) - 1] for row in weights)
+        assert len(weights) == 1 or len(weights) * (10 + weights.shape[1]) <= budget
 
 
 def test_mean_blocks_agree_with_one_block(monkeypatch):
     T, rs = operator("timestep", 64), [0.5, 4.0, 32.0, 64.0, 1.0]
     x = TruncatedVector(np.random.default_rng(4).uniform(-1.0, 1.0, 64))
     (whole, _), = stream_cesaro_S(rs, x, T, 1e-10)
-    monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", 200)  # a point or two per block, three powers per product
-    blocks = list(stream_cesaro_S(rs, x, T, 1e-10))
+    with monkeypatch.context() as m:
+        m.setattr(exp_semigroup, "BLOCK_ELEMENTS", 200)  # a point or two per block, three powers per product
+        blocks = list(stream_cesaro_S(rs, x, T, 1e-10))
     assert len(blocks) > 1
     for row, err, want in zip(*(np.concatenate(part) for part in zip(*blocks)), whole, strict=True):
         assert np.abs(row - want).sum() <= 1e-9 and 0.0 <= err <= 1e-10
+    # each row stops at its own J: its certificate is its one-point certificate, its row that row to rounding
+    x, rs = basis_vector(1, 256), 2.0 ** np.arange(8)
+    for T in (operator("timestep", 256), operator("file", 256)):
+        alone = [next(stream_cesaro_S([r], x, T, 1e-10)) for r in rs]
+        for budget in (2**20, 200):
+            monkeypatch.setattr(exp_semigroup, "BLOCK_ELEMENTS", budget)
+            blocks = list(stream_cesaro_S(rs, x, T, 1e-10))
+            assert (len(blocks) == 1) == (budget > 200)
+            for row, err, (want, want_err) in zip(*(np.concatenate(p) for p in zip(*blocks)), alone, strict=True):
+                assert err.tobytes() == want_err.tobytes()
+                assert np.abs(row - want[0]).max() <= 1e-15 * np.abs(want[0]).sum()
+        monkeypatch.undo()
 
 
 def test_simulate_S_rows_are_apply_S_bit_for_bit(tmp_path):
