@@ -9,11 +9,10 @@ the power sweeps of S(t)x).  An adaptive Simpson quadrature over grid
 integrands, one call per refinement level, serves only as the independent
 oracle for every closed form.
 
-Each mean is a grid kernel: ``means_kernel`` returns the means at every r
-as one (r, N) array, ``curve_cesaro_S`` reads the S means one power sweep
-at a time; the per-point functions are the one-point case, and
-||C_M(r)|| is a formula in r and N alone.  M and T curves and trajectories never form a row: ``support_summaries``
-reads each row's summaries off the ``Support`` of x in O(nnz) per grid point.
+The M and T means at every r are one (r, N) array of ``coeffs.family``'s rows from ``semigroups.grid_kernel``;
+``curve_cesaro_S`` reads the S means one power sweep at a time; the per-point functions are the one-point case,
+and ||C_M(r)|| is a formula in r and N alone.  M and T curves and trajectories never form a row:
+``support_summaries`` reads each row's summaries off the ``Support`` of x in O(nnz) per grid point.
 """
 
 from __future__ import annotations
@@ -25,14 +24,15 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .coeffs import _EPS, _check_r, _check_t, integral_b_from_expm1
+from .coeffs import _EPS, _check_r, _check_t
 from .csvtext import csv_lines
 from .exp_semigroup import PowerBoundedOperator, stream_cesaro_S
+from .semigroups import grid_kernel
 from .space import _BLOCK_ELEMENTS, TruncatedVector, row_stats
 
 __all__ = [
     "QuadratureError", "Support", "CesaroCurve", "cesaro_M", "cesaro_M_opnorm", "cesaro_T", "cesaro_T_certificate",
-    "cesaro_quadrature", "adaptive_simpson", "means_kernel", "support_summaries", "curve_cesaro_M", "curve_cesaro_T",
+    "cesaro_quadrature", "adaptive_simpson", "support_summaries", "curve_cesaro_M", "curve_cesaro_T",
     "curve_cesaro_M_opnorm", "curve_cesaro_S", "geometric_grid",
 ]
 
@@ -62,38 +62,14 @@ class QuadratureError(RuntimeError):
         self.achieved_error = achieved_error
 
 
-def means_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
-    """Grid kernel of C_M(r)x, or of C_T(r)x if ``perturbed``: row i of ``kernel(r_grid)`` is the mean at r_grid[i].
-
-    C_M(r) scales coordinate h by (h/r)(-e_h), e_h = expm1(-r/h), so a
-    signed zero x_h keeps its sign.  C_T(r) adds x_1 + ... + x_{h-1} times
-    integral_b(h, r)/r, from the same expm1 pass.  One numpy pass per call
-    forms the whole (r, N) array, in the operation order of a one-point
-    call, so each row keeps its bits.
-    """
-    h = np.arange(1, x.dim + 1, dtype=float)
-    coupled = perturbed and x.dim > 1
-    prefix = np.cumsum(x.coords)[:-1] if coupled else None
-
-    def rows(r_grid: Iterable[float]) -> np.ndarray:
-        r = _check_r(np.array(r_grid, dtype=float, ndmin=1))[:, None]
-        e = np.expm1(-r / h)
-        out = -e * (h / r) * x.coords
-        if coupled:
-            out[:, 1:] += integral_b_from_expm1(h, e) * prefix / r
-        return out
-
-    return rows
-
-
 def cesaro_M(r: float, x: TruncatedVector) -> TruncatedVector:
-    """Mean of the decay semigroup: means_kernel on a one-point grid."""
-    return TruncatedVector(means_kernel(x, perturbed=False)([r])[0])
+    """Mean of the decay semigroup: ``grid_kernel`` on a one-point grid."""
+    return TruncatedVector(grid_kernel(x, perturbed=False, mean=True)([r])[0])
 
 
 def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
-    """Mean of the perturbed semigroup: means_kernel on a one-point grid."""
-    return TruncatedVector(means_kernel(x, perturbed=True)([r])[0])
+    """Mean of the perturbed semigroup: ``grid_kernel`` on a one-point grid."""
+    return TruncatedVector(grid_kernel(x, perturbed=True, mean=True)([r])[0])
 
 
 def cesaro_M_opnorm(r, N: int):
@@ -101,7 +77,7 @@ def cesaro_M_opnorm(r, N: int):
 
     The diagonal entries (h/r)(1 - exp(-r/h)) increase in h, so the max
     sits at h = N, formed by numpy's expm1 like the h = N entry of
-    means_kernel; it stays above 1 - 1/e for every r <= N, while for any
+    a mean row; it stays above 1 - 1/e for every r <= N, while for any
     fixed N it decays like N/r as r grows: finite truncations are
     uniformly mean ergodic, but no norm decay happens uniformly in N.
     """
@@ -140,7 +116,7 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
     """Adaptive composite Simpson rule for a grid integrand ``f(nodes) -> rows``.
 
     ``f`` returns a (nodes, n) array, row i at nodes[i], as the grid kernels do
-    (``semigroups.trajectory_kernel``).  One call of ``f`` evaluates the
+    (``semigroups.grid_kernel``).  One call of ``f`` evaluates the
     new midpoints of every interval of a refinement level.  Bisection is keyed to the l1 norm of the
     local Richardson defect; an interval is accepted when that defect is within 15x its share of the
     tolerance.  Accepted intervals are summed by descending left end, the order of a depth-first
@@ -213,7 +189,7 @@ def cesaro_quadrature(kernel: Integrand, r: float, tol: float) -> TruncatedVecto
     """Quadrature oracle for the mean (1/r) * integral over [0, r] of an orbit, within ``tol`` in l1.
 
     ``kernel(nodes)`` returns the orbit at each node as a (nodes, N) array, as
-    ``semigroups.trajectory_kernel(x, perturbed)`` does.
+    ``semigroups.grid_kernel(x, perturbed, mean=False)`` does.
     """
     _check_r(r)
     total = adaptive_simpson(kernel, 0.0, r, tol * r)

@@ -39,11 +39,11 @@ from .exp_semigroup import PowerBoundedOperator, series_target, stream_S
 from .semigroups import (
     StructuredOperator,
     from_sparse_triples,
+    grid_kernel,
     matrix_B,
     matrix_json,
     matrix_T,
     to_sparse_triples,
-    trajectory_kernel,
 )
 from .space import TruncatedVector, norm_l1, row_stats
 
@@ -437,7 +437,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[Path]:
     else:
         # T is lower triangular: coordinates 1..16 are those of its action on x_1..x_16
         perturbed = cfg.subject == "T"
-        head = trajectory_kernel(cfg.input_vector(track), perturbed)
+        head = grid_kernel(cfg.input_vector(track), perturbed, mean=False)
         blocks = support_summaries(cfg.support(), ts, perturbed, mean=False)
     header = ["t", "norm_l1", "f_value", "max_coordinate", "max_index"]
     header += [f"coord_{j}" for j in range(1, track + 1)]

@@ -1,11 +1,10 @@
-"""Exponential-gap coefficient family and its exact sum and integral identities.
+"""Exponential-gap coefficient family, its exact sum and integral identities, and the M/T rows built on it.
 
-The family b(n, t) = exp(-t/n) - exp(-t/(n-1)) (with b(1, t) = exp(-t))
-drives every off-diagonal operator in this package.  Its partial sums
-telescope to differences of exponentials, its infinite tails are
-1 - exp(-t/m), and its time antiderivatives are available in closed form;
-those three identities are what make rigorous truncation certificates
-possible at all.
+The family b(n, t) = exp(-t/n) - exp(-t/(n-1)) (with b(1, t) = exp(-t)) drives every off-diagonal
+operator in this package.  Its partial sums telescope to differences of exponentials, its infinite tails
+are 1 - exp(-t/m), and its time antiderivatives are available in closed form; those three identities are
+what make rigorous truncation certificates possible at all.  ``family`` forms every dense row of M(t),
+T(t) and their Cesaro means from them; the operators, grid kernels and coefficient rows all read it.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import numpy as np
 _EPS = sys.float_info.epsilon
 
 __all__ = [
-    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row",
-    "b_from_decay", "integral_b_from_expm1",
+    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row", "family",
 ]
 
 
@@ -39,6 +37,13 @@ def _check_r(r) -> np.ndarray:
     if bad.any():
         raise ValueError(f"averaging length r must be > 0, got {r[bad][0]}")
     return r
+
+
+def _h(N: int) -> np.ndarray:
+    """Indices 1..N as floats, after checking the truncation."""
+    if N < 1:
+        raise ValueError(f"truncation N must be >= 1, got {N}")
+    return np.arange(1, N + 1, dtype=float)
 
 
 def _check_finite(grid: np.ndarray, name: str) -> np.ndarray:
@@ -115,44 +120,41 @@ def integral_b(h: int, r: float) -> float:
 
 
 def b_row(t: float, n_max: int) -> np.ndarray:
-    """Vectorized b(n, t) for n = 1..n_max (0-based entry n-1)."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_t(t)
-    n = np.arange(2, n_max + 1, dtype=float)
-    return np.concatenate(([math.exp(-t)], b_from_decay(t, np.exp(-t / n), n * (n - 1))))
+    """Vectorized b(n, t) for n = 1..n_max (0-based entry n-1): e^{-t}, then ``family``'s couplings at t."""
+    _, coupling = family(np.reshape(_check_t(t), (1, 1)), _h(n_max), True, False)
+    return np.concatenate(([math.exp(-t)], coupling[0]))
 
 
 def integral_b_row(r: float, n_max: int) -> np.ndarray:
-    """Vectorized integral_b(h, r) for h = 1..n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_t(r, "upper limit r")
-    h = np.arange(1, n_max + 1, dtype=float)
-    return np.concatenate(([-math.expm1(-r)], integral_b_from_expm1(h, np.expm1(-r / h))))
+    """Vectorized integral_b(h, r) for h = 1..n_max: 1 - e^{-r}, then the couplings of ``family``'s mean row at r."""
+    r = np.reshape(_check_t(r, "upper limit r"), (1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, unread here, is 0/0 at r = 0
+        _, coupling = family(r, _h(n_max), True, True)
+    return np.concatenate(([-math.expm1(-r[0, 0])], coupling[0]))
 
 
-# --- row kernels shared by the grid loops ---
+def family(grid: np.ndarray, h: np.ndarray, perturbed: bool, mean: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The M/T rows at every point of a checked (points, 1) grid: their diagonal at h, and their coupling at h[1:].
 
-def b_from_decay(t: float, decay: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """b(n, t) for n = 2..N, from decay = exp(-t/n) and pairs = n(n-1).
-
-    Same cancellation-free form as ``b``; a trajectory computes exp(-t/n)
-    once per t for its diagonal and reuses it here.
+    h holds consecutive indices.  A row of M(t) or T(t) has diagonal e^{-t/h} and coupling b(h, t) =
+    e^{-t/h} (-expm1(-t/(h(h-1)))); a row of C_M(r) or C_T(r) has diagonal (h/r)(-e_h), e_h = expm1(-r/h),
+    and coupling integral_b(h, r) = (h-1) e_{h-1} - h e_h, to be divided by r after the prefix product.
+    The coupling at h[i] reads h[i-1]; M, the family without coupling, gets None.  Every rate is formed
+    by division: reciprocals would change the bits of a quarter of T's couplings.  Each array is new.
     """
-    out = np.divide(-t, pairs)
-    np.expm1(out, out=out)
-    np.negative(out, out=out)
-    out *= decay
-    return out
-
-
-def integral_b_from_expm1(h: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """integral_b(h, r) for h = 2..N, from h = 1..N and e = expm1(-r/h).
-
-    Uses integral_b(h, r) = (h-1) e_{h-1} - h e_h, so the mean of the
-    perturbed semigroup shares one expm1 pass per r with its diagonal;
-    a (k, N) block of e gives k rows.
-    """
-    he = e * h
-    return he[..., :-1] - he[..., 1:]
+    e = np.divide(-grid, h)
+    if mean:
+        np.expm1(e, out=e)
+        diag = np.divide(-h, grid)  # -(h/r) e_h, bit for bit
+        diag *= e
+        if not perturbed:
+            return diag, None
+        e *= h
+        return diag, e[:, :-1] - e[:, 1:]
+    diag = np.exp(e, out=e)
+    if not perturbed:
+        return diag, None
+    coupling = np.divide(-grid, h[1:] * h[:-1])
+    np.negative(np.expm1(coupling, out=coupling), out=coupling)
+    coupling *= diag[:, 1:]
+    return diag, coupling

@@ -4,10 +4,10 @@ Two uniformly continuous semigroups are implemented on the truncated
 space: the diagonal decay semigroup M(t) with generator A, and its
 rank-structured perturbation T(t) = M(t) + N_t with generator
 B = A + Ndot, built from the all-ones functional.  Every one of these
-operators has the same shape: a diagonal plus, at row j, a weight times
-the prefix sum x_1 + ... + x_{j-1}.  ``StructuredOperator`` stores those
-two arrays, and the matrix-free action, the adjoint action, dense entries
-and the triple export all read them, so they cannot drift apart.
+operators is a diagonal plus, at row j, a weight times the prefix sum
+x_1 + ... + x_{j-1}.  ``StructuredOperator`` stores those two arrays, which the action,
+its adjoint, dense entries and the triple export all read, so they cannot drift apart.
+M(t), T(t) and the orbit and mean rows of ``grid_kernel`` take theirs from ``coeffs.family``.
 
 M is diagonal and therefore exact at every truncation; the perturbation
 drops coefficient mass beyond the truncation edge, at most
@@ -29,12 +29,12 @@ from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .coeffs import _check_t, b_from_decay, b_row
+from .coeffs import _check_r, _check_t, _h, family
 from .space import TruncatedVector
 
 __all__ = [
-    "StructuredOperator", "SparseOperator", "nullity", "apply_M", "apply_T", "trajectory_kernel",
-    "matrix_M", "matrix_N", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B",
+    "StructuredOperator", "SparseOperator", "nullity", "apply_M", "apply_T", "grid_kernel",
+    "matrix_M", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B",
     "adjoint_residual_vector", "opnorm_l1", "to_sparse_triples", "from_sparse_triples", "matrix_json",
 ]
 
@@ -175,19 +175,11 @@ def nullity(op: StructuredOperator) -> int:
     return op.dim - int(np.sum(svals > RANK_RTOL * svals[0]))
 
 
-def _h(N: int) -> np.ndarray:
-    """Indices 1..N as floats, after checking the truncation."""
-    if N < 1:
-        raise ValueError(f"truncation N must be >= 1, got {N}")
-    return np.arange(1, N + 1, dtype=float)
-
-
 # --- the operators ---
 
 def matrix_M(t: float, N: int) -> StructuredOperator:
-    """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h)."""
-    _check_t(t)
-    return StructuredOperator(np.exp(-t / _h(N)))
+    """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h), ``family``'s diagonal at t."""
+    return StructuredOperator(family(np.reshape(_check_t(t), (1, 1)), _h(N), False, False)[0][0])
 
 
 def matrix_A(N: int) -> StructuredOperator:
@@ -204,25 +196,21 @@ def matrix_A_inverse(N: int) -> StructuredOperator:
     return StructuredOperator(-_h(N))
 
 
-def matrix_N(t: float, N: int) -> StructuredOperator:
-    """Perturbation part: strictly lower, column k holds b(j, t) at rows j > k."""
-    return StructuredOperator(np.zeros_like(_h(N)), b_row(t, N))
-
-
 def matrix_T(t: float, N: int) -> StructuredOperator:
-    """Perturbed semigroup T(t) = M(t) + N_t.
+    """Perturbed semigroup T(t) = M(t) + N_t, where N_t holds b(j, t) at every row j > k of column k.
 
     Nonnegative matrix for t >= 0; every column of the truncated matrix
     sums to exp(-t/N), so the truncated operator has l1 norm exp(-t/N) <= 1
-    and conserves the coordinate-sum functional up to that deficit.
+    and conserves the coordinate-sum functional up to that deficit.  Row 1 lies below no diagonal and holds 0.
     """
-    return StructuredOperator(np.exp(-t / _h(N)), b_row(t, N))
+    diag, coupling = family(np.reshape(_check_t(t), (1, 1)), _h(N), True, False)
+    return StructuredOperator(diag[0], np.concatenate(([0.0], coupling[0])))
 
 
 def matrix_B(N: int) -> StructuredOperator:
     """Generator B = A + Ndot: column k has -1/k at row k and 1/(j(j-1)) at rows j > k.
 
-    Ndot, the derivative of matrix_N at t = 0, is the strictly lower part.
+    Ndot, the derivative of N_t at t = 0, is the strictly lower part.
     Lower triangular in the column-action convention; the row-action
     display of the same operator is this matrix's transpose.
     """
@@ -231,28 +219,27 @@ def matrix_B(N: int) -> StructuredOperator:
     return StructuredOperator(-1.0 / h, np.concatenate(([0.0], 1.0 / (j * (j - 1)))))
 
 
-# --- trajectories over t-grids ---
+# --- rows over grids ---
 
-def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable[float]], np.ndarray]:
-    """Grid kernel of M(t)x, or of T(t)x if ``perturbed``: row i of ``kernel(t_grid)`` is the orbit at t_grid[i].
+def grid_kernel(x: TruncatedVector, perturbed: bool, mean: bool) -> Callable[[Iterable[float]], np.ndarray]:
+    """Grid kernel of M(t)x, or T(t)x if ``perturbed``; of C_M(r)x or C_T(r)x per r if ``mean``.
 
-    M(t) scales coordinate h by exp(-t/h), so a signed zero x_h keeps its
-    sign.  T(t) adds b(h, t) times x_1 + ... + x_{h-1}, from the same exp
-    pass.  One numpy pass per call forms the whole (t, N) array, in the
-    operation order of a one-point call, so each row keeps its bits.
+    Row i of ``kernel(grid)`` is the orbit or the mean at grid[i]: ``family``'s diagonal times x,
+    so a signed zero x_h keeps its sign, plus its coupling times x_1 + ... + x_{h-1}, divided by r
+    after that product for a mean.  The grid is checked first.  One numpy pass per call forms the
+    whole (grid, N) array, in the operation order of a one-point call, so each row keeps its bits.
     """
     h = _h(x.dim)
-    coupled = perturbed and x.dim > 1
-    pairs, prefix = (h[1:] * h[:-1], np.cumsum(x.coords)[:-1]) if coupled else (None, None)  # h(h - 1), exactly
+    prefix = np.cumsum(x.coords)[:-1] if perturbed else None
 
-    def rows(t_grid: Iterable[float]) -> np.ndarray:
-        t = _check_t(np.array(t_grid, dtype=float, ndmin=1))[:, None]
-        decay = np.divide(-t, h)
-        np.exp(decay, out=decay)
-        coupling = b_from_decay(t, decay[:, 1:], pairs) if coupled else None
-        out = np.multiply(decay, x.coords, out=decay)  # in decay's place, once the coupling has read it
-        if coupled:
+    def rows(grid: Iterable[float]) -> np.ndarray:
+        grid = (_check_r if mean else _check_t)(np.array(grid, dtype=float, ndmin=1))[:, None]
+        out, coupling = family(grid, h, perturbed, mean)
+        np.multiply(out, x.coords, out=out)
+        if perturbed:
             coupling *= prefix
+            if mean:
+                coupling /= grid
             out[:, 1:] += coupling
         return out
 
@@ -261,12 +248,12 @@ def trajectory_kernel(x: TruncatedVector, perturbed: bool) -> Callable[[Iterable
 
 def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
     """M(t)x; exact at every truncation (no off-diagonal coupling)."""
-    return TruncatedVector(trajectory_kernel(x, perturbed=False)([t])[0])
+    return TruncatedVector(grid_kernel(x, perturbed=False, mean=False)([t])[0])
 
 
 def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
     """T(t)x, less what lands beyond the truncation edge: at most tail_sum_b(N, t) ||x||_1."""
-    return TruncatedVector(trajectory_kernel(x, perturbed=True)([t])[0])
+    return TruncatedVector(grid_kernel(x, perturbed=True, mean=False)([t])[0])
 
 
 # --- structural diagnostics ---

@@ -172,9 +172,9 @@ def check_coeffs_integral_vs_quadrature(ctx) -> CheckResult:
             closed = coeffs.integral_b(h, r)
             # absolute quadrature target an order below the relative check
             tol = max(1e-11 * abs(closed), 1e-16)
-            # b(h, s) at every node in one pass: exp(-s) for h = 1, else the kernel of coeffs.b_row
-            integrand = (lambda nodes: np.exp(-nodes)[:, None]) if h == 1 else (
-                lambda nodes, _h=h: coeffs.b_from_decay(nodes, np.exp(-nodes / _h), _h * (_h - 1.0))[:, None])
+            # b(h, s) at every node in one pass: the family's coupling at h, read off [h - 1, h], or e^{-s} at h = 1
+            at = np.array([h - 1.0, h] if h > 1 else [1.0])
+            integrand = lambda nodes, at=at, h=h: coeffs.family(nodes[:, None], at, h > 1, False)[h > 1]
             oracle = cesaro.adaptive_simpson(integrand, 0.0, r, tol)[0]
             worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
     return _result("coeffs.integral_vs_quadrature_rel", worst, 1e-10)
@@ -226,7 +226,7 @@ def check_opnorm_M_bounded(ctx) -> CheckResult:
 def check_nonnegativity(ctx) -> CheckResult:
     worst = 0.0
     for t in (0.0, 0.7, 3.0):
-        for builder in (semigroups.matrix_M, semigroups.matrix_N, semigroups.matrix_T):
+        for builder in (semigroups.matrix_M, semigroups.matrix_T):  # T's least entry is at most its lower part's
             worst = max(worst, -builder(t, ctx.small_N).min_entry())
     return _result("semigroups.nonnegativity", worst, 0.0)
 
@@ -381,7 +381,7 @@ def check_oracle_cesaro_M(ctx) -> CheckResult:
         for k in (1, min(3, n), min(47, n), n):
             x = basis_vector(k, n)
             closed = cesaro.cesaro_M(r, x)
-            oracle = cesaro.cesaro_quadrature(semigroups.trajectory_kernel(x, perturbed=False), r, 1e-11)
+            oracle = cesaro.cesaro_quadrature(semigroups.grid_kernel(x, perturbed=False, mean=False), r, 1e-11)
             worst = max(worst, norm_l1(closed - oracle))
     return _result("cesaro.oracle_equivalence_M", worst, max(1e-9, 10 * 1e-11))
 
@@ -393,7 +393,7 @@ def check_oracle_cesaro_T(ctx) -> CheckResult:
         for k in (1, min(17, n)):
             x = basis_vector(k, n)
             closed = cesaro.cesaro_T(r, x)
-            oracle = cesaro.cesaro_quadrature(semigroups.trajectory_kernel(x, perturbed=True), r, 1e-11)
+            oracle = cesaro.cesaro_quadrature(semigroups.grid_kernel(x, perturbed=True, mean=False), r, 1e-11)
             worst = max(worst, norm_l1(closed - oracle))
     return _result("cesaro.oracle_equivalence_T", worst, max(1e-9, 10 * 1e-11))
 
@@ -465,7 +465,7 @@ def check_summaries_match_rows(ctx) -> CheckResult:
     worst = 0.0
     for mean, grid in ((True, cesaro.geometric_grid(0.25, 2.0, 12)), (False, np.linspace(0.0, 2.0 * n, 12))):
         for perturbed in (False, True):
-            rows = (cesaro.means_kernel if mean else semigroups.trajectory_kernel)(seen, perturbed)(grid)
+            rows = semigroups.grid_kernel(seen, perturbed, mean)(grid)
             norm, top, index, fval, step = np.concatenate([*cesaro.support_summaries(x, grid, perturbed, mean)]).T
             want = space.row_stats(rows)
             unit, held = np.where(want == 0.0, 1.0, want), np.abs(rows[np.arange(len(rows)), index.astype(int) - 1])

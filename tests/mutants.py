@@ -65,8 +65,9 @@ TM = "tests/test_matrix_free_S.py"
 # null dimension, the NaN r and t guards, the grid checks, the row summaries of a block, the S
 # sweeps' own J and dimension guard, the S steps across sweeps, the config's support, the
 # publication of a CSV, the CSV writer's fast path, D's bisection in chunks, the summaries' blocks,
-# the sum identities' skipped blocks and the adjoint residual's blocks were each first shown to
-# catch
+# the sum identities' skipped blocks, the adjoint residual's blocks, the Poisson window's loss,
+# renorm's power range, the divergence floor and the mean rows' order of operations were each
+# first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -225,6 +226,24 @@ RECORDED = [
            "if bound[i:top].max() <= worst:",
            "if bound[i:top].min() <= worst:",
            (f"{TV}::test_sum_identities_skip_no_block_that_holds_the_largest_gap[700-1.0-1e-09]",)),
+    Mutant("poisson.rest_first_factor_only", EXP,
+           "rest = p * q * ((j + 1) / (1.0 - q) + q / (1.0 - q) ** 2)",
+           "rest = p * q",
+           tuple(f"{TE}::test_poisson_window_loss_covers_the_dropped_first_moment[{t}-{tol}]"
+                 for t in ("0.01", "700.0", "10000.0") for tol in ("1e-10", "1e-30"))),
+    Mutant("renorm.one_power_fewer", EXP,
+           "T.powers(x.coords, T.certified_power - 1))",
+           "T.powers(x.coords, T.certified_power - 2))",
+           (f"{TE}::test_renorm_equals_the_walk_over_4096_powers[weighted_shift_3]",)),
+    Mutant("verdict.floor_at_one_half", DIAGNOSTICS,
+           "UNIFORM_FLOOR = 1.0 - 1.0 / math.e",
+           "UNIFORM_FLOOR = 0.5",
+           (f"{TD}::test_mass_escape_below_the_floor_is_inconclusive",)),
+    Mutant("mean_rows.coupling_over_r_before_the_prefix", SEMIGROUPS,
+           "            coupling *= prefix\n            if mean:\n                coupling /= grid\n",
+           "            if mean:\n                coupling /= grid\n            coupling *= prefix\n",
+           (f"{TB}::test_means_block_rows_are_the_one_point_means[gathered-257-C_T]",
+            f"{TB}::test_means_block_rows_are_the_one_point_means[sliced-1024-C_T]")),
     Mutant("adjoint.float_object_per_entry", SEMIGROUPS,
            "for term in sums[start : start + 4096].tolist():",
            "for term in sums.tolist()[start : start + 4096]:",

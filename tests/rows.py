@@ -9,6 +9,7 @@ import numpy as np
 
 from ergodiclab.cesaro import Support
 from ergodiclab.cli import EXIT_OK, main
+from ergodiclab.semigroups import StructuredOperator, matrix_T
 from ergodiclab.space import TruncatedVector
 
 
@@ -60,6 +61,11 @@ def csv_text(curve):
     out = io.StringIO()
     curve.to_csv(out)
     return out.getvalue()
+
+
+def perturbation(t, n):
+    """N_t = T(t) - M(t): the strictly lower part of ``matrix_T(t, n)``, on a zero diagonal."""
+    return StructuredOperator(np.zeros(n), matrix_T(t, n).below)
 
 
 def one_point_mean(r, x, perturbed):

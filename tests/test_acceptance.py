@@ -26,12 +26,12 @@ from ergodiclab.semigroups import (
     adjoint_residual_vector,
     apply_M,
     apply_T,
+    grid_kernel,
     kernel_B,
     matrix_A_inverse,
     matrix_M,
     matrix_T,
     opnorm_l1,
-    trajectory_kernel,
 )
 from ergodiclab.space import TruncatedVector, basis_vector, norm_l1, pair
 
@@ -176,10 +176,10 @@ def test_criterion_08_oracle_equivalence():
     for r in (0.5, 5.0, 50.0):
         for h in range(1, n + 1):
             x = basis_vector(h, n)
-            oracle_M = cesaro_quadrature(trajectory_kernel(x, perturbed=False), float(r), 1e-10)
+            oracle_M = cesaro_quadrature(grid_kernel(x, perturbed=False, mean=False), float(r), 1e-10)
             diff = norm_l1(cesaro_M(float(r), x) - oracle_M)
             worst = max(worst, diff)
-            oracle_T = cesaro_quadrature(trajectory_kernel(x, perturbed=True), float(r), 1e-10)
+            oracle_T = cesaro_quadrature(grid_kernel(x, perturbed=True, mean=False), float(r), 1e-10)
             diff_t = norm_l1(cesaro_T(float(r), x) - oracle_T)
             worst = max(worst, diff_t)
     elapsed = time.monotonic() - start

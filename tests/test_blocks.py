@@ -2,8 +2,9 @@
 
 Every row of a block must keep the bits of its one-point value: a trajectory row those of
 ``matrix_M/matrix_T(t, N).apply(x)``, a mean row those of the one-point formula in the operation
-order the kernels have always used.  The structure reads of ``verify`` must equal the dense reads
-(and eigenvalues) they replace, and ``StructuredOperator.apply_block`` on a block must equal ``apply`` row by row.
+order the kernels have always used, where the coupling is divided by r after the prefix product.
+The structure reads of ``verify`` must equal the dense reads (and eigenvalues) they replace, and
+``StructuredOperator.apply_block`` on a block must equal ``apply`` row by row.
 """
 
 import math
@@ -13,18 +14,17 @@ import numpy as np
 import pytest
 
 from ergodiclab import coeffs, semigroups, verification
-from ergodiclab.cesaro import adaptive_simpson, means_kernel
+from ergodiclab.cesaro import adaptive_simpson
 from ergodiclab.semigroups import (
+    grid_kernel,
     matrix_A,
     matrix_B,
     matrix_M,
-    matrix_N,
     matrix_T,
     opnorm_l1,
-    trajectory_kernel,
 )
 from ergodiclab.space import TruncatedVector, basis_vector
-from rows import one_point_mean, signed_with_gaps
+from rows import one_point_mean, perturbation, signed_with_gaps
 
 NS = [1, 2, 257, 1024]
 TS = [0.0, 0.5, 7.0, 300.0, 1e4, 1e6]  # t = 1e6 underflows e^{-t/h} below h = 1342
@@ -44,7 +44,7 @@ def on_grid(request):
 @pytest.mark.parametrize("n", NS)
 def test_trajectory_block_rows_are_the_operator_action(on_grid, n, perturbed):
     x = signed_with_gaps(n)
-    block = on_grid(trajectory_kernel(x, perturbed), TS)
+    block = on_grid(grid_kernel(x, perturbed, mean=False), TS)
     assert block.shape == (len(TS), n) and block.flags.c_contiguous
     for t, row in zip(TS, block, strict=True):
         want = (matrix_T if perturbed else matrix_M)(t, n).apply(x).coords
@@ -55,17 +55,17 @@ def test_trajectory_block_rows_are_the_operator_action(on_grid, n, perturbed):
 @pytest.mark.parametrize("n", NS)
 def test_means_block_rows_are_the_one_point_means(on_grid, n, perturbed):
     x = signed_with_gaps(n)
-    block = on_grid(means_kernel(x, perturbed), RS)
+    block = on_grid(grid_kernel(x, perturbed, mean=True), RS)
     assert block.shape == (len(RS), n) and block.flags.c_contiguous
     for r, row in zip(RS, block, strict=True):
         assert row.tobytes() == one_point_mean(r, x, perturbed).tobytes(), r
 
 
-@pytest.mark.parametrize("kernel", [means_kernel, trajectory_kernel])
-def test_bad_grid_point_names_the_first(kernel):
-    name = "averaging length r must be > 0" if kernel is means_kernel else "time t must be >= 0"
+@pytest.mark.parametrize("mean", [True, False], ids=["means_kernel", "trajectory_kernel"])
+def test_bad_grid_point_names_the_first(mean):
+    name = "averaging length r must be > 0" if mean else "time t must be >= 0"
     with pytest.raises(ValueError, match=f"{name}, got -2.0"):
-        kernel(signed_with_gaps(8), True)([0.5, -2.0, -1.0])
+        grid_kernel(signed_with_gaps(8), True, mean)([0.5, -2.0, -1.0])
 
 
 def test_simpson_refuses_an_integrand_of_the_wrong_shape():
@@ -86,7 +86,7 @@ def test_structure_reads_equal_the_dense_reads(n):
         op = matrix_M(t, n)
         assert np.abs(op.diag).max() == opnorm_l1(op.dense())
     for t in (0.0, 0.7, 3.0):  # check_nonnegativity
-        for builder in (matrix_M, matrix_N, matrix_T):
+        for builder in (matrix_M, perturbation, matrix_T):
             op = builder(t, n)
             assert op.min_entry() == op.dense().min()
     signed = semigroups.StructuredOperator(-matrix_T(0.7, n).diag, -matrix_T(0.7, n).below)
@@ -111,7 +111,7 @@ def dense_measurements(ctx):
                          for t in (0.01, 0.5, 1.0, 5.0)))
     bounded = max(0.0, *(opnorm_l1(matrix_M(t, n).dense()) for t in (0.0, 0.3, 2.0, 50.0)))
     negative = max(0.0, *(float(-builder(t, n).dense().min())
-                          for t in (0.0, 0.7, 3.0) for builder in (matrix_M, matrix_N, matrix_T)))
+                          for t in (0.0, 0.7, 3.0) for builder in (matrix_M, perturbation, matrix_T)))
     op = matrix_B(n)
     entries = op.dense()
     if ctx.inject_corruption:

@@ -26,7 +26,7 @@ from ergodiclab.cesaro import (
 from ergodiclab import cesaro, verification
 from ergodiclab.coeffs import b, integral_b
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, stream_cesaro_S
-from ergodiclab.semigroups import StructuredOperator, apply_M, apply_T, matrix_T, trajectory_kernel
+from ergodiclab.semigroups import StructuredOperator, apply_M, apply_T, grid_kernel, matrix_T
 from ergodiclab.space import (
     TruncatedVector,
     basis_vector,
@@ -137,7 +137,7 @@ def _oracle_pair(n, r, k, perturbed):
     """The one-point integrand the oracle took before grid integrands, and the grid kernel it takes now."""
     x = basis_vector(k, n)
     apply = apply_T if perturbed else apply_M
-    return (lambda s: apply(s, x).coords), trajectory_kernel(x, perturbed), 1e-11 * r
+    return (lambda s: apply(s, x).coords), grid_kernel(x, perturbed, mean=False), 1e-11 * r
 
 
 SIMPSON_CASES = {
@@ -209,7 +209,7 @@ def test_registry_results_equal_under_the_depth_first_rule(monkeypatch, N):
 
 
 def test_oracle_calls_its_kernel_once_per_level_not_per_node():
-    kernel = trajectory_kernel(basis_vector(1, 100), perturbed=False)
+    kernel = grid_kernel(basis_vector(1, 100), perturbed=False, mean=False)
     calls, nodes = [], []
 
     def counted(grid):
@@ -245,7 +245,7 @@ def test_cesaro_M_against_oracle():
         for k in (1, 2, 5):
             x = basis_vector(k, 8)
             closed = cesaro_M(r, x)
-            oracle = cesaro_quadrature(trajectory_kernel(x, perturbed=False), r, 1e-12)
+            oracle = cesaro_quadrature(grid_kernel(x, perturbed=False, mean=False), r, 1e-12)
             assert norm_l1(closed - oracle) <= 1e-10
 
 
@@ -310,7 +310,7 @@ def test_cesaro_T_against_oracle():
     n = 1024
     x = basis_vector(1, n)
     closed = cesaro_T(5.0, x)
-    oracle = cesaro_quadrature(trajectory_kernel(x, perturbed=True), 5.0, 1e-10)
+    oracle = cesaro_quadrature(grid_kernel(x, perturbed=True, mean=False), 5.0, 1e-10)
     assert norm_l1(closed - oracle) <= 1e-9
 
 

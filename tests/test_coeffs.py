@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from ergodiclab.coeffs import b, b_row, integral_b, integral_b_from_expm1, integral_b_row, partial_sum_b, tail_sum_b
+from ergodiclab.coeffs import b, b_row, family, integral_b, integral_b_row, partial_sum_b, tail_sum_b
 
 
 def test_b_frozen_values():
@@ -134,12 +134,15 @@ def test_vectorized_rows_match_scalars():
 @pytest.mark.parametrize("n", [2, 3, 257, 65536])
 def test_row_kernels_keep_the_bits_of_the_direct_forms(n):
     # integral_b(h, r) = (h-1)E_{h-1} - hE_h from one expm1 pass, and b(n, t)
-    # from a shared exp(-t/n), round exactly as the two-pass forms do
+    # from a shared exp(-t/n), round exactly as the two-pass forms do, on 1..n and on any pair [h - 1, h]
     h = np.arange(2, n + 1, dtype=float)
     for r in (0.5, 1.0, 37.25, 4096.0, 60000.0):
         direct = (h - 1) * np.expm1(-r / (h - 1)) - h * np.expm1(-r / h)
         assert np.array_equal(integral_b_row(r, n)[1:], direct)
-        # and as the mean kernel forms it, from the expm1 pass its diagonal shares
+        # and as the family forms the mean rows, from the expm1 pass their diagonal shares
         shared = np.arange(1, n + 1, dtype=float)
-        assert np.array_equal(integral_b_from_expm1(shared, np.expm1(-r / shared)), direct)
+        assert np.array_equal(family(np.array([[r]]), shared, True, True)[1][0], direct)
         assert np.array_equal(b_row(r, n)[1:], np.exp(-r / h) * -np.expm1(-r / (h * (h - 1))))
+        for pair in (shared[:2], shared[-2:]):
+            assert np.array_equal(family(np.array([[r]]), pair, True, True)[1][0], direct[int(pair[0]) - 1 :][:1])
+            assert np.array_equal(family(np.array([[r]]), pair, True, False)[1][0], b_row(r, int(pair[1]))[-1:])

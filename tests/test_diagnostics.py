@@ -18,9 +18,9 @@ from ergodiclab.diagnostics import (
     cauchy_convergence_test,
     kernel_criterion,
 )
-from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B, matrix_N
+from ergodiclab.semigroups import StructuredOperator, matrix_A, matrix_B
 from ergodiclab.space import TruncatedVector, basis_vector
-from rows import support_of
+from rows import perturbation, support_of
 
 
 # --- kernel criterion ---
@@ -55,7 +55,7 @@ def test_kernel_criterion_zero_generator():
 
 @pytest.mark.parametrize(
     "op",
-    [matrix_N(1.0, 5), StructuredOperator(np.zeros(6), np.ones(6))],
+    [perturbation(1.0, 5), StructuredOperator(np.zeros(6), np.ones(6))],
     ids=["matrix_N", "strictly_lower_ones"],
 )
 def test_kernel_criterion_strictly_lower_has_nullity_one(op):
@@ -142,6 +142,16 @@ def test_mass_escape_curve_diverges():
     verdict = cauchy_convergence_test(curve, window=3, tol=1e-4)
     assert verdict.verdict == "diverges"
     assert verdict.detail["max_coordinate_drop"] <= 0.5
+
+
+def test_mass_escape_below_the_floor_is_inconclusive():
+    # ||C(r)x||_1 holds 0.6, above 1/2 but below the floor 1 - 1/e, while the largest coordinate decays like 1/r
+    grid = geometric_grid(1.0, 2.0, 8)
+    held = np.full(grid.size, 0.6)
+    curve = CesaroCurve(grid, "vector", np.zeros(grid.size), held, steps=np.full(grid.size - 1, 0.1),
+                        max_coordinate=0.6 / grid, max_index=np.arange(1, grid.size + 1), f_value=held)
+    verdict = cauchy_convergence_test(curve, window=3, tol=1e-3)
+    assert verdict.verdict == "inconclusive"
 
 
 def test_verdict_soundness_enforced():

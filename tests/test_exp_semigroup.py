@@ -167,8 +167,10 @@ def walked_renorm(x, T, powers=4096):
         (PowerBoundedOperator.from_matrix(matrix_T(1.0, 64)), 1, 1.0),
         # ||T^n||_1 = 2, 1.75, 1.25, then 0.8125 <= 1 at n = 4
         (PowerBoundedOperator.from_matrix(np.array([[0.5, 1.5], [0.0, 0.5]])), 4, 2.0),
+        # ||T|| = 2, ||T^2|| = 4, T^3 = 0: renorm(e_1) = 4 sits at m = k - 1 = 2, one power short reads 2
+        (PowerBoundedOperator.from_matrix(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])), 3, 4.0),
     ],
-    ids=["identity", "zero", "timestep_64", "certified_at_4"],
+    ids=["identity", "zero", "timestep_64", "certified_at_4", "weighted_shift_3"],
 )
 def test_renorm_equals_the_walk_over_4096_powers(T, k, bound):
     assert (T.certified_power, T.power_bound) == (k, bound)
@@ -341,6 +343,17 @@ def test_poisson_window_against_high_precision(t):
         j = L + int(k)
         ref = mpmath.exp(j * mpmath.log(t) - t - mpmath.loggamma(j + 1))
         assert abs(float(p[k] / ref) - 1.0) <= 2e-14
+
+
+@pytest.mark.parametrize("rest_tol", [1e-10, 1e-17, 1e-30])
+@pytest.mark.parametrize("t", [0.01, 1.0, 30.0, 700.0, 760.0, 1e4])
+def test_poisson_window_loss_covers_the_dropped_first_moment(t, rest_tol):
+    # past the window's last index R, sum_{i > R} i P(X = i) = t P(X >= R) for X ~ Poisson(t)
+    mpmath = pytest.importorskip("mpmath")
+    L, p, lost = poisson_window(t, rest_tol)
+    with mpmath.workdps(40):
+        dropped = mpmath.mpf(t) * mpmath.gammainc(L + p.size - 1, 0, t, regularized=True)
+    assert lost >= dropped
 
 
 def test_poisson_window_starts_at_e_to_the_minus_t():

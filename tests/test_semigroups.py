@@ -21,7 +21,6 @@ from ergodiclab.semigroups import (
     matrix_A_inverse,
     matrix_B,
     matrix_M,
-    matrix_N,
     matrix_T,
     opnorm_l1,
     to_sparse_triples,
@@ -32,6 +31,7 @@ from ergodiclab.space import (
     norm_l1,
     pair,
 )
+from rows import perturbation
 
 
 def rand_vec(rng, n):
@@ -74,7 +74,7 @@ def test_M_rejects_negative_time():
         apply_M(-1e-9, basis_vector(1, 2))
     # a NaN t is refused too, not turned into NaN entries (or a T whose power scan reads inf)
     for call in (lambda: apply_M(math.nan, basis_vector(1, 2)), lambda: apply_T(math.nan, basis_vector(1, 2)),
-                 lambda: matrix_M(math.nan, 2), lambda: matrix_N(math.nan, 2), lambda: matrix_T(math.nan, 2)):
+                 lambda: matrix_M(math.nan, 2), lambda: matrix_T(math.nan, 2)):
         with pytest.raises(ValueError, match="time t must be >= 0, got nan"):
             call()
 
@@ -141,7 +141,7 @@ def test_N_on_basis_vector_matches_coefficients():
     n = 12
     for t in (0.3, 1.0, 6.0):
         for k in (1, 4, n):
-            y = matrix_N(t, n).apply(basis_vector(k, n))
+            y = perturbation(t, n).apply(basis_vector(k, n))
             expected = np.zeros(n)
             for j in range(k + 1, n + 1):
                 expected[j - 1] = b(j, t)
@@ -151,7 +151,7 @@ def test_N_on_basis_vector_matches_coefficients():
 def test_N_at_zero_vanishes():
     rng = np.random.default_rng(6)
     x = rand_vec(rng, 9)
-    assert norm_l1(matrix_N(0.0, 9).apply(x)) == 0.0
+    assert norm_l1(perturbation(0.0, 9).apply(x)) == 0.0
 
 
 def test_N_norm_bound():
@@ -159,7 +159,7 @@ def test_N_norm_bound():
     for t in (0.1, 1.0, 10.0):
         for _ in range(20):
             x = rand_vec(rng, 50)
-            assert norm_l1(matrix_N(t, 50).apply(x)) <= norm_l1(x) + 1e-13
+            assert norm_l1(perturbation(t, 50).apply(x)) <= norm_l1(x) + 1e-13
 
 
 def test_T_at_zero_is_identity():
@@ -215,7 +215,7 @@ def test_f_conserved_by_T_up_to_deficit():
 # --- derivative Ndot and generator B ---
 
 def matrix_Ndot(n):
-    """Derivative at t = 0 of matrix_N: the strictly lower part of B = A + Ndot."""
+    """Derivative at t = 0 of N_t: the strictly lower part of B = A + Ndot."""
     return StructuredOperator(np.zeros(n), matrix_B(n).below)
 
 
@@ -237,7 +237,7 @@ def test_Ndot_is_derivative_of_N_at_zero():
     x = rand_vec(rng, 60)
     errs = []
     for t in (1e-3, 1e-4, 1e-5):
-        diff = norm_l1((1.0 / t) * matrix_N(t, 60).apply(x) - matrix_Ndot(60).apply(x))
+        diff = norm_l1((1.0 / t) * perturbation(t, 60).apply(x) - matrix_Ndot(60).apply(x))
         errs.append(diff)
         assert diff <= t * norm_l1(x)
     # linear decay in t: each decade shrinks the error by roughly 10
@@ -400,7 +400,7 @@ def test_matrix_structure_conventions():
     assert np.array_equal(m_entries, np.diag(np.diag(m_entries)))
     h = np.arange(1, n + 1, dtype=float)
     assert np.array_equal(np.diag(m_entries), np.exp(-t / h))
-    n_entries = matrix_N(t, n).dense()
+    n_entries = perturbation(t, n).dense()
     assert np.array_equal(n_entries, np.tril(n_entries, -1))  # strictly lower
     b_entries = matrix_B(n).dense()
     assert np.array_equal(b_entries, np.tril(b_entries))
@@ -427,7 +427,7 @@ def test_truncation_error_within_certificate():
 
 BUILDERS = {
     "matrix_M": lambda n: matrix_M(1.3, n),
-    "matrix_N": lambda n: matrix_N(1.3, n),
+    "matrix_N": lambda n: perturbation(1.3, n),
     "matrix_T": lambda n: matrix_T(1.3, n),
     "matrix_A": matrix_A,
     "matrix_A_inverse": matrix_A_inverse,

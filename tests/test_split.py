@@ -18,11 +18,10 @@ from ergodiclab.cesaro import (
     curve_cesaro_M_opnorm,
     curve_cesaro_T,
     geometric_grid,
-    means_kernel,
 )
 from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.diagnostics import cauchy_convergence_test
-from ergodiclab.semigroups import apply_M, apply_T, trajectory_kernel
+from ergodiclab.semigroups import apply_M, apply_T, grid_kernel
 from ergodiclab.space import TruncatedVector
 from rows import (
     csv_text, on_cpus, one_point_mean, one_point_orbit, same_bits, simulate_csv, sparse_vector, support_of,
@@ -71,8 +70,8 @@ def test_support_aware_rows_equal_the_direct_formulas(name, calls):
     rs = geometric_grid(1e-3, 3.0, 8)
     ts = np.linspace(0.0, 40.0, 6).tolist()
     if calls == "gathered":
-        means = zip(means_kernel(x, False)(rs), means_kernel(x, True)(rs))
-        orbits = zip(trajectory_kernel(x, False)(ts), trajectory_kernel(x, True)(ts))
+        means = zip(grid_kernel(x, False, mean=True)(rs), grid_kernel(x, True, mean=True)(rs))
+        orbits = zip(grid_kernel(x, False, mean=False)(ts), grid_kernel(x, True, mean=False)(ts))
     else:
         means = ((cesaro_M(r, x).coords, cesaro_T(r, x).coords) for r in rs)
         orbits = ((apply_M(t, x).coords, apply_T(t, x).coords) for t in ts)

@@ -1,6 +1,6 @@
 """Summaries of M/T curves and trajectories read off the support of x, pinned against the full rows.
 
-The full rows come from ``means_kernel`` and ``trajectory_kernel``.  The summaries
+The full rows come from ``grid_kernel``.  The summaries
 sum in another order: norms within PIN of the row's relative to it, f values and
 steps within PIN times ||x||_1.  The largest |coordinate| keeps its bits, and its
 index is the row's except at a tie within rounding.  Lemmas (a)-(c) of
@@ -19,10 +19,9 @@ from ergodiclab.cesaro import (
     curve_cesaro_M,
     curve_cesaro_T,
     geometric_grid,
-    means_kernel,
     support_summaries,
 )
-from ergodiclab.semigroups import trajectory_kernel
+from ergodiclab.semigroups import grid_kernel
 from ergodiclab.space import TruncatedVector, norm_l1, row_stats
 from rows import signed_with_gaps, support_of
 
@@ -42,7 +41,7 @@ CASES = {
 
 
 def full_rows(x, grid, mean, perturbed):
-    for row in (means_kernel if mean else trajectory_kernel)(x, perturbed)(grid):
+    for row in grid_kernel(x, perturbed, mean)(grid):
         yield row.copy()
 
 
