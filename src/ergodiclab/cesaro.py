@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
-from .coeffs import _EPS, _check_r, _check_t
+from .coeffs import _EPS, _check_r, _check_t, family, mean_E
 from .csvtext import csv_lines
 from .exp_semigroup import PowerBoundedOperator, stream_cesaro_S
 from .semigroups import grid_kernel
@@ -76,15 +76,15 @@ def cesaro_M_opnorm(r, N: int):
     """Exact l1 operator norm of the decay-semigroup mean at truncation N, per r of a number or an array.
 
     The diagonal entries (h/r)(1 - exp(-r/h)) increase in h, so the max
-    sits at h = N, formed by numpy's expm1 like the h = N entry of
-    a mean row; it stays above 1 - 1/e for every r <= N, while for any
+    sits at h = N: ``family``'s mean diagonal there, bit for bit the h = N
+    entry of a mean row; it stays above 1 - 1/e for every r <= N, while for any
     fixed N it decays like N/r as r grows: finite truncations are
     uniformly mean ergodic, but no norm decay happens uniformly in N.
     """
     if N < 1:
         raise ValueError(f"truncation N must be >= 1, got {N}")
     r = _check_r(r)
-    norm = (N / r) * -np.expm1(-r / N)
+    norm = family(r[..., None], np.array([float(N)]), None, True)[0][..., 0]
     return norm if norm.ndim else float(norm)
 
 
@@ -227,6 +227,7 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
     gap = (s < ends) & perturbed
     a, c, P = s[gap] + 1.0, ends[gap], prefix[gap]
     grid, size, prev = (_check_r if mean else _check_t)(np.asarray(grid, dtype=float)), np.abs(P), None
+    pairs = np.maximum(s - 1.0, 0.5) if perturbed else s[:0]  # s pairs with s - 1; 1 with 1/2, g = 1; M with none
 
     def blocks(width: int) -> Iterator[np.ndarray]:
         """The grid in columns of _BLOCK_ELEMENTS / width points."""
@@ -256,7 +257,7 @@ def support_summaries(x: Support, grid, perturbed: bool, mean: bool) -> Iterator
             raise ValueError("coords must be finite (no NaN/inf)")
 
     # the rows' arrays live on while the next block forms (freed first, wide pages faulted in again); not their tuple
-    formed = (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, perturbed, blocks)
+    formed = (_mean_rows if mean else _trajectory_rows)(s, xs, before, a, c, P, grid, pairs, blocks)
     yield from itertools.chain.from_iterable(itertools.starmap(summaries, formed))
 
 
@@ -265,66 +266,46 @@ def _dots(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(v, rows[:, :, None])[:, 0]
 
 
-def _trajectory_rows(s, xs, before, a, c, P, t_grid, perturbed, blocks):
-    """Per block of t: support coordinates, gap masses per unit |P|, gap peak coordinates and their indices."""
-    n, g = s.size, c.size
-    if not perturbed:
-        for t in blocks(n):
-            yield np.exp(-t / s) * xs, _NONE, _NONE, _NONE, _NONE
-        return
-    # one exp pass at s and c, one expm1 pass at s(s-1) and (a-1)c/(c-a+1), then both at the peak candidates
-    # h and h(h-1); h = 1 has prefix sum 0, so any positive pair count serves there
-    decay_at = np.concatenate((s, c))
-    cut_at = np.concatenate((np.maximum(s * (s - 1.0), 1.0), (a - 1.0) * c / (c - a + 1.0)))
+def _trajectory_rows(s, xs, before, a, c, P, t_grid, pairs, blocks):
+    """Per block of t: support coordinates, gap masses per unit |P|, gap peak coordinates and their indices.
+
+    ``family`` pairs s with ``pairs`` and each gap end c with a - 1 (the gap's mass), then each peak h with h - 1.
+    """
+    n, at, prev = s.size, np.concatenate((s, c)), np.concatenate((pairs, a - 1.0))
     lo, hi, P3, peak = a[:, None], c[:, None], np.repeat(P, 3), np.arange(3.0)
-    for t in blocks(n + 4 * g):
-        h = np.minimum(np.maximum(np.floor((t + 1.0) / 2.0)[:, :, None] + peak, lo), hi).reshape(len(t), 3 * g)
-        decay, cut = np.exp(-t / decay_at), -np.expm1(-t / cut_at)  # b(h, t) = e^{-t/h} cut(h)
-        y = cut[:, :n] * decay[:, :n] * before + decay[:, :n] * xs
-        yield y, decay[:, n:] * cut[:, n:], -np.expm1(-t / (h * (h - 1.0))) * np.exp(-t / h) * P3, h, _NONE
+    for t in blocks(n + 4 * c.size):
+        h = np.minimum(np.maximum(np.floor((t + 1.0) / 2.0)[:, :, None] + peak, lo), hi).reshape(len(t), 3 * c.size)
+        diag, coupling = family(t, at, prev, False)
+        y = diag[:, :n] * xs
+        if pairs.size:
+            y = coupling[:, :n] * before + y
+        yield y, coupling[:, n:], family(t, h, h - 1.0, False)[1] * P3, h, _NONE
 
 
-def _mean_rows(s, xs, before, a, c, P, r_grid, perturbed, blocks):
-    """Per block of r: support coordinates, gap masses per unit |P|, gap maxima at a, and gap variations of D."""
-    if not perturbed:
-        for r in blocks(s.size):
-            yield -np.expm1(-r / s) * (s / r) * xs, _NONE, _NONE, _NONE, _NONE
-        return
-    # E(h) = h expm1(-r/h), so that F(h, r) = -E(h)/r, from one expm1 pass at every index a row reads; E(0) = 0
-    Q = np.sort(np.concatenate(([0.0], s - 1.0, s, a, c)))
-    Q = Q[np.append(True, Q[1:] != Q[:-1])]  # np.unique, which imports numpy.ma
-    i_s, i_b, i_g, i_a = (_positions(Q, h) for h in (s, s - 1.0, a - 1.0, a))
-    ends, g, G_prev, i = np.searchsorted(Q, np.concatenate((a - 1.0, c))), c.size, None, 0
-    at, start = (), 0  # per r after the first, D's least integer point against the r before, and D there
-    for r in blocks(Q.size):  # E: one buffer, the first and largest block's; e = expm1(-r/Q[1:]) is read in it first
-        E = (E if i else np.zeros((len(r), Q.size)))[: len(r)]
-        e = np.expm1(np.divide(-r, Q[1:], out=E[:, 1:]), out=E[:, 1:])
-        own = -_columns(e, i_b) * (s / r) * xs  # Q[1:] holds s where Q holds s - 1
-        np.multiply(e, Q[1:], out=e)
-        y = (_columns(E, i_b) - _columns(E, i_s)) * before / r + own
-        G = E.take(ends, 1) / r  # -F at a - 1, then at c
+def _mean_rows(s, xs, before, a, c, P, r_grid, pairs, blocks):
+    """Per block of r: support coordinates, gap masses per unit |P|, gap maxima at a, and gap variations of D.
+
+    ``family`` pairs s with ``pairs`` and each gap start a with a - 1; gap masses and D read -F = E/r at a - 1 and c.
+    """
+    n, g, at, prev, ends = s.size, c.size, np.concatenate((s, a)), np.append(pairs, a - 1.0), np.append(a - 1.0, c)
+    G_prev, i, least_at, start = None, 0, (), 0  # per r after the first, D's least integer point against the r before
+    for r in blocks(n + 3 * g):
+        diag, coupling = family(r, at, prev, True)
+        y = diag[:, :n] * xs
+        if pairs.size:
+            y = coupling[:, :n] * before / r + y
+        G = mean_E(r, ends) / r  # -F at a - 1, then at c
         variation = _NONE
         if g:
-            if i + len(r) > start + len(at):  # the next _D_POINTS points, from this block on
+            if i + len(r) > start + len(least_at):  # the next _D_POINTS points, from this block on
                 start, minima = i, _D_minima(r_grid[max(i - 1, 0) : i + _D_POINTS], c[-1])
-                at, least = (np.concatenate(([0.0] if i == 0 else [], m))[:, None] for m in minima)
+                least_at, least = (np.concatenate(([0.0] if i == 0 else [], m))[:, None] for m in minima)
             D = np.concatenate((G[:1] if G_prev is None else G_prev, G[:-1])) - G
             low, block = np.minimum(D[:, :g], D[:, g:]), slice(i - start, i - start + len(r))
-            np.minimum(low, least[block], out=low, where=(a - 1.0 <= at[block]) & (at[block] <= c))
+            np.minimum(low, least[block], out=low, where=(a - 1.0 <= least_at[block]) & (least_at[block] <= c))
             variation = (D[:, :g] - low) + (D[:, g:] - low)
-        yield y, G[:, :g] - G[:, g:], (_columns(E, i_g) - _columns(E, i_a)) * P / r, a, variation
+        yield y, G[:, :g] - G[:, g:], coupling[:, n:] * P / r, a, variation
         G_prev, i = G[-1:].copy(), i + len(r)  # a copy: a view would keep all of G alive through the next block
-
-
-def _positions(Q: np.ndarray, h: np.ndarray) -> np.ndarray | slice:
-    """Where the sorted ``Q`` holds each of ``h``, as a slice when they are consecutive."""
-    at = np.searchsorted(Q, h)
-    return slice(at[0], at[-1] + 1) if at.size and at[-1] - at[0] == at.size - 1 else at
-
-
-def _columns(A: np.ndarray, at: np.ndarray | slice) -> np.ndarray:
-    """Columns ``at`` of ``A`` in C order; A[:, indices] comes out F-ordered, and its rows sum in another order."""
-    return A[:, at] if isinstance(at, slice) else A.take(at, 1)
 
 
 def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
@@ -347,7 +328,7 @@ def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
         up = np.greater_equal(*k(pairs / mid))  # k at r_i / mid and r_{i-1} / mid in one pass
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     h = np.stack((np.maximum(hi - 1.0, 1.0), np.minimum(hi, N)))
-    D = np.expm1(-r0 / h) * h / r0 - np.expm1(-r1 / h) * h / r1  # as support_summaries forms it
+    D = mean_E(r0, h) / r0 - mean_E(r1, h) / r1  # as support_summaries forms it
     return h[D.argmin(axis=0), np.arange(r0.size)], D.min(axis=0)
 
 

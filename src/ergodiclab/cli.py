@@ -67,7 +67,7 @@ _GRID_COUNT_CAP = 100_000
 # subject S holds a few N-vectors, sweep blocks of exp_semigroup.BLOCK_ELEMENTS and its operator; a matrix
 # file is parsed from its lines, about 150 bytes per entry: 80 MB at 8 entries per column here, 5 GB at 2^22
 _S_DIM_CAP = 2**16
-# the series for S(t) runs about t + 40 sqrt(t) matrix-vector products
+# the series for S(t), and for C_S(r) at t = r, runs about t + 40 sqrt(t) matrix-vector products
 _S_T_CAP = 1e4
 # the power-bound scan applies the adjoint up to horizon times, O(nnz) each
 _HORIZON_CAP = 4096
@@ -275,7 +275,7 @@ class ExperimentConfig:
         elif ordered and self.N <= cap and not math.isfinite(self.N / start):  # kernels scale h by h/r
             limit = self.N / sys.float_info.max
             yield "r_grid.start", f"r_grid.start must be above N / DBL_MAX = {limit:.3g}, got {start!r}"
-        # the largest r bounds T's truncation certificate, and it is S's only cap on r
+        # the largest r bounds T's truncation certificate; S's mean costs what S(r) does, so it shares t's cap
         if ordered and 1 <= self.N <= cap and count >= 1:
             try:
                 r_max = float(geometric_grid(start, factor, count, last=True)[0])
@@ -283,11 +283,16 @@ class ExperimentConfig:
                 r_max = math.inf
             if not math.isfinite(r_max):
                 yield "r_grid.count", "r_grid: largest r = start * factor^(count - 1) overflows; shrink the r_grid"
-            elif self.subject != "M" and r_max / (2.0 * self.N) > 0.5:
+            elif self.subject == "T" and r_max / (2.0 * self.N) > 0.5:
                 yield "r_grid.count", (
                     f"r_grid: largest r = {r_max:g} gives a vacuous truncation certificate "
                     f"(r/(2N) = {r_max / (2 * self.N):.3g} > 0.5); "
                     f"shrink the r_grid or raise N to at least {int(r_max)}"
+                )
+            elif self.subject == "S" and r_max > _S_T_CAP:
+                yield "r_grid.count", (
+                    f"r_grid: largest r = {r_max:g} must be <= {_S_T_CAP:g} for subject S "
+                    f"(its series needs about r terms); shrink the r_grid"
                 )
         t0, t1, _count = self.t_grid
         if math.isfinite(t0) and math.isfinite(t1) and not 0 <= t0 <= t1:

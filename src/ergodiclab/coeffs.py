@@ -3,8 +3,9 @@
 The family b(n, t) = exp(-t/n) - exp(-t/(n-1)) (with b(1, t) = exp(-t)) drives every off-diagonal
 operator in this package.  Its partial sums telescope to differences of exponentials, its infinite tails
 are 1 - exp(-t/m), and its time antiderivatives are available in closed form; those three identities are
-what make rigorous truncation certificates possible at all.  ``family`` forms every dense row of M(t),
-T(t) and their Cesaro means from them; the operators, grid kernels and coefficient rows all read it.
+what make rigorous truncation certificates possible at all.  ``family`` forms every entry of M(t), T(t)
+and their Cesaro means from them; the operators, grid kernels, coefficient rows and support summaries all
+read it, a gap of a support as one wide index pair.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 _EPS = sys.float_info.epsilon
 
 __all__ = [
-    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row", "family",
+    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row", "mean_E", "family",
 ]
 
 
@@ -121,25 +122,34 @@ def integral_b(h: int, r: float) -> float:
 
 def b_row(t: float, n_max: int) -> np.ndarray:
     """Vectorized b(n, t) for n = 1..n_max (0-based entry n-1): e^{-t}, then ``family``'s couplings at t."""
-    _, coupling = family(np.reshape(_check_t(t), (1, 1)), _h(n_max), True, False)
+    h = _h(n_max)
+    _, coupling = family(np.reshape(_check_t(t), (1, 1)), h, h[:-1], False)
     return np.concatenate(([math.exp(-t)], coupling[0]))
 
 
 def integral_b_row(r: float, n_max: int) -> np.ndarray:
     """Vectorized integral_b(h, r) for h = 1..n_max: 1 - e^{-r}, then the couplings of ``family``'s mean row at r."""
-    r = np.reshape(_check_t(r, "upper limit r"), (1, 1))
+    r, h = np.reshape(_check_t(r, "upper limit r"), (1, 1)), _h(n_max)
     with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, unread here, is 0/0 at r = 0
-        _, coupling = family(r, _h(n_max), True, True)
+        _, coupling = family(r, h, h[:-1], True)
     return np.concatenate(([-math.expm1(-r[0, 0])], coupling[0]))
 
 
-def family(grid: np.ndarray, h: np.ndarray, perturbed: bool, mean: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The M/T rows at every point of a checked (points, 1) grid: their diagonal at h, and their coupling at h[1:].
+def mean_E(grid, h) -> np.ndarray:
+    """E(h) = h expm1(-r/h) at every r of ``grid`` and h of ``h``, broadcast, as one new array; -E(h)/r is F(h, r)."""
+    E = np.divide(-grid, h)
+    return np.multiply(np.expm1(E, out=E), h, out=E)
 
-    h holds consecutive indices.  A row of M(t) or T(t) has diagonal e^{-t/h} and coupling b(h, t) =
-    e^{-t/h} (-expm1(-t/(h(h-1)))); a row of C_M(r) or C_T(r) has diagonal (h/r)(-e_h), e_h = expm1(-r/h),
-    and coupling integral_b(h, r) = (h-1) e_{h-1} - h e_h, to be divided by r after the prefix product.
-    The coupling at h[i] reads h[i-1]; M, the family without coupling, gets None.  Every rate is formed
+
+def family(grid: np.ndarray, h: np.ndarray, prev: np.ndarray | None, mean: bool) -> tuple[np.ndarray, ...]:
+    """The M/T rows at every point of a checked (points, 1) grid: their diagonal at h, and their coupling over
+    the pairs of ``prev`` with the last prev.shape[-1] indices of h.
+
+    A row of M(t) or T(t) has diagonal W(h) = e^{-t/h}; a row of C_M(r) or C_T(r) has diagonal (h/r)(-e_h),
+    e_h = expm1(-r/h).  The coupling over a pair (p, h), p < h, of any width is the step W(h) - W(p):
+    e^{-t/h} (-expm1(-t/g)) with g = hp/(h - p), which is b(h, t) for p = h - 1, as h - p is then 1.0
+    exactly; or E(p) - E(h) of ``mean_E``, which is integral_b(h, r), to be divided by r after the
+    prefix product.  M, the family without coupling, takes prev None and gets None.  Every rate is formed
     by division: reciprocals would change the bits of a quarter of T's couplings.  Each array is new.
     """
     e = np.divide(-grid, h)
@@ -147,14 +157,17 @@ def family(grid: np.ndarray, h: np.ndarray, perturbed: bool, mean: bool) -> tupl
         np.expm1(e, out=e)
         diag = np.divide(-h, grid)  # -(h/r) e_h, bit for bit
         diag *= e
-        if not perturbed:
-            return diag, None
-        e *= h
-        return diag, e[:, :-1] - e[:, 1:]
-    diag = np.exp(e, out=e)
-    if not perturbed:
+    else:
+        diag = np.exp(e, out=e)
+    if prev is None:
         return diag, None
-    coupling = np.divide(-grid, h[1:] * h[:-1])
+    top = np.s_[..., h.shape[-1] - prev.shape[-1] :]  # the paired indices; a slice from -width would read all at 0
+    if mean:
+        coupling = mean_E(grid, prev)
+        coupling -= np.multiply(e, h, out=e)[top]
+        return diag, coupling
+    g = h[top] * prev  # divided by h - p in place: every temporary of a call shows in the peak RSS of verify
+    coupling = np.divide(-grid, np.divide(g, h[top] - prev, out=g))
     np.negative(np.expm1(coupling, out=coupling), out=coupling)
-    coupling *= diag[:, 1:]
+    coupling *= diag[top]
     return diag, coupling

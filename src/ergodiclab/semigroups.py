@@ -179,7 +179,7 @@ def nullity(op: StructuredOperator) -> int:
 
 def matrix_M(t: float, N: int) -> StructuredOperator:
     """Diagonal decay semigroup: coordinate h is scaled by exp(-t/h), ``family``'s diagonal at t."""
-    return StructuredOperator(family(np.reshape(_check_t(t), (1, 1)), _h(N), False, False)[0][0])
+    return StructuredOperator(family(np.reshape(_check_t(t), (1, 1)), _h(N), None, False)[0][0])
 
 
 def matrix_A(N: int) -> StructuredOperator:
@@ -203,7 +203,8 @@ def matrix_T(t: float, N: int) -> StructuredOperator:
     sums to exp(-t/N), so the truncated operator has l1 norm exp(-t/N) <= 1
     and conserves the coordinate-sum functional up to that deficit.  Row 1 lies below no diagonal and holds 0.
     """
-    diag, coupling = family(np.reshape(_check_t(t), (1, 1)), _h(N), True, False)
+    h = _h(N)
+    diag, coupling = family(np.reshape(_check_t(t), (1, 1)), h, h[:-1], False)
     return StructuredOperator(diag[0], np.concatenate(([0.0], coupling[0])))
 
 
@@ -230,11 +231,11 @@ def grid_kernel(x: TruncatedVector, perturbed: bool, mean: bool) -> Callable[[It
     whole (grid, N) array, in the operation order of a one-point call, so each row keeps its bits.
     """
     h = _h(x.dim)
-    prefix = np.cumsum(x.coords)[:-1] if perturbed else None
+    prefix, prev = (np.cumsum(x.coords)[:-1], h[:-1]) if perturbed else (None, None)
 
     def rows(grid: Iterable[float]) -> np.ndarray:
         grid = (_check_r if mean else _check_t)(np.array(grid, dtype=float, ndmin=1))[:, None]
-        out, coupling = family(grid, h, perturbed, mean)
+        out, coupling = family(grid, h, prev, mean)
         np.multiply(out, x.coords, out=out)
         if perturbed:
             coupling *= prefix

@@ -174,7 +174,7 @@ def check_coeffs_integral_vs_quadrature(ctx) -> CheckResult:
             tol = max(1e-11 * abs(closed), 1e-16)
             # b(h, s) at every node in one pass: the family's coupling at h, read off [h - 1, h], or e^{-s} at h = 1
             at = np.array([h - 1.0, h] if h > 1 else [1.0])
-            integrand = lambda nodes, at=at, h=h: coeffs.family(nodes[:, None], at, h > 1, False)[h > 1]
+            integrand = lambda nodes, at=at, h=h: coeffs.family(nodes[:, None], at, at[:-1], False)[h > 1]
             oracle = cesaro.adaptive_simpson(integrand, 0.0, r, tol)[0]
             worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
     return _result("coeffs.integral_vs_quadrature_rel", worst, 1e-10)

@@ -66,8 +66,8 @@ TM = "tests/test_matrix_free_S.py"
 # sweeps' own J and dimension guard, the S steps across sweeps, the config's support, the
 # publication of a CSV, the CSV writer's fast path, D's bisection in chunks, the summaries' blocks,
 # the sum identities' skipped blocks, the adjoint residual's blocks, the Poisson window's loss,
-# renorm's power range, the divergence floor and the mean rows' order of operations were each
-# first shown to catch
+# renorm's power range, the divergence floor, the mean rows' order of operations and the width of
+# the family's index pairs were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -244,6 +244,14 @@ RECORDED = [
            "            if mean:\n                coupling /= grid\n            coupling *= prefix\n",
            (f"{TB}::test_means_block_rows_are_the_one_point_means[gathered-257-C_T]",
             f"{TB}::test_means_block_rows_are_the_one_point_means[sliced-1024-C_T]")),
+    Mutant("family.pair_width_dropped", COEFFS,
+           "coupling = np.divide(-grid, np.divide(g, h[top] - prev, out=g))",
+           "coupling = np.divide(-grid, g)",
+           (f"{TU}::test_summaries_pin_the_full_rows[257-signed_gap-T]",
+            f"{TU}::test_summaries_pin_the_full_rows[65536-signed_gap-T]",
+            f"{TV}::test_invariant_holds[N257-check_summaries_match_rows]",
+            f"{TK}::test_family_coupling_over_a_wide_pair_against_high_precision[37]",
+            f"{TK}::test_support_index_1_pairs_with_one_half_and_stays_finite_at_t_0")),
     Mutant("adjoint.float_object_per_entry", SEMIGROUPS,
            "for term in sums[start : start + 4096].tolist():",
            "for term in sums.tolist()[start : start + 4096]:",

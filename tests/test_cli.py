@@ -107,9 +107,18 @@ def test_config_rejects_vacuous_certificate(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_vacuous_certificate_rule_binds_S():
-    # it is S's only cap on r; the default r_grid reaches r = 512
-    assert any("vacuous truncation certificate" in p for p in ExperimentConfig(subject="S", N=64).validate("cesaro"))
+def test_S_r_grid_has_its_own_cap_and_the_default_config_runs(tmp_path):
+    # S has no truncation certificate: its largest r shares t_grid.stop's cap, whatever N is
+    assert ExperimentConfig(subject="S", N=1, r_grid=(1e4, 2.0, 1)).validate("cesaro") == []
+    assert ExperimentConfig(subject="S", N=65536, r_grid=(1e4 / 2**13, 2.0, 14)).validate("cesaro") == []
+    assert ExperimentConfig(subject="S", N=1, r_grid=(math.nextafter(1e4, math.inf), 2.0, 1)).validate("cesaro")
+    assert ExperimentConfig(subject="S", N=65536, r_grid=(1.0, 2.0, 15)).validate("cesaro") == [
+        "r_grid: largest r = 16384 must be <= 10000 for subject S (its series needs about r terms); shrink the r_grid"
+    ]
+    # the default r_grid reaches r = 512, beyond N = 64
+    assert main(["cesaro", "--subject", "S", "--dim", "64", "--out", str(tmp_path / "out")]) == EXIT_OK
+    rows = (tmp_path / "out" / "cesaro_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 10 and float(rows[-1].split(",")[0]) == 512.0
 
 
 @pytest.mark.parametrize("mode", ["vector", "opnorm"])

@@ -12,6 +12,8 @@ import pytest
 
 from ergodiclab.coeffs import b, b_row, family, integral_b, integral_b_row, partial_sum_b, tail_sum_b
 
+EPS = np.finfo(float).eps
+
 
 def test_b_frozen_values():
     assert b(1, 1.0) == pytest.approx(0.36787944117144233, abs=1e-16)
@@ -141,8 +143,57 @@ def test_row_kernels_keep_the_bits_of_the_direct_forms(n):
         assert np.array_equal(integral_b_row(r, n)[1:], direct)
         # and as the family forms the mean rows, from the expm1 pass their diagonal shares
         shared = np.arange(1, n + 1, dtype=float)
-        assert np.array_equal(family(np.array([[r]]), shared, True, True)[1][0], direct)
+        assert np.array_equal(family(np.array([[r]]), shared, shared[:-1], True)[1][0], direct)
         assert np.array_equal(b_row(r, n)[1:], np.exp(-r / h) * -np.expm1(-r / (h * (h - 1))))
         for pair in (shared[:2], shared[-2:]):
-            assert np.array_equal(family(np.array([[r]]), pair, True, True)[1][0], direct[int(pair[0]) - 1 :][:1])
-            assert np.array_equal(family(np.array([[r]]), pair, True, False)[1][0], b_row(r, int(pair[1]))[-1:])
+            assert np.array_equal(family(np.array([[r]]), pair, pair[:-1], True)[1][0], direct[int(pair[0]) - 1 :][:1])
+            assert np.array_equal(family(np.array([[r]]), pair, pair[:-1], False)[1][0], b_row(r, int(pair[1]))[-1:])
+
+
+@pytest.mark.parametrize("width", [1, 2, 37, 2**10, 2**20])
+def test_family_coupling_over_a_wide_pair_against_high_precision(width):
+    """The coupling over a pair (p, h), h - p = width, is within its rounding bound of the exact step.
+
+    Trajectory pair, e^{-t/h} (-expm1(-t/g)) with g = hp/(h - p): for h <= 2^26, hp < 2^53 and h - p are
+    exact, and g and t/g round once each (eps/2 apiece); expm1 has relative condition number at most 1 on
+    (-inf, 0] and errs by under 1 ulp itself, so -expm1(-t/g) is within 2 eps.  t/h rounds by eps/2, which
+    is (t/h) eps/2 absolute in the exponent, and exp errs by under 1 ulp: e^{-t/h} is within (1 + t/(2h)) eps.
+    The product adds eps/2: about (3.5 + t/(2h)) eps <= (4 + t/(2h)) eps relative.
+
+    Mean pair, E(p) - E(h) with E(x) = x expm1(-r/x): each E is within 2 eps of itself (r/x, expm1, the
+    product), so the difference errs by 2 eps (|E(p)| + |E(h)|) + (eps/2) |E(p) - E(h)| <= 3 kappa eps
+    |E(p) - E(h)|, kappa = (|E(p)| + |E(h)|) / |E(p) - E(h)| >= 1.  For r << p, kappa grows like 4ph/(r width):
+    that is the cancellation of integral_b, stated here rather than hidden (near 1e19 at r = 1e-3, h = 2^26).
+    Below the normal range rounding errs by whole subnormal steps, so two of them are allowed on top.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    h = np.array(sorted({width + 1, 3 * width, width + 4099, 2**26}), dtype=float)
+    grid = np.array([[1e-3], [1.0], [100.0], [1e4]])
+    worst_kappa = 0.0
+    for mean in (False, True):
+        _, coupling = family(grid, h, h - width, mean)
+        with mpmath.workdps(60):
+            for (i, j), got in np.ndenumerate(coupling):
+                t, top, low = (mpmath.mpf(float(v)) for v in (grid[i, 0], h[j], h[j] - width))
+                if mean:
+                    E_low, E_top = low * mpmath.expm1(-t / low), top * mpmath.expm1(-t / top)
+                    exact = E_low - E_top
+                    kappa = (abs(E_low) + abs(E_top)) / abs(exact)
+                    bound, worst_kappa = 3 * kappa * EPS, max(worst_kappa, float(kappa))
+                else:
+                    exact = mpmath.exp(-t / top) - mpmath.exp(-t / low)
+                    bound = (4 + t / (2 * top)) * EPS
+                assert abs(got - exact) <= bound * abs(exact) + 2 * math.ulp(0.0), (mean, width, h[j], grid[i, 0])
+    assert worst_kappa > 1e12  # the pin covers the cancellation, not only benign pairs
+
+
+def test_support_index_1_pairs_with_one_half_and_stays_finite_at_t_0():
+    # index 1 has prefix sum 0, so only finiteness matters; (1/2, 1) gives g = 1, as max(s(s - 1), 1) did
+    t = np.array([[0.0], [1e-3], [1.0], [1e4], [np.inf]])
+    _, coupling = family(t, np.array([1.0]), np.array([0.5]), False)
+    assert np.array_equal(coupling[:, 0], np.exp(-t[:, 0]) * -np.expm1(-t[:, 0] / 1.0))
+    assert coupling[0, 0] == 0.0 and np.isfinite(coupling).all()
+    _, mean = family(t[1:], np.array([1.0]), np.array([0.5]), True)
+    assert np.isfinite(mean).all() and (mean >= 0.0).all()
+    with np.errstate(invalid="ignore", divide="ignore"):  # the pair (0, 1) would be 0/0 at t = 0
+        assert np.isnan(family(t[:1], np.array([1.0]), np.array([0.0]), False)[1][0, 0])

@@ -337,12 +337,12 @@ def test_poisson_window_matches_log_pmf(t):
 @pytest.mark.parametrize("t", [100.0, 1000.0, 10000.0])
 def test_poisson_window_against_high_precision(t):
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
     L, p, _ = poisson_window(t, 1e-30)
-    for k in np.linspace(0, p.size - 1, 40).astype(int):
-        j = L + int(k)
-        ref = mpmath.exp(j * mpmath.log(t) - t - mpmath.loggamma(j + 1))
-        assert abs(float(p[k] / ref) - 1.0) <= 2e-14
+    with mpmath.workdps(40):  # not mp.dps = 40, which would hold for every later test in the process
+        for k in np.linspace(0, p.size - 1, 40).astype(int):
+            j = L + int(k)
+            ref = mpmath.exp(j * mpmath.log(t) - t - mpmath.loggamma(j + 1))
+            assert abs(float(p[k] / ref) - 1.0) <= 2e-14
 
 
 @pytest.mark.parametrize("rest_tol", [1e-10, 1e-17, 1e-30])
