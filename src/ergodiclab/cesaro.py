@@ -157,10 +157,10 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
         err = np.add.reduce(np.abs(delta, out=whole), axis=1) / 15.0
         ok = (err <= ltol) | ((x[2] - x[0]) < min_width)
         kept, refined = ok.nonzero()[0], (~ok).nonzero()[0]
-        accepted.append((x[0, kept], np.concatenate((parts, delta[None] / 15.0)).take(kept, 1), err[kept]))
+        accepted.append((x[0, kept], np.concatenate((parts.take(kept, 1), delta[None, kept] / 15.0)), err[kept]))
         # the next level: the refined intervals' left halves, then their right halves
         x = halves.take(refined, 2).reshape(3, -1)
-        whole, fx = (v.take(refined, 1) for v in (parts, np.concatenate((ends[:2], fresh, ends[1:]))))
+        whole, fx = parts.take(refined, 1), np.concatenate([v.take(refined, 1) for v in (ends[:2], fresh, ends[1:])])
         ltol = 0.5 * ltol
     return _sum_accepted(accepted)
 

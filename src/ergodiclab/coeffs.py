@@ -18,7 +18,7 @@ import numpy as np
 _EPS = sys.float_info.epsilon
 
 __all__ = [
-    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "integral_b_row", "mean_E", "family",
+    "b", "partial_sum_b", "tail_sum_b", "integral_b", "b_row", "mean_E", "family",
 ]
 
 
@@ -125,14 +125,6 @@ def b_row(t: float, n_max: int) -> np.ndarray:
     h = _h(n_max)
     _, coupling = family(np.reshape(_check_t(t), (1, 1)), h, h[:-1], False)
     return np.concatenate(([math.exp(-t)], coupling[0]))
-
-
-def integral_b_row(r: float, n_max: int) -> np.ndarray:
-    """Vectorized integral_b(h, r) for h = 1..n_max: 1 - e^{-r}, then the couplings of ``family``'s mean row at r."""
-    r, h = np.reshape(_check_t(r, "upper limit r"), (1, 1)), _h(n_max)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, unread here, is 0/0 at r = 0
-        _, coupling = family(r, h, h[:-1], True)
-    return np.concatenate(([-math.expm1(-r[0, 0])], coupling[0]))
 
 
 def mean_E(grid, h) -> np.ndarray:

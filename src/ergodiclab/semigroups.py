@@ -33,7 +33,7 @@ from .coeffs import _check_r, _check_t, _h, family
 from .space import TruncatedVector
 
 __all__ = [
-    "StructuredOperator", "SparseOperator", "nullity", "apply_M", "apply_T", "grid_kernel",
+    "StructuredOperator", "SparseOperator", "nullity", "grid_kernel",
     "matrix_M", "matrix_T", "matrix_A", "matrix_A_inverse", "matrix_B", "kernel_B",
     "adjoint_residual_vector", "opnorm_l1", "to_sparse_triples", "from_sparse_triples", "matrix_json",
 ]
@@ -216,8 +216,9 @@ def matrix_B(N: int) -> StructuredOperator:
     display of the same operator is this matrix's transpose.
     """
     h = _h(N)
-    j = h[1:]  # row 1 lies below no diagonal and holds 0
-    return StructuredOperator(-1.0 / h, np.concatenate(([0.0], 1.0 / (j * (j - 1)))))
+    below = np.zeros(N)  # row 1 lies below no diagonal and holds 0
+    np.divide(1.0, np.multiply(h[1:], h[:-1], out=below[1:]), out=below[1:])  # j(j - 1) is exact below 2^53
+    return StructuredOperator(np.divide(-1.0, h, out=h), below)
 
 
 # --- rows over grids ---
@@ -247,16 +248,6 @@ def grid_kernel(x: TruncatedVector, perturbed: bool, mean: bool) -> Callable[[It
     return rows
 
 
-def apply_M(t: float, x: TruncatedVector) -> TruncatedVector:
-    """M(t)x; exact at every truncation (no off-diagonal coupling)."""
-    return TruncatedVector(grid_kernel(x, perturbed=False, mean=False)([t])[0])
-
-
-def apply_T(t: float, x: TruncatedVector) -> TruncatedVector:
-    """T(t)x, less what lands beyond the truncation edge: at most tail_sum_b(N, t) ||x||_1."""
-    return TruncatedVector(grid_kernel(x, perturbed=True, mean=False)([t])[0])
-
-
 # --- structural diagnostics ---
 
 def kernel_B(N: int) -> bool:
@@ -269,15 +260,14 @@ def kernel_B(N: int) -> bool:
 
 
 def adjoint_residual_vector(N: int) -> np.ndarray:
-    """Coordinate sums of B e_k for k = 1..N, i.e. the adjoint image of all-ones.
+    """Coordinate sums of B e_k for k = 1..N, i.e. the adjoint image of all-ones, from ``matrix_B(N)``'s entries.
 
-    Each entry telescopes to exactly -1/N.  Suffix sums are accumulated
-    with Kahan compensation so the uniformity holds to ~1e-16 even at
-    N = 65536, where a naive running sum would drift.
+    Each entry telescopes to exactly -1/N.  The suffix sums of ``below`` are
+    accumulated with Kahan compensation so the uniformity holds to ~1e-16 even
+    at N = 65536, where a naive running sum would drift.
     """
-    _h(N)  # checks the truncation
-    k = np.arange(N - 1, 0, -1, dtype=float)  # N - 1 down to 1; k(k + 1) is exact below 2^53
-    sums = 1.0 / (k * (k + 1.0))  # the terms, overwritten by their running sums a block at a time
+    op = matrix_B(N)
+    sums = op.below[:0:-1]  # rows N down to 2: B's own array, overwritten by its running sums a block at a time
     s = c = 0.0
     for start in range(0, N - 1, 4096):  # Python floats for one block at a time, not for all N
         block = []
@@ -287,8 +277,9 @@ def adjoint_residual_vector(N: int) -> np.ndarray:
             c, s = (t - s) - y, t
             block.append(s)
         sums[start : start + 4096] = block
-    sums -= 1.0 / k
-    return np.append(sums[::-1], -1.0 / N)
+    sums += op.diag[-2::-1]
+    last, op = op.diag[-1], None  # B's diagonal goes before the result is formed
+    return np.append(sums[::-1], last)
 
 
 def opnorm_l1(entries: np.ndarray) -> float:

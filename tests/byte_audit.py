@@ -17,8 +17,8 @@ The calls: M and T ``cesaro`` (vector mode, and ``mode: opnorm`` on M) and ``sim
 N in {1, 2, 257, 4096, 65536, 2^22} on e_1, e_N, a seeded signed 40-nonzero x, a gap after a
 zero prefix sum, and signed zeros; S ``cesaro`` and ``simulate`` on ``identity``, ``timestep``
 and a seeded ``file`` matrix at N in {1, 257}, on an r grid within N and on the default one;
-``matrix`` at N in {1, 3, 64, 65, 768}; ``verify`` at --dim 1, 257, 1024, 32768 with seeds 7
-and 12345, with and without ``inject_corruption``; and every call of the three benchmark
+``matrix`` at N in {1, 3, 64, 65, 768}; ``verify`` at --dim 1, 257, 1024, 32768, 65536 with
+seeds 7 and 12345, with and without ``inject_corruption``; and every call of the three benchmark
 workloads of ``perfbench/workloads.py`` and of their coverage versions, seeds 1-3, whose own
 output check is written to ``check.txt``.
 
@@ -45,7 +45,7 @@ from ergodiclab import cli  # noqa: E402
 SIZES = (1, 2, 257, 4096, 65536, 2**22)
 S_SIZES = (1, 257)
 MATRIX_SIZES = (1, 3, 64, 65, 768)
-VERIFY_SIZES = (1, 257, 1024, 32768)
+VERIFY_SIZES = (1, 257, 1024, 32768, 65536)
 VERIFY_SEEDS = (7, 12345)
 BENCH_SEEDS = (1, 2, 3)
 

@@ -66,8 +66,8 @@ TM = "tests/test_matrix_free_S.py"
 # sweeps' own J and dimension guard, the S steps across sweeps, the config's support, the
 # publication of a CSV, the CSV writer's fast path, D's bisection in chunks, the summaries' blocks,
 # the sum identities' skipped blocks, the adjoint residual's blocks, the Poisson window's loss,
-# renorm's power range, the divergence floor, the mean rows' order of operations and the width of
-# the family's index pairs were each first shown to catch
+# renorm's power range, the divergence floor, the mean rows' order of operations, the width of
+# the family's index pairs and B's coupling were each first shown to catch
 RECORDED = [
     Mutant("rng.one_shared_stream", VERIFICATION,
            "return np.random.default_rng([self.seed, zlib.crc32(label.encode())])",
@@ -189,8 +189,8 @@ RECORDED = [
     Mutant("csv.published_before_its_last_block", CLI,
            "        with part.open(\"w\") as fh:\n            yield fh\n        os.replace(part, path)\n",
            "        with part.open(\"w\") as fh:\n            os.replace(part, path)\n            yield fh\n",
-           ("tests/test_split.py::test_a_bad_point_in_a_later_csv_block_leaves_no_file",
-            "tests/test_split.py::test_nan_row_in_a_later_piece_raises_as_in_a_serial_run")),
+           (f"{TU}::test_a_bad_point_in_a_later_csv_block_leaves_no_file",
+            f"{TU}::test_nan_row_in_a_later_piece_raises_as_in_a_serial_run")),
     Mutant("csv.no_decade_carry", CSVTEXT,
            "carry = high == 1e9",
            "carry = high == -1.0",
@@ -256,6 +256,11 @@ RECORDED = [
            "for term in sums[start : start + 4096].tolist():",
            "for term in sums.tolist()[start : start + 4096]:",
            (f"{TG}::test_adjoint_residual_holds_a_few_arrays_not_a_float_object_per_entry",)),
+    Mutant("semigroups.matrix_B_coupling", SEMIGROUPS,
+           "np.divide(1.0, np.multiply(h[1:], h[:-1], out=below[1:]), out=below[1:])",
+           "np.divide(1.0 + 1e-9, np.multiply(h[1:], h[:-1], out=below[1:]), out=below[1:])",
+           (f"{TV}::test_invariant_holds[N257-check_adjoint_residual]",
+            f"{TV}::test_invariant_holds[N257-check_kernel_criterion_consistency]")),
 ]
 
 # one per verification.CHECKS entry: its comparison flipped, or its slack dropped; the registry

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import threading
 
 import numpy as np
+import pytest
 
 from ergodiclab.cesaro import Support
 from ergodiclab.cli import EXIT_OK, main
@@ -108,3 +110,12 @@ def simulate_csv(out, subject, x, count):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def raised(run):
+    """The type and message of what ``run`` raises; no thread may outlive the call."""
+    before = threading.active_count()
+    with pytest.raises(Exception) as info:
+        run()
+    assert threading.active_count() == before
+    return type(info.value), str(info.value)

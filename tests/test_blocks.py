@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ergodiclab import coeffs, semigroups, verification
-from ergodiclab.cesaro import adaptive_simpson
+from ergodiclab.cesaro import adaptive_simpson, curve_cesaro_M_opnorm, geometric_grid
 from ergodiclab.semigroups import (
     grid_kernel,
     matrix_A,
@@ -24,7 +24,7 @@ from ergodiclab.semigroups import (
     opnorm_l1,
 )
 from ergodiclab.space import TruncatedVector, basis_vector
-from rows import one_point_mean, perturbation, signed_with_gaps
+from rows import one_point_mean, perturbation, same_bits, signed_with_gaps
 
 NS = [1, 2, 257, 1024]
 TS = [0.0, 0.5, 7.0, 300.0, 1e4, 1e6]  # t = 1e6 underflows e^{-t/h} below h = 1342
@@ -59,6 +59,13 @@ def test_means_block_rows_are_the_one_point_means(on_grid, n, perturbed):
     assert block.shape == (len(RS), n) and block.flags.c_contiguous
     for r, row in zip(RS, block, strict=True):
         assert row.tobytes() == one_point_mean(r, x, perturbed).tobytes(), r
+
+
+def test_full_support_opnorm_equals_the_direct_formula():
+    rs = geometric_grid(0.5, 2.0, 12)
+    ones = TruncatedVector(np.ones(1024))
+    want = [one_point_mean(r, ones, perturbed=False).max() for r in rs]
+    assert same_bits(curve_cesaro_M_opnorm(rs, 1024).values, want)
 
 
 @pytest.mark.parametrize("mean", [True, False], ids=["means_kernel", "trajectory_kernel"])

@@ -26,7 +26,7 @@ from ergodiclab.cesaro import (
 from ergodiclab import cesaro, verification
 from ergodiclab.coeffs import b, integral_b
 from ergodiclab.exp_semigroup import PowerBoundedOperator, apply_S, stream_cesaro_S
-from ergodiclab.semigroups import StructuredOperator, apply_M, apply_T, grid_kernel, matrix_T
+from ergodiclab.semigroups import StructuredOperator, grid_kernel, matrix_M, matrix_T
 from ergodiclab.space import (
     TruncatedVector,
     basis_vector,
@@ -136,8 +136,8 @@ def _on_grid(point):
 def _oracle_pair(n, r, k, perturbed):
     """The one-point integrand the oracle took before grid integrands, and the grid kernel it takes now."""
     x = basis_vector(k, n)
-    apply = apply_T if perturbed else apply_M
-    return (lambda s: apply(s, x).coords), grid_kernel(x, perturbed, mean=False), 1e-11 * r
+    operator = matrix_T if perturbed else matrix_M
+    return (lambda s: operator(s, n).apply(x).coords), grid_kernel(x, perturbed, mean=False), 1e-11 * r
 
 
 SIMPSON_CASES = {

@@ -13,8 +13,6 @@ from ergodiclab.coeffs import b, tail_sum_b
 from ergodiclab.semigroups import (
     StructuredOperator,
     adjoint_residual_vector,
-    apply_M,
-    apply_T,
     from_sparse_triples,
     kernel_B,
     matrix_A,
@@ -49,11 +47,11 @@ def triples_text(op):
 def test_M_at_zero_is_identity():
     rng = np.random.default_rng(1)
     x = rand_vec(rng, 12)
-    assert np.array_equal(apply_M(0.0, x).coords, x.coords)
+    assert np.array_equal(matrix_M(0.0, 12).apply(x).coords, x.coords)
 
 
 def test_M_on_basis_vector():
-    y = apply_M(1.0, basis_vector(2, 5))
+    y = matrix_M(1.0, 5).apply(basis_vector(2, 5))
     expected = math.exp(-0.5)
     assert y.coords[1] == pytest.approx(0.6065306597126334, abs=1e-16)
     assert y.coords[1] == expected
@@ -65,16 +63,15 @@ def test_M_contraction_toward_identity():
     for t in (0.01, 0.5, 1.0, 4.0):
         for _ in range(20):
             x = rand_vec(rng, 30)
-            drift = norm_l1(apply_M(t, x) - x)
+            drift = norm_l1(matrix_M(t, 30).apply(x) - x)
             assert drift <= (1 - math.exp(-t)) * norm_l1(x) + 1e-14
 
 
 def test_M_rejects_negative_time():
     with pytest.raises(ValueError):
-        apply_M(-1e-9, basis_vector(1, 2))
+        matrix_M(-1e-9, 2)
     # a NaN t is refused too, not turned into NaN entries (or a T whose power scan reads inf)
-    for call in (lambda: apply_M(math.nan, basis_vector(1, 2)), lambda: apply_T(math.nan, basis_vector(1, 2)),
-                 lambda: matrix_M(math.nan, 2), lambda: matrix_T(math.nan, 2)):
+    for call in (lambda: matrix_M(math.nan, 2), lambda: matrix_T(math.nan, 2)):
         with pytest.raises(ValueError, match="time t must be >= 0, got nan"):
             call()
 
@@ -92,7 +89,7 @@ def test_A_is_derivative_of_M_at_zero():
     A = matrix_A(25)
     for _ in range(10):
         x = rand_vec(rng, 25)
-        fd = (1.0 / eps) * (apply_M(eps, x) - x)
+        fd = (1.0 / eps) * (matrix_M(eps, 25).apply(x) - x)
         assert norm_l1(fd - A.apply(x)) <= eps * norm_l1(x)
 
 
@@ -122,8 +119,8 @@ def test_semigroup_law_M_exact():
     rng = np.random.default_rng(5)
     for t, s in ((0.0, 1.0), (0.5, 0.5), (2.0, 7.0)):
         x = rand_vec(rng, 33)
-        lhs = apply_M(t + s, x)
-        rhs = apply_M(t, apply_M(s, x))
+        lhs = matrix_M(t + s, 33).apply(x)
+        rhs = matrix_M(t, 33).apply(matrix_M(s, 33).apply(x))
         assert norm_l1(lhs - rhs) <= 1e-14 * norm_l1(x)
 
 
@@ -165,7 +162,7 @@ def test_N_norm_bound():
 def test_T_at_zero_is_identity():
     rng = np.random.default_rng(8)
     x = rand_vec(rng, 14)
-    assert np.array_equal(apply_T(0.0, x).coords, x.coords)
+    assert np.array_equal(matrix_T(0.0, 14).apply(x).coords, x.coords)
 
 
 def test_T_column_sums_equal_edge_decay():
@@ -192,8 +189,9 @@ def test_T_operator_norm_is_one_ish():
 def test_T_semigroup_defect_small_for_interior_support():
     n = 4096
     x = basis_vector(1, n)
-    lhs = apply_T(2.0, x)
-    rhs = apply_T(1.0, apply_T(1.0, x))
+    lhs = matrix_T(2.0, n).apply(x)
+    T1 = matrix_T(1.0, n)
+    rhs = T1.apply(T1.apply(x))
     defect = norm_l1(lhs - rhs)
     bound = 2.0 * tail_sum_b(n, 2.0)
     assert defect <= bound
@@ -205,10 +203,10 @@ def test_f_conserved_by_T_up_to_deficit():
     rng = np.random.default_rng(9)
     n = 128
     for t in (0.1, 1.0, 4.0):
-        deficit = tail_sum_b(n, t)
+        deficit, T = tail_sum_b(n, t), matrix_T(t, n)
         for _ in range(10):
             x = rand_vec(rng, n)
-            drift = abs(pair(np.ones(n), apply_T(t, x)) - pair(np.ones(n), x))
+            drift = abs(pair(np.ones(n), T.apply(x)) - pair(np.ones(n), x))
             assert drift <= deficit * norm_l1(x) + 1e-13
 
 
@@ -414,8 +412,8 @@ def test_truncation_error_within_certificate():
     for t in (0.5, 2.0):
         x_small = rand_vec(rng, small)
         x_big = TruncatedVector(np.concatenate([x_small.coords, np.zeros(big - small)]))
-        y_small = apply_T(t, x_small)
-        y_big = apply_T(t, x_big)
+        y_small = matrix_T(t, small).apply(x_small)
+        y_big = matrix_T(t, big).apply(x_big)
         diff = norm_l1(TruncatedVector(y_big.coords[:small]) - y_small) + float(
             np.abs(y_big.coords[small:]).sum()
         )

@@ -20,12 +20,12 @@ from ergodiclab.cesaro import (
     support_summaries,
 )
 from ergodiclab.cli import EXIT_OK, ExperimentConfig, cmd_cesaro, cmd_simulate, main
-from ergodiclab.semigroups import apply_M, apply_T, matrix_M, matrix_T
+from ergodiclab.semigroups import grid_kernel, matrix_M, matrix_T
 from ergodiclab.space import TruncatedVector, norm_l1, pair, row_stats
 from rows import csv_text, signed_with_gaps, simulate_csv, sparse_vector, support_of
 
 MEANS = {"M": (curve_cesaro_M, cesaro_M), "T": (curve_cesaro_T, cesaro_T)}
-SEMIGROUPS = {"M": (apply_M, matrix_M), "T": (apply_T, matrix_T)}
+SEMIGROUPS = {"M": matrix_M, "T": matrix_T}
 
 
 def reduce(v: TruncatedVector):
@@ -66,12 +66,11 @@ def test_curve_equals_per_point_means(subject, n):
 @pytest.mark.parametrize("n", [1, 2, 257])
 @pytest.mark.parametrize("subject", sorted(SEMIGROUPS))
 def test_simulate_rows_equal_per_point_evaluation(tmp_path, subject, n):
-    apply, matrix = SEMIGROUPS[subject]
     x = sparse_vector(n)
     lines = simulate_csv(tmp_path, subject, x, 9).decode().strip().split("\n")[1:]
     for line, t in zip(lines, np.linspace(0.0, 40.0, 9), strict=True):
-        y = apply(float(t), x)
-        assert np.array_equal(y.coords, matrix(float(t), n).apply(x).coords)
+        y = SEMIGROUPS[subject](float(t), n).apply(x)
+        assert np.array_equal(y.coords, grid_kernel(x, subject == "T", mean=False)([t])[0])
         norm, top, index, fval = reduce(y)
         cells = line.split(",")
         # t, the largest coordinate, its index and coordinates 1..16 keep their bits

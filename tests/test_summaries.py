@@ -21,9 +21,10 @@ from ergodiclab.cesaro import (
     geometric_grid,
     support_summaries,
 )
+from ergodiclab.cli import ExperimentConfig, cmd_simulate
 from ergodiclab.semigroups import grid_kernel
 from ergodiclab.space import TruncatedVector, norm_l1, row_stats
-from rows import signed_with_gaps, support_of
+from rows import raised, signed_with_gaps, support_of
 
 PIN = 1e-13
 NS = [1, 2, 257, 1024, 65536]
@@ -192,6 +193,47 @@ def test_bad_point_in_a_later_block_raises_after_the_rows_before_it(monkeypatch,
     monkeypatch.setattr(cesaro, name, poisoned)
     got = rows_then_error(support_summaries(x, long_grid(mean), perturbed=True, mean=mean))
     assert got == (bad, "coords must be finite (no NaN/inf)")
+
+
+def poison(monkeypatch, name, at):
+    """Make the support rows of ``cesaro.<name>``, formed a block of grid points at a time, NaN from grid value ``at``.
+
+    A value, not an index: ``cmd_simulate`` summarises its grid in pieces, each a grid of its own.
+    """
+    real = getattr(cesaro, name)
+
+    def rows(*args):
+        start, grid = 0, args[6]
+        for y, *rest in real(*args):
+            points = grid[start : start + len(y), None]
+            start += len(y)
+            yield np.where(points >= at, np.nan, y), *rest
+
+    monkeypatch.setattr(cesaro, name, rows)
+
+
+def test_nan_row_in_a_later_piece_raises_as_in_a_serial_run(monkeypatch, tmp_path):
+    x = TruncatedVector(np.eye(1, 32).ravel())
+    rs = geometric_grid(0.5, 1.1, 20)
+    poison(monkeypatch, "_mean_rows", rs[15])
+    assert raised(lambda: curve_cesaro_M(rs, support_of(x))) == (ValueError, "coords must be finite (no NaN/inf)")
+
+    cfg = ExperimentConfig(subject="T", N=32, r_grid=(0.5, 2.0, 2), t_grid=(0.0, 19.0, 20), out_dir=str(tmp_path))
+    poison(monkeypatch, "_trajectory_rows", 15.0)
+    assert raised(lambda: cmd_simulate(cfg)) == (ValueError, "coords must be finite (no NaN/inf)")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_a_bad_point_in_a_later_csv_block_leaves_no_file(monkeypatch, tmp_path):
+    # the blocks before the bad point have gone out to a temporary sibling, which the error removes unpublished;
+    # 16 nonzeros, each before a gap, give rows of 80 elements: blocks of _BLOCK_ELEMENTS // 80 points, two CSV blocks
+    count = 2 * cesaro.CSV_BLOCK_ROWS + 5
+    cfg = ExperimentConfig(subject="T", N=64, vector=tuple((k, 1.0) for k in range(1, 65, 4)), r_grid=(0.5, 2.0, 2),
+                           t_grid=(0.0, 40.0, count), out_dir=str(tmp_path))
+    poison(monkeypatch, "_trajectory_rows", 40.0)
+    with pytest.raises(ValueError, match="coords must be finite"):
+        cmd_simulate(cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- lemmas (a)-(c), on sampled h up to 2**22, in 50-digit arithmetic ---

@@ -206,11 +206,17 @@ def _tracing_module():
 def test_tracer_targets_resolve():
     # a renamed or deleted layer fails here instead of showing up as a missing target
     tracing = _tracing_module()
+    # the layers deleted from src since the benchmark's last change, listed here until its next change drops
+    # them from the catalogue; each must be gone, so that a renamed layer cannot hide here
+    deleted = {"coeffs.integral_b_row", "semigroups.apply_M", "semigroups.apply_T"}
     for name, (modname, path) in {**tracing.SPLIT, **tracing.TOTAL}.items():
         owner = importlib.import_module(modname)
         *outer, attr = path.split(".")
         for part in outer:
             owner = getattr(owner, part)
+        if name in deleted:
+            assert not hasattr(owner, attr), f"{name} is listed as deleted"
+            continue
         assert callable(getattr(owner, attr, None)), name
         assert attr in vars(owner), f"{name}: the tracer wraps only attributes defined on {owner.__name__}"
     # the catalogue times every check but those added since the benchmark's last change, listed here
