@@ -1,13 +1,10 @@
 """Cesaro means C(r)x = (1/r) * integral of T(s)x over [0, r].
 
-Closed forms are the production path for all three semigroups: the
-diagonal decay semigroup has diagonal means, the perturbed one reduces
-to the coefficient antiderivatives, and the exponential semigroup of a
-power-bounded matrix integrates its uniformization series term by term
-into Poisson upper tails (``exp_semigroup.stream_cesaro_S``, which shares
-the power sweeps of S(t)x).  An adaptive Simpson quadrature over grid
-integrands, one call per refinement level, serves only as the independent
-oracle for every closed form.
+Closed forms are the production path for all three semigroups: the diagonal decay semigroup has diagonal means,
+the perturbed one reduces to the coefficient antiderivatives, and the exponential semigroup of a power-bounded
+matrix integrates its uniformization series term by term into Poisson upper tails (``exp_semigroup.stream_cesaro_S``,
+which shares the power sweeps of S(t)x).  An adaptive Simpson quadrature over grid integrands, one call per
+refinement level, serves only as the independent oracle for every closed form.
 
 The M and T means at every r are one (r, N) array of ``coeffs.family``'s rows from ``semigroups.grid_kernel``;
 ``curve_cesaro_S`` reads the S means one power sweep at a time; the per-point functions are the one-point case,
@@ -51,10 +48,8 @@ class Support(NamedTuple):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive refinement exhausts its budget before reaching tol.
-
-    Carries the best available estimate and the achieved error bound.
-    """
+    """Raised when adaptive refinement exhausts its budget before reaching tol; carries the best available estimate
+    and the achieved error bound."""
 
     def __init__(self, message: str, best_estimate: np.ndarray, achieved_error: float):
         super().__init__(message)
@@ -75,11 +70,10 @@ def cesaro_T(r: float, x: TruncatedVector) -> TruncatedVector:
 def cesaro_M_opnorm(r, N: int):
     """Exact l1 operator norm of the decay-semigroup mean at truncation N, per r of a number or an array.
 
-    The diagonal entries (h/r)(1 - exp(-r/h)) increase in h, so the max
-    sits at h = N: ``family``'s mean diagonal there, bit for bit the h = N
-    entry of a mean row; it stays above 1 - 1/e for every r <= N, while for any
-    fixed N it decays like N/r as r grows: finite truncations are
-    uniformly mean ergodic, but no norm decay happens uniformly in N.
+    The diagonal entries (h/r)(1 - exp(-r/h)) increase in h, so the max sits at h = N: ``family``'s mean diagonal
+    there, bit for bit the h = N entry of a mean row; it stays above 1 - 1/e for every r <= N, while for any fixed N
+    it decays like N/r as r grows: finite truncations are uniformly mean ergodic, but no norm decay happens
+    uniformly in N.
     """
     if N < 1:
         raise ValueError(f"truncation N must be >= 1, got {N}")
@@ -95,11 +89,10 @@ _PHI2_TAIL = tuple((-1) ** k / math.factorial(k + 3) for k in range(16, -1, -1))
 def cesaro_T_certificate(r, N: int):
     """Per-unit-norm truncation bound for cesaro_T at truncation N, per r of a number or an array.
 
-    Exact value of (1/r) * integral of (1 - exp(-s/N)) over [0, r],
-    which is 1 - (N/r)(1 - exp(-r/N)) = u phi_2(-u) <= r/(2N) for u = r/N, phi_2(z) = (e^z - 1 - z)/z^2.
-    Below u = 1, where subtracting from 1 cancels, the series u/2 - u^2/6 + u^3/24 - ... (np.polyval in
-    Horner order) is within 2 eps; above, 1 + expm1(-u)/u is within 4 eps.  Either is raised past its
-    bound, so it never understates.
+    Exact value of (1/r) * integral of (1 - exp(-s/N)) over [0, r], which is 1 - (N/r)(1 - exp(-r/N)) = u phi_2(-u)
+    <= r/(2N) for u = r/N, phi_2(z) = (e^z - 1 - z)/z^2.  Below u = 1, where subtracting from 1 cancels, the series
+    u/2 - u^2/6 + u^3/24 - ... (np.polyval in Horner order) is within 2 eps; above, 1 + expm1(-u)/u is within 4 eps.
+    Either is raised past its bound, so it never understates.
     """
     r = _check_r(r)
     if N < 1:
@@ -115,13 +108,12 @@ def cesaro_T_certificate(r, N: int):
 def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int = 2**20) -> np.ndarray:
     """Adaptive composite Simpson rule for a grid integrand ``f(nodes) -> rows``.
 
-    ``f`` returns a (nodes, n) array, row i at nodes[i], as the grid kernels do
-    (``semigroups.grid_kernel``).  One call of ``f`` evaluates the
-    new midpoints of every interval of a refinement level.  Bisection is keyed to the l1 norm of the
-    local Richardson defect; an interval is accepted when that defect is within 15x its share of the
-    tolerance.  Accepted intervals are summed by descending left end, the order of a depth-first
-    refinement that takes right halves first.  Raises QuadratureError with the best estimate and the
-    achieved error bound if ``budget`` nodes are not enough.
+    ``f`` returns a (nodes, n) array, row i at nodes[i], as the grid kernels do (``semigroups.grid_kernel``).
+    One call of ``f`` evaluates the new midpoints of every interval of a refinement level.  Bisection is keyed
+    to the l1 norm of the local Richardson defect; an interval is accepted when that defect is within 15x its
+    share of the tolerance.  Accepted intervals are summed by descending left end, the order of a depth-first
+    refinement that takes right halves first, each once no pending interval lies to its right.  Raises
+    QuadratureError with the best estimate and the achieved error bound if ``budget`` nodes are not enough.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -132,18 +124,18 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
     # the k pending intervals as rows lo, mid, hi of x; the integrand there, (3, k, n); their Simpson estimates
     x = np.array([[a], [0.5 * (a + b)], [b]])
     fx = _rows(f, x.ravel())[:, None]
-    whole = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2])
+    whole, n = (b - a) / 6.0 * (fx[0] + 4.0 * fx[1] + fx[2]), fx.shape[2]
     evals, ltol, min_width = 3, tol, (b - a) * 1e-13
-    accepted = []  # per level: the accepted intervals' left ends, their (left, right, defect / 15) terms, errors
+    # the sum so far; the accepted errors per level; the accepted intervals with a pending one to their right,
+    # per level their left ends and (3, count, n) terms left, right and defect / 15
+    total, errors, held = np.zeros(n), [], []
     while k := x.shape[1]:
-        ends, whole = fx.reshape(3, k, -1), whole.reshape(k, -1)  # the halves' left ends: ends[:2]; right: ends[1:]
+        ends, whole = fx.reshape(3, k, n), whole.reshape(k, n)  # the halves' left ends: ends[:2]; right: ends[1:]
         if evals + 2 * k > budget:
             # unrefined intervals carry no defect estimate; their l1 mass safely bounds what they may still move
-            raise QuadratureError(
-                f"quadrature budget {budget} exhausted before reaching tol {tol}",
-                best_estimate=_sum_accepted(accepted) + whole.sum(axis=0),
-                achieved_error=sum(float(e.sum()) for *_, e in accepted) + float(np.abs(whole).sum()),
-            )
+            raise QuadratureError(f"quadrature budget {budget} exhausted before reaching tol {tol}",
+                                  _added(total, held, -np.inf) + whole.sum(axis=0),
+                                  sum(errors) + float(np.abs(whole).sum()))
         # the halves, left ones then right ones, (lo, lm, mid) and (mid, rm, hi), as the rows of a (3, 2, k) array
         halves = np.concatenate((x[:2], 0.5 * (x[:2] + x[1:]), x[1:])).reshape(3, 2, k)
         fresh = _rows(f, halves[1].ravel()).reshape(2, k, -1)
@@ -154,15 +146,22 @@ def adaptive_simpson(f: Integrand, a: float, b: float, tol: float, budget: int =
         parts *= ((halves[2] - halves[0]) / 6.0)[..., None]
         delta = parts[0] + parts[1]
         delta -= whole
-        err = np.add.reduce(np.abs(delta, out=whole), axis=1) / 15.0
+        err, whole = np.add.reduce(np.abs(delta, out=whole), axis=1) / 15.0, None
         ok = (err <= ltol) | ((x[2] - x[0]) < min_width)
         kept, refined = ok.nonzero()[0], (~ok).nonzero()[0]
-        accepted.append((x[0, kept], np.concatenate((parts.take(kept, 1), delta[None, kept] / 15.0)), err[kept]))
-        # the next level: the refined intervals' left halves, then their right halves
-        x = halves.take(refined, 2).reshape(3, -1)
-        whole, fx = parts.take(refined, 1), np.concatenate([v.take(refined, 1) for v in (ends[:2], fresh, ends[1:])])
+        errors.append(float(err[kept].sum()))
+        # the accepted terms; the next level, the refined intervals' left halves then right halves; arrays go once read
+        held.append((x[0, kept], terms := np.empty((3, kept.size, n))))
+        parts.take(kept, 1, out=terms[:2], mode="clip")
+        np.divide(delta.take(kept, 0, out=terms[2], mode="clip"), 15.0, out=terms[2])
+        x, whole, parts, delta, terms = halves.take(refined, 2).reshape(3, -1), parts.take(refined, 1), None, None, None
+        fx = np.empty((3, 2, refined.size, n))
+        for values, out in zip((ends[:2], fresh, ends[1:]), fx):
+            values.take(refined, 1, out=out, mode="clip")
+        ends = fresh = values = None
+        total = _added(total, held, x[0].max(initial=-np.inf))
         ltol = 0.5 * ltol
-    return _sum_accepted(accepted)
+    return total
 
 
 def _rows(f: Integrand, nodes: np.ndarray) -> np.ndarray:
@@ -173,27 +172,31 @@ def _rows(f: Integrand, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sum_accepted(accepted) -> np.ndarray:
-    """The sum by descending left end, each interval adding left, right and defect / 15 in turn, bit for bit."""
-    order = np.argsort(np.concatenate([level[0] for level in accepted]))[::-1]
-    rank, terms, start = np.argsort(order), np.empty((3 * order.size, accepted[0][1].shape[2])), 0
-    for _, level, _ in accepted:  # each level's (3, count, n) terms go straight to their rank: no copy of them all
-        at = rank[start : (start := start + level.shape[1])]
-        terms.reshape(-1, 3, terms.shape[1])[at] = level.transpose(1, 0, 2)
-    if terms.shape[1] == 1:  # numpy adds the rows of a (rows, n > 1) array in order, but one column pairwise
-        return np.cumsum(np.concatenate([np.zeros((1, 1)), terms]), axis=0)[-1]
-    return np.add.reduce(terms, axis=0, initial=0.0)
+def _added(total: np.ndarray, held: list, frontier: float) -> np.ndarray:
+    """``total`` plus each held interval with no pending one to its right (left end above ``frontier``), by
+    descending left end, adding left, right and defect / 15 in turn, bit for bit; the added ones leave ``held``."""
+    at = np.concatenate([lo for lo, _ in held] or [np.empty(0)])
+    if not (count := np.count_nonzero(at > frontier)):
+        return total
+    rank, rows, start = np.empty(at.size, int), np.empty((1 + 3 * count, total.size)), 0
+    rank[np.argsort(at)[::-1][:count]], rows[0] = np.arange(count), total
+    for i, (lo, terms) in enumerate(held):  # each level's terms go straight to their rank: no copy of them all
+        go, place = lo > frontier, rank[start : (start := start + lo.size)]
+        rows[1:].reshape(count, 3, -1)[place[go]] = terms[:, go].transpose(1, 0, 2)
+        held[i] = (lo[~go], terms[:, ~go]) if go.any() else (lo, terms)
+    held[:] = [level for level in held if level[0].size]
+    if total.size == 1:  # numpy adds the rows of a (rows, n > 1) array in order, but one column pairwise
+        return np.add.accumulate(rows, axis=0, out=rows)[-1].copy()
+    return np.add.reduce(rows, axis=0)
 
 
 def cesaro_quadrature(kernel: Integrand, r: float, tol: float) -> TruncatedVector:
     """Quadrature oracle for the mean (1/r) * integral over [0, r] of an orbit, within ``tol`` in l1.
 
-    ``kernel(nodes)`` returns the orbit at each node as a (nodes, N) array, as
-    ``semigroups.grid_kernel(x, perturbed, mean=False)`` does.
+    ``kernel(nodes)`` returns the orbit at each node as a (nodes, N) array, as ``grid_kernel(x, p, False)`` does.
     """
     _check_r(r)
-    total = adaptive_simpson(kernel, 0.0, r, tol * r)
-    return TruncatedVector(total / r)
+    return TruncatedVector(adaptive_simpson(kernel, 0.0, r, tol * r) / r)
 
 
 # --- M and T rows summarised from the support of x ---
@@ -311,9 +314,8 @@ def _mean_rows(s, xs, before, a, c, P, r_grid, pairs, blocks):
 def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
     """Per pair of neighbouring r, the integer h in 1..N where D is least, and D there.
 
-    D falls in h while k(r_i/h) < k(r_{i-1}/h) and rises after, k(u) = (1 - (1 + u) e^{-u})/u
-    (lemma (c)); bisection finds the least integer where it rises, and the minimum is there or
-    just before.
+    D falls in h while k(r_i/h) < k(r_{i-1}/h) and rises after, k(u) = (1 - (1 + u) e^{-u})/u (lemma (c));
+    bisection finds the least integer where it rises, and the minimum is there or just before.
     """
 
     def k(u):  # as u e^{-u} phi_2(u) below u = 1, where the direct form cancels
@@ -338,13 +340,11 @@ def _D_minima(r_grid: np.ndarray, N: float) -> tuple[np.ndarray, np.ndarray]:
 class CesaroCurve:
     """Samples of r -> C(r)x (vector mode) or r -> ||C(r)|| (norm mode).
 
-    A curve keeps per sample only what its readers need, never the means
-    themselves: ``values`` (||C(r)x||_1, or ||C(r)|| in norm mode) and
-    ``steps``, the l1 distance of each sample from the one before (in norm
-    mode |difference of values| unless given).  Vector mode adds the
-    largest |coordinate|, its 1-based index and the coordinate sum
-    f(C(r)x).  ``trunc_error`` holds one per-sample certificate bounding
-    the l1 discrepancy against the untruncated mean.
+    A curve keeps per sample only what its readers need, never the means themselves: ``values`` (||C(r)x||_1, or
+    ||C(r)|| in norm mode) and ``steps``, the l1 distance of each sample from the one before (in norm mode
+    |difference of values| unless given).  Vector mode adds the largest |coordinate|, its 1-based index and the
+    coordinate sum f(C(r)x).  ``trunc_error`` holds one per-sample certificate bounding the l1 discrepancy against
+    the untruncated mean.
     """
 
     r_grid: np.ndarray

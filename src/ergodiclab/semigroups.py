@@ -73,7 +73,9 @@ class StructuredOperator:
         """The action of ``apply`` on the last axis: one N-vector, or a (k, N) block of k vectors."""
         out = self.diag * coords
         if self.below is not None:
-            out[..., 1:] += coords.cumsum(axis=-1)[..., :-1] * self.below[1:]
+            prefix = coords.cumsum(axis=-1)[..., :-1]
+            prefix *= self.below[1:]  # in place: two arrays of the shape of coords at a time
+            out[..., 1:] += prefix
         return out
 
     def min_entry(self) -> float:

@@ -30,7 +30,7 @@ class TruncatedVector:
         arr = np.asarray(self.coords, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coords must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
+        if not (np.isfinite(arr.max()) and np.isfinite(arr.min())):  # a NaN is the max: no mask of N flags
             raise ValueError("coords must be finite (no NaN/inf)")
         arr = arr.copy()
         arr.setflags(write=False)

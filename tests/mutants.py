@@ -75,14 +75,25 @@ RECORDED = [
            "        return self.shared",
            (f"{TV}::test_check_order_cannot_matter[N257]",)),
     Mutant("simpson.ascending_order", CESARO,
-           "order = np.argsort(np.concatenate([level[0] for level in accepted]))[::-1]",
-           "order = np.argsort(np.concatenate([level[0] for level in accepted]))",
+           "rank[np.argsort(at)[::-1][:count]]",
+           "rank[np.argsort(at)[:count]]",
            (f"{TC}::test_level_synchronous_simpson_keeps_the_depth_first_bits[exponential]",
             f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]")),
     Mutant("simpson.no_zero_row", CESARO,
-           "np.cumsum(np.concatenate([np.zeros((1, 1)), terms]), axis=0)[-1]",
-           "np.cumsum(terms, axis=0)[-1]",
-           (f"{TC}::test_simpson_budget_exhaustion_carries_payload",)),
+           "return np.add.accumulate(rows, axis=0, out=rows)[-1].copy()",
+           "return np.add.accumulate(rows[1:], axis=0, out=rows[1:])[-1].copy()",
+           (f"{TC}::test_simpson_budget_exhaustion_payload_keeps_its_bits[sqrt_left_end]",
+            f"{TC}::test_level_synchronous_simpson_keeps_the_depth_first_bits[exponential]")),
+    Mutant("simpson.flush_past_pending", CESARO,
+           "total = _added(total, held, x[0].max(initial=-np.inf))",
+           "total = _added(total, held, -np.inf)",
+           (f"{TC}::test_level_synchronous_simpson_keeps_the_depth_first_bits[sin_cos]",
+            f"{TC}::test_budget_boundary_is_the_depth_first_node_count")),
+    Mutant("simpson.flush_only_at_the_end", CESARO,
+           "total = _added(total, held, x[0].max(initial=-np.inf))",
+           "total = _added(total, held, np.inf if x.size else -np.inf)",
+           (f"{TC}::test_simpson_peak_is_set_by_its_widest_level_not_by_what_it_accepted",
+            f"{TB}::test_structure_checks_build_no_dense_matrix[check_oracle_cesaro_T-]")),
     Mutant("simpson.one_call_per_node", CESARO,
            "fresh = _rows(f, halves[1].ravel()).reshape(2, k, -1)",
            "fresh = np.concatenate([_rows(f, node[None]) for node in halves[1].ravel()]).reshape(2, k, -1)",
@@ -96,8 +107,9 @@ RECORDED = [
            "ltol = 1.0 * ltol",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("simpson.left_plus_right_first", CESARO,
-           "terms.reshape(-1, 3, terms.shape[1])[at] = level.transpose(1, 0, 2)",
-           "terms.reshape(-1, 3, terms.shape[1])[at] = np.stack((level[0] + level[1], 0.0 * level[1], level[2]), 1)",
+           "rows[1:].reshape(count, 3, -1)[place[go]] = terms[:, go].transpose(1, 0, 2)",
+           "rows[1:].reshape(count, 3, -1)[place[go]] = np.stack((terms[0, go] + terms[1, go], 0.0 * terms[1, go],"
+           " terms[2, go]), 1)",
            (f"{TC}::test_grid_kernel_oracle_keeps_the_depth_first_bits[100-T]",)),
     Mutant("certificate.by_subtraction", CESARO,
            "np.where(u < 1.0, low / 2.0 - low * low * np.polyval(_PHI2_TAIL, low), 1.0 + np.expm1(-high) / high)",

@@ -3,6 +3,7 @@
 import decimal
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +75,54 @@ def test_simpson_budget_exhaustion_carries_payload():
     assert np.isfinite(err.best_estimate).all()
     assert err.achieved_error >= 0.0
     assert len(seen) <= 64
+
+
+# pinned to the payloads of the sum that held every accepted interval to the end: streaming the sum keeps them
+EXHAUSTED = {
+    "sin_1000s": (lambda nodes: np.sin(1000.0 * nodes)[:, None], 10.0, 1e-18, 64,
+                  ["-0x1.8f9ff2f1b9312p-2"], "0x1.e8aafc161c034p+1"),
+    # refined at the left end: accepted intervals are summed at every level before the budget runs out
+    "sqrt_left_end": (lambda nodes: np.sqrt(nodes)[:, None], 1.0, 1e-5, 40,
+                      ["0x1.5554f0d6b39cdp-1"], "0x1.563af41ef091ep-13"),
+    # intervals at the left, accepted, are still held when the budget runs out: the refinement is at the right
+    "right_edge_2_columns": (lambda nodes: np.exp(50.0 * (nodes - 1.0))[:, None] * np.array([1.0, -3.0]), 1.0,
+                             1e-13, 60, ["0x1.484fd65a98304p-6", "-0x1.ec77c187e4484p-5"], "0x1.484fd65a84aa9p-4"),
+    "T_orbit_N4": (grid_kernel(basis_vector(1, 4), perturbed=True, mean=False), 20.0, 2e-10, 400,
+                   ["0x1.0000036f640cap+0", "0x1.fff4134282c0ap-1", "0x1.fe177a9d03906p-1", "0x1.f427cb6d1834dp-1"],
+                   "0x1.f98e0c106668ap+1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXHAUSTED))
+def test_simpson_budget_exhaustion_payload_keeps_its_bits(case):
+    f, b_end, tol, budget, estimate, error = EXHAUSTED[case]
+    with pytest.raises(QuadratureError) as info:
+        adaptive_simpson(f, 0.0, b_end, tol, budget=budget)
+    assert [v.hex() for v in info.value.best_estimate.tolist()] == estimate
+    assert info.value.achieved_error.hex() == error
+
+
+def test_simpson_peak_is_set_by_its_widest_level_not_by_what_it_accepted():
+    # sqrt(s) is refined at its left end alone: 33 levels of at most 10 intervals accept 64.  Held to the end,
+    # 3 rows each and a sorted copy, they peaked at 402 rows; each summed once no pending interval lies to its
+    # right, the peak is 107 rows, the widest level and its kernel call
+    n, widths = 4096, []
+
+    def f(nodes):
+        widths.append(nodes.size // 2)  # two new nodes per interval of a level
+        return np.sqrt(nodes)[:, None] * np.ones(n)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adaptive_simpson(f, 0.0, 1.0, 1e-4)
+        rows = (tracemalloc.get_traced_memory()[1] - base) / (8 * n)
+    finally:
+        tracemalloc.stop()
+    levels = widths[1:]  # after the first call, at a, the midpoint and b
+    accepted = sum(levels) - sum(levels[1:]) // 2  # each refined interval is two of the next level
+    assert accepted >= 5 * max(levels)
+    assert rows < 16 * max(levels)
 
 
 def test_simpson_rejects_bad_arguments():
